@@ -2,10 +2,23 @@
 
 Internal helper for the laurent module.  Polynomials are lists of int
 coefficients in ascending order of exponent, with no high-order zeros;
-[] is the zero polynomial.  Factorization follows the classical route:
-squarefree decomposition, factorization modulo a good prime, Hensel
-lifting to a Mignotte-style coefficient bound, then subset recombination
-with early-exit trial division.  Everything is deterministic.
+[] is the zero polynomial.  Factorization follows the classical route
+(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15):
+
+- squarefree decomposition: when f is squarefree modulo one of the first
+  few primes not dividing its leading coefficient it is squarefree over Z
+  and Yun's algorithm is skipped;
+- Berlekamp factorization modulo the first three good primes, keeping the
+  prime with the fewest factors; the subset sums of the factor degrees at
+  each prime are intersected (Musser's degree-set test), and f is proved
+  irreducible as soon as only 0 and deg f remain;
+- Hensel lifting to p^l > 2B, B a Mignotte-style coefficient bound;
+- subset recombination: a subset is trial-divided only when its degree sum
+  is a possible factor degree and its candidate's values at t = 0 and
+  t = 1, read off the lifted factors, divide those of lc * f; the trial
+  division stops as soon as a quotient coefficient exceeds B.
+
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -97,8 +110,12 @@ def primitive(f: list[int]) -> list[int]:
     return [a // c for a in f]
 
 
-def exact_div_int(f: list[int], g: list[int]) -> list[int] | None:
-    """Quotient f/g over Z when exact, else None.  g must be nonzero."""
+def exact_div_int(f: list[int], g: list[int], bound: int | None = None) -> list[int] | None:
+    """Quotient f/g over Z when exact, else None.  g must be nonzero.
+
+    With a bound, also None as soon as a quotient coefficient exceeds it in
+    absolute value; the caller vouches that an exact quotient never does.
+    """
     f = strip(list(f))
     g = strip(list(g))
     if not g:
@@ -115,6 +132,8 @@ def exact_div_int(f: list[int], g: list[int]) -> list[int] | None:
         if c % lead != 0:
             return None
         q[k] = c // lead
+        if bound is not None and abs(q[k]) > bound:
+            return None
         if q[k]:
             for j in range(len(g)):
                 rem[k + j] -= q[k] * g[j]
@@ -167,6 +186,8 @@ def squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     assert f and f[-1] > 0
     if degree(f) == 0:
         return []
+    if _squarefree_mod_small_prime(f):
+        return [(f, 1)]
     a = int_poly_gcd(f, derivative(f))
     b = exact_div_int(f, a)
     c = exact_div_int(derivative(f), a)
@@ -186,17 +207,31 @@ def squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     return out
 
 
+_SQUAREFREE_PRIMES = 5
+
+
+def _squarefree_mod_small_prime(f: list[int]) -> bool:
+    """True when f is squarefree mod one of the first few primes not dividing lc(f).
+
+    Such a prime keeps the degree of every factor of f, so a square factor
+    over Z would stay a square factor mod p: f is then squarefree over Z.
+    """
+    tried = 0
+    for p in _primes():
+        if f[-1] % p == 0:
+            continue
+        if gf_is_squarefree(f, p):
+            return True
+        tried += 1
+        if tried == _SQUAREFREE_PRIMES:
+            return False
+
+
 # -- GF(p) arithmetic ---------------------------------------------------
 
 
-def gf_strip(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f = f[:-1]
-    return f
-
-
 def gf_trunc(f: list[int], p: int) -> list[int]:
-    return gf_strip([c % p for c in f])
+    return strip([c % p for c in f])
 
 
 def gf_balanced(f: list[int], m: int) -> list[int]:
@@ -208,10 +243,6 @@ def gf_balanced(f: list[int], m: int) -> list[int]:
             c -= m
         out.append(c)
     return strip(out)
-
-
-def gf_add(f, g, p):
-    return gf_trunc(add(f, g), p)
 
 
 def gf_sub(f, g, p):
@@ -240,7 +271,7 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
             q[k] = coef
             for j in range(len(g)):
                 rem[k + j] = (rem[k + j] - coef * g[j]) % p
-    return gf_strip(q), gf_strip([c % p for c in rem])
+    return strip(q), strip([c % p for c in rem])
 
 
 def gf_monic(f: list[int], p: int) -> list[int]:
@@ -310,9 +341,9 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         return [f]
     factors = [f]
     for v in basis:
-        if len(gf_strip(v)) <= 1:
+        if len(strip(v)) <= 1:
             continue  # the constant vector never splits anything
-        vv = gf_strip(list(v))
+        vv = strip(list(v))
         for s in range(p):
             if len(factors) == r:
                 return sorted(factors)
@@ -348,12 +379,15 @@ def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
+        # Columns left of col are already zero in the pivot row.
+        piv = a[row]
+        inv = pow(piv[col], -1, p)
+        piv[col:] = [(x * inv) % p for x in piv[col:]]
+        tail = piv[col:]
         for i in range(n):
-            if i != row and a[i][col] % p:
-                c = a[i][col]
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], a[row])]
+            c = a[i][col]
+            if i != row and c:
+                a[i][col:] = [(x - c * y) % p for x, y in zip(a[i][col:], tail)]
         where[col] = row
         pivots.append(col)
         row += 1
@@ -415,10 +449,26 @@ def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[
 # -- Zassenhaus ---------------------------------------------------------
 
 
-def _choose_prime(f: list[int]) -> tuple[int, list[list[int]]]:
-    """First few good primes; keep the one giving the fewest modular factors."""
+def _degree_sums(factors: list[list[int]]) -> int:
+    """Bit mask of the degrees of the products of subsets of factors."""
+    mask = 1
+    for g in factors:
+        mask |= mask << degree(g)
+    return mask
+
+
+def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
+    """First few good primes; keep the one giving the fewest modular factors.
+
+    Also returns the bit mask of the degrees a factor of f over Z can have:
+    the intersection of the subset-sum degree sets at the primes tried.  The
+    search stops early once that leaves only 0 and deg f, which proves f
+    irreducible.
+    """
     lc, tc = f[-1], f[0]
+    irreducible = 1 | 1 << degree(f)
     best: tuple[int, list[list[int]]] | None = None
+    degrees = -1
     good_seen = 0
     for p in _primes():
         if p > 20000:
@@ -428,13 +478,14 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]]]:
         if not gf_is_squarefree(f, p):
             continue
         facs = berlekamp(gf_monic(f, p), p)
+        degrees &= _degree_sums(facs)
         if best is None or len(facs) < len(best[1]):
             best = (p, facs)
         good_seen += 1
-        if good_seen >= 3 or len(facs) == 1:
+        if good_seen >= 3 or degrees == irreducible:
             break
     assert best is not None
-    return best
+    return best[0], best[1], degrees
 
 
 def _mignotte_bound(f: list[int]) -> int:
@@ -443,34 +494,65 @@ def _mignotte_bound(f: list[int]) -> int:
     return (math.isqrt(n + 1) + 1) * 2**n * a * abs(f[-1])
 
 
+def _balanced_value(lc: int, values: list[int], subset: tuple[int, ...], m: int) -> int:
+    """lc * prod(values[i] for i in subset), symmetric representative mod m."""
+    v = lc
+    for i in subset:
+        v = v * values[i] % m
+    return v - m if v > m // 2 else v
+
+
 def factor_squarefree(f: list[int]) -> list[list[int]]:
-    """Irreducible factors of a primitive squarefree f, positive lead, deg >= 1."""
+    """Irreducible factors of a primitive squarefree f, positive lead, deg >= 1.
+
+    f(0) must be nonzero.
+    """
     f = strip(list(f))
     assert f and f[-1] > 0 and degree(f) >= 1
     if degree(f) == 1:
         return [f]
-    p, modular = _choose_prime(f)
-    if len(modular) == 1:
+    p, modular, degrees = _choose_prime(f)
+    if degrees == 1 | 1 << degree(f):
         return [f]
     B = _mignotte_bound(f)
     l = max(1, math.ceil(math.log(2 * B + 1, p)))
     lifted = hensel_lift(p, f, modular, l)
     pl = p**l
+    deg = [degree(g) for g in lifted]
+    at0 = [g[0] for g in lifted]
+    at1 = [sum(g) % pl for g in lifted]
 
+    # A subset belongs to a factor h of current only if its candidate
+    # G = balanced(lc * prod lifted), lc = lc(current), equals lc * h / lc(h);
+    # then G(t) divides lc * current(t) for every integer t.  At t = 0 the
+    # balanced value is G(0) itself, as |G(0)| <= B < p^l / 2, and it is
+    # nonzero since p divides neither lc nor f(0); at t = 1 it is G(1) only
+    # when 0 < 2 |lc * current(1)| < p^l.  An exact quotient is a factor of
+    # f, so its coefficients are at most B too.
     remaining = list(range(len(lifted)))
     current = f
     out: list[list[int]] = []
     s = 1
     while 2 * s <= len(remaining):
         found = False
+        lc = current[-1]
+        lc0 = lc * current[0]
+        lc1 = lc * sum(current)
+        test1 = lc1 != 0 and 2 * abs(lc1) < pl
         for subset in combinations(remaining, s):
-            g = [current[-1]]
+            if not degrees >> sum(deg[i] for i in subset) & 1:
+                continue
+            if lc0 % _balanced_value(lc, at0, subset, pl):
+                continue
+            if test1:
+                g1 = _balanced_value(lc, at1, subset, pl)
+                if g1 == 0 or lc1 % g1:
+                    continue
+            g = [lc]
             for i in subset:
                 g = gf_balanced(mul(g, lifted[i]), pl)
             cand = primitive(g)
-            if degree(cand) < 1:
-                continue
-            q = exact_div_int(current, cand)
+            q = exact_div_int(current, cand, B)
             if q is not None:
                 out.append(cand)
                 current = primitive(q)

@@ -384,13 +384,20 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
+def _nearest_quotient(x: int, y: int) -> int:
+    """q with |x - q*y| <= |y| / 2."""
+    return (2 * x + y) // (2 * y)
+
+
 def smith_diagonal(matrix: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
     """Smith normal form diagonal of an integer matrix, plus the column transform.
 
     Returns (diag, V) where diag holds the nonnegative invariant factors
     (d_i | d_{i+1}) and V is the unimodular ncols x ncols matrix of accumulated
     column operations, so that (row ops applied to A) * V is diagonal.  Exact
-    integer arithmetic; pivots chosen by minimal absolute value.
+    integer arithmetic; pivots chosen by minimal absolute value, and
+    eliminations use nearest-integer quotients so that every remainder is at
+    most half the pivot and entries stay small.
     """
     a = [row[:] for row in matrix]
     nrows = len(a)
@@ -427,14 +434,14 @@ def smith_diagonal(matrix: list[list[int]], ncols: int) -> tuple[list[int], list
                 dirty = False
                 for i in range(t + 1, nrows):
                     if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
+                        q = _nearest_quotient(a[i][t], a[t][t])
                         a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                         if a[i][t] != 0:  # leftover remainder becomes the new pivot
                             a[t], a[i] = a[i], a[t]
                             dirty = True
                 for j in range(t + 1, ncols):
                     if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
+                        q = _nearest_quotient(a[t][j], a[t][t])
                         add_col(t, j, -q)
                         if a[t][j] != 0:
                             swap_cols(t, j)

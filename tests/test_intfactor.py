@@ -1,0 +1,200 @@
+"""Zassenhaus factorization over Z: pruning soundness, cost guards, oracles."""
+
+import random
+
+import pytest
+
+from cycover import _intfactor
+from cycover.alexander import alexander_polynomial
+from cycover.laurent import LaurentPoly, factor_over_Z
+from cycover.twobridge import TwoBridgeParams, presentation
+from oracles import _poly_div_exact
+
+
+def cyclotomic(n):
+    """Phi_n, dividing t^n - 1 by Phi_d for the proper divisors d of n."""
+    f = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            f = _poly_div_exact(f, cyclotomic(d))
+    return f
+
+
+def t_power_minus_one(n):
+    return [-1] + [0] * (n - 1) + [1]
+
+
+def product(*polys):
+    out = [1]
+    for g in polys:
+        out = _intfactor.mul(out, g)
+    return out
+
+
+def eisenstein(rng, p, degree, size):
+    """A random primitive irreducible polynomial (Eisenstein at p), lead > 0.
+
+    The lead is prime to p, the other coefficients are multiples of p, and
+    the constant term is p times a number prime to p, of absolute value up to
+    p * size.
+    """
+    lead = rng.choice([c for c in range(1, 60) if c % p])
+    middle = [p * rng.randint(-size, size) for _ in range(degree - 1)]
+    const = p
+    while const % (p * p) == 0:
+        const = p * rng.randint(size // 2, size) * rng.choice((1, -1))
+    return _intfactor.primitive([const] + middle + [lead])
+
+
+def canonical(polys):
+    return sorted(map(tuple, polys))
+
+
+def delta(p, q):
+    pres = presentation(TwoBridgeParams(p, q))
+    return alexander_polynomial(pres, {"u": 1, "v": 1}).delta.dense()
+
+
+# -- soundness of the recombination pre-tests ---------------------------
+
+
+def test_non_monic_factors_with_large_values_at_zero_and_one():
+    rng = random.Random(20261018)
+    for trial in range(12):
+        parts = []
+        while len(parts) < rng.randint(2, 4):
+            g = eisenstein(rng, rng.choice((2, 3, 5, 7)), rng.randint(1, 5), 10**6)
+            if tuple(g) not in map(tuple, parts):
+                parts.append(g)
+        f = product(*parts)
+        assert canonical(_intfactor.factor_squarefree(f)) == canonical(parts), trial
+
+
+def test_squarefree_input_vanishing_at_one():
+    # f(1) = 0 turns the t = 1 pre-test off; the t = 0 test still prunes.
+    for n in (12, 30, 36):
+        f = t_power_minus_one(n)
+        expect = [cyclotomic(d) for d in range(1, n + 1) if n % d == 0]
+        assert canonical(_intfactor.factor_squarefree(f)) == canonical(expect), n
+    rng = random.Random(7)
+    parts = [[-1, 1], eisenstein(rng, 3, 3, 10**4), eisenstein(rng, 5, 4, 10**4)]
+    assert canonical(_intfactor.factor_squarefree(product(*parts))) == canonical(parts)
+
+
+def test_value_at_one_test_skipped_when_it_could_wrap(monkeypatch):
+    # lc(h2)/lc(h1) * h1 and lc(h1)/lc(h2) * h2 have coefficients of at most
+    # 15, as do the quotients of f by h1 and h2, so B = 15 keeps the lift
+    # exact while p^l stays below 2 |lc * f(1)|.  A t = 1 test run anyway
+    # would reduce G(1) = 85 mod p^l and reject the true factor h1.
+    h1 = [3, 3, 3, 3, 3, 2]  # Eisenstein at 3
+    h2 = [2, 2, 2, 2, 2, 2, 5]  # Eisenstein at 2
+    f = product(h1, h2)
+    monkeypatch.setattr(_intfactor, "_mignotte_bound", lambda g: 15)
+    lifts = []
+    real_lift = _intfactor.hensel_lift
+
+    def spy(p, g, modular, l):
+        lifts.append(p**l)
+        return real_lift(p, g, modular, l)
+
+    monkeypatch.setattr(_intfactor, "hensel_lift", spy)
+    assert canonical(_intfactor.factor_squarefree(f)) == canonical([h1, h2])
+    assert 2 * abs(f[-1] * sum(f)) >= lifts[0]
+
+
+def test_non_squarefree_input_goes_through_yun(monkeypatch):
+    gcds = []
+    real_gcd = _intfactor.int_poly_gcd
+    monkeypatch.setattr(_intfactor, "int_poly_gcd", lambda f, g: gcds.append(1) or real_gcd(f, g))
+    phi25, phi27 = cyclotomic(25), cyclotomic(27)
+    f = product(phi25, phi25, phi27, phi27)
+    assert sorted(_intfactor.factor_primitive(f)) == sorted([(phi25, 2), (phi27, 2)])
+    assert gcds
+    # A squarefree input is recognised mod a small prime and skips Yun.
+    gcds.clear()
+    assert len(_intfactor.factor_primitive(t_power_minus_one(60))) == 12
+    assert not gcds
+
+
+# -- cost guards (counts, not timings) ----------------------------------
+
+
+def test_irreducible_delta_needs_no_hensel_lift(monkeypatch):
+    d = delta(1001, 3)
+
+    def no_lift(*args):
+        raise AssertionError("Hensel lifting on a polynomial proved irreducible")
+
+    monkeypatch.setattr(_intfactor, "hensel_lift", no_lift)
+    assert _intfactor.factor_squarefree(d) == [d]
+
+
+def test_torus_delta_trial_divisions(monkeypatch):
+    d = [(-1) ** i for i in range(301)]  # Delta of T(2,301) = Phi_14 Phi_86 Phi_602
+    calls = []
+    real_div = _intfactor.exact_div_int
+
+    def counting(*args):
+        calls.append(args)
+        return real_div(*args)
+
+    monkeypatch.setattr(_intfactor, "exact_div_int", counting)
+    factors = _intfactor.factor_squarefree(d)
+    assert canonical(factors) == canonical([cyclotomic(14), cyclotomic(86), cyclotomic(602)])
+    assert len(calls) <= len(factors) + 1
+
+
+# -- sympy cross-checks at degree 50-300 --------------------------------
+
+
+def _sympy_factors(dense):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    _, parts = sympy.Poly(list(reversed(dense)), t).factor_list()
+    out = []
+    for poly, mult in parts:
+        coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+        if coeffs[-1] < 0:
+            coeffs = [-c for c in coeffs]
+        out.append((tuple(coeffs), int(mult)))
+    return sorted(out)
+
+
+def _mine(dense):
+    fac = factor_over_Z(LaurentPoly.from_coeffs(dense))
+    assert fac.product() == LaurentPoly.from_coeffs(dense)
+    return sorted((tuple(g.dense()), m) for g, m in fac.factors)
+
+
+@pytest.mark.parametrize("n", [60, 96, 120])
+def test_t_power_minus_one_matches_sympy(n):
+    f = t_power_minus_one(n)
+    assert _mine(f) == _sympy_factors(f)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_swinnerton_dyer_matches_sympy(k):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.specialpolys import swinnerton_dyer_poly
+
+    x = sympy.symbols("x")
+    f = [int(c) for c in reversed(sympy.Poly(swinnerton_dyer_poly(k, x), x).all_coeffs())]
+    assert len(f) == 2**k + 1
+    assert _mine(f) == _sympy_factors(f) == [(tuple(f), 1)]
+
+
+def test_torus_delta_matches_sympy():
+    # sympy factors t^301 + 1 = (t + 1) * Delta through its cyclotomic
+    # shortcut in milliseconds, against ~13 s for Delta itself; by unique
+    # factorization the factors of Delta are the rest.
+    d = delta(301, 1)
+    assert d == [(-1) ** i for i in range(301)]
+    of_sum = _sympy_factors([1] + [0] * 300 + [1])
+    assert ((1, 1), 1) in of_sum
+    assert _mine(d) == [fm for fm in of_sum if fm != ((1, 1), 1)]
+
+
+def test_twobridge_1001_3_delta_matches_sympy():
+    d = delta(1001, 3)
+    assert len(d) == 335
+    assert _mine(d) == _sympy_factors(d) == [(tuple(d), 1)]

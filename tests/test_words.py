@@ -338,3 +338,34 @@ def _det(m):
             f = a[r][col] / a[col][col]
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return det
+
+
+# Exponent matrix of random_presentation(Random(35), 10, 30) from the
+# benchmark's generator: floor-quotient elimination blew its pivot-row
+# entries up past 300,000 bits without finishing.
+SMITH_BLOWUP = [
+    [0, -1, 0, -3, -1, -1, 1, 1, -1, -1],
+    [0, 0, -2, -1, 1, 2, 0, 1, 2, 1],
+    [0, 2, 2, -1, 2, 0, 2, 2, 0, 0],
+    [0, 0, 0, -2, 2, 0, -2, 0, -1, -1],
+    [0, 1, 0, -1, 2, -1, -1, -1, -1, 0],
+    [0, 3, 0, 0, 0, -2, 0, 0, 0, 1],
+    [0, 1, -2, 1, 0, 0, -1, -1, 0, -1],
+    [0, -1, -1, 1, 3, 2, -1, 0, 4, 1],
+    [0, 2, 0, 0, -1, 1, 3, 1, 2, 1],
+]
+
+
+def test_smith_diagonal_stays_small_on_blowup_matrix():
+    a = SMITH_BLOWUP
+    diag, v = smith_diagonal(a, 10)
+    assert diag == [1] * 8 + [5454]
+    assert abs(_det(v)) == 1
+    # (row ops) * A * V = D, so column j of A * V is diag[j] times a column
+    # of the inverse row transform, which is unimodular; the last column is 0.
+    av = [[sum(x * v[k][j] for k, x in enumerate(row)) for j in range(10)] for row in a]
+    assert all(row[9] == 0 for row in av)
+    for j, d in enumerate(diag):
+        assert all(row[j] % d == 0 for row in av)
+    u_inv = [[row[j] // d for j, d in enumerate(diag)] for row in av]
+    assert abs(_det(u_inv)) == 1
