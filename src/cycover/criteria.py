@@ -121,21 +121,37 @@ def brown_finite_generation(p: Presentation, chi: Mapping[str, int]) -> str:
     maximum height occurs at exactly one cyclic vertex and likewise the
     minimum; exactly one of the two gives OneSided.  Flat runs at an
     extreme count each vertex separately.
+
+    The walk goes syllable by syllable, so its cost does not depend on the
+    exponents: a weight-0 syllable g^e puts |e| vertices at one height, and
+    a syllable of nonzero weight is strictly monotone, so its vertices lie
+    at |e| different heights and each extreme holds one of them.
     """
     if len(p.relators) != 1:
         raise NotOneRelator(f"need exactly 1 relator, have {len(p.relators)}")
     if len(p.generators) != 2:
         return INAPPLICABLE
     relator = p.relators[0]
-    heights = []
-    h = 0
-    for g, sgn in relator.letters():
-        heights.append(h)
-        h += sgn * chi[g]
-    if not heights:
+    if not relator.syllables:
         return INAPPLICABLE
-    top_unique = heights.count(max(heights)) == 1
-    bot_unique = heights.count(min(heights)) == 1
+    top = bot = None  # [height, number of vertices at it]
+    h = 0
+    for g, e in relator.syllables:
+        step = chi[g] if e > 0 else -chi[g]
+        last = h + (abs(e) - 1) * step
+        at_one_height = abs(e) if step == 0 else 1
+        hi, lo = max(h, last), min(h, last)
+        if top is None or hi > top[0]:
+            top = [hi, at_one_height]
+        elif hi == top[0]:
+            top[1] += at_one_height
+        if bot is None or lo < bot[0]:
+            bot = [lo, at_one_height]
+        elif lo == bot[0]:
+            bot[1] += at_one_height
+        h = last + step
+    top_unique = top[1] == 1
+    bot_unique = bot[1] == 1
     if top_unique and bot_unique:
         return FG
     if top_unique or bot_unique:

@@ -7,13 +7,23 @@ paths in a finite graph: states are windows of w consecutive values
 (w = template width) and an edge extends a window by one symbol.  The
 census classifies that shift: only the trivial point, finitely many
 points, infinitely many with zero entropy, or positive entropy.
+
+The edges are found by solving each template for the appended symbol, the
+hole, instead of trying every candidate.  A template is rotated so that its
+last hole syllable comes last (a word is trivial iff its rotation is); its
+hole-free segments are then evaluated on all source windows at once, and
+the word reads S0 y^e1 S1 ... y^ek = 1.  With one hole the successors are
+the e-th roots of S0^-1, read from a root table; with several, each
+candidate y costs one table lookup per segment; with none, the template
+allows every successor or none.  Element powers come from a per-element
+table, so no cost depends on the size of an exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import cycle, permutations
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -69,6 +79,17 @@ class FiniteGroup:
         self.labels = labels
         self.mult = mult
         self.inv = tuple(inv)
+        # powers[x] = (x^0, x^1, ..., x^(k-1)) with k the order of x; right
+        # multiplication by x is a bijection, so the walk returns to 0.
+        powers = []
+        for x in range(n):
+            seq = [0]
+            cur = x
+            while cur != 0:
+                seq.append(cur)
+                cur = mult[cur][x]
+            powers.append(tuple(seq))
+        self.powers = tuple(powers)
 
     @property
     def order(self) -> int:
@@ -81,12 +102,12 @@ class FiniteGroup:
         return self.inv[i]
 
     def power(self, i: int, e: int) -> int:
-        if e < 0:
-            i, e = self.inv[i], -e
-        out = 0
-        for _ in range(e):
-            out = self.mult[out][i]
-        return out
+        seq = self.powers[i]
+        return seq[e % len(seq)]
+
+    def power_map(self, e: int) -> list[int]:
+        """[x^e for x in the group], read from the power table."""
+        return [seq[e % len(seq)] for seq in self.powers]
 
     def is_abelian(self) -> bool:
         n = self.order
@@ -246,6 +267,15 @@ def _trim(successors: list[list[int]]) -> list[bool]:
 def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
     """Transition graph over F for a single-symbol shift presentation.
 
+    The successors of a source window are the values y of the newest offset
+    w, the hole, for which every template is trivial on the window extended
+    by y.  Each template is solved for y (see the module docstring) and the
+    solutions of several templates are intersected, in ascending order.  A
+    template narrower than w is checked at offset 0 only: its other shifts
+    are checked from the other windows.  Over an abelian F each template is
+    replaced by its exponent sums per offset, so it has at most one hole
+    syllable.
+
     Width-0 presentations (all template letters at one index) get a graph
     on F itself whose edges leave the states satisfying the unary relation.
     """
@@ -263,7 +293,6 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
         rows = abelianized_recurrence(sp)
         templates = [list(r.coefficients) for r in rows]
 
-    nstates = n**eff_w
     if w == 0:
         ok = [_window_ok(templates, (x,), F) for x in range(n)]
         successors = [
@@ -271,27 +300,16 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
         ]
         return SftGraph(window=w, group=F, successors=successors)
 
-    if F.name.startswith("cyclic(") and len(templates) == 1:
-        successors = _cyclic_successors(templates[0], n, w)
-    else:
-        base = n ** (w - 1)
-        successors = []
-        for s in range(nstates):
-            win = _digits(s, n, w)
-            stub = (s % base) * n
-            succ = [
-                stub + y for y in range(n) if _window_ok(templates, win + (y,), F)
-            ]
-            successors.append(succ)
+    solved = [_solve_template(tpl, F, w) for tpl in templates]
+    allowed = solved[0] if len(solved) == 1 else map(_intersect, *solved)
+    # State s keeps its last w-1 digits, (s mod n^(w-1)) * n, and appends y.
+    # A one-element display is sized exactly; a comprehension is not.
+    stubs = cycle(range(0, n**w, n))
+    successors = [
+        [stub + ys[0]] if len(ys) == 1 else [stub + y for y in ys]
+        for stub, ys in zip(stubs, allowed)
+    ]
     return SftGraph(window=w, group=F, successors=successors)
-
-
-def _digits(s: int, n: int, w: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(w):
-        out.append(s % n)
-        s //= n
-    return tuple(reversed(out))
 
 
 def _window_ok(templates, window, F: FiniteGroup) -> bool:
@@ -304,40 +322,68 @@ def _window_ok(templates, window, F: FiniteGroup) -> bool:
     return True
 
 
-def _cyclic_successors(row, n: int, w: int) -> list[list[int]]:
-    """Edge generation for one template over cyclic(n).
+def _intersect(first, *rest):
+    return [y for y in first if all(y in ys for ys in rest)]
 
-    The template condition on a window is a single linear congruence;
-    solving it for the appended digit gives the successors directly,
-    which keeps large windows affordable.
+
+def _solve_template(tpl, F: FiniteGroup, w: int):
+    """The allowed hole values of one template, ascending, for each source
+    window in state order (an iterable)."""
+    if all(off != w for off, _ in tpl):
+        tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
+    cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
+    segments, exps, seg = [], [], []
+    for off, e in tpl[cut:] + tpl[:cut]:
+        if off == w:
+            segments.append(_segment_values(seg, F, w))
+            exps.append(e)
+            seg = []
+        else:
+            seg.append((off, e))
+    if len(exps) > 1:
+        return _try_candidates(segments, [F.power_map(e) for e in exps], F.mult, F.order)
+    # S y^e = 1: y runs over the e-th roots of S^-1.
+    roots = [[] for _ in range(F.order)]
+    for y, g in enumerate(F.power_map(exps[0])):
+        roots[g].append(y)
+    return map(roots.__getitem__, map(F.inv.__getitem__, segments[0]))
+
+
+def _try_candidates(segments, maps, mult, n: int):
+    """S0 y^e1 S1 y^e2 ... = 1, tested for every y: one lookup per segment."""
+    for vals in zip(*segments):
+        pairs = list(zip(vals, maps))
+        ys = []
+        for y in range(n):
+            acc = 0
+            for v, pm in pairs:
+                acc = mult[mult[acc][v]][pm[y]]
+            if acc == 0:
+                ys.append(y)
+        yield ys
+
+
+def _segment_values(seg, F: FiniteGroup, w: int) -> list[int]:
+    """Value of a hole-free word on every source window, in state order.
+
+    The word is cut into runs of strictly increasing offsets.  A run is
+    evaluated by prefix expansion over the window digits, most significant
+    first, and the runs are multiplied pointwise.
     """
-    coeff = [0] * (w + 1)
-    for off, c in row:
-        coeff[off] = c % n
-    # partial[s] = sum over the w source digits of coeff[pos] * digit
-    partial = [0]
-    for pos in range(w):
-        c = coeff[pos]
-        partial = [(p + c * d) % n for p in partial for d in range(n)]
-    cw = coeff[w]
-    base = n ** (w - 1)
-    g = math.gcd(cw, n)
-    if g == 1:
-        inv = pow(cw, -1, n)
-        return [
-            [(s % base) * n + (-partial[s] * inv) % n] for s in range(n**w)
-        ]
-    step = n // g
-    successors = []
-    for s in range(n**w):
-        rhs = (-partial[s]) % n
-        if rhs % g:
-            successors.append([])
-            continue
-        stub = (s % base) * n
-        y0 = 0 if cw == 0 else (rhs // g * pow(cw // g, -1, step)) % step
-        successors.append([stub + y0 + k * step for k in range(g)])
-    return successors
+    mult = F.mult
+    runs: list[dict[int, int]] = []
+    for off, e in seg:
+        if not runs or off <= max(runs[-1]):
+            runs.append({})
+        runs[-1][off] = e
+    out = None
+    for run in runs:
+        val = [0]
+        for pos in range(w):
+            pm = F.power_map(run.get(pos, 0))
+            val = [mult[v][x] for v in val for x in pm]
+        out = val if out is None else [mult[a][b] for a, b in zip(out, val)]
+    return [0] * F.order**w if out is None else out
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each oracle recomputes a result the library produces, by a different
 mechanism: factorization by bounded divisor search, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
-seed propagation, and entropy by a dense eigenvalue call.  None of them
-share code paths with the implementations they audit.
+seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
+evaluating every template on every window, and Brown's finite-generation
+verdict by a letter-by-letter walk.  None of them share code paths with the
+implementations they audit.
 """
 
 import math
@@ -256,3 +258,69 @@ def perron_entropy(graph):
                 a[pos[s], pos[t]] = 1.0
     rho = max(abs(np.linalg.eigvals(a)))
     return float(np.log(rho)) if rho > 1.0 else 0.0
+
+
+# -- shift-graph successors by brute force ------------------------------
+
+
+def _power_by_multiplication(mult, x, e):
+    """x^e by repeated multiplication, e reduced mod the order of x."""
+    order, acc = 1, x
+    while acc != 0:
+        acc = mult[acc][x]
+        order += 1
+    acc = 0
+    for _ in range(e % order):
+        acc = mult[acc][x]
+    return acc
+
+
+def brute_successors(templates, mult_table, w):
+    """Successor lists of the window graph over a group given by its table.
+
+    States are windows of max(w, 1) elements, big-endian; appending y to a
+    state and dropping its first element gives the target.  An edge is kept
+    when every template, a list of (offset, exponent) syllables read at
+    offset 0 of the extended window, multiplies out to the identity 0.
+    """
+    n = len(mult_table)
+    k = max(w, 1)
+    powers = {}
+
+    def value(tpl, win):
+        acc = 0
+        for off, e in tpl:
+            key = (win[off], e)
+            if key not in powers:
+                powers[key] = _power_by_multiplication(mult_table, *key)
+            acc = mult_table[acc][powers[key]]
+        return acc
+
+    out = []
+    for src in product(range(n), repeat=k):
+        succ = []
+        for y in range(n):
+            win = src + (y,)
+            if all(value(tpl, win) == 0 for tpl in templates):
+                succ.append(sum(d * n**i for i, d in enumerate(reversed(win[1:]))))
+        out.append(succ)
+    return out
+
+
+# -- Brown's criterion by letters ---------------------------------------
+
+
+def brown_by_letters(relator_letters, chi):
+    """Brown's verdict from the height before every single letter.
+
+    relator_letters yields (generator, +1/-1); returns "FG", "OneSided",
+    "NotFG", or "Inapplicable" for the empty word.
+    """
+    heights, h = [], 0
+    for g, sgn in relator_letters:
+        heights.append(h)
+        h += sgn * chi[g]
+    if not heights:
+        return "Inapplicable"
+    unique = [heights.count(max(heights)) == 1, heights.count(min(heights)) == 1]
+    return {2: "FG", 1: "OneSided", 0: "NotFG"}[sum(unique)]

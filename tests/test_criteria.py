@@ -1,5 +1,8 @@
 """Kernel structure criteria driven by the canonical polynomial."""
 
+import random
+import time
+
 import pytest
 
 from corpus import (
@@ -9,9 +12,11 @@ from corpus import (
     NOCOVER,
     TORUS23,
     figure_eight,
+    knotlike_corpus,
     trefoil,
     two_bridge_pairs,
 )
+from oracles import brown_by_letters
 from cycover.alexander import alexander_polynomial
 from cycover.criteria import (
     FG,
@@ -229,6 +234,35 @@ def test_brown_inapplicable():
     assert brown_finite_generation(pres, {"x": 1, "y": 0, "z": 0}) == INAPPLICABLE
     empty = Presentation.make(("x", "y"), [FreeWord.identity()])
     assert brown_finite_generation(empty, {"x": 1, "y": 0}) == INAPPLICABLE
+
+
+def test_brown_syllable_walk_matches_letter_walk():
+    cases = [(pres, chi) for _, pres, chi in knotlike_corpus()]
+    rng = random.Random(11)
+    for _ in range(200):
+        # weights up to 3 in size, flat and sloped syllables, long exponents
+        wx, wy = rng.choice([(1, 0), (0, 1), (2, 1), (3, -2), (1, 1)])
+        syl = [(rng.choice("xy"), rng.choice((1, -1)) * rng.randint(1, 12)) for _ in range(rng.randint(1, 6))]
+        text = " ".join(f"{g}^{e}" for g, e in syl)
+        cases.append((parse_presentation(f"<x, y | {text}>"), {"x": wx, "y": wy}))
+    for pres, chi in cases:
+        if len(pres.relators) != 1 or len(pres.generators) != 2:
+            continue
+        want = brown_by_letters(pres.relators[0].letters(), chi)
+        assert brown_finite_generation(pres, chi) == want, pres.to_text()
+
+
+def test_brown_cost_does_not_grow_with_exponents():
+    huge = parse_presentation("<t, a | t a^10000000 t^-1 a^-10000001>")
+    small = parse_presentation("<t, a | t a^10 t^-1 a^-11>")
+    chi = {"t": 1, "a": 0}
+    assert brown_by_letters(small.relators[0].letters(), chi) == NOT_FG
+    t0 = time.perf_counter()
+    assert brown_finite_generation(huge, chi) == NOT_FG
+    # one long sloped syllable: heights 0, 1, ..., 10^7 - 1, then 10^7
+    sloped = parse_presentation("<x, y | x^10000000 y^-1>")
+    assert brown_finite_generation(sloped, {"x": 1, "y": 10**7}) == FG
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_fg_kernel_forces_unit_end_coefficients():

@@ -2,10 +2,12 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
+from oracles import brute_successors
 from cycover.repshift import (
     STATE_CAP,
     BadGroupTable,
@@ -17,6 +19,7 @@ from cycover.repshift import (
     entropy,
     enumerate_periodic,
 )
+from cycover import repshift
 from cycover.rscover import ShiftPresentation, reidemeister_schreier
 from cycover.twobridge import family_presentation
 from cycover.words import parse_presentation
@@ -157,6 +160,165 @@ def test_cyclic_fast_path_matches_generic_table_route():
             )
             assert fast.successors == slow.successors, (n, order)
             assert fast.essential == slow.essential, (n, order)
+
+
+KLEIN_TABLE = "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
+# r^i s^j is element i + 4j, with s r s = r^-1
+D4_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 2, 3, 0, 5, 6, 7, 4],
+    [2, 3, 0, 1, 6, 7, 4, 5],
+    [3, 0, 1, 2, 7, 4, 5, 6],
+    [4, 7, 6, 5, 0, 3, 2, 1],
+    [5, 4, 7, 6, 1, 0, 3, 2],
+    [6, 5, 4, 7, 2, 1, 0, 3],
+    [7, 6, 5, 4, 3, 2, 1, 0],
+]
+# 1, -1, i, -i, j, -j, k, -k
+Q8_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 1, 0, 6, 7, 5, 4],
+    [3, 2, 0, 1, 7, 6, 4, 5],
+    [4, 5, 7, 6, 1, 0, 2, 3],
+    [5, 4, 6, 7, 0, 1, 3, 2],
+    [6, 7, 4, 5, 3, 2, 1, 0],
+    [7, 6, 5, 4, 2, 3, 0, 1],
+]
+
+
+def _group_from_rows(rows, name="custom"):
+    return FiniteGroup.from_table(
+        "\n".join([str(len(rows))] + [" ".join(map(str, r)) for r in rows])
+    , name=name)
+
+
+def test_d4_and_q8_tables_are_nonabelian_groups():
+    for rows in (D4_TABLE, Q8_TABLE):
+        g = _group_from_rows(rows)
+        n = g.order
+        assert all(
+            rows[rows[a][b]][c] == rows[a][rows[b][c]]
+            for a in range(n) for b in range(n) for c in range(n)
+        )
+        assert not g.is_abelian()
+    # Q8 has one element of order 2, D4 has five
+    assert sum(len(p) == 2 for p in _group_from_rows(Q8_TABLE).powers) == 1
+    assert sum(len(p) == 2 for p in _group_from_rows(D4_TABLE).powers) == 5
+
+
+def test_klein_table_named_cyclic_gets_its_own_graph():
+    # the name of a table must not choose the algorithm: squares are
+    # trivial in the Klein four-group, so every window is allowed
+    klein = FiniteGroup.from_table(KLEIN_TABLE, name="cyclic(4).txt")
+    g = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
+    assert all(len(targets) == 4 for targets in g.successors)
+    assert abs(entropy(g) - math.log(4)) < 1e-6
+
+
+def _random_template(rng, width, holes):
+    """Syllables (offset, exponent) with offset 0 present, `holes` of them
+    at offset `width`, and no two neighbours at the same offset."""
+    while True:
+        offs = [width] * holes + [0] + [rng.randrange(width) for _ in range(rng.randrange(4))]
+        rng.shuffle(offs)
+        if all(a != b for a, b in zip(offs, offs[1:])):
+            break
+    exps = []
+    for _ in offs:
+        e = rng.choice((1, 2, 3, rng.randrange(10**6, 10**9)))
+        exps.append(e if rng.random() < 0.5 else -e)
+    return list(zip(offs, exps))
+
+
+def _relator(template):
+    """A relator in t, a that the rewrite turns back into template."""
+    parts = []
+    for off, e in template:
+        parts.append(f"t^{off} a^{e} t^-{off}" if off else f"a^{e}")
+    return " ".join(parts)
+
+
+def test_build_sft_matches_brute_force_successors():
+    groups = [
+        FiniteGroup.symmetric(3),
+        FiniteGroup.cyclic(2),
+        FiniteGroup.cyclic(5),
+        FiniteGroup.cyclic(6),
+        FiniteGroup.from_table(KLEIN_TABLE, name="cyclic(4).txt"),
+        _group_from_rows(D4_TABLE),
+        _group_from_rows(Q8_TABLE),
+    ]
+    rng = random.Random(4)
+    seen_holes = set()
+    narrow = huge = 0
+    for case in range(70):
+        group = groups[case % len(groups)]
+        width = rng.choice([w for w in (1, 2, 3) if group.order**w <= 216])
+        tpls = [_random_template(rng, width, rng.choice((1, 1, 2, 3)))]
+        if rng.random() < 0.5:
+            # a second relator, narrower or as wide, with or without holes
+            w2 = rng.randrange(1, width + 1)
+            tpls.append(_random_template(rng, w2, rng.randrange(2) if w2 == width else 1))
+        if rng.random() < 0.2:
+            # exponent sums at the hole cancel: no hole for an abelian group
+            tpls[0] = [(0, 1), (width, 2), (0, 1), (width, -2)]
+        pres = parse_presentation("<t, a | " + ", ".join(_relator(t) for t in tpls) + ">")
+        # cyclic reduction of a relator may shift its template or narrow it
+        sp = reidemeister_schreier(pres, {"t": 1, "a": 0})
+        got = build_sft(sp, group)
+        words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
+        want = brute_successors(words, group.mult, sp.width)
+        assert got.successors == want, (group.name, pres.to_text())
+        seen_holes.update(sum(off == sp.width for off, _ in t) for t in words)
+        narrow += any(max(off for off, _ in t) < sp.width for t in words)
+        huge += any(abs(e) >= 10**6 for t in words for _, e in t)
+    assert seen_holes >= {0, 1, 2, 3}
+    assert narrow >= 5 and huge >= 20
+
+
+def test_power_reads_the_table_whatever_the_exponent():
+    s5 = FiniteGroup.symmetric(5)
+    for x in range(s5.order):
+        # every element order in S5 divides 60
+        assert s5.power(x, 6 * 10**17 + 1) == s5.power(x, 1) == x
+        assert s5.power(x, 10**18 + 1) == s5.power(x, (10**18 + 1) % 60)
+        assert s5.power(x, -(10**18)) == s5.power(x, -(10**18) % 60)
+        assert s5.power(x, -1) == s5.inverse(x)
+
+
+def test_huge_exponent_build_is_fast():
+    s4 = FiniteGroup.symmetric(4)
+    t0 = time.perf_counter()
+    g = sft(parse_presentation("<t, a | t a^1000000007 t^-1 a^-2>"), {"t": 1, "a": 0}, s4)
+    assert time.perf_counter() - t0 < 1.0
+    # 1000000007 = -1 mod 12, and every element order in S4 divides 12
+    small = sft(parse_presentation("<t, a | t a^-1 t^-1 a^-2>"), {"t": 1, "a": 0}, s4)
+    assert g.successors == small.successors
+
+
+def test_build_sft_checks_no_window_beyond_width_zero(monkeypatch):
+    calls = []
+    window_ok = repshift._window_ok
+    power = FiniteGroup.power
+
+    def counting_window_ok(*args):
+        calls.append("window")
+        return window_ok(*args)
+
+    def counting_power(*args):
+        calls.append("power")
+        return power(*args)
+
+    monkeypatch.setattr(repshift, "_window_ok", counting_window_ok)
+    monkeypatch.setattr(FiniteGroup, "power", counting_power)
+    family_sft(3, FiniteGroup.symmetric(5))
+    pres, chi = weight_zero_form(7, 2)
+    sft(pres, chi, FiniteGroup.symmetric(4))
+    assert calls == []
+    # only the width-0 branch checks windows: one per element
+    build_sft(ShiftPresentation(symbols=("a",), templates=((("a", 0, 2),),)), FiniteGroup.cyclic(4))
+    assert calls.count("window") == 4
 
 
 # -- census -------------------------------------------------------------
