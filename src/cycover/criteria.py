@@ -124,8 +124,8 @@ def brown_finite_generation(p: Presentation, chi: Mapping[str, int]) -> str:
 
     The walk goes syllable by syllable, so its cost does not depend on the
     exponents: a weight-0 syllable g^e puts |e| vertices at one height, and
-    a syllable of nonzero weight is strictly monotone, so its vertices lie
-    at |e| different heights and each extreme holds one of them.
+    a syllable of nonzero weight is strictly monotone, so only its first
+    and last vertices can be extremes.
     """
     if len(p.relators) != 1:
         raise NotOneRelator(f"need exactly 1 relator, have {len(p.relators)}")
@@ -134,24 +134,19 @@ def brown_finite_generation(p: Presentation, chi: Mapping[str, int]) -> str:
     relator = p.relators[0]
     if not relator.syllables:
         return INAPPLICABLE
-    top = bot = None  # [height, number of vertices at it]
+    # vertices per height, leaving out the inside of sloped syllables
+    count: dict[int, int] = {}
     h = 0
     for g, e in relator.syllables:
         step = chi[g] if e > 0 else -chi[g]
-        last = h + (abs(e) - 1) * step
-        at_one_height = abs(e) if step == 0 else 1
-        hi, lo = max(h, last), min(h, last)
-        if top is None or hi > top[0]:
-            top = [hi, at_one_height]
-        elif hi == top[0]:
-            top[1] += at_one_height
-        if bot is None or lo < bot[0]:
-            bot = [lo, at_one_height]
-        elif lo == bot[0]:
-            bot[1] += at_one_height
-        h = last + step
-    top_unique = top[1] == 1
-    bot_unique = bot[1] == 1
+        if step == 0:
+            count[h] = count.get(h, 0) + abs(e)
+        else:
+            for x in {h, h + (abs(e) - 1) * step}:
+                count[x] = count.get(x, 0) + 1
+        h += e * chi[g]
+    top_unique = count[max(count)] == 1
+    bot_unique = count[min(count)] == 1
     if top_unique and bot_unique:
         return FG
     if top_unique or bot_unique:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import cycle, permutations
+from itertools import permutations
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -301,14 +301,18 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
         return SftGraph(window=w, group=F, successors=successors)
 
     solved = [_solve_template(tpl, F, w) for tpl in templates]
-    allowed = solved[0] if len(solved) == 1 else map(_intersect, *solved)
-    # State s keeps its last w-1 digits, (s mod n^(w-1)) * n, and appends y.
-    # A one-element display is sized exactly; a comprehension is not.
-    stubs = cycle(range(0, n**w, n))
+    allowed = iter(solved[0]) if len(solved) == 1 else map(_intersect, *solved)
+    # State s keeps its last w-1 digits, (s mod n^(w-1)) * n, and appends y;
+    # the states run through these stubs once per leading digit, taking the
+    # next items of `allowed`.  A one-element display is sized exactly; a
+    # comprehension is not.
+    stubs = range(0, n**w, n)
     successors = [
         [stub + ys[0]] if len(ys) == 1 else [stub + y for y in ys]
+        for _ in range(n)
         for stub, ys in zip(stubs, allowed)
     ]
+    del solved, allowed  # free the segment values before the trim
     return SftGraph(window=w, group=F, successors=successors)
 
 
@@ -328,7 +332,7 @@ def _intersect(first, *rest):
 
 def _solve_template(tpl, F: FiniteGroup, w: int):
     """The allowed hole values of one template, ascending, for each source
-    window in state order (an iterable)."""
+    window in state order (an iterator)."""
     if all(off != w for off, _ in tpl):
         tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
     cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
@@ -342,11 +346,11 @@ def _solve_template(tpl, F: FiniteGroup, w: int):
             seg.append((off, e))
     if len(exps) > 1:
         return _try_candidates(segments, [F.power_map(e) for e in exps], F.mult, F.order)
-    # S y^e = 1: y runs over the e-th roots of S^-1.
+    # S y^e = 1: y runs over the e-th roots of S^-1, listed under S.
     roots = [[] for _ in range(F.order)]
     for y, g in enumerate(F.power_map(exps[0])):
-        roots[g].append(y)
-    return map(roots.__getitem__, map(F.inv.__getitem__, segments[0]))
+        roots[F.inv[g]].append(y)
+    return map(roots.__getitem__, segments[0])
 
 
 def _try_candidates(segments, maps, mult, n: int):

@@ -187,24 +187,16 @@ Q8_TABLE = [
 ]
 
 
-def _group_from_rows(rows, name="custom"):
-    return FiniteGroup.from_table(
+def _group_from_rows(rows):
+    group = FiniteGroup.from_table(
         "\n".join([str(len(rows))] + [" ".join(map(str, r)) for r in rows])
-    , name=name)
-
-
-def test_d4_and_q8_tables_are_nonabelian_groups():
-    for rows in (D4_TABLE, Q8_TABLE):
-        g = _group_from_rows(rows)
-        n = g.order
-        assert all(
-            rows[rows[a][b]][c] == rows[a][rows[b][c]]
-            for a in range(n) for b in range(n) for c in range(n)
-        )
-        assert not g.is_abelian()
-    # Q8 has one element of order 2, D4 has five
-    assert sum(len(p) == 2 for p in _group_from_rows(Q8_TABLE).powers) == 1
-    assert sum(len(p) == 2 for p in _group_from_rows(D4_TABLE).powers) == 5
+    )
+    n = group.order
+    assert all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    return group
 
 
 def test_klein_table_named_cyclic_gets_its_own_graph():
