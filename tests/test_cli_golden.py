@@ -1,0 +1,125 @@
+"""Golden snapshot of every CLI subcommand over the test corpus.
+
+Each case runs ``cycover.cli.main`` in process, in a directory holding one
+``<name>.pres`` file per corpus presentation, and compares its exit code,
+stdout and stderr exactly with the record in ``tests/data/cli_golden.json``.
+
+Regenerate the record only when a change of output is intended::
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+from corpus import knotlike_corpus, two_bridge_pairs, weight_zero_form
+
+from cycover.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+RECURRENCES = ["1,-1,-1", "1,-3,1", "1,-2", "2,-5,2", "1,-3,2", "3,0,-3", "x,1"]
+
+
+def _chi_arg(chi):
+    return ",".join(f"{g}={v}" for g, v in chi.items())
+
+
+def presentations():
+    """file name -> presentation text for every case that reads a file."""
+    files = {f"{name}.pres": pres.to_text() for name, pres, _ in knotlike_corpus()}
+    for p, q in two_bridge_pairs(9):
+        files[f"wz{p}_{q}.pres"] = weight_zero_form(p, q)[0].to_text()
+    return files
+
+
+def cases():
+    """case id -> argv, in a fixed order."""
+    out = {}
+
+    def add(*argv):
+        out[" ".join(argv)] = list(argv)
+
+    for name, _, chi in knotlike_corpus():
+        f = f"{name}.pres"
+        for mode in ((), ("--json",)):
+            add("parse", f, *mode)
+            add("alex", f, *mode)
+            add("criteria", f, *mode)
+        add("analyze", f, "--json")
+        add("criteria", f, "--chi", _chi_arg(chi), "--json")
+        add("criteria", f, "--primes", "3", "--json")
+        add("criteria", f, "--primes", "3,3", "--json")
+        add("alex", f, "--primes", "3,3", "--json")
+        add("rs", f, "--json")
+    for p, q in two_bridge_pairs(11):
+        add("twobridge", str(p), str(q), "--json")
+    for n in range(1, 7):
+        add("twobridge", "--family", str(n), "--json")
+        add("twobridge", "--family", str(n))
+    wz = [f"family{n}.pres" for n in range(1, 4)]
+    wz += [f"wz{p}_{q}.pres" for p, q in two_bridge_pairs(9)]
+    for f in wz:
+        add("rs", f, "--chi", "u=1,a=0", "--json")
+        for group in ("Z3", "S3"):
+            add("reps", f, "--chi", "u=1,a=0", "--group", group, "--max-period", "4", "--json")
+    add("reps", "family2.pres", "--group", "S3", "--max-period", "4")
+    for coeffs in RECURRENCES:
+        add("recurrence", coeffs, "--witness", "-3", "5", "--json")
+        add("recurrence", coeffs, "--witness", "-3", "5")
+    return out
+
+
+def _run(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
+@contextlib.contextmanager
+def _corpus_dir():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in presentations().items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
+def snapshot():
+    with _corpus_dir():
+        return {case: _run(argv) for case, argv in cases().items()}
+
+
+def test_cli_matches_golden_snapshot():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert list(golden) == list(cases())
+    got = snapshot()
+    mismatched = [case for case in golden if got[case] != golden[case]]
+    assert not mismatched, f"{len(mismatched)} cases differ, first: {mismatched[0]!r}"
+
+
+def test_golden_snapshot_covers_every_subcommand():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    commands = {case.split()[0] for case in golden}
+    assert commands == {
+        "parse", "alex", "criteria", "analyze", "twobridge", "rs", "reps", "recurrence"
+    }
+    assert golden["criteria torus23.pres --json"]["exit"] == 1
+    assert all(rec["exit"] in (0, 1) for rec in golden.values())
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(snapshot(), indent=1, sort_keys=False) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")
