@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from typing import Optional
 
 from . import __version__
@@ -73,10 +74,16 @@ def _resolve_chi(p: Presentation, chi_arg: Optional[str]) -> dict[str, int]:
         if "=" not in part:
             raise DomainError(f"bad --chi entry {part!r}, expected gen=int")
         name, _, val = part.partition("=")
+        name = name.strip()
         try:
-            chi[name.strip()] = int(val)
+            value = int(val)
         except ValueError:
             raise DomainError(f"bad --chi value {val!r}")
+        if name not in p.generators:
+            raise DomainError(f"bad --chi entry {part!r}: {name!r} is not a generator")
+        if name in chi:
+            raise DomainError(f"bad --chi entry {part!r}: {name!r} is named twice")
+        chi[name] = value
     try:
         validate_weighting(p, chi)
     except ValueError as e:
@@ -93,8 +100,17 @@ def _parse_primes(arg: Optional[str]):
         raise DomainError(f"bad --primes list {arg!r}")
 
 
-def _span_json(d):
-    return "infinite" if d is INFINITE else d
+def _to_json(x):
+    """A result value as JSON data: dataclasses become dicts of their fields."""
+    if is_dataclass(x):
+        return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
+    if isinstance(x, (tuple, list)):
+        return [_to_json(v) for v in x]
+    if isinstance(x, LaurentPoly):
+        return str(x)
+    if x is INFINITE:
+        return "infinite"
+    return x
 
 
 def _presentation_json(p: Presentation) -> dict:
@@ -130,7 +146,7 @@ def _cmd_alex(args) -> None:
     primes = _parse_primes(args.primes)
     res = alexander_polynomial(p, chi, primes=primes)
     table = {
-        str(q): {"poly": str(m), "d": _span_json(d)}
+        str(q): {"poly": str(m), "d": _to_json(d)}
         for q, (m, d) in res.mod_p_table.items()
     }
     result = {
@@ -141,7 +157,7 @@ def _cmd_alex(args) -> None:
     human = [f"delta: {res.delta}", f"deleted column: {res.deleted_column}"]
     for q in primes:
         m, d = res.mod_p_table[q]
-        human.append(f"mod {q}: {m}   d({q}) = {_span_json(d)}")
+        human.append(f"mod {q}: {m}   d({q}) = {_to_json(d)}")
     _emit(args, "alex", text, result, "\n".join(human))
 
 
@@ -150,42 +166,13 @@ def _cmd_criteria(args) -> None:
     chi = _resolve_chi(p, args.chi)
     primes = _parse_primes(args.primes)
     rep = analyze(p, chi, primes=primes)
-    result = {
-        "delta": str(rep.delta),
-        "beta1_Q": _span_json(rep.beta1_Q),
-        "primes": [
-            {
-                "p": rec.p,
-                "d": _span_json(rec.d),
-                "r": rec.r,
-                "n": rec.n,
-                "classification": {
-                    "kind": rec.classification.kind,
-                    "count": rec.classification.count,
-                },
-            }
-            for rec in rep.primes
-        ],
-        "index2": rep.index2,
-        "surjects_to_Z": {
-            "answer": rep.surjects.answer,
-            "witness": None if rep.surjects.witness is None else str(rep.surjects.witness),
-            "free_rank": rep.surjects.free_rank,
-        },
-        "large_flag": rep.large_flag,
-        "kernel_fg": rep.kernel_fg,
-        "kervaire": {
-            "h1_is_Z": rep.kervaire.h1_is_Z,
-            "deficiency_one": rep.kervaire.deficiency_one,
-            "weight_one_witness": rep.kervaire.weight_one_witness,
-            "h2_zero_inferred": rep.kervaire.h2_zero_inferred,
-        },
-    }
-    human = [f"delta: {rep.delta}", f"beta1_Q: {_span_json(rep.beta1_Q)}"]
+    result = _to_json(rep)
+    result["surjects_to_Z"] = result.pop("surjects")
+    human = [f"delta: {rep.delta}", f"beta1_Q: {_to_json(rep.beta1_Q)}"]
     for rec in rep.primes:
         cls = rec.classification
         desc = cls.kind if cls.count is None else f"{cls.kind}({cls.count})"
-        human.append(f"p={rec.p}: d={_span_json(rec.d)} r={rec.r} n={rec.n} [{desc}]")
+        human.append(f"p={rec.p}: d={_to_json(rec.d)} r={rec.r} n={rec.n} [{desc}]")
     human.append(f"index 2 subgroups: {'yes' if rep.index2 else 'no'}")
     sv = rep.surjects
     if sv.free_rank:

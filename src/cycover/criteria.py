@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from . import _intfactor
 from .alexander import DEFAULT_PRIMES, alexander_polynomial
-from .laurent import INFINITE, LaurentPoly, NotPrime, _Infinite, factor_over_Z
+from .laurent import INFINITE, LaurentPoly, _Infinite, factor_over_Z
 from .words import Presentation
 
 FG = "FG"
@@ -31,43 +30,47 @@ class NotOneRelator(ValueError):
     pass
 
 
-def _check_prime(p: int) -> None:
-    if not _intfactor.is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-
-
-def count_prime_index(
-    delta: LaurentPoly, p: int
-) -> Union[tuple[int, int], _Infinite]:
-    """(r_p, n_p): counts of maps to Z/p and of index-p kernels of those.
-
-    r_p = p^d(p) where d(p) is the degree span of the mod-p reduction;
-    n_p = (r_p - 1)/(p - 1).  Infinite when the reduction is zero.
-    """
-    _check_prime(p)
-    d = delta.reduce_mod(p).degree_span()
-    if d is INFINITE:
-        return INFINITE
-    r = p**d
-    return r, (r - 1) // (p - 1)
-
-
 @dataclass(frozen=True)
 class PrimeClassification:
     kind: str  # "none" | "finite" | "infinite"
     count: Optional[int] = None  # n_p when finite
 
 
+@dataclass(frozen=True)
+class PrimeRecord:
+    p: int
+    d: Union[int, _Infinite]
+    r: Optional[int]  # None when infinite
+    n: Optional[int]
+    classification: PrimeClassification
+
+    @classmethod
+    def from_span(cls, p: int, d: Union[int, _Infinite]) -> "PrimeRecord":
+        """Everything about index-p covers, read off d = d(p).
+
+        r_p = p^d(p) counts maps to Z/p and n_p = (r_p - 1)/(p - 1) their
+        index-p kernels.  The class is none when d = 0 (a unit mod p),
+        infinite when the reduction is zero, else finite(n_p).
+        """
+        if d is INFINITE:
+            return cls(p, d, None, None, PrimeClassification("infinite"))
+        r = p**d
+        n = (r - 1) // (p - 1)
+        classification = PrimeClassification("finite", n) if d else PrimeClassification("none")
+        return cls(p, d, r, n, classification)
+
+
+def count_prime_index(
+    delta: LaurentPoly, p: int
+) -> Union[tuple[int, int], _Infinite]:
+    """(r_p, n_p) for delta at the prime p; Infinite when delta vanishes mod p."""
+    rec = PrimeRecord.from_span(p, delta.reduce_mod(p).degree_span())
+    return INFINITE if rec.r is None else (rec.r, rec.n)
+
+
 def classify_prime(delta: LaurentPoly, p: int) -> PrimeClassification:
     """None when the mod-p reduction is a nonzero unit, Infinite when zero."""
-    _check_prime(p)
-    m = delta.reduce_mod(p)
-    if m.is_zero():
-        return PrimeClassification("infinite")
-    if m.is_unit():
-        return PrimeClassification("none")
-    _, n = count_prime_index(delta, p)
-    return PrimeClassification("finite", n)
+    return PrimeRecord.from_span(p, delta.reduce_mod(p).degree_span()).classification
 
 
 def index2_criterion(delta: LaurentPoly) -> bool:
@@ -97,20 +100,8 @@ def surjects_to_Z(delta: LaurentPoly) -> SurjectionVerdict:
     """
     if not delta:
         return SurjectionVerdict(answer=True, witness=None, free_rank=True)
-    fac = factor_over_Z(delta)
-    for g, _mult in fac.factors:
-        if g.degree_span() >= 1 and g.is_monic_both_ends():
-            return SurjectionVerdict(answer=True, witness=g)
-    return SurjectionVerdict(answer=False, witness=None)
-
-
-def largeness_flag(delta: LaurentPoly, p: Optional[int]) -> bool:
-    """True iff delta vanishes identically, or mod the given prime."""
-    if not delta:
-        return True
-    if p is None:
-        return False
-    return delta.reduce_mod(p).is_zero()
+    witness = factor_over_Z(delta).unit_ends_factor()
+    return SurjectionVerdict(answer=witness is not None, witness=witness)
 
 
 def brown_finite_generation(p: Presentation, chi: Mapping[str, int]) -> str:
@@ -188,15 +179,6 @@ def kervaire_check(p: Presentation) -> KervaireReport:
 
 
 @dataclass(frozen=True)
-class PrimeRecord:
-    p: int
-    d: Union[int, _Infinite]
-    r: Optional[int]  # None when infinite
-    n: Optional[int]
-    classification: PrimeClassification
-
-
-@dataclass(frozen=True)
 class CoverReport:
     delta: LaurentPoly
     beta1_Q: Union[int, _Infinite]
@@ -216,27 +198,11 @@ def analyze(
     """Full report for a presentation and a validated weighting."""
     result = alexander_polynomial(p, chi, primes=primes)
     delta = result.delta
-    records = []
-    large = not delta
-    for q in primes:
-        d = result.mod_p_table[q][1]
-        cls = classify_prime(delta, q)
-        if d is INFINITE:
-            records.append(PrimeRecord(q, INFINITE, None, None, cls))
-            large = True
-        else:
-            r, n = count_prime_index(delta, q)
-            records.append(PrimeRecord(q, d, r, n, cls))
+    records = tuple(PrimeRecord.from_span(q, result.mod_p_table[q][1]) for q in primes)
     rec2 = next((rec for rec in records if rec.p == 2), None)
     if rec2 is None:
-        r2, n2 = (
-            (None, None)
-            if count_prime_index(delta, 2) is INFINITE
-            else count_prime_index(delta, 2)
-        )
-    else:
-        n2 = rec2.n
-    index2 = n2 is None or n2 > 0  # infinitely many index-2 when d(2) infinite
+        rec2 = PrimeRecord.from_span(2, delta.reduce_mod(2).degree_span())
+    index2 = rec2.n is None or rec2.n > 0  # infinitely many index-2 when d(2) infinite
     try:
         fg = brown_finite_generation(p, chi)
     except NotOneRelator:
@@ -244,10 +210,10 @@ def analyze(
     return CoverReport(
         delta=delta,
         beta1_Q=delta.degree_span(),
-        primes=tuple(records),
+        primes=records,
         index2=index2,
         surjects=surjects_to_Z(delta),
-        large_flag=large,
+        large_flag=not delta or any(rec.d is INFINITE for rec in records),
         kernel_fg=fg,
         kervaire=kervaire_check(p),
     )

@@ -371,6 +371,13 @@ class Factorization:
         """The distinct irreducible factors, canonical order."""
         return [f for f, _ in self.factors]
 
+    def unit_ends_factor(self) -> Optional[LaurentPoly]:
+        """The first non-constant factor monic at both ends, or None."""
+        return next(
+            (g for g, _ in self.factors if g.degree_span() >= 1 and g.is_monic_both_ends()),
+            None,
+        )
+
 
 def factor_over_Z(f: LaurentPoly) -> Factorization:
     """Complete factorization of a nonzero integer Laurent polynomial.

@@ -114,11 +114,8 @@ class SequenceWindow:
 
 def has_integer_biinfinite(f: AuxPolynomial) -> tuple[bool, Optional[LaurentPoly]]:
     """True with the smallest monic-at-both-ends non-constant factor, if any."""
-    fac = factor_over_Z(f.to_laurent())
-    for g, _mult in fac.factors:
-        if g.degree_span() >= 1 and g.is_monic_both_ends():
-            return True, g
-    return False, None
+    g = factor_over_Z(f.to_laurent()).unit_ends_factor()
+    return g is not None, g
 
 
 def _propagate_unit(g_asc: Sequence[int], lo: int, hi: int, impulse_at: int) -> dict[int, int]:

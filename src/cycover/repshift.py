@@ -142,7 +142,10 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, text: str, name: str = "custom") -> "FiniteGroup":
-        """First line: order n.  Then n lines of n indices; element 0 = identity."""
+        """First line: order n.  Then n lines of n indices; element 0 = identity.
+
+        Unlike the built-in groups, the table is checked for associativity.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise BadGroupTable("empty table file")
@@ -160,7 +163,17 @@ class FiniteGroup:
                 raise BadGroupTable(f"bad table row: {ln!r}")
             mult.append(row)
         labels = tuple(f"g{i}" for i in range(n))
-        return cls(name, labels, tuple(mult))
+        group = cls(name, labels, tuple(mult))
+        # (ab)c = a(bc) for all c: row ab equals row b mapped through row a
+        for a, row in enumerate(mult):
+            for b in range(n):
+                ab_c, a_bc = mult[row[b]], tuple(map(row.__getitem__, mult[b]))
+                if ab_c != a_bc:
+                    c = next(c for c in range(n) if ab_c[c] != a_bc[c])
+                    raise BadGroupTable(
+                        f"table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+                    )
+        return group
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:

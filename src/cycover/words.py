@@ -243,15 +243,14 @@ class Presentation:
         Unique up to sign; the sign is fixed so the first generator carrying a
         nonzero value maps positively.
         """
-        free_rank, torsion = self.abelianization_invariants()
-        if free_rank != 1 or torsion:
-            raise NotKnotLike(
-                f"H_1 has free rank {free_rank} and torsion {list(torsion)}; need exactly Z"
-            )
         n = len(self.generators)
         diag, colops = smith_diagonal(self.exponent_matrix(), n)
         free_cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-        assert len(free_cols) == 1
+        torsion = [d for d in diag if d > 1]
+        if len(free_cols) != 1 or torsion:
+            raise NotKnotLike(
+                f"H_1 has free rank {len(free_cols)} and torsion {torsion}; need exactly Z"
+            )
         j = free_cols[0]
         values = [colops[i][j] for i in range(n)]
         for v in values:

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, JSON shape, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -88,6 +89,14 @@ def test_alex_explicit_chi_matches_canonical(capsys, dyadic_file):
 def test_alex_invalid_chi(capsys, dyadic_file):
     code, out, err = run(capsys, "alex", dyadic_file, "--chi", "t=0,a=1")
     assert code == 1
+
+
+def test_chi_rejects_unknown_and_repeated_generators(capsys, dyadic_file):
+    for chi, message in (("t=1,a=0,zz=7", "'zz' is not a generator"), ("t=1,a=0,t=1", "'t' is named twice")):
+        for command in ("alex", "criteria"):
+            code, out, err = run(capsys, command, dyadic_file, "--chi", chi, "--json")
+            assert code == 1 and out == ""
+            assert message in err
 
 
 def test_alex_custom_primes(capsys, dyadic_file):
@@ -225,6 +234,14 @@ def test_reps_table_file(capsys, dyadic_file, tmp_path):
     assert r["census"]["count"] == 3
 
 
+def test_reps_rejects_non_associative_table(capsys, dyadic_file, tmp_path):
+    tbl = tmp_path / "loop5.txt"
+    tbl.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    code, out, err = run(capsys, "reps", dyadic_file, "--chi", "t=1,a=0", "--table", str(tbl), "--json")
+    assert code == 1 and out == ""
+    assert "not associative" in err
+
+
 def test_reps_group_errors(capsys, dyadic_file):
     assert run(capsys, "reps", dyadic_file)[0] == 1  # no group
     assert run(capsys, "reps", dyadic_file, "--group", "Q8")[0] == 1
@@ -310,10 +327,13 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_module_entry_point():
+    # the child finds the package where this process imported it from
+    src = os.path.dirname(os.path.dirname(cycover.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "cycover.cli", "recurrence", "1,-1,-1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0
     assert "yes" in proc.stdout

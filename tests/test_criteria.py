@@ -31,7 +31,6 @@ from cycover.criteria import (
     count_prime_index,
     index2_criterion,
     kervaire_check,
-    largeness_flag,
     surjects_to_Z,
 )
 from cycover.laurent import (
@@ -191,14 +190,25 @@ def test_surjection_respects_products():
 # -- largeness ----------------------------------------------------------
 
 
+# delta = 2t - 2, which vanishes mod 2 but not mod 3 or 5
+COMMUTING_SQUARES = parse_presentation("<t, a | t a^2 t^-1 a^-2>")
+
+
 def test_largeness():
-    assert largeness_flag(LaurentPoly.zero(), None) is True
-    assert largeness_flag(LaurentPoly.zero(), 2) is True
-    assert largeness_flag(DOUBLING_DELTA, None) is False
-    assert largeness_flag(DOUBLING_DELTA, 2) is False
-    assert largeness_flag(L([-2, 2]), 2) is True
-    assert largeness_flag(L([-2, 2]), 3) is False
-    assert largeness_flag(L([3, 3, 3]), 3) is True
+    chi = {"t": 1, "a": 0}
+    # a zero delta is large whatever the primes, even with none listed
+    free = analyze(Presentation.make(("t", "a"), []), chi, primes=())
+    assert free.delta.is_zero() and free.large_flag is True
+    assert analyze(DYADIC, chi, primes=()).large_flag is False
+    assert analyze(DYADIC, chi, primes=(2,)).large_flag is False
+    assert analyze(COMMUTING_SQUARES, chi).delta == L([-2, 2])
+    assert analyze(COMMUTING_SQUARES, chi).large_flag is True
+    # only the listed primes count
+    assert analyze(COMMUTING_SQUARES, chi, primes=(3, 5)).large_flag is False
+    # delta = 3t - 3 vanishes mod 3 only
+    cubes = parse_presentation("<t, a | t a^3 t^-1 a^-3>")
+    assert analyze(cubes, chi, primes=(3,)).large_flag is True
+    assert analyze(cubes, chi, primes=(2,)).large_flag is False
 
 
 # -- finite generation of the kernel ------------------------------------
@@ -370,6 +380,23 @@ def test_analyze_free_rank():
     for r in rep.primes:
         assert r.d is INFINITE and r.r is None and r.n is None
         assert r.classification.kind == "infinite"
+
+
+def test_analyze_reduces_delta_once_per_prime(monkeypatch):
+    calls = []
+    reduce_mod = LaurentPoly.reduce_mod
+
+    def counting_reduce_mod(self, p):
+        calls.append(p)
+        return reduce_mod(self, p)
+
+    monkeypatch.setattr(LaurentPoly, "reduce_mod", counting_reduce_mod)
+    chi = {"t": 1, "a": 0}
+    for primes, expected in (((2, 3, 5, 7), [2, 3, 5, 7]), ((3,), [3, 2]), ((3, 3), [3, 3, 2])):
+        calls.clear()
+        analyze(DYADIC, chi, primes=primes)
+        # one reduction per listed prime, plus the p = 2 fallback for index2
+        assert calls == expected, primes
 
 
 def test_analyze_custom_primes():

@@ -187,6 +187,18 @@ Q8_TABLE = [
 ]
 
 
+# a Latin square with identity that is no group: (1*1)*2 = 2 but 1*(1*2) = 4
+LOOP5_TABLE = "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n"
+
+
+def test_from_table_rejects_non_associative_table():
+    with pytest.raises(BadGroupTable, match="not associative"):
+        FiniteGroup.from_table(LOOP5_TABLE)
+    assert FiniteGroup.from_table(KLEIN_TABLE).order == 4
+    assert _group_from_rows(D4_TABLE).order == 8
+    assert _group_from_rows(Q8_TABLE).order == 8
+
+
 def _group_from_rows(rows):
     group = FiniteGroup.from_table(
         "\n".join([str(len(rows))] + [" ".join(map(str, r)) for r in rows])

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from cycover import words
 from cycover.words import (
     DuplicateGenerator,
     FreeWord,
@@ -256,6 +257,19 @@ def test_canonical_weighting(src, expected):
     chi = p.canonical_weighting()
     assert chi == expected
     validate_weighting(p, chi)
+
+
+def test_canonical_weighting_runs_smith_once(monkeypatch):
+    calls = []
+    smith = words.smith_diagonal
+
+    def counting_smith(*args):
+        calls.append(args)
+        return smith(*args)
+
+    monkeypatch.setattr(words, "smith_diagonal", counting_smith)
+    assert parse_presentation("<t, a | t a t^-1 a^-2>").canonical_weighting() == {"t": 1, "a": 0}
+    assert len(calls) == 1
 
 
 def test_canonical_weighting_sign_convention():
