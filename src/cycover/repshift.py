@@ -17,13 +17,25 @@ the e-th roots of S0^-1, read from a root table; with several, each
 candidate y costs one table lookup per segment; with none, the template
 allows every successor or none.  Element powers come from a per-element
 table, so no cost depends on the size of an exponent.
+
+The graph is stored flat, in CSR (compressed sparse row) form: two
+array('I'), `offsets` with one entry per state plus one, and `targets` with
+one entry per edge, so the successors of state s are
+targets[offsets[s]:offsets[s + 1]], ascending.  A state costs four bytes
+plus four per edge and one for its essential flag, and the trim, census,
+SCC, entropy and periodic walks index these arrays.  `SftGraph.successors`
+reads them back as a sequence of per-state target arrays.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import accumulate, chain, compress, islice, permutations, repeat
+from operator import gt, not_, sub
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -32,7 +44,7 @@ STATE_CAP = 10**6
 
 
 class CapExceeded(ValueError):
-    """State space or enumeration larger than the configured cap."""
+    """State space or enumeration larger than the fixed cap STATE_CAP."""
 
 
 class MultiSymbolUnsupported(ValueError):
@@ -196,6 +208,59 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join("(" + "".join(str(x + 1) for x in c) + ")" for c in cycles)
 
 
+class Successors(Sequence):
+    """The edges of a shift graph in CSR form, read as one sequence per state.
+
+    `offsets` (n + 1 entries) and `targets` (one per edge) are array('I');
+    item s is targets[offsets[s]:offsets[s + 1]], the ascending successors
+    of state s, as a new array, so the graph cannot be changed through it.
+    """
+
+    __slots__ = ("offsets", "targets")
+
+    def __init__(self, offsets: array, targets: array):
+        self.offsets = offsets
+        self.targets = targets
+
+    @classmethod
+    def from_rows(cls, rows) -> "Successors":
+        """From (base, ys) pairs, one per state in state order: the targets
+        of the state are base + y for y in ys."""
+        offsets = array("I", [0])
+        targets = array("I")
+        append, mark = targets.append, offsets.append
+        for base, ys in rows:
+            for y in ys:
+                append(base + y)
+            mark(len(targets))
+        return cls(offsets, targets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, s: int) -> array:
+        s = range(len(self))[s]
+        return self.targets[self.offsets[s] : self.offsets[s + 1]]
+
+    def __iter__(self):
+        offsets = self.offsets
+        return map(self.targets.__getitem__, map(slice, offsets, islice(offsets, 1, None)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Successors):
+            return NotImplemented
+        return self.offsets == other.offsets and self.targets == other.targets
+
+    def __repr__(self):
+        return f"Successors({[t.tolist() for t in self]})"
+
+
+def _sources(offsets: array):
+    """The source state of every edge, in edge order (an iterator)."""
+    degrees = map(sub, islice(offsets, 1, None), offsets)
+    return chain.from_iterable(map(repeat, range(len(offsets) - 1), degrees))
+
+
 @dataclass
 class SftGraph:
     """Transition graph of the representation shift.
@@ -204,16 +269,24 @@ class SftGraph:
     big-endian: index = sum of digit_k * order^(window-1-k).  An edge
     appends one element on the right; the label of a state is its first
     (most significant) coordinate.
+
+    `successors` holds the edges in CSR form (see `Successors`); any other
+    sequence of per-state targets is converted to it, each state's targets
+    made ascending and distinct.  `essential`
+    is a bytearray, 1 for the states left by the trim: those on a
+    biinfinite path.
     """
 
     window: int
     group: FiniteGroup
-    successors: list[list[int]]
-    essential: list[bool] = field(default_factory=list)
+    successors: Successors
+    essential: bytearray = field(init=False)
 
     def __post_init__(self):
-        if not self.essential:
-            self.essential = _trim(self.successors)
+        if not isinstance(self.successors, Successors):
+            rows = (sorted(set(targets)) for targets in self.successors)
+            self.successors = Successors.from_rows(zip(repeat(0), rows))
+        self.essential = _trim(self.successors)
 
     @property
     def state_count(self) -> int:
@@ -221,7 +294,7 @@ class SftGraph:
 
     @property
     def essential_count(self) -> int:
-        return sum(self.essential)
+        return self.essential.count(1)
 
     def state_tuple(self, s: int) -> tuple[int, ...]:
         n = self.group.order
@@ -238,42 +311,53 @@ class SftGraph:
         return s // n ** (w - 1)
 
     def edges(self):
-        for s, targets in enumerate(self.successors):
-            for t in targets:
-                yield (s, t)
+        return zip(_sources(self.successors.offsets), self.successors.targets)
 
 
-def _trim(successors: list[list[int]]) -> list[bool]:
-    """Iteratively drop states with no predecessor or no successor."""
+def _trim(successors: Successors) -> bytearray:
+    """Iteratively drop states with no predecessor or no successor.
+
+    First the states without a predecessor go, found by following
+    successors; every survivor then has a predecessor.  Then the states
+    without a successor go, found by following predecessors, which a
+    counting sort of the surviving edges by target lays out in CSR form;
+    removing such a state takes no predecessor from a survivor.
+    """
+    offsets, targets = successors.offsets, successors.targets
     n = len(successors)
-    out_deg = [len(t) for t in successors]
+    alive = bytearray(b"\x01") * n
     in_deg = [0] * n
-    for targets in successors:
-        for t in targets:
-            in_deg[t] += 1
-    alive = [True] * n
-    dead = [s for s in range(n) if out_deg[s] == 0 or in_deg[s] == 0]
-    if not dead:
-        return alive
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s, targets in enumerate(successors):
-        for t in targets:
-            preds[t].append(s)
+    for t in targets:
+        in_deg[t] += 1
+    dead = list(compress(range(n), map(not_, in_deg))) if 0 in in_deg else []
     while dead:
         s = dead.pop()
-        if not alive[s]:
-            continue
-        alive[s] = False
-        for t in successors[s]:
-            if alive[t]:
-                in_deg[t] -= 1
-                if in_deg[t] == 0:
-                    dead.append(t)
-        for q in preds[s]:
-            if alive[q]:
-                out_deg[q] -= 1
-                if out_deg[q] == 0:
-                    dead.append(q)
+        alive[s] = 0
+        for t in targets[offsets[s] : offsets[s + 1]]:
+            in_deg[t] -= 1
+            if not in_deg[t]:
+                dead.append(t)
+    # A survivor's successors all survive, so its out-degree is its own;
+    # alive[s] > out_deg[s] picks the survivors without a successor.
+    out_deg = list(map(sub, islice(offsets, 1, None), offsets))
+    dead = list(compress(range(n), map(gt, alive, out_deg))) if 0 in out_deg else []
+    if not dead:
+        return alive
+    # in_deg now counts surviving predecessors
+    pred_offsets = list(accumulate(in_deg, initial=0))
+    fill = pred_offsets[1:]
+    preds = array("I", bytes(4 * pred_offsets[-1]))
+    for s in compress(range(n), alive):
+        for t in targets[offsets[s] : offsets[s + 1]]:
+            fill[t] -= 1
+            preds[fill[t]] = s
+    while dead:
+        t = dead.pop()
+        alive[t] = 0
+        for s in preds[pred_offsets[t] : pred_offsets[t + 1]]:
+            out_deg[s] -= 1
+            if not out_deg[s]:
+                dead.append(s)
     return alive
 
 
@@ -307,24 +391,17 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
         templates = [list(r.coefficients) for r in rows]
 
     if w == 0:
-        ok = [_window_ok(templates, (x,), F) for x in range(n)]
-        successors = [
-            [y for y in range(n)] if ok[x] else [] for x in range(n)
-        ]
+        rows = (range(n) if _window_ok(templates, (x,), F) else () for x in range(n))
+        successors = Successors.from_rows(zip(repeat(0), rows))
         return SftGraph(window=w, group=F, successors=successors)
 
     solved = [_solve_template(tpl, F, w) for tpl in templates]
     allowed = iter(solved[0]) if len(solved) == 1 else map(_intersect, *solved)
     # State s keeps its last w-1 digits, (s mod n^(w-1)) * n, and appends y;
     # the states run through these stubs once per leading digit, taking the
-    # next items of `allowed`.  A one-element display is sized exactly; a
-    # comprehension is not.
-    stubs = range(0, n**w, n)
-    successors = [
-        [stub + ys[0]] if len(ys) == 1 else [stub + y for y in ys]
-        for _ in range(n)
-        for stub, ys in zip(stubs, allowed)
-    ]
+    # next items of `allowed`.
+    stubs = chain.from_iterable(repeat(range(0, n**w, n), n))
+    successors = Successors.from_rows(zip(stubs, allowed))
     del solved, allowed  # free the segment values before the trim
     return SftGraph(window=w, group=F, successors=successors)
 
@@ -413,25 +490,17 @@ class RepCensus:
 
 
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
-    ess = g.essential
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
         return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
-    in_deg = [0] * g.state_count
-    for s, targets in enumerate(g.successors):
-        if ess[s]:
-            for t in targets:
-                if ess[t]:
-                    in_deg[t] += 1
-    degree_one = all(
-        not ess[s]
-        or (in_deg[s] == 1 and sum(1 for t in g.successors[s] if ess[t]) == 1)
-        for s in range(g.state_count)
-    )
-    if degree_one:
+    _, offsets, targets = _essential_adjacency(g)
+    # Every essential state keeps an essential successor and predecessor,
+    # so the essential subgraph has at least one edge per state, and
+    # exactly one iff every in- and out-degree in it is one.
+    if len(targets) == ess_count:
         return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
-    if _all_sccs_simple_cycles(g):
+    if _all_sccs_simple_cycles(offsets, targets):
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
@@ -439,80 +508,92 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
-def _essential_adjacency(g: SftGraph) -> tuple[list[int], list[list[int]]]:
-    nodes = [s for s in range(g.state_count) if g.essential[s]]
-    pos = {s: i for i, s in enumerate(nodes)}
-    adj = [
-        [pos[t] for t in g.successors[s] if g.essential[t]] for s in nodes
-    ]
-    return nodes, adj
+def _essential_adjacency(g: SftGraph) -> tuple[Sequence[int], array, array]:
+    """The subgraph on the essential states, in CSR form, as (nodes,
+    offsets, targets): node i is state nodes[i], in state order.  When
+    every state is essential this is the graph itself."""
+    ess = g.essential
+    offsets, targets = g.successors.offsets, g.successors.targets
+    if 0 not in ess:
+        return range(len(ess)), offsets, targets
+    nodes = list(compress(range(len(ess)), ess))
+    index = array("I", bytes(4 * len(ess)))
+    for i, s in enumerate(nodes):
+        index[s] = i
+    sub_offsets = array("I", [0])
+    sub_targets = array("I")
+    append, mark = sub_targets.append, sub_offsets.append
+    for s in nodes:
+        for t in targets[offsets[s] : offsets[s + 1]]:
+            if ess[t]:
+                append(index[t])
+        mark(len(sub_targets))
+    return nodes, sub_offsets, sub_targets
 
 
-def _sccs(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative."""
-    n = len(adj)
+def _sccs(offsets: array, targets: array) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over a graph in CSR form."""
+    n = len(offsets) - 1
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     sccs = []
     counter = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        # each frame is (state, next edge to follow)
+        work = [(root, offsets[root])]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, i = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(adj[v])):
-                u = adj[v][i]
+                on_stack[v] = 1
+            end = offsets[v + 1]
+            while i < end:
+                u = targets[i]
+                i += 1
                 if index[u] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((u, 0))
-                    advanced = True
+                    work[-1] = (v, i)
+                    work.append((u, offsets[u]))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index[u])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp.append(u)
-                    if u == v:
-                        break
-                sccs.append(comp)
+                if on_stack[u] and index[u] < low[v]:
+                    low[v] = index[u]
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        u = stack.pop()
+                        on_stack[u] = 0
+                        comp.append(u)
+                        if u == v:
+                            break
+                    sccs.append(comp)
     return sccs
 
 
-def _all_sccs_simple_cycles(g: SftGraph) -> bool:
+def _all_sccs_simple_cycles(offsets: array, targets: array) -> bool:
     """True when no strongly connected component carries two distinct cycles.
 
     A component is a simple cycle iff its internal edge count equals its
     size; singletons without self-loops carry no cycle at all.
     """
-    _, adj = _essential_adjacency(g)
-    comp_of = {}
-    sccs = _sccs(adj)
+    sccs = _sccs(offsets, targets)
+    comp_of = [0] * (len(offsets) - 1)
     for ci, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = ci
     internal_edges = [0] * len(sccs)
-    for v, targets in enumerate(adj):
-        for u in targets:
-            if comp_of[u] == comp_of[v]:
-                internal_edges[comp_of[v]] += 1
+    for v, u in zip(_sources(offsets), targets):
+        if comp_of[u] == comp_of[v]:
+            internal_edges[comp_of[v]] += 1
     for ci, comp in enumerate(sccs):
         if len(comp) == 1 and internal_edges[ci] == 0:
             continue  # transit state, no cycle
@@ -530,20 +611,19 @@ def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = 100000) -> float:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _, adj = _essential_adjacency(g)
-    n = len(adj)
-    if n == 0:
+    _, offsets, targets = _essential_adjacency(g)
+    n = len(offsets) - 1
+    if len(targets) <= n:
+        # one essential successor per essential state: disjoint cycles
         return 0.0
-    if all(len(t) <= 1 for t in adj):
-        return 0.0
+    sources = list(_sources(offsets))
     v = [1] * n
     prev_ratio = None
     total = n
     for _ in range(max_iter):
         nxt = list(v)  # the +I part
-        for s, targets in enumerate(adj):
-            for t in targets:
-                nxt[t] += v[s]
+        for s, t in zip(sources, targets):
+            nxt[t] += v[s]
         new_total = sum(nxt)
         ratio = new_total / total
         if prev_ratio is not None and abs(ratio - prev_ratio) < tol:
@@ -570,30 +650,37 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
         raise ValueError("max_period must be >= 1")
     N = max_period
     results: list[tuple[int, ...]] = []
-    ess = g.essential
-    for start in range(g.state_count):
-        if not ess[start]:
-            continue
-        # DFS over paths of length N from start back to start
+    nodes, offsets, targets = _essential_adjacency(g)
+    # the walks read single items, which lists hand out unboxed
+    offsets, targets = offsets.tolist(), targets.tolist()
+    scale = g.group.order ** (max(g.window, 1) - 1)
+    first = [s // scale for s in nodes]  # first_coordinate of each node
+    if N == 1:  # the self-loops
+        loops = (v for v in range(len(nodes)) if v in targets[offsets[v] : offsets[v + 1]])
+        results = [(first[v],) for v in loops]
+    last = N - 1
+    for start in range(len(nodes)) if N > 1 else ():
+        # DFS over walks start = v0, v1, ..., v(N-1), where iters[d] yields
+        # the candidates for v(d+1); the walk closes iff start follows
+        # v(N-1), which a search of its ascending successors tells
         path = [start]
-        iters = [iter(g.successors[start])]
+        iters = [iter(targets[offsets[start] : offsets[start + 1]])]
         while iters:
-            depth = len(iters)
-            nxt = next(iters[-1], None)
-            if nxt is None:
+            v = next(iters[-1], None)
+            if v is None:
                 iters.pop()
                 path.pop()
                 continue
-            if not ess[nxt]:
+            if len(iters) < last:
+                path.append(v)
+                iters.append(iter(targets[offsets[v] : offsets[v + 1]]))
                 continue
-            if depth == N:
-                if nxt == start:
-                    results.append(tuple(g.first_coordinate(s) for s in path))
-                    if len(results) > STATE_CAP:
-                        raise CapExceeded("periodic labeling count exceeds cap")
-                continue
-            path.append(nxt)
-            iters.append(iter(g.successors[nxt]))
+            hi = offsets[v + 1]
+            j = bisect_left(targets, start, offsets[v], hi)
+            if j < hi and targets[j] == start:
+                results.append(tuple(map(first.__getitem__, path)) + (first[v],))
+                if len(results) > STATE_CAP:
+                    raise CapExceeded("periodic labeling count exceeds cap")
     results.sort()
     labels = g.group.labels
     return [tuple(labels[x] for x in tup) for tup in results]

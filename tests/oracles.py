@@ -4,8 +4,10 @@ Each oracle recomputes a result the library produces, by a different
 mechanism: factorization by bounded divisor search, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
-evaluating every template on every window, and Brown's finite-generation
-verdict by a letter-by-letter walk.  None of them share code paths with the
+evaluating every template on every window, the essential states of a graph
+by repeated degree counts, closed walks by an exact matrix power, the
+census class by degree counts and reachability, and Brown's
+finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
 """
 
@@ -258,6 +260,74 @@ def perron_entropy(graph):
                 a[pos[s], pos[t]] = 1.0
     rho = max(abs(np.linalg.eigvals(a)))
     return float(np.log(rho)) if rho > 1.0 else 0.0
+
+
+# -- essential states, closed walks and census class --------------------
+
+
+def essential_fixed_point(n, edges):
+    """Flags of the states on a biinfinite path of the graph (n, edges).
+
+    Every round drops each state with no live in-edge or no live
+    out-edge, counting only edges between live states, until a round
+    drops nothing.
+    """
+    live = [True] * n
+    while True:
+        has_in, has_out = [False] * n, [False] * n
+        for s, t in edges:
+            if live[s] and live[t]:
+                has_out[s] = has_in[t] = True
+        nxt = [live[s] and has_in[s] and has_out[s] for s in range(n)]
+        if nxt == live:
+            return live
+        live = nxt
+
+
+def _essential_matrix(n, edges):
+    live = essential_fixed_point(n, edges)
+    index = {s: i for i, s in enumerate(s for s in range(n) if live[s])}
+    a = [[0] * len(index) for _ in index]
+    for s, t in edges:
+        if s in index and t in index:
+            a[index[s]][index[t]] = 1
+    return a
+
+
+def closed_walks(n, edges, length):
+    """trace(A^length) of the essential adjacency matrix, in exact integers."""
+    a = _essential_matrix(n, edges)
+    k = len(a)
+    power = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(length):
+        power = [[sum(row[m] * a[m][j] for m in range(k)) for j in range(k)] for row in power]
+    return sum(power[i][i] for i in range(k))
+
+
+def census_class(n, edges):
+    """(classification, count) from degree counts and reachability.
+
+    OnlyTrivial: one essential state.  Finite: every essential in- and
+    out-degree is 1, so the points are the essential states.  Otherwise
+    the entropy is positive iff some state has two out-edges to states
+    from which it can be reached again (transitive closure by Warshall).
+    """
+    a = _essential_matrix(n, edges)
+    k = len(a)
+    if k == 1:
+        return "OnlyTrivial", 1
+    out_deg = [sum(row) for row in a]
+    in_deg = [sum(a[i][j] for i in range(k)) for j in range(k)]
+    if all(d == 1 for d in out_deg + in_deg):
+        return "Finite", k
+    reach = [[bool(a[i][j]) or i == j for j in range(k)] for i in range(k)]
+    for m in range(k):
+        for i in range(k):
+            if reach[i][m]:
+                reach[i] = [x or y for x, y in zip(reach[i], reach[m])]
+    if any(sum(1 for j in range(k) if a[i][j] and reach[j][i]) >= 2 for i in range(k)):
+        return "PositiveEntropy", None
+    return "InfiniteZeroEntropy", None
 
 
 # -- shift-graph successors by brute force ------------------------------

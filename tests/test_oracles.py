@@ -7,11 +7,21 @@ import pytest
 
 from corpus import two_bridge_pairs, weight_zero_form
 from cycover.laurent import LaurentPoly, factor_over_Z
-from cycover.repshift import FiniteGroup, build_sft, census, entropy
+from cycover.repshift import (
+    FiniteGroup,
+    SftGraph,
+    build_sft,
+    census,
+    entropy,
+    enumerate_periodic,
+)
 from cycover.rscover import abelianized_recurrence, reidemeister_schreier
 from cycover.twobridge import family_presentation
 from oracles import (
     box_factor,
+    census_class,
+    closed_walks,
+    essential_fixed_point,
     perron_entropy,
     propagation_box_verdict,
     window_rank_count,
@@ -133,3 +143,98 @@ def test_perron_full_shift():
     sp = ShiftPresentation(symbols=("a",), templates=())
     g = build_sft(sp, FiniteGroup.cyclic(3))
     assert abs(perron_entropy(g) - math.log(3)) < 1e-9
+
+
+# -- essential states, closed walks and census class --------------------
+
+
+def _random_graph(rng):
+    """Successor sets with sources, sinks, dead chains and self-loops.
+
+    A random core, a chain that starts at a source and runs into it, and
+    a chain that leaves it and ends at a sink; at most 64 states, so a
+    cyclic group can label them.
+    """
+    n = rng.randrange(1, 30)
+    succ = [set() for _ in range(n)]
+    for s in range(n):
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            succ[s].add(rng.randrange(n))
+        if rng.random() < 0.2:
+            succ[s].add(s)
+    into = list(range(n, n + rng.randrange(4)))
+    for a, b in zip(into, into[1:] + [rng.randrange(n)]):
+        succ.append({b})
+    out_of = list(range(len(succ), len(succ) + rng.randrange(4)))
+    if out_of:
+        succ[rng.randrange(n)].add(out_of[0])
+        succ.extend({b} for b in out_of[1:])
+        succ.append(set())
+    return [sorted(t) for t in succ]
+
+
+def _graph(lists):
+    return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=lists)
+
+
+def _edges(g):
+    return [(s, t) for s, targets in enumerate(g.successors) for t in targets]
+
+
+def test_random_graphs_cover_every_kind_of_dead_state():
+    rng = random.Random(6)
+    seen = {"source": 0, "sink": 0, "chain": 0, "loop": 0}
+    for _ in range(100):
+        lists = _random_graph(rng)
+        has_in = {t for targets in lists for t in targets}
+        live = essential_fixed_point(len(lists), [(s, t) for s, ts in enumerate(lists) for t in ts])
+        seen["source"] += any(s not in has_in for s in range(len(lists)))
+        seen["sink"] += any(not ts for ts in lists)
+        # dropped only once a neighbour was dropped
+        seen["chain"] += any(not live[s] and ts and s in has_in for s, ts in enumerate(lists))
+        seen["loop"] += any(s in ts for s, ts in enumerate(lists))
+    assert min(seen.values()) >= 30, seen
+
+
+def test_essential_matches_fixed_point_on_random_graphs():
+    rng = random.Random(6)
+    for _ in range(100):
+        lists = _random_graph(rng)
+        g = _graph(lists)
+        assert [list(t) for t in g.successors] == lists
+        want = essential_fixed_point(len(lists), _edges(g))
+        assert [bool(x) for x in g.essential] == want, lists
+
+
+def _census_graphs():
+    """family(1-4) over S3 and Z5, and random graphs whose state 0 is on
+    a loop, as census requires of the all-identity state."""
+    for n in range(1, 5):
+        sp = reidemeister_schreier(family_presentation(n), {"u": 1, "a": 0})
+        for group in (FiniteGroup.symmetric(3), FiniteGroup.cyclic(5)):
+            yield f"family({n})/{group.name}", build_sft(sp, group)
+    rng = random.Random(7)
+    for i in range(100):
+        lists = _random_graph(rng)
+        lists[0] = sorted(set(lists[0]) | {0})
+        yield f"random {i}: {lists}", _graph(lists)
+
+
+def test_periodic_counts_equal_closed_walks():
+    for name, g in _census_graphs():
+        edges = _edges(g)
+        for period in range(2, 6):
+            assert len(enumerate_periodic(g, period)) == closed_walks(
+                g.state_count, edges, period
+            ), (name, period)
+
+
+def test_census_matches_degree_counts():
+    kinds = set()
+    for name, g in _census_graphs():
+        c = census(g)
+        want = census_class(g.state_count, _edges(g))
+        assert (c.classification, c.count) == want, name
+        assert c.essential_count == sum(essential_fixed_point(g.state_count, _edges(g)))
+        kinds.add(c.classification)
+    assert kinds == {"OnlyTrivial", "Finite", "InfiniteZeroEntropy", "PositiveEntropy"}

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,24 @@ def test_cap_exceeded():
     assert 8**7 > STATE_CAP
 
 
+def test_build_sft_keeps_a_few_bytes_per_state():
+    # x[i+4] = 2 x[i] over Z17: 83,521 windows, one successor each
+    sp = reidemeister_schreier(
+        parse_presentation("<t, a | a^-2 t^4 a t^-4>"), {"t": 1, "a": 0}
+    )
+    z17 = FiniteGroup.cyclic(17)
+    tracemalloc.start()
+    try:
+        g = build_sft(sp, z17)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sp.width == 4 and g.state_count == 17**4
+    # offsets, targets and essential flags: 4 + 4 + 1 bytes per state
+    assert kept <= 16 * g.state_count, kept / g.state_count
+    assert peak <= 40 * g.state_count, peak / g.state_count
+
+
 def test_multi_symbol_rejected():
     pres = parse_presentation("<t, a, b | t a t^-1 a^-2, b a^-1>")
     with pytest.raises(MultiSymbolUnsupported):
@@ -273,7 +292,7 @@ def test_build_sft_matches_brute_force_successors():
         got = build_sft(sp, group)
         words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
         want = brute_successors(words, group.mult, sp.width)
-        assert got.successors == want, (group.name, pres.to_text())
+        assert [list(t) for t in got.successors] == want, (group.name, pres.to_text())
         seen_holes.update(sum(off == sp.width for off, _ in t) for t in words)
         narrow += any(max(off for off, _ in t) < sp.width for t in words)
         huge += any(abs(e) >= 10**6 for t in words for _, e in t)
