@@ -2,17 +2,23 @@
 
 Internal helper for the laurent module.  Polynomials are lists of int
 coefficients in ascending order of exponent, with no high-order zeros;
-[] is the zero polynomial.  Factorization follows the classical route
-(von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15):
+[] is the zero polynomial.  Products of two polynomials of 16 or more terms
+each are taken by Kronecker substitution: one integer product of the two
+polynomials packed into byte-aligned slots.  Factorization follows the
+classical route (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15):
 
 - squarefree decomposition: when f is squarefree modulo one of the first
   few primes not dividing its leading coefficient it is squarefree over Z
-  and Yun's algorithm is skipped;
+  and Yun's algorithm is skipped; otherwise Yun's algorithm runs on gcds
+  taken by a primitive remainder sequence over Z;
 - Berlekamp factorization modulo the first three good primes, keeping the
-  prime with the fewest factors; the subset sums of the factor degrees at
-  each prime are intersected (Musser's degree-set test), and f is proved
-  irreducible as soon as only 0 and deg f remain;
-- Hensel lifting to p^l > 2B, B a Mignotte-style coefficient bound;
+  prime with the fewest factors; each factor found so far is split by one
+  basis vector of the Berlekamp algebra at a time, peeling off one value
+  class per gcd; the subset sums of the factor degrees at each prime are
+  intersected (Musser's degree-set test), and f is proved irreducible as
+  soon as only 0 and deg f remain;
+- quadratic Hensel lifting to exactly p^l > 2B, B a Mignotte-style
+  coefficient bound;
 - subset recombination: a subset is trial-divided only when its degree sum
   is a possible factor degree and its candidate's values at t = 0 and
   t = 1, read off the lifted factors, divide those of lc * f; the trial
@@ -24,7 +30,6 @@ Everything is deterministic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -74,15 +79,38 @@ def sub(f: list[int], g: list[int]) -> list[int]:
     return strip([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
+# Products with a factor shorter than this are multiplied term by term;
+# longer ones by Kronecker substitution.
+_KRONECKER_MIN = 16
+
+
 def mul(f: list[int], g: list[int]) -> list[int]:
     if not f or not g:
         return []
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return strip(out)
+    n = len(f) + len(g) - 1
+    if len(f) < _KRONECKER_MIN or len(g) < _KRONECKER_MIN:
+        out = [0] * n
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    out[i + j] += a * b
+        return strip(out)
+    # Kronecker substitution: evaluate both at t = 2^(8w), w bytes per slot,
+    # wide enough for any coefficient of the product plus a sign bit.  Each
+    # operand is packed with half a slot added to every coefficient, which
+    # makes every slot nonnegative, and that offset is then taken off again.
+    bound = max(map(abs, f)) * max(map(abs, g)) * min(len(f), len(g))
+    w = bound.bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+    halves = bytes(w - 1) + b"\x80"
+    x = int.from_bytes(b"".join([(a + half).to_bytes(w, "little") for a in f]), "little")
+    x -= int.from_bytes(halves * len(f), "little")
+    y = int.from_bytes(b"".join([(b + half).to_bytes(w, "little") for b in g]), "little")
+    y -= int.from_bytes(halves * len(g), "little")
+    # Every coefficient c of the product has |c| < half, so adding half to
+    # each slot leaves c + half in it, with no carry between slots.
+    z = (x * y + int.from_bytes(halves * n, "little")).to_bytes(n * w, "little")
+    return strip([int.from_bytes(z[i : i + w], "little") - half for i in range(0, n * w, w)])
 
 
 def mul_ground(f: list[int], c: int) -> list[int]:
@@ -143,41 +171,35 @@ def exact_div_int(f: list[int], g: list[int], bound: int | None = None) -> list[
 
 
 def int_poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Primitive gcd over Z with positive leading coefficient."""
-    f, g = strip(list(f)), strip(list(g))
-    if not f:
-        return primitive(g) if g else []
-    if not g:
-        return primitive(f)
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c) for c in g]
+    """Primitive gcd over Z with positive leading coefficient.
+
+    Primitive remainder sequence: each pseudo-remainder is replaced by its
+    primitive part, which keeps the coefficients as small as the gcd allows.
+    """
+    a, b = primitive(strip(list(f))), primitive(strip(list(g)))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        a, b = b, _frac_rem(a, b)
-    # Clear denominators, take the primitive part.
-    den = 1
-    for c in a:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in a]
-    return primitive(ints)
+        a, b = b, _primitive_prem(a, b)
+    return a
 
 
-def _frac_rem(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    rem = list(f)
-    dg = len(g) - 1
-    inv = 1 / g[-1]
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg or not rem:
-            break
-        coef = rem[-1] * inv
-        shift = len(rem) - 1 - dg
-        for j in range(len(g)):
-            rem[shift + j] -= coef * g[j]
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return rem
+def _primitive_prem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the pseudo-remainder of a by b, len(a) >= len(b) > 0."""
+    r = list(a)
+    lb = b[-1]
+    nb = len(b)
+    while len(r) >= nb:
+        # r <- (lb/d) r - (c/d) t^shift b, d = gcd(lb, c), drops the top term.
+        c = r[-1]
+        d = math.gcd(lb, c)
+        x, y = lb // d, c // d
+        shift = len(r) - nb
+        r = [x * v for v in r[:-1]]
+        for j in range(nb - 1):
+            r[shift + j] -= y * b[j]
+        r = strip(r)
+    return primitive(r)
 
 
 def squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
@@ -263,14 +285,14 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     rem = list(f)
     if len(rem) < len(g):
         return [], rem
+    # rem is reduced mod p only as each top coefficient is read, and at the end.
     q = [0] * (len(rem) - len(g) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = rem[k + len(g) - 1] % p
+        c = rem.pop() % p
         if c:
             coef = (c * inv) % p
             q[k] = coef
-            for j in range(len(g)):
-                rem[k + j] = (rem[k + j] - coef * g[j]) % p
+            rem[k:] = [a - coef * b for a, b in zip(rem[k:], g)]
     return strip(q), strip([c % p for c in rem])
 
 
@@ -321,7 +343,14 @@ def gf_is_squarefree(f: list[int], p: int) -> bool:
 
 
 def berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over GF(p)."""
+    """Monic irreducible factors of a monic squarefree f over GF(p).
+
+    The r vectors of a basis of {v : v^p = v mod f} are taken in turn.  Each
+    factor u found so far is split by v: gcd(u, v - s) for s = 0, 1, ...
+    peels off the irreducible factors of u on which v takes the value s,
+    with v reduced mod what is left of u, until what is left is one class
+    (v constant on it).  The walk stops as soon as there are r factors.
+    """
     f = gf_monic(f, p)
     n = degree(f)
     if n <= 1:
@@ -341,22 +370,24 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         return [f]
     factors = [f]
     for v in basis:
-        if len(strip(v)) <= 1:
+        v = strip(v)
+        if len(v) <= 1:
             continue  # the constant vector never splits anything
-        vv = strip(list(v))
-        for s in range(p):
-            if len(factors) == r:
-                return sorted(factors)
-            new = []
-            shifted = gf_trunc([(vv[0] if vv else 0) - s] + vv[1:], p)
-            for u in factors:
-                g = gf_gcd(u, shifted, p)
-                if 0 < degree(g) < degree(u):
-                    new.append(g)
-                    new.append(gf_divmod(u, g, p)[0])
-                else:
-                    new.append(u)
-            factors = new
+        done: list[list[int]] = []
+        for i, u in enumerate(factors):
+            left = len(factors) - i  # u and the factors after it
+            vu = gf_divmod(v, u, p)[1]
+            s = 0
+            # v constant mod u (always so for linear u) means u is one class.
+            while len(vu) > 1 and len(done) + left < r:
+                g = gf_gcd(u, [(vu[0] - s) % p] + vu[1:], p)
+                if len(g) > 1:
+                    done.append(g)
+                    u = gf_divmod(u, g, p)[0]
+                    vu = gf_divmod(vu, u, p)[1]
+                s += 1
+            done.append(u)
+        factors = done
         if len(factors) == r:
             break
     return sorted(factors)
@@ -407,9 +438,11 @@ def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
 # -- Hensel lifting -----------------------------------------------------
 
 
-def _hensel_step(m, f, g, h, s, t):
-    """One quadratic lift: mod m -> mod m*m.  h monic; s*g + t*h = 1 (mod m)."""
-    M = m * m
+def _hensel_step(M, f, g, h, s, t):
+    """One quadratic lift from mod m to mod M, M dividing m*m.
+
+    h monic; f = g*h and s*g + t*h = 1 (mod m).
+    """
     e = gf_trunc(sub(f, mul(g, h)), M)
     q, r = gf_divmod(mul(s, e), h, M)
     G = gf_trunc(add(add(g, mul(t, e)), mul(q, g)), M)
@@ -422,15 +455,19 @@ def _hensel_step(m, f, g, h, s, t):
 
 
 def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[list[int]]:
-    """Lift the monic mod-p factors of f (up to lc) to monic factors mod p^l."""
+    """Lift the monic mod-p factors of f (up to lc) to monic factors mod p^l.
+
+    The factors are split into two halves; f = g*h is lifted from mod p by
+    quadratic steps, each to min(m^2, p^l), so the last step stops at exactly
+    p^l; then each half is lifted the same way from its own product.
+    """
     r = len(modular)
     lc = f[-1]
+    pl = p**l
     if r == 1:
-        inv = pow(lc % p**l, -1, p**l)
-        return [gf_trunc(mul_ground(f, inv), p**l)]
-    m = p
+        inv = pow(lc % pl, -1, pl)
+        return [gf_trunc(mul_ground(f, inv), pl)]
     k = r // 2
-    d_steps = max(1, math.ceil(math.log2(l)))
     g = gf_trunc([lc], p)
     for fi in modular[:k]:
         g = gf_mul(g, fi, p)
@@ -438,11 +475,10 @@ def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[
     for fi in modular[k:]:
         h = gf_mul(h, fi, p)
     s, t = gf_gcdex(g, h, p)
-    for _ in range(d_steps):
+    m = p
+    while m < pl:
+        m = min(m * m, pl)
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
-        m = m * m
-        if m >= p ** (2 * l):
-            break
     return hensel_lift(p, g, modular[:k], l) + hensel_lift(p, h, modular[k:], l)
 
 

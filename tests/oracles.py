@@ -1,7 +1,9 @@
 """Independent cross-checks used by the test suite.
 
 Each oracle recomputes a result the library produces, by a different
-mechanism: factorization by bounded divisor search, biinfinite solution
+mechanism: factorization by bounded divisor search, products term by
+term, gcds by Euclid over the rationals, factorization over GF(p) by trial
+division by every monic polynomial of low degree, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
 evaluating every template on every window, the essential states of a graph
@@ -92,6 +94,91 @@ def box_factor(f: LaurentPoly):
         g = LaurentPoly.from_coeffs(part)
         out[g] = out.get(g, 0) + 1
     return sorted(out.items(), key=lambda kv: (kv[0].degree_span(), kv[0].dense()))
+
+
+# -- products, gcds and factors over GF(p), the direct way ---------------
+
+
+def schoolbook_mul(f, g):
+    """Product of dense integer polynomials, term by term, high zeros dropped."""
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def gcd_over_Q(f, g):
+    """Primitive gcd with positive lead, by Euclid's algorithm over Fraction."""
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c) for c in g]
+    while a and a[-1] == 0:
+        a.pop()
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            coef = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for j, c in enumerate(b):
+                rem[shift + j] -= coef * c
+            rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+        a, b = b, rem
+    if not a:
+        return []
+    den = math.lcm(*(c.denominator for c in a))
+    return list(_primitive_positive([int(c * den) for c in a]))
+
+
+def gf_factor_bruteforce(f, p):
+    """Monic irreducible factors of f over GF(p), with multiplicity, sorted.
+
+    Trial division by every monic polynomial of degree 1, 2, ... in turn,
+    up to half the degree of what is left: a divisor found at the lowest
+    degree still possible is irreducible.  All candidates of one degree are
+    divided at once, as rows of an integer array.
+    """
+    rest = [c % p for c in f]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    inv = pow(rest[-1], -1, p)
+    rest = [c * inv % p for c in rest]
+    out = []
+    d = 1
+    while 2 * d <= len(rest) - 1:
+        # Rows: the monic candidates of degree d, low coefficients first.
+        low = np.array(list(product(range(p), repeat=d)), dtype=np.int64).reshape(-1, d)
+        cands = np.hstack([low, np.ones((len(low), 1), dtype=np.int64)])
+        rem = np.tile(np.array(rest, dtype=np.int64), (len(cands), 1))
+        for k in range(len(rest) - 1, d - 1, -1):
+            rem[:, k - d : k + 1] = (rem[:, k - d : k + 1] - rem[:, k : k + 1] * cands) % p
+        for c, r in zip(cands, rem):
+            if r.any():
+                continue
+            g = [int(x) for x in c]
+            while (q := _gf_exact_quotient(rest, g, p)) is not None:
+                out.append(g)
+                rest = q
+        d += 1
+    if len(rest) > 1:
+        out.append(rest)
+    return sorted(out)
+
+
+def _gf_exact_quotient(f, g, p):
+    """f / g over GF(p) for monic g when g divides f, else None."""
+    rem = list(f)
+    q = [0] * (len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(g) - 1] % p
+        for j, c in enumerate(g):
+            rem[k + j] = (rem[k + j] - q[k] * c) % p
+    return None if any(rem) else q
 
 
 # -- biinfinite solution counts mod p -----------------------------------

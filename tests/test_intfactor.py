@@ -3,12 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycover import _intfactor
 from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
-from oracles import _poly_div_exact
+from oracles import _poly_div_exact, gcd_over_Q, gf_factor_bruteforce, schoolbook_mul
 
 
 def cyclotomic(n):
@@ -116,7 +117,135 @@ def test_non_squarefree_input_goes_through_yun(monkeypatch):
     assert not gcds
 
 
+# -- kernels against their oracles ---------------------------------------
+
+
+def _random_poly(rng, n, bits, negative=False):
+    """n coefficients of up to `bits` bits, nonzero lead; all <= 0 if negative."""
+    f = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+    if negative:
+        f = [-abs(c) for c in f]
+    f[-1] = f[-1] or (-1 if negative else 1)
+    return f
+
+
+def test_mul_matches_schoolbook():
+    rng = random.Random(71)
+    cut = _intfactor._KRONECKER_MIN
+    lengths = (1, 2, cut - 1, cut, cut + 1, 40, 130)
+    for trial in range(300):
+        m, n = rng.choice(lengths), rng.choice(lengths)
+        bits = rng.choice((1, 3, 30, 64, 500, 3000))
+        negative = trial % 5 == 0
+        f, g = _random_poly(rng, m, bits, negative), _random_poly(rng, n, bits, negative)
+        assert _intfactor.mul(f, g) == schoolbook_mul(f, g), (m, n, bits)
+    # Cancellation: internal zeros, zeros at the low end, high zeros in an input.
+    for n in (cut - 1, cut, 3 * cut):
+        alt = [(-1) ** i for i in range(n)]
+        assert _intfactor.mul([1, 1] + [0] * cut, alt) == [1] + [0] * (n - 1) + [(-1) ** (n - 1)]
+        assert _intfactor.mul([1] * n, [-1, 1] + [0] * n) == [-1] + [0] * (n - 1) + [1]
+        low = [0] * n + [3 * 2**3000, -1]
+        assert _intfactor.mul(low, low) == schoolbook_mul(low, low)
+        assert _intfactor.mul([0] * n, alt) == []
+
+
+@given(
+    st.lists(st.integers(-(2**200), 2**200), max_size=40),
+    st.lists(st.integers(-(2**200), 2**200), max_size=40),
+)
+def test_mul_matches_schoolbook_on_any_lists(f, g):
+    assert _intfactor.mul(f, g) == schoolbook_mul(f, g)
+
+
+def test_int_poly_gcd_matches_euclid_over_Q():
+    rng = random.Random(72)
+    for trial in range(200):
+        if trial % 10 == 0:
+            common = [rng.choice((1, -1, 6))]
+        else:
+            common = _random_poly(rng, rng.randint(1, 6), rng.choice((1, 4, 40)))
+        f = _intfactor.mul(common, _random_poly(rng, rng.randint(1, 7), 5))
+        g = _intfactor.mul(common, _random_poly(rng, rng.randint(1, 7), 5))
+        if trial % 25 == 1:
+            g = []
+        elif trial % 25 == 2:
+            f = [rng.randint(1, 30)]
+        assert _intfactor.int_poly_gcd(f, g) == gcd_over_Q(f, g), trial
+    assert _intfactor.int_poly_gcd([], []) == gcd_over_Q([], []) == []
+    assert _intfactor.int_poly_gcd([0, -4, -6], []) == [0, 2, 3]
+
+
+def _squarefree_mod_p(rng, p, max_degree):
+    """A random monic squarefree f over GF(p) of degree 1..max_degree, factored."""
+    while True:
+        f = [rng.randrange(p) for _ in range(rng.randint(1, max_degree))] + [1]
+        facs = gf_factor_bruteforce(f, p)
+        if len(set(map(tuple, facs))) == len(facs):
+            return f, facs
+
+
+def _equal_degree_product(rng, p, d, k):
+    """A product of k distinct monic irreducibles of degree d over GF(p)."""
+    found = set()
+    while len(found) < k:
+        g = [rng.randrange(p) for _ in range(d)] + [1]
+        if gf_factor_bruteforce(g, p) == [g]:
+            found.add(tuple(g))
+    facs = sorted(map(list, found))
+    f = [1]
+    for g in facs:
+        f = [c % p for c in schoolbook_mul(f, g)]
+    return f, facs
+
+
+def test_berlekamp_matches_trial_division():
+    rng = random.Random(73)
+    for trial in range(300):
+        p = (2, 3, 5, 7, 11)[trial % 5]
+        if trial % 3 == 0:
+            d = rng.randint(1, 3)
+            irreducibles = {1: p, 2: (p * p - p) // 2, 3: (p**3 - p) // 3}[d]
+            k = min(rng.randint(2, 10 // d), irreducibles)
+            f, facs = _equal_degree_product(rng, p, d, k)
+        else:
+            f, facs = _squarefree_mod_p(rng, p, 10)
+        assert _intfactor.berlekamp(f, p) == facs, (p, f)
+
+
 # -- cost guards (counts, not timings) ----------------------------------
+
+
+def test_cyclotomic_product_splits_with_few_gcds(monkeypatch):
+    # Each Berlekamp factor is split once per basis vector, peeling one value
+    # class per gcd, not tried against every (vector, value) pair.
+    calls = []
+    real_gcd = _intfactor.gf_gcd
+    monkeypatch.setattr(_intfactor, "gf_gcd", lambda f, g, p: calls.append(p) or real_gcd(f, g, p))
+    factors = _intfactor.factor_squarefree(t_power_minus_one(96))
+    assert canonical(factors) == canonical([cyclotomic(d) for d in range(1, 97) if 96 % d == 0])
+    assert len(calls) <= 400
+
+
+def test_torus_delta_lifts_to_exactly_p_to_the_l(monkeypatch):
+    d = [(-1) ** i for i in range(301)]  # Delta of T(2,301)
+    targets, moduli = [], []
+    real_lift, real_divmod = _intfactor.hensel_lift, _intfactor.gf_divmod
+
+    def lift(p, g, modular, l):
+        targets.append(p**l)
+        return real_lift(p, g, modular, l)
+
+    def divmod_spy(f, g, p):
+        moduli.append(p)
+        return real_divmod(f, g, p)
+
+    monkeypatch.setattr(_intfactor, "hensel_lift", lift)
+    monkeypatch.setattr(_intfactor, "gf_divmod", divmod_spy)
+    factors = _intfactor.factor_squarefree(d)
+    assert canonical(factors) == canonical([cyclotomic(14), cyclotomic(86), cyclotomic(602)])
+    assert len(set(targets)) == 1
+    assert max(moduli) == targets[0]
+
 
 
 def test_irreducible_delta_needs_no_hensel_lift(monkeypatch):
@@ -192,6 +321,13 @@ def test_torus_delta_matches_sympy():
     of_sum = _sympy_factors([1] + [0] * 300 + [1])
     assert ((1, 1), 1) in of_sum
     assert _mine(d) == [fm for fm in of_sum if fm != ((1, 1), 1)]
+
+
+def test_squared_cyclotomic_product_matches_sympy():
+    # Degree 164, not squarefree: Yun's gcds run on the dense input.
+    f = product(*(cyclotomic(n) for n in (25, 25, 27, 27, 33, 33, 35, 35)))
+    assert len(f) == 165
+    assert _mine(f) == _sympy_factors(f)
 
 
 def test_twobridge_1001_3_delta_matches_sympy():
