@@ -4,6 +4,13 @@ Commands: parse, alex, criteria (alias analyze), twobridge, rs, reps,
 recurrence.  Exit codes: 0 success, 1 domain error (valid input outside
 an operation's domain), 2 parse/usage error.  With --json, output is a
 stable Report object; identical inputs give byte-identical JSON.
+
+Each handler imports the modules it runs, so a call loads only its own
+subcommand: `criteria` never compiles `repshift`, and `reps` never compiles
+`criteria`.  Only `words` and `laurent` load at the top, for the helpers
+every subcommand shares.  `laurent` imports `_intfactor` eagerly on
+purpose: code that looks the factoring module up in `sys.modules` after
+loading the package (the benchmark's tracer among it) finds it there.
 """
 
 from __future__ import annotations
@@ -13,20 +20,14 @@ import hashlib
 import json
 import sys
 from dataclasses import fields, is_dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .alexander import (
-    DEFAULT_PRIMES,
-    alexander_polynomial,
-)
-from .criteria import analyze
 from .laurent import INFINITE, LaurentPoly
-from .recurrence import AuxPolynomial, has_integer_biinfinite, witness_sequence
-from .repshift import FiniteGroup, build_sft, census, enumerate_periodic
-from .rscover import abelianized_recurrence, reidemeister_schreier
-from .twobridge import TwoBridgeParams, family_presentation, presentation
 from .words import ParseError, Presentation, parse_presentation, validate_weighting
+
+if TYPE_CHECKING:
+    from .repshift import FiniteGroup
 
 
 class DomainError(Exception):
@@ -92,10 +93,13 @@ def _resolve_chi(p: Presentation, chi_arg: Optional[str]) -> dict[str, int]:
 
 
 def _parse_primes(arg: Optional[str]):
+    from .alexander import DEFAULT_PRIMES
+
     if arg is None:
         return DEFAULT_PRIMES
     try:
-        return tuple(int(x) for x in arg.split(","))
+        # a repeated prime is reduced and reported once, where first named
+        return tuple(dict.fromkeys(int(x) for x in arg.split(",")))
     except ValueError:
         raise DomainError(f"bad --primes list {arg!r}")
 
@@ -141,6 +145,8 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_alex(args) -> None:
+    from .alexander import alexander_polynomial
+
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     primes = _parse_primes(args.primes)
@@ -162,6 +168,8 @@ def _cmd_alex(args) -> None:
 
 
 def _cmd_criteria(args) -> None:
+    from .criteria import analyze
+
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     primes = _parse_primes(args.primes)
@@ -194,6 +202,8 @@ def _cmd_criteria(args) -> None:
 
 
 def _cmd_twobridge(args) -> None:
+    from .twobridge import TwoBridgeParams, family_presentation, presentation
+
     if args.family is not None:
         p = family_presentation(args.family)
         source = f"family:{args.family}"
@@ -206,6 +216,8 @@ def _cmd_twobridge(args) -> None:
 
 
 def _cmd_rs(args) -> None:
+    from .rscover import abelianized_recurrence, reidemeister_schreier
+
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     sp = reidemeister_schreier(p, chi)
@@ -232,6 +244,8 @@ def _cmd_rs(args) -> None:
 
 
 def _group_from_args(args) -> FiniteGroup:
+    from .repshift import FiniteGroup
+
     if args.table is not None:
         return FiniteGroup.from_table(_read_file(args.table), name=args.table)
     name = args.group
@@ -245,6 +259,9 @@ def _group_from_args(args) -> FiniteGroup:
 
 
 def _cmd_reps(args) -> None:
+    from .repshift import build_sft, census, enumerate_periodic
+    from .rscover import reidemeister_schreier
+
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     F = _group_from_args(args)
@@ -281,6 +298,8 @@ def _cmd_reps(args) -> None:
 
 
 def _cmd_recurrence(args) -> None:
+    from .recurrence import AuxPolynomial, has_integer_biinfinite, witness_sequence
+
     try:
         desc = [int(x) for x in args.coeffs.split(",")]
     except ValueError:

@@ -41,6 +41,7 @@ from typing import Optional
 from .rscover import ShiftPresentation, abelianized_recurrence
 
 STATE_CAP = 10**6
+ENTROPY_MAX_ITER = 100000  # power-iteration steps before entropy gives up
 
 
 class CapExceeded(ValueError):
@@ -504,7 +505,7 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
-    h = entropy(g, tol)
+    h = _perron_log(offsets, targets, tol, ENTROPY_MAX_ITER)
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
@@ -602,16 +603,21 @@ def _all_sccs_simple_cycles(offsets: array, targets: array) -> bool:
     return True
 
 
-def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = 100000) -> float:
+def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = ENTROPY_MAX_ITER) -> float:
     """Log of the Perron root of the essential adjacency matrix.
 
     Power iteration on exact integer vectors applied to (A + I); the +I
     keeps periodic graphs from oscillating.  The growth ratio of the
     vector sum converges to 1 + the Perron root of A.
     """
+    _, offsets, targets = _essential_adjacency(g)
+    return _perron_log(offsets, targets, tol, max_iter)
+
+
+def _perron_log(offsets: array, targets: array, tol: float, max_iter: int) -> float:
+    """`entropy` of the essential subgraph given in CSR form."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _, offsets, targets = _essential_adjacency(g)
     n = len(offsets) - 1
     if len(targets) <= n:
         # one essential successor per essential state: disjoint cycles

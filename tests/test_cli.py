@@ -106,6 +106,14 @@ def test_alex_custom_primes(capsys, dyadic_file):
     assert code == 1
 
 
+def test_repeated_prime_is_reported_once(capsys, dyadic_file):
+    code, out, _ = run(capsys, "alex", dyadic_file, "--primes", "5,3,5")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()[2:]] == ["mod 5", "mod 3"]
+    r = run_json(capsys, "criteria", dyadic_file, "--primes", "5,3,5,3")["result"]
+    assert [rec["p"] for rec in r["primes"]] == [5, 3]
+
+
 def test_alex_bad_chi_syntax(capsys, dyadic_file):
     code, _, err = run(capsys, "alex", dyadic_file, "--chi", "t:1")
     assert code == 1
@@ -337,3 +345,42 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "yes" in proc.stdout
+
+
+# Every call also loads the package root, the command line, and the
+# shared words, laurent and _intfactor modules.
+SHARED = {"cycover", "cycover.cli", "cycover.words", "cycover.laurent", "cycover._intfactor"}
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        (["twobridge", "5", "3"], {"twobridge"}),
+        (["criteria", "dyadic.txt"], {"alexander", "criteria"}),
+        (["alex", "dyadic.txt"], {"alexander"}),
+        (["reps", "dyadic.txt", "--group", "S3"], {"rscover", "repshift"}),
+        (["rs", "dyadic.txt"], {"rscover"}),
+        (["recurrence", "1,-1,-1"], {"recurrence"}),
+    ],
+    ids=["twobridge", "criteria", "alex", "reps", "rs", "recurrence"],
+)
+def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
+    (tmp_path / "dyadic.txt").write_text(DYADIC_TEXT)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from cycover.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cycover'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cycover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    assert set(loaded) == SHARED | {f"cycover.{m}" for m in own}

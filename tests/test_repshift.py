@@ -376,6 +376,22 @@ def test_census_family3_s3_positive_entropy():
     assert abs(c.entropy - math.log(3) / 3) < 1e-5
 
 
+def test_census_builds_the_essential_subgraph_once(monkeypatch):
+    g = family_sft(3, FiniteGroup.symmetric(3))
+    builds = []
+    adjacency = repshift._essential_adjacency
+
+    def counting_adjacency(graph):
+        builds.append(graph)
+        return adjacency(graph)
+
+    monkeypatch.setattr(repshift, "_essential_adjacency", counting_adjacency)
+    c = census(g)
+    assert c.classification == "PositiveEntropy"
+    assert len(builds) == 1
+    assert c.entropy == entropy(g)
+
+
 def test_census_family3_z3_only_trivial():
     c = census(family_sft(3, FiniteGroup.cyclic(3)))
     assert c.classification == "OnlyTrivial"
