@@ -3,14 +3,22 @@
 Internal helper for the laurent module.  Polynomials are lists of int
 coefficients in ascending order of exponent, with no high-order zeros;
 [] is the zero polynomial.  Products of two polynomials of 16 or more terms
-each are taken by Kronecker substitution: one integer product of the two
-polynomials packed into byte-aligned slots.  Factorization follows the
-classical route (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15):
+each (28 or more when the coefficients are wide) are taken by Kronecker
+substitution: one integer product of the two polynomials packed into
+byte-aligned slots.  Factorization follows the classical route (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), after an exact
+cyclotomic split:
 
 - squarefree decomposition: when f is squarefree modulo one of the first
   few primes not dividing its leading coefficient it is squarefree over Z
   and Yun's algorithm is skipped; otherwise Yun's algorithm runs on gcds
   taken by a primitive remainder sequence over Z;
+- cyclotomic split (cf. Bradford & Davenport, Effective tests for
+  cyclotomic polynomials, ISSAC 1988): for every m with phi(m) <= deg f, in
+  increasing order, Phi_m can divide f only if Phi_m(b) divides f(b),
+  b = 2^8; each hit is confirmed by exact division and divided out, and
+  the cofactor, which has no cyclotomic factor left, goes on to the steps
+  below unless it is constant or linear;
 - Berlekamp factorization modulo the first three good primes, keeping the
   prime with the fewest factors; each factor found so far is split by one
   basis vector of the Berlekamp algebra at a time, peeling off one value
@@ -79,16 +87,25 @@ def sub(f: list[int], g: list[int]) -> list[int]:
     return strip([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
 
 
-# Products with a factor shorter than this are multiplied term by term;
-# longer ones by Kronecker substitution.
+# Products with a factor shorter than _KRONECKER_MIN terms are multiplied
+# term by term, longer ones by Kronecker substitution.  Its slots are twice a
+# coefficient's width, so once the product's coefficient bound passes
+# _WIDE_BITS (coefficients of about 380 bits) the term-by-term loop stays
+# faster up to _KRONECKER_MIN_WIDE terms.
 _KRONECKER_MIN = 16
+_KRONECKER_MIN_WIDE = 28
+_WIDE_BITS = 768
 
 
 def mul(f: list[int], g: list[int]) -> list[int]:
     if not f or not g:
         return []
     n = len(f) + len(g) - 1
-    if len(f) < _KRONECKER_MIN or len(g) < _KRONECKER_MIN:
+    short = min(len(f), len(g))
+    bits = 0
+    if short >= _KRONECKER_MIN:
+        bits = (max(map(abs, f)) * max(map(abs, g)) * short).bit_length()
+    if short < (_KRONECKER_MIN if bits <= _WIDE_BITS else _KRONECKER_MIN_WIDE):
         out = [0] * n
         for i, a in enumerate(f):
             if a:
@@ -99,8 +116,7 @@ def mul(f: list[int], g: list[int]) -> list[int]:
     # wide enough for any coefficient of the product plus a sign bit.  Each
     # operand is packed with half a slot added to every coefficient, which
     # makes every slot nonnegative, and that offset is then taken off again.
-    bound = max(map(abs, f)) * max(map(abs, g)) * min(len(f), len(g))
-    w = bound.bit_length() // 8 + 1
+    w = bits // 8 + 1
     half = 1 << (8 * w - 1)
     halves = bytes(w - 1) + b"\x80"
     x = int.from_bytes(b"".join([(a + half).to_bytes(w, "little") for a in f]), "little")
@@ -482,6 +498,138 @@ def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[
     return hensel_lift(p, g, modular[:k], l) + hensel_lift(p, h, modular[k:], l)
 
 
+# -- cyclotomic factors -------------------------------------------------
+
+# The split evaluates at b = 2^_CYCLOTOMIC_BITS: a small b keeps f(b) and each
+# Phi_m(b) short, and the rare false hit it lets through costs one exact division.
+_CYCLOTOMIC_BITS = 8
+
+
+def _totients(n: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(m, phi(m), the primes dividing m) for every m with phi(m) <= n, ascending m.
+
+    A prime p dividing such an m has p - 1 <= n.  As phi is multiplicative,
+    each m is built once, from powers of those primes taken in increasing order.
+    """
+    if n < 1:
+        return []
+    out: list[tuple[int, int, tuple[int, ...]]] = [(1, 1, ())]
+    for p in _primes():
+        if p - 1 > n:
+            break
+        for m, ph, ps in list(out):
+            pk, phk = p, p - 1
+            while ph * phk <= n:
+                out.append((m * pk, ph * phk, ps + (p,)))
+                pk *= p
+                phk *= p
+    return sorted(out)
+
+
+def _moebius_divisors(primes: tuple[int, ...]) -> list[tuple[int, bool]]:
+    """(d, mu(r/d) == -1) for each divisor d of r = prod(primes)."""
+    r = math.prod(primes)
+    subsets = (s for k in range(len(primes) + 1) for s in combinations(primes, k))
+    return [(r // math.prod(s), len(s) % 2 == 1) for s in subsets]
+
+
+def _cyclotomic_value(m: int, primes: tuple[int, ...], x: int) -> int:
+    """Phi_m(x) = Phi_r(y), y = x^(m/r), r = prod(primes) the radical of m.
+
+    Phi_r(y) is the product of (y^d - 1)^mu(r/d) over the divisors d of r.
+    """
+    y = x ** (m // math.prod(primes))
+    num = den = 1
+    for d, inverse in _moebius_divisors(primes):
+        if inverse:
+            den *= y**d - 1
+        else:
+            num *= y**d - 1
+    return num // den
+
+
+def _cyclotomic_poly(m: int, primes: tuple[int, ...]) -> list[int]:
+    """Phi_m(t) = Phi_r(t^(m/r)), r = prod(primes) the radical of m.
+
+    For r > 1, Phi_r is the product of (1 - t^d)^mu(r/d) over the divisors d
+    of r, taken as a power series truncated at its degree phi(r).
+    """
+    if m == 1:
+        return [-1, 1]
+    r = math.prod(primes)
+    n = math.prod(p - 1 for p in primes)
+    c = [1] + [0] * n
+    for d, inverse in _moebius_divisors(primes):
+        if inverse:
+            for i in range(d, n + 1):
+                c[i] += c[i - d]
+        else:
+            for i in range(n, d - 1, -1):
+                c[i] -= c[i - d]
+    s = m // r
+    out = [0] * (n * s + 1)
+    out[::s] = c
+    return out
+
+
+class _CyclotomicTable:
+    """Constants of the cyclotomic split for every m with phi(m) <= degree.
+
+    rows holds (m, phi(m), Phi_m(b), the primes dividing m) in ascending m;
+    polys holds each Phi_m the split has divided by.  The table grows with
+    the largest degree split so far and is never trimmed.
+    """
+
+    def __init__(self) -> None:
+        self.degree = 0
+        self.rows: list[tuple[int, int, int, tuple[int, ...]]] = []
+        self.polys: dict[int, list[int]] = {}
+
+    def cover(self, n: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        if n > self.degree:
+            b = 1 << _CYCLOTOMIC_BITS
+            known = {row[0]: row for row in self.rows}
+            self.rows = [
+                known.get(m) or (m, ph, _cyclotomic_value(m, ps, b), ps)
+                for m, ph, ps in _totients(n)
+            ]
+            self.degree = n
+        return self.rows
+
+    def poly(self, m: int, primes: tuple[int, ...]) -> list[int]:
+        if m not in self.polys:
+            self.polys[m] = _cyclotomic_poly(m, primes)
+        return self.polys[m]
+
+
+_CYCLOTOMIC = _CyclotomicTable()
+
+
+def _split_cyclotomic(f: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The cyclotomic factors Phi_m of a squarefree f, ascending m, and the cofactor.
+
+    If Phi_m divides f then Phi_m(b) divides f(b), b = 2^_CYCLOTOMIC_BITS, so
+    f(b) is formed once and every m with phi(m) <= deg f costs one integer
+    remainder.  Each hit is confirmed by exact division before it is divided
+    out; the cofactor has no cyclotomic factor left.
+    """
+    n = degree(f)
+    rows = _CYCLOTOMIC.cover(n)
+    fb = 0
+    for c in reversed(f):
+        fb = (fb << _CYCLOTOMIC_BITS) + c
+    found = []
+    for m, ph, at_b, primes in rows:
+        if ph > n or fb % at_b:
+            continue
+        phi_m = _CYCLOTOMIC.poly(m, primes)
+        q = exact_div_int(f, phi_m)
+        if q is not None:
+            found.append(list(phi_m))
+            f, fb, n = q, fb // at_b, n - ph
+    return found, f
+
+
 # -- Zassenhaus ---------------------------------------------------------
 
 
@@ -541,19 +689,23 @@ def _balanced_value(lc: int, values: list[int], subset: tuple[int, ...], m: int)
 def factor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f, positive lead, deg >= 1.
 
-    f(0) must be nonzero.
+    f(0) must be nonzero.  The cyclotomic factors come first, in ascending m.
     """
     f = strip(list(f))
     assert f and f[-1] > 0 and degree(f) >= 1
-    if degree(f) == 1:
-        return [f]
+    out, f = _split_cyclotomic(f)
+    if degree(f) <= 1:
+        return out + [f] if degree(f) == 1 else out
     p, modular, degrees = _choose_prime(f)
     if degrees == 1 | 1 << degree(f):
-        return [f]
+        return out + [f]
     B = _mignotte_bound(f)
-    l = max(1, math.ceil(math.log(2 * B + 1, p)))
+    # The least l with p^l > 2B, in integers: a float logarithm can round
+    # p^l down to 2B itself.
+    l, pl = 1, p
+    while pl <= 2 * B:
+        l, pl = l + 1, pl * p
     lifted = hensel_lift(p, f, modular, l)
-    pl = p**l
     deg = [degree(g) for g in lifted]
     at0 = [g[0] for g in lifted]
     at1 = [sum(g) % pl for g in lifted]
@@ -567,7 +719,6 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
     # f, so its coefficients are at most B too.
     remaining = list(range(len(lifted)))
     current = f
-    out: list[list[int]] = []
     s = 1
     while 2 * s <= len(remaining):
         found = False

@@ -3,7 +3,9 @@
 Each oracle recomputes a result the library produces, by a different
 mechanism: factorization by bounded divisor search, products term by
 term, gcds by Euclid over the rationals, factorization over GF(p) by trial
-division by every monic polynomial of low degree, biinfinite solution
+division by every monic polynomial of low degree, cyclotomic polynomials by
+rational division of t^m - 1 and the cyclotomic factors of a polynomial by
+trying every one of small enough degree, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
 evaluating every template on every window, the essential states of a graph
@@ -179,6 +181,44 @@ def _gf_exact_quotient(f, g, p):
         for j, c in enumerate(g):
             rem[k + j] = (rem[k + j] - q[k] * c) % p
     return None if any(rem) else q
+
+
+# -- cyclotomic factors by rational division -----------------------------
+
+
+def totients_upto(n):
+    """[phi(0), phi(1), ..., phi(n)] by a sieve, phi(0) = 0."""
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            for k in range(p, n + 1, p):
+                phi[k] -= phi[k] // p
+    return phi
+
+
+_CYCLOTOMIC = {}
+
+
+def cyclotomic(m):
+    """Phi_m, dividing t^m - 1 by Phi_d for each divisor d < m of m in turn."""
+    if m not in _CYCLOTOMIC:
+        f = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                f = _poly_div_exact(f, cyclotomic(d))
+        _CYCLOTOMIC[m] = f
+    return list(_CYCLOTOMIC[m])
+
+
+def cyclotomic_divisors(f):
+    """Ascending m with Phi_m dividing f, trying every m with phi(m) <= deg f.
+
+    phi(m) >= sqrt(m / 2) for every m, so no such m exceeds 2 deg(f)^2.
+    """
+    n = len(f) - 1
+    phi = totients_upto(2 * n * n)
+    candidates = [m for m in range(1, len(phi)) if phi[m] <= n]
+    return [m for m in candidates if _poly_div_exact(f, cyclotomic(m)) is not None]
 
 
 # -- biinfinite solution counts mod p -----------------------------------

@@ -1,6 +1,8 @@
 """Zassenhaus factorization over Z: pruning soundness, cost guards, oracles."""
 
+import math
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,15 +11,31 @@ from cycover import _intfactor
 from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
-from oracles import _poly_div_exact, gcd_over_Q, gf_factor_bruteforce, schoolbook_mul
+from oracles import (
+    cyclotomic,
+    cyclotomic_divisors,
+    gcd_over_Q,
+    gf_factor_bruteforce,
+    schoolbook_mul,
+    totients_upto,
+)
 
 
-def cyclotomic(n):
-    """Phi_n, dividing t^n - 1 by Phi_d for the proper divisors d of n."""
-    f = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            f = _poly_div_exact(f, cyclotomic(d))
+def swinnerton_dyer(k):
+    """SD(k): the monic polynomial whose roots are all the sums of +-sqrt(p)
+    over the first k primes.
+
+    Each prime p takes P(t) to P(t + sqrt p) P(t - sqrt p) = A^2 - p B^2,
+    where P(t + sqrt p) = A(t) + sqrt(p) B(t) with A, B over Z.
+    """
+    f = [0, 1]
+    for p in (2, 3, 5, 7, 11)[:k]:
+        a, b = [0] * len(f), [0] * len(f)
+        for n, c in enumerate(f):
+            for j in range(n + 1):
+                (b if j % 2 else a)[n - j] += c * math.comb(n, j) * p ** (j // 2)
+        aa, bb = schoolbook_mul(a, a), schoolbook_mul(b, b)
+        f = [x - p * y for x, y in zip_longest(aa, bb, fillvalue=0)]
     return f
 
 
@@ -72,7 +90,7 @@ def test_non_monic_factors_with_large_values_at_zero_and_one():
 
 
 def test_squarefree_input_vanishing_at_one():
-    # f(1) = 0 turns the t = 1 pre-test off; the t = 0 test still prunes.
+    # f(1) = 0: the cyclotomic split takes t - 1 off before recombination.
     for n in (12, 30, 36):
         f = t_power_minus_one(n)
         expect = [cyclotomic(d) for d in range(1, n + 1) if n % d == 0]
@@ -131,8 +149,8 @@ def _random_poly(rng, n, bits, negative=False):
 
 def test_mul_matches_schoolbook():
     rng = random.Random(71)
-    cut = _intfactor._KRONECKER_MIN
-    lengths = (1, 2, cut - 1, cut, cut + 1, 40, 130)
+    cut, wide = _intfactor._KRONECKER_MIN, _intfactor._KRONECKER_MIN_WIDE
+    lengths = (1, 2, cut - 1, cut, cut + 1, wide - 1, wide, 40, 130)
     for trial in range(300):
         m, n = rng.choice(lengths), rng.choice(lengths)
         bits = rng.choice((1, 3, 30, 64, 500, 3000))
@@ -147,6 +165,16 @@ def test_mul_matches_schoolbook():
         low = [0] * n + [3 * 2**3000, -1]
         assert _intfactor.mul(low, low) == schoolbook_mul(low, low)
         assert _intfactor.mul([0] * n, alt) == []
+
+
+def test_mul_matches_schoolbook_at_wide_coefficients():
+    # Shapes on both sides of the cut-offs on length and coefficient size.
+    rng = random.Random(75)
+    for m, n in ((64, 16), (64, 20), (300, 16), (64, 27), (64, 28), (300, 28)):
+        for bits in (300, 380, 384, 500):
+            f, g = _random_poly(rng, m, bits), _random_poly(rng, n, bits)
+            assert _intfactor.mul(f, g) == schoolbook_mul(f, g), (m, n, bits)
+            assert _intfactor.mul(g, f) == schoolbook_mul(g, f), (n, m, bits)
 
 
 @given(
@@ -212,22 +240,97 @@ def test_berlekamp_matches_trial_division():
         assert _intfactor.berlekamp(f, p) == facs, (p, f)
 
 
+# -- the cyclotomic split -------------------------------------------------
+
+
+def test_cyclotomic_candidates_are_every_m_with_small_totient():
+    limit = 400
+    phi = totients_upto(2 * limit * limit)
+    by_phi = sorted((phi[m], m) for m in range(1, len(phi)) if phi[m] <= limit)
+    table = _intfactor._CyclotomicTable()
+    for n in range(limit + 1):
+        brute = sorted(m for ph, m in by_phi if ph <= n)
+        rows = _intfactor._totients(n)
+        assert [m for m, _, _ in rows] == brute, n
+        assert all(ph == phi[m] for m, ph, _ in rows), n
+        assert [row[0] for row in table.cover(n) if row[1] <= n] == brute, n
+    for m, _, primes in rows:
+        assert primes == tuple(q for q in range(2, m + 1) if m % q == 0 and phi[q] == q - 1), m
+
+
+def test_cyclotomic_split_matches_rational_division():
+    rng = random.Random(74)
+    phi = totients_upto(200)
+    others = ([1, -3, 1], [-1, 2], swinnerton_dyer(3))
+    for trial in range(16):
+        # Up to four distinct Phi_m, m <= 200, of total degree at most 48.
+        ms, budget = set(), 48
+        for _ in range(trial % 5):
+            choices = [m for m in range(1, 201) if phi[m] <= budget and m not in ms]
+            if not choices:
+                break
+            m = rng.choice(choices)
+            ms.add(m)
+            budget -= phi[m]
+        rest = rng.sample(others, rng.randint(1, 2))
+        parts = [cyclotomic(m) for m in ms] + rest
+        rng.shuffle(parts)
+        f = product(*parts)
+        found, cofactor = _intfactor._split_cyclotomic(f)
+        assert cyclotomic_divisors(f) == sorted(ms), trial
+        assert found == [cyclotomic(m) for m in sorted(ms)], trial
+        assert cofactor == product(*rest) and cyclotomic_divisors(cofactor) == [], trial
+
+
+def test_cyclotomic_inputs_skip_the_modular_path(monkeypatch):
+    def modular(*args):
+        raise AssertionError("modular path on a product of cyclotomic polynomials")
+
+    monkeypatch.setattr(_intfactor, "_choose_prime", modular)
+    monkeypatch.setattr(_intfactor, "hensel_lift", modular)
+    torus = [(-1) ** i for i in range(301)]  # Delta of T(2,301)
+    expect = [cyclotomic(14), cyclotomic(86), cyclotomic(602)]
+    assert _intfactor.factor_squarefree(torus) == expect
+    expect = [cyclotomic(d) for d in range(1, 121) if 120 % d == 0]
+    assert _intfactor.factor_squarefree(t_power_minus_one(120)) == expect
+
+
+def test_lift_precision_exceeds_twice_the_bound(monkeypatch):
+    # Monic, coefficients in {-1, 0, 1}, degree 52, no cyclotomic factor:
+    # B = 8 * 2^52, and a float logarithm gave p^l = 2^56 = 2B at p = 2.
+    f = [-1, -1, 0, 0, 0, -1, 0, -1, -1, 1, -1, 1, 1, -1, 1, 1, -1, 1, -1, 0, 1, -1, 0, 0, 0, 0, 0]
+    f += [0, 1, 1, -1, -1, -1, 0, -1, -1, -1, 1, -1, 1, 0, 1, 0, 1, -1, -1, 0, -1, -1, 1, -1, 0, 1]
+    lifts = []
+    real_lift = _intfactor.hensel_lift
+
+    def spy(p, g, modular, l):
+        lifts.append((p, l))
+        return real_lift(p, g, modular, l)
+
+    monkeypatch.setattr(_intfactor, "hensel_lift", spy)
+    factors = _intfactor.factor_squarefree(f)
+    assert product(*factors) == f and cyclotomic_divisors(f) == []
+    p, l = lifts[0]
+    assert p == 2 and p**l > 2 * _intfactor._mignotte_bound(f)
+
+
 # -- cost guards (counts, not timings) ----------------------------------
 
 
-def test_cyclotomic_product_splits_with_few_gcds(monkeypatch):
+def test_swinnerton_dyer_splits_with_few_gcds(monkeypatch):
     # Each Berlekamp factor is split once per basis vector, peeling one value
     # class per gcd, not tried against every (vector, value) pair.
     calls = []
     real_gcd = _intfactor.gf_gcd
     monkeypatch.setattr(_intfactor, "gf_gcd", lambda f, g, p: calls.append(p) or real_gcd(f, g, p))
-    factors = _intfactor.factor_squarefree(t_power_minus_one(96))
-    assert canonical(factors) == canonical([cyclotomic(d) for d in range(1, 97) if 96 % d == 0])
+    f = swinnerton_dyer(5)  # 16 quadratic factors modulo every good prime
+    factors = _intfactor.factor_squarefree(f)
+    assert factors == [f]
     assert len(calls) <= 400
 
 
-def test_torus_delta_lifts_to_exactly_p_to_the_l(monkeypatch):
-    d = [(-1) ** i for i in range(301)]  # Delta of T(2,301)
+def test_swinnerton_dyer_lifts_to_exactly_p_to_the_l(monkeypatch):
+    d = swinnerton_dyer(5)
     targets, moduli = [], []
     real_lift, real_divmod = _intfactor.hensel_lift, _intfactor.gf_divmod
 
@@ -242,10 +345,9 @@ def test_torus_delta_lifts_to_exactly_p_to_the_l(monkeypatch):
     monkeypatch.setattr(_intfactor, "hensel_lift", lift)
     monkeypatch.setattr(_intfactor, "gf_divmod", divmod_spy)
     factors = _intfactor.factor_squarefree(d)
-    assert canonical(factors) == canonical([cyclotomic(14), cyclotomic(86), cyclotomic(602)])
+    assert factors == [d]
     assert len(set(targets)) == 1
     assert max(moduli) == targets[0]
-
 
 
 def test_irreducible_delta_needs_no_hensel_lift(monkeypatch):
@@ -308,7 +410,7 @@ def test_swinnerton_dyer_matches_sympy(k):
 
     x = sympy.symbols("x")
     f = [int(c) for c in reversed(sympy.Poly(swinnerton_dyer_poly(k, x), x).all_coeffs())]
-    assert len(f) == 2**k + 1
+    assert f == swinnerton_dyer(k)
     assert _mine(f) == _sympy_factors(f) == [(tuple(f), 1)]
 
 
