@@ -1,24 +1,29 @@
-"""Exact finite-index analysis of weighting kernels of finitely presented groups."""
+"""Exact finite-index analysis of weighting kernels of finitely presented groups.
+
+The names below are loaded from their modules on first use (PEP 562), so
+importing the package, or a submodule such as the command line, compiles
+no module it does not need.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .words import (
-    FreeWord,
-    Presentation,
-    ParseError,
-    NotKnotLike,
-    parse_presentation,
-)
-from .laurent import LaurentPoly, INFINITE, factor_over_Z
+_EXPORTS = {
+    "FreeWord": "words",
+    "Presentation": "words",
+    "ParseError": "words",
+    "NotKnotLike": "words",
+    "parse_presentation": "words",
+    "LaurentPoly": "laurent",
+    "INFINITE": "laurent",
+    "factor_over_Z": "laurent",
+}
 
-__all__ = [
-    "FreeWord",
-    "Presentation",
-    "ParseError",
-    "NotKnotLike",
-    "parse_presentation",
-    "LaurentPoly",
-    "INFINITE",
-    "factor_over_Z",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,8 @@ coefficients in ascending order of exponent, with no high-order zeros;
 [] is the zero polynomial.  Products of two polynomials of 16 or more terms
 each (28 or more when the coefficients are wide) are taken by Kronecker
 substitution: one integer product of the two polynomials packed into
-byte-aligned slots.  Factorization follows the classical route (von zur
+byte-aligned slots by the `Kronecker` codec, which the Alexander determinant
+also uses.  Factorization follows the classical route (von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), after an exact
 cyclotomic split:
 
@@ -97,36 +98,51 @@ _KRONECKER_MIN_WIDE = 28
 _WIDE_BITS = 768
 
 
+class Kronecker:
+    """Kronecker substitution t = 2^(8w) for integer polynomials, w bytes a slot.
+
+    Built for a bound B on the absolute value of every coefficient packed or
+    unpacked, with the least w such that half a slot, 2^(8w - 1), exceeds B.
+    pack(f) is f(2^(8w)); unpack(x, n) reads back the n balanced slots of such
+    a value.  Each packed coefficient gets half a slot added, which makes every
+    slot nonnegative, and that offset is then taken off again; unpacking adds it
+    back, so each slot holds c + 2^(8w - 1) with no carry into the next.
+    """
+
+    __slots__ = ("w", "half", "_halves")
+
+    def __init__(self, bound: int) -> None:
+        self.w = bound.bit_length() // 8 + 1
+        self.half = 1 << (8 * self.w - 1)
+        self._halves = bytes(self.w - 1) + b"\x80"
+
+    def pack(self, f: list[int]) -> int:
+        w, half = self.w, self.half
+        x = int.from_bytes(b"".join([(a + half).to_bytes(w, "little") for a in f]), "little")
+        return x - int.from_bytes(self._halves * len(f), "little")
+
+    def unpack(self, x: int, n: int) -> list[int]:
+        w, half = self.w, self.half
+        z = (x + int.from_bytes(self._halves * n, "little")).to_bytes(n * w, "little")
+        return strip([int.from_bytes(z[i : i + w], "little") - half for i in range(0, n * w, w)])
+
+
 def mul(f: list[int], g: list[int]) -> list[int]:
     if not f or not g:
         return []
-    n = len(f) + len(g) - 1
     short = min(len(f), len(g))
-    bits = 0
     if short >= _KRONECKER_MIN:
-        bits = (max(map(abs, f)) * max(map(abs, g)) * short).bit_length()
-    if short < (_KRONECKER_MIN if bits <= _WIDE_BITS else _KRONECKER_MIN_WIDE):
-        out = [0] * n
-        for i, a in enumerate(f):
-            if a:
-                for j, b in enumerate(g):
-                    out[i + j] += a * b
-        return strip(out)
-    # Kronecker substitution: evaluate both at t = 2^(8w), w bytes per slot,
-    # wide enough for any coefficient of the product plus a sign bit.  Each
-    # operand is packed with half a slot added to every coefficient, which
-    # makes every slot nonnegative, and that offset is then taken off again.
-    w = bits // 8 + 1
-    half = 1 << (8 * w - 1)
-    halves = bytes(w - 1) + b"\x80"
-    x = int.from_bytes(b"".join([(a + half).to_bytes(w, "little") for a in f]), "little")
-    x -= int.from_bytes(halves * len(f), "little")
-    y = int.from_bytes(b"".join([(b + half).to_bytes(w, "little") for b in g]), "little")
-    y -= int.from_bytes(halves * len(g), "little")
-    # Every coefficient c of the product has |c| < half, so adding half to
-    # each slot leaves c + half in it, with no carry between slots.
-    z = (x * y + int.from_bytes(halves * n, "little")).to_bytes(n * w, "little")
-    return strip([int.from_bytes(z[i : i + w], "little") - half for i in range(0, n * w, w)])
+        bound = max(map(abs, f)) * max(map(abs, g)) * short
+        if short >= _KRONECKER_MIN_WIDE or bound.bit_length() <= _WIDE_BITS:
+            # Every coefficient of the product is at most bound in absolute value.
+            k = Kronecker(bound)
+            return k.unpack(k.pack(f) * k.pack(g), len(f) + len(g) - 1)
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return strip(out)
 
 
 def mul_ground(f: list[int], c: int) -> list[int]:

@@ -6,6 +6,13 @@ first homology of the kernel of chi as a module over the Laurent ring.
 For a two-generator one-relator presentation this matrix is 1x2 and the
 polynomial is a single entry; in general we delete the column of a
 generator of weight +-1 and take the determinant.
+
+The determinant is computed over the integers by Kronecker substitution.
+After each row is shifted by its lowest exponent, no coefficient of the
+determinant, nor of any minor, exceeds B, the product of the row 1-norms.
+Evaluating every entry at t = 2^(8w), with 2^(8w - 1) > B, turns the matrix
+into one of integers; fraction-free Bareiss elimination on it gives the
+determinant's value, whose balanced w-byte slots are its coefficients.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .laurent import INFINITE, LaurentPoly, ModPoly, exact_div, _Infinite
+from ._intfactor import Kronecker
+from .laurent import INFINITE, LaurentPoly, ModPoly, _Infinite
 from .words import FreeWord, Presentation
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -95,13 +103,40 @@ def alexander_matrix(p: Presentation, chi: Mapping[str, int]) -> AlexanderMatrix
 
 
 def _det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Fraction-free Bareiss determinant over the Laurent ring."""
+    """Determinant of a square matrix over Z[t, 1/t], by Kronecker substitution.
+
+    Each row is shifted by its lowest exponent, which leaves polynomials in t
+    and multiplies the determinant by t^-(sum of the row lows).  No coefficient
+    of the determinant exceeds B, the product of the row 1-norms (the sum over
+    a row of its entries' coefficient sizes), nor does any coefficient of a
+    minor, so every entry is evaluated at t = 2^(8w) with 2^(8w - 1) > B, and
+    fraction-free Bareiss elimination (Bareiss 1968) runs on those integers.
+    A minor vanishes exactly when its value does (its roots are at most 1 + B
+    in size), so the pivots are those of elimination over the polynomials,
+    and every division is exact.  The balanced byte slots of the last value
+    are the coefficients of the shifted determinant.  A 1 x 1 matrix is its
+    own determinant.
+    """
     k = len(rows)
     if k == 0:
         return LaurentPoly.constant(1)
-    a = [row[:] for row in rows]
+    if k == 1:
+        return rows[0][0]
+    bound, lows, span = 1, [], 1
+    for row in rows:
+        nonzero = [e for e in row if e]
+        if not nonzero:
+            return LaurentPoly.zero()
+        bound *= sum(abs(c) for e in nonzero for c in e.coeffs.values())
+        lows.append(min(e.low() for e in nonzero))
+        span += max(e.high() for e in nonzero) - lows[-1]
+    codec = Kronecker(bound)
+    a = [
+        [codec.pack([0] * (e.low() - lo) + e.dense()) if e else 0 for e in row]
+        for row, lo in zip(rows, lows)
+    ]
     sign = 1
-    prev = LaurentPoly.constant(1)
+    prev = 1
     for col in range(k - 1):
         piv = next((r for r in range(col, k) if a[r][col]), None)
         if piv is None:
@@ -109,15 +144,18 @@ def _det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
+        top = a[col]
+        p = top[col]
         for i in range(col + 1, k):
+            row = a[i]
+            c = row[col]
             for j in range(col + 1, k):
-                num = a[col][col] * a[i][j] - a[i][col] * a[col][j]
-                q = exact_div(num, prev)
-                assert q is not None, "Bareiss division must be exact"
-                a[i][j] = q
-            a[i][col] = LaurentPoly.zero()
-        prev = a[col][col]
-    return a[-1][-1] * sign
+                q, r = divmod(p * row[j] - c * top[j], prev)
+                if r:
+                    raise ArithmeticError("Bareiss division must be exact")
+                row[j] = q
+        prev = p
+    return LaurentPoly.from_coeffs(codec.unpack(sign * a[-1][-1], span), low=sum(lows))
 
 
 @dataclass(frozen=True)

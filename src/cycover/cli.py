@@ -7,10 +7,13 @@ stable Report object; identical inputs give byte-identical JSON.
 
 Each handler imports the modules it runs, so a call loads only its own
 subcommand: `criteria` never compiles `repshift`, and `reps` never compiles
-`criteria`.  Only `words` and `laurent` load at the top, for the helpers
-every subcommand shares.  `laurent` imports `_intfactor` eagerly on
-purpose: code that looks the factoring module up in `sys.modules` after
-loading the package (the benchmark's tracer among it) finds it there.
+`criteria`.  Only `words` loads at the top, for the helpers every
+subcommand shares, and the package exports its names lazily.  `alex`,
+`criteria`, `rs` and `recurrence` load `laurent` (the first two through
+`alexander`, `rs` through `RecurrenceRow.polynomial`); `parse`, `twobridge`
+and `reps` never do.  `laurent` imports `_intfactor` eagerly on purpose:
+code that looks the factoring module up in `sys.modules` after loading
+`laurent` (the benchmark's tracer among it) finds it there.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .laurent import INFINITE, LaurentPoly
 from .words import ParseError, Presentation, parse_presentation, validate_weighting
 
 if TYPE_CHECKING:
@@ -106,6 +108,8 @@ def _parse_primes(arg: Optional[str]):
 
 def _to_json(x):
     """A result value as JSON data: dataclasses become dicts of their fields."""
+    from .laurent import INFINITE, LaurentPoly
+
     if is_dataclass(x):
         return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, (tuple, list)):
@@ -411,7 +415,7 @@ def main(argv=None) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (ValueError, ArithmeticError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0

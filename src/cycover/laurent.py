@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
 
 from . import _intfactor
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ZeroPolynomial(ValueError):
@@ -54,6 +56,7 @@ INFINITE = _Infinite()
 class LaurentPoly:
     """An integer Laurent polynomial.
 
+    >>> from fractions import Fraction
     >>> f = LaurentPoly.parse("2t^2 - 5t + 2")
     >>> f.evaluate(Fraction(1, 2))
     Fraction(0, 1)
@@ -204,6 +207,8 @@ class LaurentPoly:
 
     def evaluate(self, x: Union[int, Fraction]) -> Fraction:
         """Exact evaluation at a nonzero rational (zero allowed if no negative exponents)."""
+        from fractions import Fraction
+
         x = Fraction(x)
         if x == 0 and self._coeffs and self.low() < 0:
             raise ZeroDivisionError("evaluation at 0 with negative exponents")

@@ -616,8 +616,8 @@ def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = ENTROPY_MAX_ITER) ->
 
 def _perron_log(offsets: array, targets: array, tol: float, max_iter: int) -> float:
     """`entropy` of the essential subgraph given in CSR form."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
     n = len(offsets) - 1
     if len(targets) <= n:
         # one essential successor per essential state: disjoint cycles

@@ -9,10 +9,12 @@ set of the kernel is the family of all integer shifts of the templates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .laurent import LaurentPoly
 from .words import Presentation
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPoly
 
 # (symbol, offset, exponent)
 TemplateSyllable = tuple[str, int, int]
@@ -135,6 +137,8 @@ class RecurrenceRow:
         return dict(self.coefficients).get(offset, 0)
 
     def polynomial(self) -> LaurentPoly:
+        from .laurent import LaurentPoly
+
         return LaurentPoly(dict(self.coefficients))
 
 

@@ -2,7 +2,8 @@
 
 Each oracle recomputes a result the library produces, by a different
 mechanism: factorization by bounded divisor search, products term by
-term, gcds by Euclid over the rationals, factorization over GF(p) by trial
+term, determinants by the Leibniz expansion over plain dicts, gcds by
+Euclid over the rationals, factorization over GF(p) by trial
 division by every monic polynomial of low degree, cyclotomic polynomials by
 rational division of t^m - 1 and the cyclotomic factors of a polynomial by
 trying every one of small enough degree, biinfinite solution
@@ -17,7 +18,7 @@ implementations they audit.
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -110,6 +111,28 @@ def schoolbook_mul(f, g):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def leibniz_det(rows):
+    """Determinant of a square matrix of Laurent polynomials, each {exponent: coeff}.
+
+    The sum over all permutations of the signed products of one entry per
+    row and column, multiplied term by term in plain dicts.
+    """
+    k = len(rows)
+    total = {}
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = {0: -1 if inversions % 2 else 1}
+        for i, j in enumerate(perm):
+            out = {}
+            for e1, c1 in term.items():
+                for e2, c2 in rows[i][j].items():
+                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+            term = out
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
 
 
 def gcd_over_Q(f, g):

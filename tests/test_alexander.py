@@ -1,5 +1,6 @@
 """Fox derivatives, presentation matrices, and the polynomial pipeline."""
 
+import math
 import random
 
 import pytest
@@ -16,9 +17,11 @@ from corpus import (
     two_bridge_pairs,
     weight_zero_form,
 )
+from cycover import laurent
 from cycover.alexander import (
     NoUnitWeightGenerator,
     NotDeficiencyOne,
+    _det,
     alexander_matrix,
     alexander_polynomial,
     fox_derivative_abelianized,
@@ -27,6 +30,7 @@ from cycover.alexander import (
 from cycover.laurent import INFINITE, LaurentPoly
 from cycover.twobridge import TwoBridgeParams, family_presentation, presentation
 from cycover.words import FreeWord, Presentation, parse_presentation
+from oracles import leibniz_det
 
 L = LaurentPoly.from_coeffs
 
@@ -110,6 +114,138 @@ def test_matrix_without_column():
     rows = m.without_column("t")
     assert len(rows) == 1 and len(rows[0]) == 1
     assert rows[0][0] == L([-2, 1])
+
+
+# -- determinant --------------------------------------------------------
+
+
+def _dicts(rows):
+    return [[e.coeffs for e in row] for row in rows]
+
+
+def _random_entry(rng, size):
+    if rng.random() < 0.3:
+        return LaurentPoly.zero()
+    return LaurentPoly({rng.randint(-4, 4): rng.randint(-size, size) for _ in range(rng.randint(1, 3))})
+
+
+def _random_matrix(rng, k, size=6):
+    return [[_random_entry(rng, size) for _ in range(k)] for _ in range(k)]
+
+
+def _random_matrices(rng, k):
+    """Random k x k Laurent matrices, plain and with the shapes Bareiss must survive."""
+    yield _random_matrix(rng, k)
+    yield _random_matrix(rng, k, size=2**200)
+    if k == 0:
+        return
+    zero_row = _random_matrix(rng, k)
+    zero_row[rng.randrange(k)] = [LaurentPoly.zero()] * k
+    yield zero_row
+    zero_col = _random_matrix(rng, k)
+    for row in zero_col:
+        row[k - 1] = LaurentPoly.zero()
+    yield zero_col
+    if k < 2:
+        return
+    # the last row a combination of the first two (the first, for k = 2)
+    singular = _random_matrix(rng, k)
+    f, g = L([rng.randint(-3, 3), 1], low=-1), L([rng.randint(1, 3)])
+    singular[-1] = [f * x + (g * y if k > 2 else LaurentPoly.zero()) for x, y in zip(singular[0], singular[1])]
+    yield singular
+    # a zero first pivot, and for k > 2 a zero leading 2 x 2 minor: Bareiss
+    # swaps rows at the first pivot, and again at the second
+    swaps = _random_matrix(rng, k)
+    swaps[0][0] = LaurentPoly.zero()
+    swaps[1][0] = L([1, 2], low=-2)
+    if k > 2:
+        swaps[0][1] = swaps[2][0] = LaurentPoly.zero()
+        swaps[2][1] = L([2, 0, -5], low=1)
+    yield swaps
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_det_matches_leibniz_on_random_matrices(k):
+    rng = random.Random(1000 + k)
+    for rows in _random_matrices(rng, k):
+        assert _det(rows).coeffs == leibniz_det(_dicts(rows)), rows
+
+
+def test_random_shapes_are_singular_or_swap_pivots():
+    # the shapes _random_matrices builds do what its comments say
+    plain, wide, zero_row, zero_col, singular, swaps = _random_matrices(random.Random(7), 4)
+    for rows in (zero_row, zero_col, singular):
+        assert not leibniz_det(_dicts(rows))
+    assert leibniz_det(_dicts(swaps)) and not swaps[0][0]
+    assert not leibniz_det([row[:2] for row in _dicts(swaps[:2])])
+
+
+def test_det_matches_leibniz_on_every_corpus_fox_minor():
+    triples = knotlike_corpus()
+    triples += [(f"weight_zero{p}_{q}", *weight_zero_form(p, q)) for p, q in two_bridge_pairs(15)]
+    triples += [
+        (f"twobridge{p}_{q}", presentation(TwoBridgeParams(p, q)), {"u": 1, "v": 1})
+        for p, q in two_bridge_pairs(15)
+    ]
+    for name, pres, chi in triples:
+        mat = alexander_matrix(pres, chi)
+        for g in pres.generators:
+            rows = mat.without_column(g)
+            assert _det(rows).coeffs == leibniz_det(_dicts(rows)), (name, g)
+
+
+def test_det_matches_leibniz_on_multi_relator_fox_minors():
+    rng = random.Random(11)
+    for n in range(3, 7):
+        gens = "abcdef"[:n]
+        for _ in range(3):
+            relators = [
+                " ".join(f"{rng.choice(gens)}^{rng.choice([-2, -1, 1, 2])}" for _ in range(8))
+                for _ in range(n - 1)
+            ]
+            pres = parse_presentation(f"<{', '.join(gens)} | {', '.join(relators)}>")
+            chi = {g: rng.randint(-2, 2) for g in gens}
+            mat = alexander_matrix(pres, chi)
+            for g in gens:
+                rows = mat.without_column(g)
+                assert _det(rows).coeffs == leibniz_det(_dicts(rows)), (pres.to_text(), g)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [127, 1],
+        [-128, 1],
+        [128, -1],
+        [-(7 * 73), 7 * 127 * 337, 92737 * 649657],  # product -(2^63 - 1)
+        [2**40, -(2**23)],  # product -2^63
+        [3**100, -(5**60), 2**200 + 1, -1, 7],
+    ],
+)
+def test_det_coefficient_equal_to_the_bound(coeffs):
+    # diagonal single terms: the one coefficient of the determinant is the
+    # product of the row 1-norms up to sign, the largest the bound allows
+    rows = [
+        [LaurentPoly({i - 2: c}) if i == j else LaurentPoly.zero() for j in range(len(coeffs))]
+        for i, c in enumerate(coeffs)
+    ]
+    det = _det(rows)
+    assert det.coeffs == leibniz_det(_dicts(rows))
+    assert abs(det.coeff(det.low())) == math.prod(abs(c) for c in coeffs)
+
+
+def test_det_makes_no_laurent_products(monkeypatch):
+    rows = _random_matrix(random.Random(5), 6)
+    expected = leibniz_det(_dicts(rows))
+    assert expected
+
+    def refuse(*args):
+        raise AssertionError("_det multiplied or divided Laurent polynomials")
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", refuse)
+    monkeypatch.setattr(laurent, "exact_div", refuse)
+    assert _det(rows).coeffs == expected
 
 
 # -- the polynomial -----------------------------------------------------

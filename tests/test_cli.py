@@ -257,13 +257,36 @@ def test_reps_group_errors(capsys, dyadic_file):
     assert run(capsys, "reps", dyadic_file, "--group", "S6")[0] == 1
 
 
+FAMILY3_TEXT = "<u,a | u a^3 u a^-3 u^-1 a^2 u^-1 a^-3>"
+
+
 def test_reps_s3_positive_entropy(capsys, tmp_path):
     f = tmp_path / "fam3.txt"
-    f.write_text("<u,a | u a^3 u a^-3 u^-1 a^2 u^-1 a^-3>")
+    f.write_text(FAMILY3_TEXT)
     r = run_json(capsys, "reps", str(f), "--group", "S3")["result"]
     assert r["census"]["classification"] == "PositiveEntropy"
     assert r["census"]["count"] is None
     assert r["census"]["entropy"] > 0.01
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
+def test_reps_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path, tol):
+    f = tmp_path / "fam3.txt"
+    f.write_text(FAMILY3_TEXT)
+    code, out, err = run(capsys, "reps", str(f), "--chi", "u=1,a=0", "--group", "S3", f"--tol={tol}")
+    assert code == 1 and out == ""
+    assert "tol must be a finite positive number" in err
+
+
+def test_reps_reports_an_unconverged_entropy_as_an_error(capsys, tmp_path, monkeypatch):
+    from cycover import repshift
+
+    monkeypatch.setattr(repshift, "ENTROPY_MAX_ITER", 1)
+    f = tmp_path / "fam3.txt"
+    f.write_text(FAMILY3_TEXT)
+    code, out, err = run(capsys, "reps", str(f), "--chi", "u=1,a=0", "--group", "S3")
+    assert code == 1 and out == ""
+    assert err == "error: ArithmeticError: entropy iteration did not converge\n"
 
 
 # -- recurrence ---------------------------------------------------------
@@ -347,22 +370,24 @@ def test_module_entry_point():
     assert "yes" in proc.stdout
 
 
-# Every call also loads the package root, the command line, and the
-# shared words, laurent and _intfactor modules.
-SHARED = {"cycover", "cycover.cli", "cycover.words", "cycover.laurent", "cycover._intfactor"}
+# Every call also loads the package root, the command line and words; only
+# the subcommands that handle Laurent polynomials load laurent and _intfactor.
+SHARED = {"cycover", "cycover.cli", "cycover.words"}
+LAURENT = {"laurent", "_intfactor"}
 
 
 @pytest.mark.parametrize(
     "argv, own",
     [
+        (["parse", "dyadic.txt"], set()),
         (["twobridge", "5", "3"], {"twobridge"}),
-        (["criteria", "dyadic.txt"], {"alexander", "criteria"}),
-        (["alex", "dyadic.txt"], {"alexander"}),
+        (["criteria", "dyadic.txt"], {"alexander", "criteria"} | LAURENT),
+        (["alex", "dyadic.txt"], {"alexander"} | LAURENT),
         (["reps", "dyadic.txt", "--group", "S3"], {"rscover", "repshift"}),
-        (["rs", "dyadic.txt"], {"rscover"}),
-        (["recurrence", "1,-1,-1"], {"recurrence"}),
+        (["rs", "dyadic.txt"], {"rscover"} | LAURENT),
+        (["recurrence", "1,-1,-1"], {"recurrence"} | LAURENT),
     ],
-    ids=["twobridge", "criteria", "alex", "reps", "rs", "recurrence"],
+    ids=["parse", "twobridge", "criteria", "alex", "reps", "rs", "recurrence"],
 )
 def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
     (tmp_path / "dyadic.txt").write_text(DYADIC_TEXT)
