@@ -42,18 +42,42 @@ import math
 from itertools import combinations
 
 
+# The first 13 primes.  As strong-probable-prime bases they decide primality
+# for every n < SPRP_BOUND (Sorenson & Webster, Strong pseudoprimes to twelve
+# prime bases, Math. Comp. 2017).
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+SPRP_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < SPRP_BOUND; ValueError at or above it.
+
+    Trial division by the bases comes first, which alone decides n < 41^2;
+    then a strong-probable-prime test to each base.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for a in _SPRP_BASES:
+        if n % a == 0:
+            return n == a
+    if n < _SPRP_BASES[-1] ** 2:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= SPRP_BOUND:
+        raise ValueError(f"primality of {n} is decided only below {SPRP_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from ._intfactor import Kronecker
-from .laurent import INFINITE, LaurentPoly, ModPoly, _Infinite
+from .laurent import LaurentPoly, ModPoly, _Infinite
 from .words import FreeWord, Presentation
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -42,15 +42,17 @@ def fox_derivative_abelianized(
 
     Product rule: d(uv) = du + phi(u) dv, where phi sends each
     generator x to t^chi(x).  A syllable x^e contributes a geometric
-    block of powers of t^chi(x); anything else only advances the
-    prefix weight.
+    block of powers of t^chi(x), which for chi(x) = 0 is e at one
+    exponent; anything else only advances the prefix weight.
     """
     coeffs: dict[int, int] = {}
     h = 0  # weight of the prefix read so far
     for x, e in w.syllables:
         cx = chi[x]
         if x == gen:
-            if e > 0:
+            if cx == 0:
+                _bump(coeffs, h, e)
+            elif e > 0:
                 for k in range(e):
                     _bump(coeffs, h + k * cx, 1)
             else:
@@ -76,9 +78,6 @@ class AlexanderMatrix:
     relators: tuple[FreeWord, ...]
     weighting: dict[str, int] = field(compare=False)
     entries: tuple[tuple[LaurentPoly, ...], ...] = ()
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.entries[i][j]
 
     def column_index(self, gen: str) -> int:
         return self.generators.index(gen)

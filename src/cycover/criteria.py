@@ -22,10 +22,6 @@ ONE_SIDED = "OneSided"
 INAPPLICABLE = "Inapplicable"
 
 
-class NotAKnotPolynomial(ValueError):
-    """The polynomial does not evaluate to +-1 at t = 1."""
-
-
 class NotOneRelator(ValueError):
     pass
 
@@ -71,19 +67,6 @@ def count_prime_index(
 def classify_prime(delta: LaurentPoly, p: int) -> PrimeClassification:
     """None when the mod-p reduction is a nonzero unit, Infinite when zero."""
     return PrimeRecord.from_span(p, delta.reduce_mod(p).degree_span()).classification
-
-
-def index2_criterion(delta: LaurentPoly) -> bool:
-    """Index-2 subgroups of the kernel exist iff some c_i (i >= 1) is odd.
-
-    Requires a knot polynomial: symmetric with delta(1) = +-1.  In the
-    symmetric form c_n(t^n + t^-n) + ... + c_1(t + 1/t) + c_0, evenness
-    of every c_i with i >= 1 is exactly d(2) = 0.
-    """
-    if delta.evaluate(1) not in (1, -1):
-        raise NotAKnotPolynomial(f"({delta})(1) != +-1")
-    cs = delta.symmetric_form()
-    return any(c % 2 != 0 for c in cs[1:])
 
 
 @dataclass(frozen=True)

@@ -10,29 +10,17 @@ on that orbit representative.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Union
 
 from . import _intfactor
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class ZeroPolynomial(ValueError):
     pass
 
 
-class AllZero(ValueError):
-    pass
-
-
 class NotPrime(ValueError):
-    pass
-
-
-class NotSymmetric(ValueError):
     pass
 
 
@@ -56,12 +44,11 @@ INFINITE = _Infinite()
 class LaurentPoly:
     """An integer Laurent polynomial.
 
-    >>> from fractions import Fraction
-    >>> f = LaurentPoly.parse("2t^2 - 5t + 2")
-    >>> f.evaluate(Fraction(1, 2))
-    Fraction(0, 1)
-    >>> print(f * LaurentPoly.t_power(-1))
+    >>> f = LaurentPoly.from_coeffs([2, -5, 2])
+    >>> print(f * LaurentPoly({-1: 1}))
     2t - 5 + 2t^-1
+    >>> print((-f * LaurentPoly({-1: 1})).normalize())
+    2t^2 - 5t + 2
     """
 
     __slots__ = ("_coeffs",)
@@ -84,10 +71,6 @@ class LaurentPoly:
         return cls({0: c})
 
     @classmethod
-    def t_power(cls, k: int) -> "LaurentPoly":
-        return cls({k: 1})
-
-    @classmethod
     def from_coeffs(cls, coeffs: Iterable[int], low: int = 0) -> "LaurentPoly":
         """Coefficients listed from the lowest exponent `low` upward."""
         return cls({low + i: c for i, c in enumerate(coeffs)})
@@ -100,9 +83,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def coeff(self, e: int) -> int:
         return self._coeffs.get(e, 0)
@@ -173,10 +153,6 @@ class LaurentPoly:
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._coeffs.items())))
 
-    def reciprocal(self) -> "LaurentPoly":
-        """The substitution t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
     # -- canonical form and friends -----------------------------------
 
     def normalize(self) -> "LaurentPoly":
@@ -199,53 +175,16 @@ class LaurentPoly:
             return 0
         return math.gcd(*(abs(c) for c in self._coeffs.values()))
 
-    def primitive_part(self) -> "LaurentPoly":
-        c = self.content()
-        if c == 0:
-            raise ZeroPolynomial("zero polynomial has no primitive part")
-        return LaurentPoly({e: v // c for e, v in self._coeffs.items()})
-
-    def evaluate(self, x: Union[int, Fraction]) -> Fraction:
-        """Exact evaluation at a nonzero rational (zero allowed if no negative exponents)."""
-        from fractions import Fraction
-
-        x = Fraction(x)
-        if x == 0 and self._coeffs and self.low() < 0:
-            raise ZeroDivisionError("evaluation at 0 with negative exponents")
-        total = Fraction(0)
-        for e, c in self._coeffs.items():
-            total += c * x**e
-        return total
-
     def is_monic_both_ends(self) -> bool:
         """Leading and trailing coefficients both +-1; False for the zero polynomial."""
         if not self._coeffs:
             return False
         return abs(self._coeffs[self.low()]) == 1 and abs(self._coeffs[self.high()]) == 1
 
-    def symmetric_form(self) -> tuple[int, ...]:
-        """Centered coefficients (c_0, ..., c_n) with f ~ c_n(t^n + t^-n) + ... + c_0.
-
-        Requires f(t) = t^k f(1/t) up to the canonical unit; raises NotSymmetric
-        otherwise (including for the strictly antisymmetric case, which the
-        centered template cannot express).
-        """
-        if not self._coeffs:
-            raise ZeroPolynomial("zero polynomial has no symmetric form")
-        c = self.normalize().dense()
-        span = len(c) - 1
-        if span % 2 != 0 or any(c[i] != c[span - i] for i in range(len(c))):
-            raise NotSymmetric(f"{self} is not symmetric under t -> 1/t")
-        n = span // 2
-        return tuple(c[n + i] for i in range(n + 1))
-
     def reduce_mod(self, p: int) -> "ModPoly":
         if not _intfactor.is_prime(p):
             raise NotPrime(f"{p} is not prime")
         return ModPoly(p, {e: c % p for e, c in self._coeffs.items()})
-
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: e * c for e, c in self._coeffs.items() if e != 0})
 
     # -- text form ----------------------------------------------------
 
@@ -272,39 +211,6 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-    _TERM_RE = re.compile(
-        r"\s*(?P<sign>[+-])?\s*(?:(?P<coeff>\d+)\s*\*?\s*)?"
-        r"(?P<t>t(?:\^\(?(?P<exp>[+-]?\d+)\)?)?)?\s*"
-    )
-
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Parse '2t^2 - 5t + 2' or 't^-1 + 1 + t'."""
-        out: dict[int, int] = {}
-        pos = 0
-        first = True
-        while pos < len(text):
-            m = cls._TERM_RE.match(text, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"cannot parse polynomial at '...{text[pos:]}'")
-            sign, coeff, tpart, exp = m.group("sign", "coeff", "t", "exp")
-            if coeff is None and tpart is None:
-                raise ValueError(f"cannot parse polynomial at '...{text[pos:]}'")
-            if not first and sign is None:
-                raise ValueError(f"missing +/- before '...{text[m.start():]}'")
-            c = int(coeff) if coeff is not None else 1
-            if sign == "-":
-                c = -c
-            e = 0
-            if tpart is not None:
-                e = int(exp) if exp is not None else 1
-            out[e] = out.get(e, 0) + c
-            pos = m.end()
-            first = False
-        if first:
-            raise ValueError("empty polynomial text")
-        return cls(out)
-
 
 class ModPoly:
     """A Laurent polynomial with coefficients reduced mod a prime p."""
@@ -323,13 +229,6 @@ class ModPoly:
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def is_unit(self) -> bool:
-        """Units of (Z/p)[t, 1/t] are the single-term polynomials."""
-        return len(self._coeffs) == 1
 
     def degree_span(self) -> Union[int, _Infinite]:
         if not self._coeffs:
@@ -366,16 +265,6 @@ class Factorization:
     content: int
     factors: tuple[tuple[LaurentPoly, int], ...]
 
-    def product(self) -> LaurentPoly:
-        out = LaurentPoly({self.unit_exp: self.sign * self.content})
-        for f, m in self.factors:
-            out = out * f**m
-        return out
-
-    def irreducibles(self) -> list[LaurentPoly]:
-        """The distinct irreducible factors, canonical order."""
-        return [f for f, _ in self.factors]
-
     def unit_ends_factor(self) -> Optional[LaurentPoly]:
         """The first non-constant factor monic at both ends, or None."""
         return next(
@@ -403,23 +292,6 @@ def factor_over_Z(f: LaurentPoly) -> Factorization:
         key=lambda fm: (fm[0].high(), tuple(fm[0].dense())),
     )
     return Factorization(sign=sign, unit_exp=unit_exp, content=content, factors=tuple(factors))
-
-
-def gcd_many(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Primitive gcd of Laurent polynomials, canonical form; AllZero if all zero."""
-    dense_list = []
-    for f in polys:
-        if not f:
-            continue
-        dense_list.append(f.normalize().primitive_part().dense())
-    if not dense_list:
-        raise AllZero("gcd of an empty or all-zero family")
-    g = dense_list[0]
-    for d in dense_list[1:]:
-        g = _intfactor.int_poly_gcd(g, d)
-        if g == [1]:
-            break
-    return LaurentPoly.from_coeffs(g)
 
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:

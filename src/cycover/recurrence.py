@@ -105,12 +105,6 @@ class SequenceWindow:
     def value_at(self, i: int):
         return self.values[i - self.base]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
-    def all_integral(self) -> bool:
-        return all(Fraction(v).denominator == 1 for v in self.values)
-
 
 def has_integer_biinfinite(f: AuxPolynomial) -> tuple[bool, Optional[LaurentPoly]]:
     """True with the smallest monic-at-both-ends non-constant factor, if any."""
@@ -168,8 +162,7 @@ def witness_sequence(f: AuxPolynomial, lo: int, hi: int) -> SequenceWindow:
 
 
 def _assert_satisfies(f: LaurentPoly, w: SequenceWindow) -> None:
-    span = f.degree_span()
-    if span is None or not f or span > len(w.values) - 1:
+    if not f or f.degree_span() > len(w.values) - 1:
         return
     checked = apply_shift_factor(f, w)
     assert all(v == 0 for v in checked.values), "window does not satisfy the recurrence"

@@ -111,9 +111,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.mult[i][j]
 
-    def inverse(self, i: int) -> int:
-        return self.inv[i]
-
     def power(self, i: int, e: int) -> int:
         seq = self.powers[i]
         return seq[e % len(seq)]
@@ -296,23 +293,6 @@ class SftGraph:
     @property
     def essential_count(self) -> int:
         return self.essential.count(1)
-
-    def state_tuple(self, s: int) -> tuple[int, ...]:
-        n = self.group.order
-        w = max(self.window, 1)
-        digits = []
-        for _ in range(w):
-            digits.append(s % n)
-            s //= n
-        return tuple(reversed(digits))
-
-    def first_coordinate(self, s: int) -> int:
-        n = self.group.order
-        w = max(self.window, 1)
-        return s // n ** (w - 1)
-
-    def edges(self):
-        return zip(_sources(self.successors.offsets), self.successors.targets)
 
 
 def _trim(successors: Successors) -> bytearray:
@@ -660,7 +640,7 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     # the walks read single items, which lists hand out unboxed
     offsets, targets = offsets.tolist(), targets.tolist()
     scale = g.group.order ** (max(g.window, 1) - 1)
-    first = [s // scale for s in nodes]  # first_coordinate of each node
+    first = [s // scale for s in nodes]  # the label of each node
     if N == 1:  # the self-loops
         loops = (v for v in range(len(nodes)) if v in targets[offsets[v] : offsets[v + 1]])
         results = [(first[v],) for v in loops]

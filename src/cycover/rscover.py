@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .words import Presentation
+from .words import Presentation, _reduce
 
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
@@ -25,18 +25,9 @@ class UnsupportedWeighting(ValueError):
 
 
 def _reduce_indexed(syllables: Iterable[TemplateSyllable]) -> tuple[TemplateSyllable, ...]:
-    # Free reduction where the letters are (symbol, offset) pairs.
-    out: list[list] = []
-    for sym, off, exp in syllables:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == sym and out[-1][1] == off:
-            out[-1][2] += exp
-            if out[-1][2] == 0:
-                out.pop()
-        else:
-            out.append([sym, off, exp])
-    return tuple((s, o, e) for s, o, e in out)
+    # Free reduction in the indexed alphabet, whose letters are (symbol, offset).
+    reduced = _reduce(((sym, off), exp) for sym, off, exp in syllables)
+    return tuple((sym, off, exp) for (sym, off), exp in reduced)
 
 
 def template_to_text(template: tuple[TemplateSyllable, ...]) -> str:
@@ -132,9 +123,6 @@ class RecurrenceRow:
     def make(cls, symbol: str, coeffs: Mapping[int, int]) -> "RecurrenceRow":
         items = tuple(sorted((o, c) for o, c in coeffs.items() if c != 0))
         return cls(symbol=symbol, coefficients=items)
-
-    def coefficient(self, offset: int) -> int:
-        return dict(self.coefficients).get(offset, 0)
 
     def polynomial(self) -> LaurentPoly:
         from .laurent import LaurentPoly

@@ -8,8 +8,8 @@ All arithmetic is exact; generators are plain strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from dataclasses import dataclass
+from typing import Hashable, Iterable, Optional
 
 Syllable = tuple[str, int]
 
@@ -39,8 +39,9 @@ class NotKnotLike(ValueError):
     pass
 
 
-def _reduce(syllables: Iterable[Syllable]) -> tuple[Syllable, ...]:
-    # Free reduction: merge adjacent runs of the same generator, drop zeros.
+def _reduce(syllables: Iterable[tuple[Hashable, int]]) -> tuple[tuple[Hashable, int], ...]:
+    # Free reduction: merge adjacent runs of the same letter, drop zeros.  A
+    # letter is a generator here, and a (symbol, offset) pair in rscover.
     out: list[list] = []
     for gen, exp in syllables:
         if exp == 0:
@@ -61,8 +62,8 @@ class FreeWord:
     >>> w = FreeWord.make([("t", 1), ("a", 2), ("a", -2), ("t", 1)])
     >>> w.syllables
     (('t', 2),)
-    >>> (w * w.inverse()).is_identity()
-    True
+    >>> (w * w.inverse()).syllables
+    ()
     """
 
     syllables: tuple[Syllable, ...] = ()
@@ -74,9 +75,6 @@ class FreeWord:
     @classmethod
     def identity(cls) -> "FreeWord":
         return cls(())
-
-    def is_identity(self) -> bool:
-        return not self.syllables
 
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(_reduce(self.syllables + other.syllables))
@@ -91,16 +89,6 @@ class FreeWord:
         for _ in range(n):
             out = out * self
         return out
-
-    def letters(self) -> Iterator[tuple[str, int]]:
-        """Yield single letters (generator, +1/-1) left to right."""
-        for gen, exp in self.syllables:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, step
-
-    def letter_length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
 
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)
@@ -141,21 +129,6 @@ class FreeWord:
         for g, e in self.syllables:
             parts.append(g if e == 1 else f"{g}^{e}")
         return " ".join(parts)
-
-
-def equal_up_to_cycling(w1: FreeWord, w2: FreeWord) -> bool:
-    """True if w1 equals some cyclic permutation of w2 or of its inverse."""
-    a = [l for l in w1.letters()]
-    for cand in (w2, w2.inverse()):
-        b = [l for l in cand.letters()]
-        if len(a) != len(b):
-            continue
-        if not a:
-            return True
-        for k in range(len(b)):
-            if a == b[k:] + b[:k]:
-                return True
-    return False
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")

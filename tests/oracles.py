@@ -1,8 +1,8 @@
 """Independent cross-checks used by the test suite.
 
 Each oracle recomputes a result the library produces, by a different
-mechanism: factorization by bounded divisor search, products term by
-term, determinants by the Leibniz expansion over plain dicts, gcds by
+mechanism: primality by trial division, factorization by bounded divisor
+search, products term by term, determinants by the Leibniz expansion over plain dicts, gcds by
 Euclid over the rationals, factorization over GF(p) by trial
 division by every monic polynomial of low degree, cyclotomic polynomials by
 rational division of t^m - 1 and the cyclotomic factors of a polynomial by
@@ -14,6 +14,13 @@ by repeated degree counts, closed walks by an exact matrix power, the
 census class by degree counts and reachability, and Brown's
 finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
+
+Some are checkers that the program itself does not need: a factorization
+multiplied back term by term, the centered symmetric form of a knot
+polynomial and the index-2 criterion read from it (a second derivation of
+`analyze`'s `index2`), equality of words up to cyclic permutation and
+inversion letter by letter, and the digits of a shift-graph state by
+positional division.
 """
 
 import math
@@ -22,7 +29,23 @@ from itertools import permutations, product
 
 import numpy as np
 
-from cycover.laurent import LaurentPoly
+from cycover.laurent import LaurentPoly, ZeroPolynomial
+
+
+# -- primality by trial division ----------------------------------------
+
+
+def primes_by_trial_division(limit):
+    """Flags prime[n] for n < limit, each n divided by the primes up to its square root."""
+    primes, flags = [], [False] * limit
+    k = 0  # primes[:k] are the primes p with p * p <= n
+    for n in range(2, limit):
+        while k < len(primes) and primes[k] ** 2 <= n:
+            k += 1
+        if all(n % p for p in primes[:k]):
+            primes.append(n)
+            flags[n] = True
+    return flags
 
 
 # -- factorization by box search ----------------------------------------
@@ -111,6 +134,15 @@ def schoolbook_mul(f, g):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def multiply_back(fac):
+    """sign * t^unit_exp * content * prod(f^m) of a Factorization, term by term."""
+    dense = [fac.sign * fac.content]
+    for f, m in fac.factors:
+        for _ in range(m):
+            dense = schoolbook_mul(dense, f.dense())  # factors start at t^0
+    return LaurentPoly.from_coeffs(dense, low=fac.unit_exp)
 
 
 def leibniz_det(rows):
@@ -495,6 +527,12 @@ def _power_by_multiplication(mult, x, e):
     return acc
 
 
+def state_digits(graph, s):
+    """The window of group elements that state s of an SftGraph encodes, first to last."""
+    n, w = graph.group.order, max(graph.window, 1)
+    return tuple(s // n ** (w - 1 - k) % n for k in range(w))
+
+
 def brute_successors(templates, mult_table, w):
     """Successor lists of the window graph over a group given by its table.
 
@@ -525,6 +563,70 @@ def brute_successors(templates, mult_table, w):
                 succ.append(sum(d * n**i for i, d in enumerate(reversed(win[1:]))))
         out.append(succ)
     return out
+
+
+# -- symmetric form and the index-2 criterion ---------------------------
+
+
+class NotSymmetric(ValueError):
+    pass
+
+
+class NotAKnotPolynomial(ValueError):
+    """The polynomial does not evaluate to +-1 at t = 1."""
+
+
+def symmetric_form(f):
+    """Centered coefficients (c_0, ..., c_n) with f ~ c_n(t^n + t^-n) + ... + c_0.
+
+    Requires f(t) = t^k f(1/t) up to the canonical unit; raises NotSymmetric
+    otherwise (including for the strictly antisymmetric case, which the
+    centered template cannot express).
+    """
+    if not f:
+        raise ZeroPolynomial("zero polynomial has no symmetric form")
+    c = f.normalize().dense()
+    span = len(c) - 1
+    if span % 2 != 0 or c != c[::-1]:
+        raise NotSymmetric(f"{f} is not symmetric under t -> 1/t")
+    return tuple(c[span // 2 :])
+
+
+def index2_criterion(delta):
+    """Index-2 subgroups of the kernel exist iff some c_i (i >= 1) is odd.
+
+    Requires a knot polynomial: symmetric with delta(1) = +-1.  In the
+    symmetric form c_n(t^n + t^-n) + ... + c_1(t + 1/t) + c_0, evenness
+    of every c_i with i >= 1 is exactly d(2) = 0.
+    """
+    if sum(delta.coeffs.values()) not in (1, -1):
+        raise NotAKnotPolynomial(f"({delta})(1) != +-1")
+    return any(c % 2 != 0 for c in symmetric_form(delta)[1:])
+
+
+# -- words letter by letter ---------------------------------------------
+
+
+def letters(w):
+    """Yield the single letters (generator, +1/-1) of a FreeWord, left to right."""
+    for gen, exp in w.syllables:
+        step = 1 if exp > 0 else -1
+        for _ in range(abs(exp)):
+            yield gen, step
+
+
+def equal_up_to_cycling(w1, w2):
+    """True if w1 equals some cyclic permutation of w2 or of its inverse."""
+    a = list(letters(w1))
+    for cand in (w2, w2.inverse()):
+        b = list(letters(cand))
+        if len(a) != len(b):
+            continue
+        if not a:
+            return True
+        if any(a == b[k:] + b[:k] for k in range(len(b))):
+            return True
+    return False
 
 
 # -- Brown's criterion by letters ---------------------------------------

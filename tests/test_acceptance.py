@@ -7,6 +7,7 @@ the library against the independent implementations in oracles.py.
 import math
 import random
 import time
+from fractions import Fraction
 from itertools import product
 
 import sympy
@@ -20,7 +21,6 @@ from cycover.criteria import (
     brown_finite_generation,
     classify_prime,
     count_prime_index,
-    index2_criterion,
     kervaire_check,
     surjects_to_Z,
 )
@@ -34,7 +34,13 @@ from cycover.twobridge import (
     family_presentation,
     presentation,
 )
-from oracles import perron_entropy, propagation_box_verdict, window_rank_count
+from oracles import (
+    index2_criterion,
+    perron_entropy,
+    propagation_box_verdict,
+    state_digits,
+    window_rank_count,
+)
 
 L = LaurentPoly.from_coeffs
 UV = {"u": 1, "v": 1}
@@ -93,7 +99,7 @@ def test_criterion_05_family3_census_over_s3():
     by_label = {lab: i for i, lab in enumerate(s3.labels)}
     tr = by_label["(12)"]
     succ = {
-        s3.labels[graph.state_tuple(t)[-1]]
+        s3.labels[state_digits(graph, t)[-1]]
         for t in graph.successors[tr * 6 + tr]
     }
     assert succ == {"id", "(123)", "(132)"}
@@ -179,10 +185,10 @@ def test_criterion_09_solvability_against_seed_propagation():
         if verdict:
             w = witness_sequence(f, -20, 20)
             assert w.base == -20 and w.hi == 20
-            assert w.all_integral() and not w.is_zero()
+            assert all(Fraction(v).denominator == 1 for v in w.values) and any(w.values)
             from cycover.recurrence import apply_shift_factor
 
-            assert apply_shift_factor(f.to_laurent(), w).is_zero(), asc
+            assert not any(apply_shift_factor(f.to_laurent(), w).values), asc
 
 
 def test_criterion_10_factorization_round_trip():
@@ -227,8 +233,8 @@ def test_criterion_11_fox_identity_on_corpus():
         for r in pres.relators:
             total = LaurentPoly.zero()
             for g in pres.generators:
-                step = LaurentPoly.t_power(chi[g]) - LaurentPoly.constant(1)
+                step = LaurentPoly({chi[g]: 1}) - LaurentPoly.constant(1)
                 total = total + fox_derivative_abelianized(r, g, chi) * step
-            assert total.is_zero(), name
+            assert not total, name
             checked += 1
     assert checked >= 50

@@ -61,11 +61,18 @@ def test_fox_zero_weight_generator():
     w = W(("t", 1), ("a", 2), ("t", -1), ("a", -1))
     assert fox_derivative_abelianized(w, "a", chi) == L([-1, 2])
     # the t and t^-1 contributions cancel: 1 + t*(-t^-1) = 0
-    assert fox_derivative_abelianized(w, "t", chi).is_zero()
+    assert not fox_derivative_abelianized(w, "t", chi)
+
+
+def test_fox_weight_zero_syllable_is_one_term():
+    # a^e with chi(a) = 0 adds e at a single exponent, in one step
+    chi = {"t": 1, "a": 0}
+    w = W(("t", 1), ("a", 10**9), ("t", -1), ("a", -(10**9 + 1)))
+    assert fox_derivative_abelianized(w, "a", chi) == L([-(10**9 + 1), 10**9])
 
 
 def test_fox_of_identity_is_zero():
-    assert fox_derivative_abelianized(FreeWord.identity(), "t", {"t": 1}).is_zero()
+    assert not fox_derivative_abelianized(FreeWord.identity(), "t", {"t": 1})
 
 
 def _phi_weight(w, chi):
@@ -84,8 +91,8 @@ def test_fox_product_rule(data):
     v = FreeWord.make(data.draw(syls))
     for g in ("t", "a"):
         lhs = fox_derivative_abelianized(u * v, g, chi)
-        rhs = fox_derivative_abelianized(u, g, chi) + LaurentPoly.t_power(
-            _phi_weight(u, chi)
+        rhs = fox_derivative_abelianized(u, g, chi) + LaurentPoly(
+            {_phi_weight(u, chi): 1}
         ) * fox_derivative_abelianized(v, g, chi)
         assert lhs == rhs
 
@@ -95,9 +102,9 @@ def test_fox_fundamental_identity_on_corpus():
         for r in pres.relators:
             total = LaurentPoly.zero()
             for g in pres.generators:
-                step = LaurentPoly.t_power(chi[g]) - LaurentPoly.constant(1)
+                step = LaurentPoly({chi[g]: 1}) - LaurentPoly.constant(1)
                 total = total + fox_derivative_abelianized(r, g, chi) * step
-            assert total.is_zero(), name
+            assert not total, name
 
 
 # -- presentation matrix ------------------------------------------------
@@ -105,8 +112,8 @@ def test_fox_fundamental_identity_on_corpus():
 
 def test_matrix_shape_and_entries():
     m = alexander_matrix(DYADIC, {"t": 1, "a": 0})
-    assert m.entry(0, m.column_index("t")).is_zero()
-    assert m.entry(0, m.column_index("a")) == L([-2, 1])
+    assert not m.entries[0][m.column_index("t")]
+    assert m.entries[0][m.column_index("a")] == L([-2, 1])
 
 
 def test_matrix_without_column():
@@ -318,7 +325,7 @@ def test_too_many_relators():
 def test_fewer_relators_gives_zero():
     pres = Presentation.make(("x", "y"), [])
     res = alexander_polynomial(pres, {"x": 1, "y": 0})
-    assert res.delta.is_zero()
+    assert not res.delta
     assert all(d is INFINITE for _, d in res.mod_p_table.values())
 
 
@@ -342,9 +349,10 @@ def test_two_bridge_delta_symmetric_and_unit_at_one():
     for p, q in two_bridge_pairs(15):
         pres = presentation(TwoBridgeParams(p, q))
         delta = alexander_polynomial(pres, {"u": 1, "v": 1}).delta
-        assert delta.evaluate(1) in (1, -1), (p, q)
+        assert sum(delta.coeffs.values()) in (1, -1), (p, q)
         if q % 2 == 1:
-            assert delta.reciprocal().normalize() == delta, (p, q)
+            flipped = LaurentPoly({-e: c for e, c in delta.coeffs.items()})
+            assert flipped.normalize() == delta, (p, q)
 
 
 def test_weight_zero_form_matches_raw_delta():

@@ -114,6 +114,25 @@ def test_repeated_prime_is_reported_once(capsys, dyadic_file):
     assert [rec["p"] for rec in r["primes"]] == [5, 3]
 
 
+def test_large_and_unprovable_primes(capsys, dyadic_file):
+    # primality is decided by strong-probable-prime tests, exact below the bound
+    r = run_json(capsys, "criteria", dyadic_file, "--primes", str(2**61 - 1))["result"]
+    assert [(rec["p"], rec["d"], rec["n"]) for rec in r["primes"]] == [(2**61 - 1, 1, 1)]
+    code, out, err = run(capsys, "criteria", dyadic_file, "--primes", str(2**89 - 1))
+    assert code == 1 and out == ""
+    assert "3317044064679887385961981" in err
+    code, out, err = run(capsys, "alex", dyadic_file, "--primes", "10000000000000063")
+    assert code == 1 and "10000000000000063 is not prime" in err
+
+
+def test_huge_weight_zero_exponent(capsys, tmp_path):
+    f = tmp_path / "huge.txt"
+    f.write_text("<t, a | t a^1000000000 t^-1 a^-1000000001>")
+    for command in ("alex", "criteria"):
+        rep = run_json(capsys, command, str(f))
+        assert rep["result"]["delta"] == "1000000000t - 1000000001"
+
+
 def test_alex_bad_chi_syntax(capsys, dyadic_file):
     code, _, err = run(capsys, "alex", dyadic_file, "--chi", "t:1")
     assert code == 1

@@ -16,20 +16,24 @@ from corpus import (
     trefoil,
     two_bridge_pairs,
 )
-from oracles import brown_by_letters
+from oracles import (
+    NotAKnotPolynomial,
+    NotSymmetric,
+    brown_by_letters,
+    index2_criterion,
+    letters,
+)
 from cycover.alexander import alexander_polynomial
 from cycover.criteria import (
     FG,
     INAPPLICABLE,
     NOT_FG,
     ONE_SIDED,
-    NotAKnotPolynomial,
     NotOneRelator,
     analyze,
     brown_finite_generation,
     classify_prime,
     count_prime_index,
-    index2_criterion,
     kervaire_check,
     surjects_to_Z,
 )
@@ -37,7 +41,6 @@ from cycover.laurent import (
     INFINITE,
     LaurentPoly,
     NotPrime,
-    NotSymmetric,
     exact_div,
 )
 from cycover.twobridge import TwoBridgeParams, presentation
@@ -178,7 +181,7 @@ def test_surjection_invariant_under_units_and_flip():
         base = surjects_to_Z(f).answer
         assert surjects_to_Z(-f).answer == base
         assert surjects_to_Z(f * LaurentPoly({3: 1})).answer == base
-        assert surjects_to_Z(f.reciprocal()).answer == base
+        assert surjects_to_Z(LaurentPoly({-e: c for e, c in f.coeffs.items()})).answer == base
 
 
 def test_surjection_respects_products():
@@ -198,7 +201,7 @@ def test_largeness():
     chi = {"t": 1, "a": 0}
     # a zero delta is large whatever the primes, even with none listed
     free = analyze(Presentation.make(("t", "a"), []), chi, primes=())
-    assert free.delta.is_zero() and free.large_flag is True
+    assert not free.delta and free.large_flag is True
     assert analyze(DYADIC, chi, primes=()).large_flag is False
     assert analyze(DYADIC, chi, primes=(2,)).large_flag is False
     assert analyze(COMMUTING_SQUARES, chi).delta == L([-2, 2])
@@ -258,7 +261,7 @@ def test_brown_syllable_walk_matches_letter_walk():
     for pres, chi in cases:
         if len(pres.relators) != 1 or len(pres.generators) != 2:
             continue
-        want = brown_by_letters(pres.relators[0].letters(), chi)
+        want = brown_by_letters(letters(pres.relators[0]), chi)
         assert brown_finite_generation(pres, chi) == want, pres.to_text()
 
 
@@ -266,7 +269,7 @@ def test_brown_cost_does_not_grow_with_exponents():
     huge = parse_presentation("<t, a | t a^10000000 t^-1 a^-10000001>")
     small = parse_presentation("<t, a | t a^10 t^-1 a^-11>")
     chi = {"t": 1, "a": 0}
-    assert brown_by_letters(small.relators[0].letters(), chi) == NOT_FG
+    assert brown_by_letters(letters(small.relators[0]), chi) == NOT_FG
     t0 = time.perf_counter()
     assert brown_finite_generation(huge, chi) == NOT_FG
     # one long sloped syllable: heights 0, 1, ..., 10^7 - 1, then 10^7
@@ -372,7 +375,7 @@ def test_analyze_trefoil():
 
 def test_analyze_free_rank():
     rep = analyze(Presentation.make(("t", "a"), []), {"t": 1, "a": 0})
-    assert rep.delta.is_zero()
+    assert not rep.delta
     assert rep.beta1_Q is INFINITE
     assert rep.large_flag is True
     assert rep.surjects.answer is True and rep.surjects.free_rank is True

@@ -16,6 +16,8 @@ from oracles import (
     cyclotomic_divisors,
     gcd_over_Q,
     gf_factor_bruteforce,
+    multiply_back,
+    primes_by_trial_division,
     schoolbook_mul,
     totients_upto,
 )
@@ -41,6 +43,27 @@ def swinnerton_dyer(k):
 
 def t_power_minus_one(n):
     return [-1] + [0] * (n - 1) + [1]
+
+
+# -- primality ----------------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    want = primes_by_trial_division(200_000)
+    assert [_intfactor.is_prime(n) for n in range(200_000)] == want
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # the least strong pseudoprimes to the first k prime bases, k = 1, ..., 9
+    # (one number serves k = 8 and 9)
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _intfactor.is_prime(n), n
+    assert _intfactor.is_prime(2**61 - 1)
+    assert _intfactor.is_prime(2**31 - 1) and not _intfactor.is_prime((2**31 - 1) * 1_000_000_007)
+    for n in (2**89 - 1, _intfactor.SPRP_BOUND):
+        with pytest.raises(ValueError, match=str(_intfactor.SPRP_BOUND)):
+            _intfactor.is_prime(n)
 
 
 def product(*polys):
@@ -393,7 +416,7 @@ def _sympy_factors(dense):
 
 def _mine(dense):
     fac = factor_over_Z(LaurentPoly.from_coeffs(dense))
-    assert fac.product() == LaurentPoly.from_coeffs(dense)
+    assert multiply_back(fac) == LaurentPoly.from_coeffs(dense)
     return sorted((tuple(g.dense()), m) for g, m in fac.factors)
 
 

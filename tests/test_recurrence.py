@@ -72,9 +72,6 @@ def test_window_basics():
     assert w.hi == 2
     assert w.value_at(-2) == 3
     assert w.value_at(2) == 5
-    assert not w.is_zero()
-    assert w.all_integral()
-    assert not SequenceWindow(0, (Fraction(1, 2),)).all_integral()
     with pytest.raises(ValueError):
         SequenceWindow(0, ())
 
@@ -147,10 +144,10 @@ def test_witness_contract():
     ]:
         w = witness_sequence(f, lo, hi)
         assert w.base == lo and w.hi == hi
-        assert w.all_integral()
-        assert not w.is_zero()
+        assert all(Fraction(v).denominator == 1 for v in w.values)
+        assert any(w.values)
         residue = apply_shift_factor(f.to_laurent(), w)
-        assert residue.is_zero()
+        assert not any(residue.values)
 
 
 def test_no_witness_raises():
@@ -244,7 +241,7 @@ def test_factor_chain_maps_between_solution_spaces():
     w = SequenceWindow(0, tuple(2**n + 1 for n in range(6)))
     stepped = apply_shift_factor(L(-1, 1), w)
     assert stepped.values == (1, 2, 4, 8, 16)
-    assert apply_shift_factor(L(-2, 1), stepped).is_zero()
+    assert not any(apply_shift_factor(L(-2, 1), stepped).values)
 
 
 def test_stencil_window_too_short():

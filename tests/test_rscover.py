@@ -115,7 +115,7 @@ def test_multi_relator_multi_symbol_structure():
     # template-major: one row per (template, symbol)
     assert [r.symbol for r in rows] == ["a", "b", "a", "b"]
     assert rows[0].polynomial() == L([-2, 1])
-    assert rows[1].polynomial().is_zero()
+    assert not rows[1].polynomial()
     assert rows[2].polynomial() == L([-1])
     assert rows[3].polynomial() == L([1])
 
@@ -128,7 +128,6 @@ def test_dyadic_row():
     (row,) = abelianized_recurrence(sp)
     assert row.symbol == "a"
     assert row.coefficients == ((0, -2), (1, 1))
-    assert row.coefficient(0) == -2 and row.coefficient(5) == 0
     assert row.polynomial() == L([-2, 1])
 
 

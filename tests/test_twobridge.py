@@ -10,7 +10,7 @@ from cycover.twobridge import (
     family_presentation,
     presentation,
 )
-from cycover.words import FreeWord, equal_up_to_cycling, parse_presentation
+from oracles import equal_up_to_cycling
 
 
 def test_params_validation():

@@ -14,11 +14,11 @@ from cycover.words import (
     Presentation,
     SelfReference,
     UnknownGenerator,
-    equal_up_to_cycling,
     parse_presentation,
     smith_diagonal,
     validate_weighting,
 )
+from oracles import equal_up_to_cycling, letters
 
 
 def W(*syllables):
@@ -36,14 +36,14 @@ def test_free_reduction_merges_and_cancels():
 
 
 def test_identity_and_str():
-    assert FreeWord.identity().is_identity()
+    assert FreeWord.identity().syllables == ()
     assert str(FreeWord.identity()) == "1"
     assert str(W(("t", 1), ("a", -2))) == "t a^-2"
 
 
 def test_inverse_and_mul():
     w = W(("t", 1), ("a", -2))
-    assert (w * w.inverse()).is_identity()
+    assert (w * w.inverse()) == FreeWord.identity()
     assert w.inverse().syllables == (("a", 2), ("t", -1))
 
 
@@ -56,8 +56,7 @@ def test_pow():
 
 def test_letters_and_sums():
     w = W(("a", 2), ("b", -1))
-    assert list(w.letters()) == [("a", 1), ("a", 1), ("b", -1)]
-    assert w.letter_length() == 3
+    assert list(letters(w)) == [("a", 1), ("a", 1), ("b", -1)]
     assert w.exponent_sum("a") == 2
     assert w.exponent_sum("b") == -1
     assert w.generators_used() == {"a", "b"}
@@ -100,14 +99,14 @@ def test_mul_associative(u, v, w):
 
 @given(WORDS)
 def test_inverse_cancels(w):
-    assert (w * w.inverse()).is_identity()
-    assert (w.inverse() * w).is_identity()
+    assert (w * w.inverse()) == FreeWord.identity()
+    assert (w.inverse() * w) == FreeWord.identity()
 
 
 @given(WORDS)
 def test_cyclic_reduce_shrinks_and_is_idempotent(w):
     c = w.cyclic_reduce()
-    assert c.letter_length() <= w.letter_length()
+    assert len(list(letters(c))) <= len(list(letters(w)))
     assert c.cyclic_reduce() == c
 
 
