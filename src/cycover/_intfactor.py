@@ -21,11 +21,15 @@ cyclotomic split:
   the cofactor, which has no cyclotomic factor left, goes on to the steps
   below unless it is constant or linear;
 - Berlekamp factorization modulo the first three good primes, keeping the
-  prime with the fewest factors; each factor found so far is split by one
-  basis vector of the Berlekamp algebra at a time, peeling off one value
-  class per gcd; the subset sums of the factor degrees at each prime are
-  intersected (Musser's degree-set test), and f is proved irreducible as
-  soon as only 0 and deg f remain;
+  prime with the fewest factors.  Each row x^(p*i) mod f of the matrix Q
+  is the one before times x^p: p shifts of a row packed into one integer
+  when p < deg f, one product with x^p mod f otherwise.  The null space of
+  Q - I comes from Gauss-Jordan elimination on rows packed the same way,
+  one multiply-add a row update, with slots reduced mod p only when read.
+  Each factor found so far is split by one basis vector of the Berlekamp
+  algebra at a time, peeling off one value class per gcd; the subset sums
+  of the factor degrees at each prime are intersected (Musser's degree-set
+  test), and f is proved irreducible as soon as only 0 and deg f remain;
 - quadratic Hensel lifting to exactly p^l > 2B, B a Mignotte-style
   coefficient bound;
 - subset recombination: a subset is trial-divided only when its degree sum
@@ -39,6 +43,7 @@ Everything is deterministic.
 from __future__ import annotations
 
 import math
+import struct
 from itertools import combinations
 
 
@@ -382,17 +387,6 @@ def gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     return gf_trunc(mul_ground(s0, inv), p), gf_trunc(mul_ground(t0, inv), p)
 
 
-def gf_pow_mod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = gf_divmod(f, mod, p)[1]
-    while e:
-        if e & 1:
-            out = gf_divmod(gf_mul(out, base, p), mod, p)[1]
-        base = gf_divmod(gf_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return out
-
-
 def gf_is_squarefree(f: list[int], p: int) -> bool:
     f = gf_monic(f, p)
     return len(gf_gcd(f, gf_trunc(derivative(f), p), p)) == 1
@@ -411,15 +405,10 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
     n = degree(f)
     if n <= 1:
         return [f]
-    # Rows of Q: x^(p*i) mod f for i = 0..n-1.
-    xp = gf_pow_mod([0, 1], p, f, p)
-    rows = [[1] + [0] * (n - 1)]
-    cur = [1]
-    for _ in range(1, n):
-        cur = gf_divmod(gf_mul(cur, xp, p), f, p)[1]
-        rows.append([cur[i] if i < len(cur) else 0 for i in range(n)])
     # Left null space of (Q - I): vectors v with v(x)^p = v(x) mod f.
-    m = [[(rows[i][j] - (1 if i == j else 0)) % p for j in range(n)] for i in range(n)]
+    m = _frobenius_rows(f, p)
+    for i, row in enumerate(m):
+        row[i] = (row[i] - 1) % p
     basis = _left_nullspace(m, p)
     r = len(basis)
     if r == 1:
@@ -449,35 +438,102 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
     return sorted(factors)
 
 
-def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v*M = 0} over GF(p)."""
-    n = len(m)
-    # Row-reduce M^T, tracking combinations: solve M^T v^T = 0.
-    a = [[m[j][i] % p for j in range(n)] for i in range(n)]  # M^T
-    pivots = []
-    row = 0
-    where = [-1] * n
-    for col in range(n):
-        sel = None
-        for i in range(row, n):
-            if a[i][col] % p:
-                sel = i
+class _Slots:
+    """Rows of n ints in [0, bound], each packed into one int, a fixed-width slot an entry.
+
+    Entry j of a row is the slot (x >> j * bits) & mask of its packed value x.
+    The slots are as wide as the narrowest of 1, 2, 4 and 8 bytes that holds
+    bound, and pack and unpack go through the little-endian bytes of the row
+    (`struct`), so neither costs a Python step per entry.
+    """
+
+    __slots__ = ("bits", "mask", "_row")
+
+    def __init__(self, bound: int, n: int) -> None:
+        for code, size in ("B", 1), ("H", 2), ("I", 4), ("Q", 8):
+            if bound >> 8 * size == 0:
                 break
+        else:
+            raise ValueError(f"a slot of {bound.bit_length()} bits is wider than 8 bytes")
+        self.bits = 8 * size
+        self.mask = (1 << self.bits) - 1
+        self._row = struct.Struct(f"<{n}{code}")
+
+    def pack(self, row: list[int]) -> int:
+        return int.from_bytes(self._row.pack(*row), "little")
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        return self._row.unpack(x.to_bytes(self._row.size, "little"))
+
+
+def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
+    """Berlekamp's matrix Q of a monic f of degree n >= 2: rows x^(p*i) mod f, i < n.
+
+    Each row holds n ints in [0, p) and is row i - 1 times x^p.  For p < n
+    that takes p shifts of the row packed into `_Slots`: a shift moves every
+    coefficient up one slot and takes the c that reaches x^n back down by
+    adding (-c mod p) times the low part of f, less than p^2 a slot.  The row
+    is reduced mod p after its p shifts, so no slot exceeds p + p^3.  For
+    p >= n it is one product with x^p mod f, which squarings and shifts give.
+    """
+    n = degree(f)
+    rows = [[1] + [0] * (n - 1)]
+    if p < n:
+        slots = _Slots(p + p**3, n)
+        bits, top = slots.bits, n * slots.bits
+        low, below = slots.pack(f[:n]), (1 << top) - 1
+        x = 1
+        for _ in range(1, n):
+            for _ in range(p):
+                x <<= bits
+                x = (x & below) + (-(x >> top) % p) * low
+            rows.append([c % p for c in slots.unpack(x)])
+            x = slots.pack(rows[-1])
+        return rows
+    xp = [1]
+    for bit in bin(p)[2:]:
+        xp = gf_divmod(gf_mul(xp, xp, p), f, p)[1]
+        if bit == "1":
+            xp = gf_divmod([0] + xp, f, p)[1]
+    cur = [1]
+    for _ in range(1, n):
+        cur = gf_divmod(gf_mul(cur, xp, p), f, p)[1]
+        rows.append(cur + [0] * (n - len(cur)))
+    return rows
+
+
+def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : v*M = 0} over GF(p), M square.
+
+    Gauss-Jordan elimination on M^T, each row packed into `_Slots`.  The
+    pivot row is reduced mod p with its pivot made 1, and a row with c in the
+    pivot column becomes row + (p - c) * pivot row: one multiply-add, which
+    leaves a multiple of p in that column.  No other row is reduced, and a
+    slot is taken mod p only when it is read.  A row gets at most n such
+    additions of less than p^2 a slot, so no slot exceeds p + n p^2.
+    """
+    n = len(m)
+    slots = _Slots(p + n * p * p, n)
+    bits, mask = slots.bits, slots.mask
+    a = [slots.pack([x % p for x in col]) for col in zip(*m)]  # rows of M^T
+    where = [-1] * n
+    row = 0
+    for col in range(n):
+        shift = col * bits
+        sel = next((i for i in range(row, n) if ((a[i] >> shift) & mask) % p), None)
         if sel is None:
             continue
         a[row], a[sel] = a[sel], a[row]
-        # Columns left of col are already zero in the pivot row.
-        piv = a[row]
+        piv = slots.unpack(a[row])
         inv = pow(piv[col], -1, p)
-        piv[col:] = [(x * inv) % p for x in piv[col:]]
-        tail = piv[col:]
+        a[row] = piv = slots.pack([x * inv % p for x in piv])
         for i in range(n):
-            c = a[i][col]
-            if i != row and c:
-                a[i][col:] = [(x - c * y) % p for x, y in zip(a[i][col:], tail)]
+            c = ((a[i] >> shift) & mask) % p
+            if c and i != row:
+                a[i] += (p - c) * piv
         where[col] = row
-        pivots.append(col)
         row += 1
+    reduced = [[x % p for x in slots.unpack(r)] for r in a[:row]]
     basis = []
     for col in range(n):
         if where[col] != -1:
@@ -486,7 +542,7 @@ def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
         v[col] = 1
         for c2 in range(n):
             if where[c2] != -1:
-                v[c2] = (-a[where[c2]][col]) % p
+                v[c2] = (-reduced[where[c2]][col]) % p
         basis.append(v)
     return basis
 

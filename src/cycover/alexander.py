@@ -18,7 +18,7 @@ determinant's value, whose balanced w-byte slots are its coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from ._intfactor import Kronecker
 from .laurent import LaurentPoly, ModPoly, _Infinite
@@ -72,36 +72,37 @@ def _bump(coeffs: dict[int, int], e: int, delta: int) -> None:
 
 @dataclass(frozen=True)
 class AlexanderMatrix:
-    """Rows indexed by relators, columns by generators, in declared order."""
+    """Rows indexed by relators, columns by the generators kept, in declared order."""
 
     generators: tuple[str, ...]
     relators: tuple[FreeWord, ...]
     weighting: dict[str, int] = field(compare=False)
     entries: tuple[tuple[LaurentPoly, ...], ...] = ()
 
-    def column_index(self, gen: str) -> int:
-        return self.generators.index(gen)
 
-    def without_column(self, gen: str) -> list[list[LaurentPoly]]:
-        j = self.column_index(gen)
-        return [[e for k, e in enumerate(row) if k != j] for row in self.entries]
+def alexander_matrix(
+    p: Presentation, chi: Mapping[str, int], delete_column: str | None = None
+) -> AlexanderMatrix:
+    """Fox Jacobian of the presentation under the weighting, less one column if named.
 
-
-def alexander_matrix(p: Presentation, chi: Mapping[str, int]) -> AlexanderMatrix:
-    """Full Fox Jacobian of the presentation under the weighting."""
+    The deleted column is never computed: a syllable x^e of a generator x of
+    weight +-1 costs |e| steps in x's column, so that column alone can cost
+    more than all the others.
+    """
+    columns = tuple(g for g in p.generators if g != delete_column)
     entries = tuple(
-        tuple(fox_derivative_abelianized(r, g, chi) for g in p.generators)
+        tuple(fox_derivative_abelianized(r, g, chi) for g in columns)
         for r in p.relators
     )
     return AlexanderMatrix(
-        generators=p.generators,
+        generators=columns,
         relators=p.relators,
         weighting=dict(chi),
         entries=entries,
     )
 
 
-def _det(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     """Determinant of a square matrix over Z[t, 1/t], by Kronecker substitution.
 
     Each row is shifted by its lowest exponent, which leaves polynomials in t
@@ -206,8 +207,7 @@ def alexander_polynomial(
     if m < n - 1:
         delta = LaurentPoly.zero()
     else:
-        mat = alexander_matrix(p, chi)
-        delta = _det(mat.without_column(delete_column)).normalize()
+        delta = _det(alexander_matrix(p, chi, delete_column).entries).normalize()
     return AlexanderResult(
         delta=delta,
         deleted_column=delete_column,

@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -40,17 +41,37 @@ def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's limit on the digits of an int turned into a string, for the block.
+
+    A count such as r_p = p^d(p) can pass the default of 4,300 digits.  The
+    limit (Python 3.10.7 and later) stays on everywhere else, input parsing
+    included, and is restored on the way out.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _emit(args, command: str, source: str, result: dict, human: str) -> None:
-    if args.json:
-        report = {
-            "command": command,
-            "input_digest": _digest(source),
-            "version": __version__,
-            "result": result,
-        }
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print(human)
+    with _any_int_digits():
+        if args.json:
+            report = {
+                "command": command,
+                "input_digest": _digest(source),
+                "version": __version__,
+                "result": result,
+            }
+            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        else:
+            print(human)
 
 
 def _read_file(path: str) -> str:
@@ -171,15 +192,7 @@ def _cmd_alex(args) -> None:
     _emit(args, "alex", text, result, "\n".join(human))
 
 
-def _cmd_criteria(args) -> None:
-    from .criteria import analyze
-
-    p, text = _load_presentation(args.file)
-    chi = _resolve_chi(p, args.chi)
-    primes = _parse_primes(args.primes)
-    rep = analyze(p, chi, primes=primes)
-    result = _to_json(rep)
-    result["surjects_to_Z"] = result.pop("surjects")
+def _criteria_text(rep) -> str:
     human = [f"delta: {rep.delta}", f"beta1_Q: {_to_json(rep.beta1_Q)}"]
     for rec in rep.primes:
         cls = rec.classification
@@ -202,7 +215,21 @@ def _cmd_criteria(args) -> None:
         f"weight witness {kv.weight_one_witness or 'unknown'}, "
         f"H2=0 inferred {kv.h2_zero_inferred}"
     )
-    _emit(args, "criteria", text, result, "\n".join(human))
+    return "\n".join(human)
+
+
+def _cmd_criteria(args) -> None:
+    from .criteria import analyze
+
+    p, text = _load_presentation(args.file)
+    chi = _resolve_chi(p, args.chi)
+    primes = _parse_primes(args.primes)
+    rep = analyze(p, chi, primes=primes)
+    result = _to_json(rep)
+    result["surjects_to_Z"] = result.pop("surjects")
+    with _any_int_digits():
+        human = _criteria_text(rep)
+    _emit(args, "criteria", text, result, human)
 
 
 def _cmd_twobridge(args) -> None:

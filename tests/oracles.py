@@ -6,7 +6,8 @@ search, products term by term, determinants by the Leibniz expansion over plain 
 Euclid over the rationals, factorization over GF(p) by trial
 division by every monic polynomial of low degree, cyclotomic polynomials by
 rational division of t^m - 1 and the cyclotomic factors of a polynomial by
-trying every one of small enough degree, biinfinite solution
+trying every one of small enough degree, the rows of Berlekamp's matrix by
+long division and convolution, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
 evaluating every template on every window, the essential states of a graph
@@ -236,6 +237,31 @@ def _gf_exact_quotient(f, g, p):
         for j, c in enumerate(g):
             rem[k + j] = (rem[k + j] - q[k] * c) % p
     return None if any(rem) else q
+
+
+def frobenius_rows(f, p):
+    """Rows x^(p*i) mod f over GF(p), i < deg f, for monic f, as lists of ints.
+
+    x^p mod f by long division of the monomial, then each row as the product
+    of the one before with it (numpy convolution) reduced by long division.
+    """
+    n = len(f) - 1
+    fa = np.array(f, dtype=np.int64)
+
+    def rem(g):
+        g = g % p
+        for k in range(len(g) - 1, n - 1, -1):
+            g[k - n : k + 1] = (g[k - n : k + 1] - g[k] * fa) % p
+        return np.concatenate([g[:n], np.zeros(max(0, n - len(g)), dtype=np.int64)])
+
+    xp = rem(np.array([0] * p + [1], dtype=np.int64))
+    row = np.zeros(n, dtype=np.int64)
+    row[0] = 1
+    rows = []
+    for _ in range(n):
+        rows.append([int(c) for c in row])
+        row = rem(np.convolve(row, xp))
+    return rows
 
 
 # -- cyclotomic factors by rational division -----------------------------

@@ -133,6 +133,30 @@ def test_huge_weight_zero_exponent(capsys, tmp_path):
         assert rep["result"]["delta"] == "1000000000t - 1000000001"
 
 
+def test_counts_past_the_int_digit_limit(capsys, tmp_path):
+    # r_p = p^334 at p = 2^61 - 1 has 6,133 digits, past the 4,300 that Python
+    # turns into a string by default; the CLI lifts that limit only to print.
+    from cycover.twobridge import TwoBridgeParams, presentation
+
+    f = tmp_path / "k1001_3.txt"
+    f.write_text(presentation(TwoBridgeParams(1001, 3)).to_text())
+    p = 2**61 - 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run(capsys, "criteria", str(f), "--primes", str(p))
+    assert code == 0, err
+    assert f"p={p}: d=334 r=" in out
+    code, out, err = run(capsys, "criteria", str(f), "--primes", str(p), "--json")
+    assert code == 0, err
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    lift(0)
+    try:
+        (rec,) = json.loads(out)["result"]["primes"]
+    finally:
+        lift(limit)
+    assert rec["d"] == 334 and rec["r"] == p**334 and rec["n"] == (p**334 - 1) // (p - 1)
+
+
 def test_alex_bad_chi_syntax(capsys, dyadic_file):
     code, _, err = run(capsys, "alex", dyadic_file, "--chi", "t:1")
     assert code == 1

@@ -4,6 +4,7 @@ import math
 import random
 from itertools import zip_longest
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +13,11 @@ from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
 from oracles import (
+    _nullspace_mod_p,
+    _rank_mod_p,
     cyclotomic,
     cyclotomic_divisors,
+    frobenius_rows,
     gcd_over_Q,
     gf_factor_bruteforce,
     multiply_back,
@@ -261,6 +265,90 @@ def test_berlekamp_matches_trial_division():
         else:
             f, facs = _squarefree_mod_p(rng, p, 10)
         assert _intfactor.berlekamp(f, p) == facs, (p, f)
+
+
+def _low_rank_matrix(rng, p, n):
+    """A random n x n matrix of rank at most k, k random, entries not reduced mod p."""
+    k = rng.randint(0, n)
+    a = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(n)], dtype=np.int64)
+    b = np.array([[rng.randrange(p) for _ in range(n)] for _ in range(k)], dtype=np.int64)
+    m = (a @ b % p if k else np.zeros((n, n), dtype=np.int64)).tolist()
+    for row in m:  # representatives outside [0, p) as well
+        j = rng.randrange(n)
+        row[j] += p * rng.randint(-3, 3)
+    return m
+
+
+def test_left_nullspace_matches_elimination_oracle():
+    # n from 1 to 130 at these primes puts the slot bound p + n p^2 on both
+    # sides of every width: 1, 2, 4 and 8 bytes.
+    rng = random.Random(76)
+    widths = set()
+    for p in (2, 3, 13, 251, 257, 4093, 19997):
+        for n in (1, 2, 11, 29, 64, 130):
+            widths.add(_intfactor._Slots(p + n * p * p, n).bits)
+            m = _low_rank_matrix(rng, p, n)
+            mt = [list(col) for col in zip(*m)]
+            basis = _intfactor._left_nullspace(m, p)
+            assert len(basis) == n - _rank_mod_p(mt, p), (p, n)
+            assert basis == _nullspace_mod_p(mt, n, p), (p, n)
+            for v in basis:
+                assert all(sum(x * y for x, y in zip(v, col)) % p == 0 for col in mt), (p, n)
+    assert widths == {8, 16, 32, 64}
+
+
+def _random_monic(rng, p, n):
+    """A random monic f of degree n over GF(p)."""
+    return [rng.randrange(p) for _ in range(n)] + [1]
+
+
+def test_frobenius_rows_match_oracle_without_products(monkeypatch):
+    # For p < n every row comes from the one before by p shifts of a packed
+    # row, with no polynomial product or division.
+    def forbidden(*args):
+        raise AssertionError("a polynomial product or division in a Q row for p < n")
+
+    rng = random.Random(77)
+    expected = {}
+    for p, n in ((2, 3), (2, 64), (3, 40), (7, 8), (13, 50), (61, 62), (127, 130)):
+        f = _random_monic(rng, p, n)
+        expected[p, n] = f, frobenius_rows(f, p)
+    with monkeypatch.context() as patch:
+        patch.setattr(_intfactor, "gf_mul", forbidden)
+        patch.setattr(_intfactor, "gf_divmod", forbidden)
+        for (p, n), (f, rows) in expected.items():
+            assert _intfactor._frobenius_rows(f, p) == rows, (p, n)
+    # p >= n: one product with x^p mod f a row.
+    for p, n in ((2, 2), (13, 13), (101, 30), (19997, 12)):
+        f = _random_monic(rng, p, n)
+        assert _intfactor._frobenius_rows(f, p) == frobenius_rows(f, p), (p, n)
+
+
+def _irreducibles(rng, p, linear, quadratic):
+    """Distinct monic x - a and x^2 + bx + c with b^2 - 4c a non-square mod p, p odd."""
+    lin = {(-a % p, 1) for a in rng.sample(range(p), linear)}
+    quad = set()
+    while len(quad) < quadratic:
+        b, c = rng.randrange(p), rng.randrange(p)
+        if pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1:
+            quad.add((c, b, 1))
+    return sorted(map(list, lin | quad))
+
+
+def test_berlekamp_for_primes_above_the_degree():
+    # The value classes are peeled one s at a time, so p = 19997 gets few trials.
+    rng = random.Random(78)
+    for p, trials in ((13, 12), (101, 12), (19997, 3)):
+        for trial in range(trials):
+            linear, quadratic = rng.randint(0, 4), rng.randint(0, 3)
+            if linear + quadratic == 0:
+                linear = 1
+            facs = _irreducibles(rng, p, linear, quadratic)
+            f = [1]
+            for g in facs:
+                f = [c % p for c in schoolbook_mul(f, g)]
+            assert len(f) - 1 < p
+            assert _intfactor.berlekamp(f, p) == facs, (p, f)
 
 
 # -- the cyclotomic split -------------------------------------------------
