@@ -17,11 +17,11 @@ determinant's value, whose balanced w-byte slots are its coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from ._intfactor import Kronecker
-from .laurent import LaurentPoly, ModPoly, _Infinite
+from .laurent import LaurentPoly, _Infinite
 from .words import FreeWord, Presentation
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
@@ -70,35 +70,20 @@ def _bump(coeffs: dict[int, int], e: int, delta: int) -> None:
         coeffs.pop(e, None)
 
 
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Rows indexed by relators, columns by the generators kept, in declared order."""
-
-    generators: tuple[str, ...]
-    relators: tuple[FreeWord, ...]
-    weighting: dict[str, int] = field(compare=False)
-    entries: tuple[tuple[LaurentPoly, ...], ...] = ()
-
-
 def alexander_matrix(
     p: Presentation, chi: Mapping[str, int], delete_column: str | None = None
-) -> AlexanderMatrix:
+) -> tuple[tuple[LaurentPoly, ...], ...]:
     """Fox Jacobian of the presentation under the weighting, less one column if named.
 
+    One row per relator, one column per generator kept, in declared order.
     The deleted column is never computed: a syllable x^e of a generator x of
     weight +-1 costs |e| steps in x's column, so that column alone can cost
     more than all the others.
     """
-    columns = tuple(g for g in p.generators if g != delete_column)
-    entries = tuple(
+    columns = [g for g in p.generators if g != delete_column]
+    return tuple(
         tuple(fox_derivative_abelianized(r, g, chi) for g in columns)
         for r in p.relators
-    )
-    return AlexanderMatrix(
-        generators=columns,
-        relators=p.relators,
-        weighting=dict(chi),
-        entries=entries,
     )
 
 
@@ -162,12 +147,12 @@ def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
 class AlexanderResult:
     delta: LaurentPoly
     deleted_column: str
-    mod_p_table: dict[int, tuple[ModPoly, Union[int, _Infinite]]] = field(compare=False)
 
 
 def mod_p_table(
     delta: LaurentPoly, primes=DEFAULT_PRIMES
-) -> dict[int, tuple[ModPoly, Union[int, _Infinite]]]:
+) -> dict[int, tuple[LaurentPoly, Union[int, _Infinite]]]:
+    """Each prime's reduction of delta, with its degree span d(p)."""
     out = {}
     for p in primes:
         m = delta.reduce_mod(p)
@@ -175,41 +160,27 @@ def mod_p_table(
     return out
 
 
-def alexander_polynomial(
-    p: Presentation,
-    chi: Mapping[str, int],
-    primes=DEFAULT_PRIMES,
-    delete_column: str | None = None,
-) -> AlexanderResult:
-    """Alexander polynomial of the weighting kernel, canonical form.
+def alexander_polynomial(p: Presentation, chi: Mapping[str, int]) -> AlexanderResult:
+    """Alexander polynomial of the weighting kernel, canonical form, and the column deleted.
 
     Requires at most n-1 relators for n generators.  With exactly n-1
     the polynomial is the determinant after deleting the column of the
     first weight +-1 generator; with fewer relators the kernel module
-    has a free summand of positive rank and the polynomial is 0.
+    has a free summand of positive rank and the polynomial is 0.  Its
+    reductions mod primes are `mod_p_table`'s.
     """
     m, n = len(p.relators), len(p.generators)
     if m > n - 1:
         raise NotDeficiencyOne(
             f"need at most {n - 1} relators for {n} generators, have {m}"
         )
+    delete_column = next((g for g in p.generators if abs(chi[g]) == 1), None)
     if delete_column is None:
-        delete_column = next(
-            (g for g in p.generators if abs(chi[g]) == 1), None
+        raise NoUnitWeightGenerator(
+            "no generator has weight +-1; substitute one in first"
         )
-        if delete_column is None:
-            raise NoUnitWeightGenerator(
-                "no generator has weight +-1; substitute one in first"
-            )
-    elif abs(chi[delete_column]) != 1:
-        raise NoUnitWeightGenerator(f"{delete_column} does not have weight +-1")
-
     if m < n - 1:
         delta = LaurentPoly.zero()
     else:
-        delta = _det(alexander_matrix(p, chi, delete_column).entries).normalize()
-    return AlexanderResult(
-        delta=delta,
-        deleted_column=delete_column,
-        mod_p_table=mod_p_table(delta, primes),
-    )
+        delta = _det(alexander_matrix(p, chi, delete_column)).normalize()
+    return AlexanderResult(delta=delta, deleted_column=delete_column)

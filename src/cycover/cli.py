@@ -170,24 +170,22 @@ def _cmd_parse(args) -> None:
 
 
 def _cmd_alex(args) -> None:
-    from .alexander import alexander_polynomial
+    from .alexander import alexander_polynomial, mod_p_table
 
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     primes = _parse_primes(args.primes)
-    res = alexander_polynomial(p, chi, primes=primes)
-    table = {
-        str(q): {"poly": str(m), "d": _to_json(d)}
-        for q, (m, d) in res.mod_p_table.items()
-    }
+    res = alexander_polynomial(p, chi)
+    table = mod_p_table(res.delta, primes)
     result = {
         "delta": str(res.delta),
         "deleted_column": res.deleted_column,
-        "mod_p": table,
+        "mod_p": {
+            str(q): {"poly": str(m), "d": _to_json(d)} for q, (m, d) in table.items()
+        },
     }
     human = [f"delta: {res.delta}", f"deleted column: {res.deleted_column}"]
-    for q in primes:
-        m, d = res.mod_p_table[q]
+    for q, (m, d) in table.items():
         human.append(f"mod {q}: {m}   d({q}) = {_to_json(d)}")
     _emit(args, "alex", text, result, "\n".join(human))
 

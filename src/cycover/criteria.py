@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
-from .alexander import DEFAULT_PRIMES, alexander_polynomial
+from .alexander import DEFAULT_PRIMES, alexander_polynomial, mod_p_table
 from .laurent import INFINITE, LaurentPoly, _Infinite, factor_over_Z
 from .words import Presentation
 
@@ -179,9 +179,9 @@ def analyze(
     primes=DEFAULT_PRIMES,
 ) -> CoverReport:
     """Full report for a presentation and a validated weighting."""
-    result = alexander_polynomial(p, chi, primes=primes)
-    delta = result.delta
-    records = tuple(PrimeRecord.from_span(q, result.mod_p_table[q][1]) for q in primes)
+    delta = alexander_polynomial(p, chi).delta
+    table = mod_p_table(delta, primes)
+    records = tuple(PrimeRecord.from_span(q, table[q][1]) for q in primes)
     rec2 = next((rec for rec in records if rec.p == 2), None)
     if rec2 is None:
         rec2 = PrimeRecord.from_span(2, delta.reduce_mod(2).degree_span())

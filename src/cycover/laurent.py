@@ -181,10 +181,11 @@ class LaurentPoly:
             return False
         return abs(self._coeffs[self.low()]) == 1 and abs(self._coeffs[self.high()]) == 1
 
-    def reduce_mod(self, p: int) -> "ModPoly":
+    def reduce_mod(self, p: int) -> "LaurentPoly":
+        """The polynomial of coefficient residues in [0, p), p a prime."""
         if not _intfactor.is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        return ModPoly(p, {e: c % p for e, c in self._coeffs.items()})
+        return LaurentPoly({e: c % p for e, c in self._coeffs.items()})
 
     # -- text form ----------------------------------------------------
 
@@ -210,46 +211,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
-
-
-class ModPoly:
-    """A Laurent polynomial with coefficients reduced mod a prime p."""
-
-    __slots__ = ("p", "_coeffs")
-
-    def __init__(self, p: int, coeffs: Mapping[int, int]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(
-            self, "_coeffs", {e: c % p for e, c in dict(coeffs).items() if c % p != 0}
-        )
-
-    def __setattr__(self, *a):
-        raise AttributeError("ModPoly is immutable")
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._coeffs)
-
-    def degree_span(self) -> Union[int, _Infinite]:
-        if not self._coeffs:
-            return INFINITE
-        return max(self._coeffs) - min(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModPoly):
-            return NotImplemented
-        return self.p == other.p and self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.p, tuple(sorted(self._coeffs.items()))))
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        return str(LaurentPoly(self._coeffs))
-
-    def __repr__(self) -> str:
-        return f"ModPoly(p={self.p}, {self})"
 
 
 @dataclass(frozen=True)

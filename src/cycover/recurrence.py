@@ -36,21 +36,19 @@ class Direction(Enum):
     BACKWARD = "backward"
 
 
+@dataclass(frozen=True)
 class AuxPolynomial:
     """Auxiliary polynomial a_d t^d + ... + a_0 with a_d, a_0 nonzero, d >= 1."""
 
-    __slots__ = ("_asc",)
+    ascending: tuple[int, ...]
 
-    def __init__(self, ascending: Sequence[int]):
-        asc = tuple(int(c) for c in ascending)
+    def __post_init__(self):
+        asc = tuple(int(c) for c in self.ascending)
         if len(asc) < 2:
             raise InvalidRecurrence("degree must be at least 1")
         if asc[0] == 0 or asc[-1] == 0:
             raise InvalidRecurrence("constant and leading coefficients must be nonzero")
-        object.__setattr__(self, "_asc", asc)
-
-    def __setattr__(self, *a):
-        raise AttributeError("AuxPolynomial is immutable")
+        object.__setattr__(self, "ascending", asc)
 
     @classmethod
     def from_desc(cls, descending: Sequence[int]) -> "AuxPolynomial":
@@ -58,33 +56,20 @@ class AuxPolynomial:
         return cls(tuple(reversed(tuple(descending))))
 
     @property
-    def ascending(self) -> tuple[int, ...]:
-        return self._asc
-
-    @property
     def degree(self) -> int:
-        return len(self._asc) - 1
+        return len(self.ascending) - 1
 
     def primitive(self) -> "AuxPolynomial":
-        c = math.gcd(*(abs(x) for x in self._asc))
-        if self._asc[-1] < 0:
+        c = math.gcd(*(abs(x) for x in self.ascending))
+        if self.ascending[-1] < 0:
             c = -c
-        return AuxPolynomial(tuple(x // c for x in self._asc))
+        return AuxPolynomial(tuple(x // c for x in self.ascending))
 
     def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self._asc)
-
-    def __eq__(self, other):
-        return isinstance(other, AuxPolynomial) and self._asc == other._asc
-
-    def __hash__(self):
-        return hash(self._asc)
+        return LaurentPoly.from_coeffs(self.ascending)
 
     def __str__(self):
         return str(self.to_laurent())
-
-    def __repr__(self):
-        return f"AuxPolynomial({self})"
 
 
 @dataclass(frozen=True)

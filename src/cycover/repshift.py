@@ -268,9 +268,7 @@ class SftGraph:
     appends one element on the right; the label of a state is its first
     (most significant) coordinate.
 
-    `successors` holds the edges in CSR form (see `Successors`); any other
-    sequence of per-state targets is converted to it, each state's targets
-    made ascending and distinct.  `essential`
+    `successors` holds the edges in CSR form (see `Successors`).  `essential`
     is a bytearray, 1 for the states left by the trim: those on a
     biinfinite path.
     """
@@ -281,9 +279,6 @@ class SftGraph:
     essential: bytearray = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.successors, Successors):
-            rows = (sorted(set(targets)) for targets in self.successors)
-            self.successors = Successors.from_rows(zip(repeat(0), rows))
         self.essential = _trim(self.successors)
 
     @property
@@ -485,7 +480,7 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
-    h = _perron_log(offsets, targets, tol, ENTROPY_MAX_ITER)
+    h = _perron_log(offsets, targets, tol)
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
@@ -583,7 +578,7 @@ def _all_sccs_simple_cycles(offsets: array, targets: array) -> bool:
     return True
 
 
-def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = ENTROPY_MAX_ITER) -> float:
+def entropy(g: SftGraph, tol: float = 1e-6) -> float:
     """Log of the Perron root of the essential adjacency matrix.
 
     Power iteration on exact integer vectors applied to (A + I); the +I
@@ -591,10 +586,10 @@ def entropy(g: SftGraph, tol: float = 1e-6, max_iter: int = ENTROPY_MAX_ITER) ->
     vector sum converges to 1 + the Perron root of A.
     """
     _, offsets, targets = _essential_adjacency(g)
-    return _perron_log(offsets, targets, tol, max_iter)
+    return _perron_log(offsets, targets, tol)
 
 
-def _perron_log(offsets: array, targets: array, tol: float, max_iter: int) -> float:
+def _perron_log(offsets: array, targets: array, tol: float) -> float:
     """`entropy` of the essential subgraph given in CSR form."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite positive number, not {tol}")
@@ -606,7 +601,7 @@ def _perron_log(offsets: array, targets: array, tol: float, max_iter: int) -> fl
     v = [1] * n
     prev_ratio = None
     total = n
-    for _ in range(max_iter):
+    for _ in range(ENTROPY_MAX_ITER):
         nxt = list(v)  # the +I part
         for s, t in zip(sources, targets):
             nxt[t] += v[s]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Optional
+from functools import cached_property
+from typing import Hashable, Iterable
 
 Syllable = tuple[str, int]
 
@@ -140,11 +141,10 @@ class _Scanner:
         self.text = text
         self.pos = 0
 
-    def loc(self, pos: Optional[int] = None) -> tuple[int, int]:
-        p = self.pos if pos is None else pos
-        consumed = self.text[:p]
+    def loc(self) -> tuple[int, int]:
+        consumed = self.text[: self.pos]
         line = consumed.count("\n") + 1
-        col = p - (consumed.rfind("\n") + 1) + 1
+        col = self.pos - (consumed.rfind("\n") + 1) + 1
         return line, col
 
     def skip_ws(self) -> None:
@@ -203,9 +203,15 @@ class Presentation:
         """Rows = relators, columns = generators (declared order)."""
         return [[r.exponent_sum(g) for g in self.generators] for r in self.relators]
 
+    @cached_property
+    def _smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """`smith_diagonal` of the exponent matrix, computed once per presentation."""
+        diag, colops = smith_diagonal(self.exponent_matrix(), len(self.generators))
+        return tuple(diag), tuple(map(tuple, colops))
+
     def abelianization_invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion coefficients d_1 | d_2 | ... each > 1) of H_1."""
-        diag, _ = smith_diagonal(self.exponent_matrix(), len(self.generators))
+        diag, _ = self._smith
         rank = sum(1 for d in diag if d != 0)
         torsion = tuple(d for d in diag if d > 1)
         return len(self.generators) - rank, torsion
@@ -217,7 +223,7 @@ class Presentation:
         nonzero value maps positively.
         """
         n = len(self.generators)
-        diag, colops = smith_diagonal(self.exponent_matrix(), n)
+        diag, colops = self._smith
         free_cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
         torsion = [d for d in diag if d > 1]
         if len(free_cols) != 1 or torsion:

@@ -20,17 +20,18 @@ Some are checkers that the program itself does not need: a factorization
 multiplied back term by term, the centered symmetric form of a knot
 polynomial and the index-2 criterion read from it (a second derivation of
 `analyze`'s `index2`), equality of words up to cyclic permutation and
-inversion letter by letter, and the digits of a shift-graph state by
-positional division.
+inversion letter by letter, the digits of a shift-graph state by
+positional division, and a shift graph built from plain lists of targets.
 """
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 
 import numpy as np
 
 from cycover.laurent import LaurentPoly, ZeroPolynomial
+from cycover.repshift import FiniteGroup, SftGraph, Successors
 
 
 # -- primality by trial division ----------------------------------------
@@ -450,6 +451,19 @@ def propagation_box_verdict(asc, box=10, steps=40):
     # applied to the reversed seed; only forward survivors need it
     bwd = _seeds_survive(tuple(reversed(asc)), fwd[:, ::-1].copy(), steps)
     return bool(len(bwd))
+
+
+# -- shift graphs from plain lists --------------------------------------
+
+
+def graph_from_lists(lists):
+    """The window-1 SftGraph over Z/len(lists) in which state s has the targets lists[s].
+
+    Each state's targets are made ascending and distinct, as `Successors` keeps them.
+    """
+    rows = (sorted(set(targets)) for targets in lists)
+    successors = Successors.from_rows(zip(repeat(0), rows))
+    return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=successors)
 
 
 # -- spectral radius ----------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import cycover
+from cycover import words
 from cycover.cli import main
 
 DYADIC_TEXT = "<t, a | t a t^-1 a^-2>"
@@ -51,6 +52,17 @@ def test_parse_json(capsys, dyadic_file):
     r = rep["result"]
     assert r["weighting"] == {"t": 1, "a": 0}
     assert r["abelianization"] == {"free_rank": 1, "torsion": []}
+
+
+@pytest.mark.parametrize("command", ["criteria", "parse"])
+def test_smith_form_computed_once(monkeypatch, capsys, dyadic_file, command):
+    # the weighting and the abelianization both read one Smith form
+    calls = []
+    real = words.smith_diagonal
+    monkeypatch.setattr(words, "smith_diagonal", lambda *a: calls.append(a) or real(*a))
+    code, out, err = run(capsys, command, dyadic_file)
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_parse_garbage_is_exit_2(capsys, tmp_path):

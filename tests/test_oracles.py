@@ -9,7 +9,6 @@ from corpus import two_bridge_pairs, weight_zero_form
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.repshift import (
     FiniteGroup,
-    SftGraph,
     build_sft,
     census,
     entropy,
@@ -22,6 +21,7 @@ from oracles import (
     census_class,
     closed_walks,
     essential_fixed_point,
+    graph_from_lists,
     perron_entropy,
     propagation_box_verdict,
     window_rank_count,
@@ -173,10 +173,6 @@ def _random_graph(rng):
     return [sorted(t) for t in succ]
 
 
-def _graph(lists):
-    return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=lists)
-
-
 def _edges(g):
     return [(s, t) for s, targets in enumerate(g.successors) for t in targets]
 
@@ -200,7 +196,7 @@ def test_essential_matches_fixed_point_on_random_graphs():
     rng = random.Random(6)
     for _ in range(100):
         lists = _random_graph(rng)
-        g = _graph(lists)
+        g = graph_from_lists(lists)
         assert [list(t) for t in g.successors] == lists
         want = essential_fixed_point(len(lists), _edges(g))
         assert [bool(x) for x in g.essential] == want, lists
@@ -217,7 +213,7 @@ def _census_graphs():
     for i in range(100):
         lists = _random_graph(rng)
         lists[0] = sorted(set(lists[0]) | {0})
-        yield f"random {i}: {lists}", _graph(lists)
+        yield f"random {i}: {lists}", graph_from_lists(lists)
 
 
 def test_periodic_counts_equal_closed_walks():

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
-from oracles import brute_successors, state_digits
+from oracles import brute_successors, graph_from_lists, state_digits
 from cycover.repshift import (
     STATE_CAP,
     BadGroupTable,
@@ -393,9 +393,7 @@ def test_census_family3_z3_only_trivial():
 def test_census_infinite_zero_entropy():
     # two self-loops joined by a transit edge: countably many points
     # (eventually-constant rays), but no component carries two cycles
-    from cycover.repshift import SftGraph
-
-    g = SftGraph(window=1, group=FiniteGroup.cyclic(2), successors=[[0, 1], [1]])
+    g = graph_from_lists([[0, 1], [1]])
     c = census(g)
     assert c.classification == "InfiniteZeroEntropy"
     assert c.count is None
