@@ -17,7 +17,6 @@ determinant's value, whose balanced w-byte slots are its coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
 from ._intfactor import Kronecker
@@ -143,10 +142,12 @@ def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     return LaurentPoly.from_coeffs(codec.unpack(sign * a[-1][-1], span), low=sum(lows))
 
 
-@dataclass(frozen=True)
 class AlexanderResult:
-    delta: LaurentPoly
-    deleted_column: str
+    __slots__ = ("delta", "deleted_column")
+
+    def __init__(self, delta: LaurentPoly, deleted_column: str):
+        self.delta = delta
+        self.deleted_column = deleted_column
 
 
 def mod_p_table(

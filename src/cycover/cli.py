@@ -5,15 +5,32 @@ recurrence.  Exit codes: 0 success, 1 domain error (valid input outside
 an operation's domain), 2 parse/usage error.  With --json, output is a
 stable Report object; identical inputs give byte-identical JSON.
 
-Each handler imports the modules it runs, so a call loads only its own
-subcommand: `criteria` never compiles `repshift`, and `reps` never compiles
-`criteria`.  Only `words` loads at the top, for the helpers every
-subcommand shares, and the package exports its names lazily.  `alex`,
-`criteria`, `rs` and `recurrence` load `laurent` (the first two through
-`alexander`, `rs` through `RecurrenceRow.polynomial`); `parse`, `twobridge`
-and `reps` never do.  `laurent` imports `_intfactor` eagerly on purpose:
-code that looks the factoring module up in `sys.modules` after loading
-`laurent` (the benchmark's tracer among it) finds it there.
+Every call is a fresh process, so start-up is part of every answer.  Each
+handler imports the modules it runs, so a call compiles only its own
+subcommand.  Besides the package root, `cli` and `words`, which every call
+loads (`words` for the helpers all subcommands share; the package exports
+its names lazily), the subcommands compile:
+
+    parse       nothing more
+    twobridge   twobridge
+    alex        alexander, laurent, _intfactor
+    criteria    criteria, alexander, laurent, _intfactor
+    rs          rscover, laurent, _intfactor (through RecurrenceRow.polynomial)
+    reps        rscover, repshift
+    recurrence  recurrence, laurent, _intfactor
+
+`laurent` imports `_intfactor` eagerly on purpose: code that looks the
+factoring module up in `sys.modules` after loading `laurent` (the
+benchmark's tracer among it) finds it there.
+
+No module of the package imports `dataclasses`: it loads `inspect`, `ast`
+and `dis` (about 10 ms), and each decorated class then costs about 1 ms to
+generate its methods, in every process.  Records are plain classes with
+`__slots__` and an explicit `__init__`, and `_to_json` walks their slots.
+
+Input is read under Python's limit on the digits of an int converted from
+or to a string; each handler lifts it (`_any_int_digits`) only while it
+builds and prints its output.
 """
 
 from __future__ import annotations
@@ -23,7 +40,6 @@ import hashlib
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
@@ -45,9 +61,10 @@ def _digest(data: str) -> str:
 def _any_int_digits():
     """Lift Python's limit on the digits of an int turned into a string, for the block.
 
-    A count such as r_p = p^d(p) can pass the default of 4,300 digits.  The
-    limit (Python 3.10.7 and later) stays on everywhere else, input parsing
-    included, and is restored on the way out.
+    A count such as r_p = p^d(p), a coefficient of delta or a window value
+    can pass the default of 4,300 digits.  The limit (Python 3.10.7 and
+    later) stays on everywhere else, input parsing included, and is
+    restored on the way out.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
@@ -61,17 +78,17 @@ def _any_int_digits():
 
 
 def _emit(args, command: str, source: str, result: dict, human: str) -> None:
-    with _any_int_digits():
-        if args.json:
-            report = {
-                "command": command,
-                "input_digest": _digest(source),
-                "version": __version__,
-                "result": result,
-            }
-            print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        else:
-            print(human)
+    """Print the report; call it inside `_any_int_digits`, as the text is built."""
+    if args.json:
+        report = {
+            "command": command,
+            "input_digest": _digest(source),
+            "version": __version__,
+            "result": result,
+        }
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    else:
+        print(human)
 
 
 def _read_file(path: str) -> str:
@@ -128,17 +145,23 @@ def _parse_primes(arg: Optional[str]):
 
 
 def _to_json(x):
-    """A result value as JSON data: dataclasses become dicts of their fields."""
+    """A result value as JSON data.
+
+    A record (a class with `__slots__`, such as `CoverReport`) becomes the
+    dict of its slots, a tuple or list a list, a `LaurentPoly` its text and
+    `INFINITE` the string "infinite"; anything else is returned as it is.
+    """
     from .laurent import INFINITE, LaurentPoly
 
-    if is_dataclass(x):
-        return {f.name: _to_json(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, (tuple, list)):
-        return [_to_json(v) for v in x]
     if isinstance(x, LaurentPoly):
         return str(x)
+    if isinstance(x, (tuple, list)):
+        return [_to_json(v) for v in x]
     if x is INFINITE:
         return "infinite"
+    slots = getattr(type(x), "__slots__", None)
+    if slots is not None:
+        return {name: _to_json(getattr(x, name)) for name in slots}
     return x
 
 
@@ -155,18 +178,19 @@ def _presentation_json(p: Presentation) -> dict:
 
 def _cmd_parse(args) -> None:
     p, text = _load_presentation(args.file)
-    result = _presentation_json(p)
-    try:
-        result["weighting"] = p.canonical_weighting()
-    except ValueError:
-        result["weighting"] = None
-    human = [p.to_text()]
-    human.append(f"abelianization: free rank {result['abelianization']['free_rank']}, "
-                 f"torsion {result['abelianization']['torsion']}")
-    if result["weighting"] is not None:
-        human.append("weighting: " + ", ".join(
-            f"{g}={v}" for g, v in result["weighting"].items()))
-    _emit(args, "parse", text, result, "\n".join(human))
+    with _any_int_digits():
+        result = _presentation_json(p)
+        try:
+            result["weighting"] = p.canonical_weighting()
+        except ValueError:
+            result["weighting"] = None
+        human = [p.to_text()]
+        human.append(f"abelianization: free rank {result['abelianization']['free_rank']}, "
+                     f"torsion {result['abelianization']['torsion']}")
+        if result["weighting"] is not None:
+            human.append("weighting: " + ", ".join(
+                f"{g}={v}" for g, v in result["weighting"].items()))
+        _emit(args, "parse", text, result, "\n".join(human))
 
 
 def _cmd_alex(args) -> None:
@@ -177,17 +201,18 @@ def _cmd_alex(args) -> None:
     primes = _parse_primes(args.primes)
     res = alexander_polynomial(p, chi)
     table = mod_p_table(res.delta, primes)
-    result = {
-        "delta": str(res.delta),
-        "deleted_column": res.deleted_column,
-        "mod_p": {
-            str(q): {"poly": str(m), "d": _to_json(d)} for q, (m, d) in table.items()
-        },
-    }
-    human = [f"delta: {res.delta}", f"deleted column: {res.deleted_column}"]
-    for q, (m, d) in table.items():
-        human.append(f"mod {q}: {m}   d({q}) = {_to_json(d)}")
-    _emit(args, "alex", text, result, "\n".join(human))
+    with _any_int_digits():
+        result = {
+            "delta": str(res.delta),
+            "deleted_column": res.deleted_column,
+            "mod_p": {
+                str(q): {"poly": str(m), "d": _to_json(d)} for q, (m, d) in table.items()
+            },
+        }
+        human = [f"delta: {res.delta}", f"deleted column: {res.deleted_column}"]
+        for q, (m, d) in table.items():
+            human.append(f"mod {q}: {m}   d({q}) = {_to_json(d)}")
+        _emit(args, "alex", text, result, "\n".join(human))
 
 
 def _criteria_text(rep) -> str:
@@ -223,11 +248,10 @@ def _cmd_criteria(args) -> None:
     chi = _resolve_chi(p, args.chi)
     primes = _parse_primes(args.primes)
     rep = analyze(p, chi, primes=primes)
-    result = _to_json(rep)
-    result["surjects_to_Z"] = result.pop("surjects")
     with _any_int_digits():
-        human = _criteria_text(rep)
-    _emit(args, "criteria", text, result, human)
+        result = _to_json(rep)
+        result["surjects_to_Z"] = result.pop("surjects")
+        _emit(args, "criteria", text, result, _criteria_text(rep))
 
 
 def _cmd_twobridge(args) -> None:
@@ -241,7 +265,8 @@ def _cmd_twobridge(args) -> None:
             raise DomainError("need P and Q, or --family N")
         p = presentation(TwoBridgeParams(args.p, args.q))
         source = f"{args.p}/{args.q}"
-    _emit(args, "twobridge", source, _presentation_json(p), p.to_text())
+    with _any_int_digits():
+        _emit(args, "twobridge", source, _presentation_json(p), p.to_text())
 
 
 def _cmd_rs(args) -> None:
@@ -251,25 +276,26 @@ def _cmd_rs(args) -> None:
     chi = _resolve_chi(p, args.chi)
     sp = reidemeister_schreier(p, chi)
     rows = abelianized_recurrence(sp)
-    result = {
-        "symbols": list(sp.symbols),
-        "templates": sp.template_texts(),
-        "width": sp.width,
-        "rows": [
-            {
-                "symbol": r.symbol,
-                "coefficients": {str(o): c for o, c in r.coefficients},
-                "polynomial": str(r.polynomial()),
-            }
-            for r in rows
-        ],
-    }
-    human = [f"symbols: {', '.join(sp.symbols)}", f"width: {sp.width}"]
-    for tpl_text in sp.template_texts():
-        human.append(f"template: {tpl_text}")
-    for r in rows:
-        human.append(f"row[{r.symbol}]: {r.polynomial()}")
-    _emit(args, "rs", text, result, "\n".join(human))
+    with _any_int_digits():
+        result = {
+            "symbols": list(sp.symbols),
+            "templates": sp.template_texts(),
+            "width": sp.width,
+            "rows": [
+                {
+                    "symbol": r.symbol,
+                    "coefficients": {str(o): c for o, c in r.coefficients},
+                    "polynomial": str(r.polynomial()),
+                }
+                for r in rows
+            ],
+        }
+        human = [f"symbols: {', '.join(sp.symbols)}", f"width: {sp.width}"]
+        for tpl_text in sp.template_texts():
+            human.append(f"template: {tpl_text}")
+        for r in rows:
+            human.append(f"row[{r.symbol}]: {r.polynomial()}")
+        _emit(args, "rs", text, result, "\n".join(human))
 
 
 def _group_from_args(args) -> FiniteGroup:
@@ -297,33 +323,34 @@ def _cmd_reps(args) -> None:
     sp = reidemeister_schreier(p, chi)
     graph = build_sft(sp, F)
     c = census(graph, tol=args.tol)
-    result = {
-        "group": F.name,
-        "window": graph.window,
-        "state_count": c.state_count,
-        "essential_count": c.essential_count,
-        "census": {
-            "classification": c.classification,
-            "count": c.count,
-            "entropy": c.entropy,
-        },
-    }
-    human = [
-        f"group: {F.name}",
-        f"window: {graph.window}  states: {c.state_count}  essential: {c.essential_count}",
-        f"census: {c.classification}"
-        + (f" count={c.count}" if c.count is not None else "")
-        + (f" entropy={c.entropy:.6f}" if c.classification == "PositiveEntropy" else ""),
-    ]
-    if args.max_period is not None:
-        labelings = enumerate_periodic(graph, args.max_period)
-        result["periodic"] = [list(t) for t in labelings]
-        human.append(f"periodic labelings (period {args.max_period}): {len(labelings)}")
-        for t in labelings[:20]:
-            human.append("  " + " ".join(t))
-        if len(labelings) > 20:
-            human.append(f"  ... {len(labelings) - 20} more")
-    _emit(args, "reps", text, result, "\n".join(human))
+    labelings = None if args.max_period is None else enumerate_periodic(graph, args.max_period)
+    with _any_int_digits():
+        result = {
+            "group": F.name,
+            "window": graph.window,
+            "state_count": c.state_count,
+            "essential_count": c.essential_count,
+            "census": {
+                "classification": c.classification,
+                "count": c.count,
+                "entropy": c.entropy,
+            },
+        }
+        human = [
+            f"group: {F.name}",
+            f"window: {graph.window}  states: {c.state_count}  essential: {c.essential_count}",
+            f"census: {c.classification}"
+            + (f" count={c.count}" if c.count is not None else "")
+            + (f" entropy={c.entropy:.6f}" if c.classification == "PositiveEntropy" else ""),
+        ]
+        if labelings is not None:
+            result["periodic"] = [list(t) for t in labelings]
+            human.append(f"periodic labelings (period {args.max_period}): {len(labelings)}")
+            for t in labelings[:20]:
+                human.append("  " + " ".join(t))
+            if len(labelings) > 20:
+                human.append(f"  ... {len(labelings) - 20} more")
+        _emit(args, "reps", text, result, "\n".join(human))
 
 
 def _cmd_recurrence(args) -> None:
@@ -335,22 +362,22 @@ def _cmd_recurrence(args) -> None:
         raise DomainError(f"bad coefficient list {args.coeffs!r}")
     f = AuxPolynomial.from_desc(desc)
     answer, witness = has_integer_biinfinite(f)
-    result = {
-        "polynomial": str(f),
-        "answer": answer,
-        "witness": None if witness is None else str(witness),
-    }
-    human = [f"polynomial: {f}"]
-    if answer:
-        human.append(f"integer biinfinite solution: yes (witness factor {witness})")
-    else:
-        human.append("integer biinfinite solution: no")
-    if args.witness is not None:
-        lo, hi = args.witness
-        w = witness_sequence(f, lo, hi)
-        result["window"] = {"base": w.base, "values": [int(v) for v in w.values]}
-        human.append(f"window [{lo}, {hi}]: {list(w.values)}")
-    _emit(args, "recurrence", args.coeffs, result, "\n".join(human))
+    w = None if args.witness is None else witness_sequence(f, *args.witness)
+    with _any_int_digits():
+        result = {
+            "polynomial": str(f),
+            "answer": answer,
+            "witness": None if witness is None else str(witness),
+        }
+        human = [f"polynomial: {f}"]
+        if answer:
+            human.append(f"integer biinfinite solution: yes (witness factor {witness})")
+        else:
+            human.append("integer biinfinite solution: no")
+        if w is not None:
+            result["window"] = {"base": w.base, "values": [int(v) for v in w.values]}
+            human.append(f"window [{w.base}, {w.hi}]: {list(w.values)}")
+        _emit(args, "recurrence", args.coeffs, result, "\n".join(human))
 
 
 # -- argument parsing ---------------------------------------------------

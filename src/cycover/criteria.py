@@ -9,7 +9,6 @@ a 2-generator 1-relator group, and the knot-group condition checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Union
 
 from .alexander import DEFAULT_PRIMES, alexander_polynomial, mod_p_table
@@ -26,19 +25,30 @@ class NotOneRelator(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class PrimeClassification:
-    kind: str  # "none" | "finite" | "infinite"
-    count: Optional[int] = None  # n_p when finite
+    __slots__ = ("kind", "count")
+
+    def __init__(self, kind: str, count: Optional[int] = None):
+        self.kind = kind  # "none" | "finite" | "infinite"
+        self.count = count  # n_p when finite
 
 
-@dataclass(frozen=True)
 class PrimeRecord:
-    p: int
-    d: Union[int, _Infinite]
-    r: Optional[int]  # None when infinite
-    n: Optional[int]
-    classification: PrimeClassification
+    __slots__ = ("p", "d", "r", "n", "classification")
+
+    def __init__(
+        self,
+        p: int,
+        d: Union[int, _Infinite],
+        r: Optional[int],
+        n: Optional[int],
+        classification: PrimeClassification,
+    ):
+        self.p = p
+        self.d = d
+        self.r = r  # None when infinite
+        self.n = n
+        self.classification = classification
 
     @classmethod
     def from_span(cls, p: int, d: Union[int, _Infinite]) -> "PrimeRecord":
@@ -69,11 +79,13 @@ def classify_prime(delta: LaurentPoly, p: int) -> PrimeClassification:
     return PrimeRecord.from_span(p, delta.reduce_mod(p).degree_span()).classification
 
 
-@dataclass(frozen=True)
 class SurjectionVerdict:
-    answer: bool
-    witness: Optional[LaurentPoly]
-    free_rank: bool = False  # delta = 0: kernel has a rationally free summand
+    __slots__ = ("answer", "witness", "free_rank")
+
+    def __init__(self, answer: bool, witness: Optional[LaurentPoly], free_rank: bool = False):
+        self.answer = answer
+        self.witness = witness
+        self.free_rank = free_rank  # delta = 0: kernel has a rationally free summand
 
 
 def surjects_to_Z(delta: LaurentPoly) -> SurjectionVerdict:
@@ -128,12 +140,20 @@ def brown_finite_generation(p: Presentation, chi: Mapping[str, int]) -> str:
     return NOT_FG
 
 
-@dataclass(frozen=True)
 class KervaireReport:
-    h1_is_Z: bool
-    deficiency_one: bool
-    weight_one_witness: Optional[str]  # generator name, None = unknown
-    h2_zero_inferred: bool
+    __slots__ = ("h1_is_Z", "deficiency_one", "weight_one_witness", "h2_zero_inferred")
+
+    def __init__(
+        self,
+        h1_is_Z: bool,
+        deficiency_one: bool,
+        weight_one_witness: Optional[str],
+        h2_zero_inferred: bool,
+    ):
+        self.h1_is_Z = h1_is_Z
+        self.deficiency_one = deficiency_one
+        self.weight_one_witness = weight_one_witness  # generator name, None = unknown
+        self.h2_zero_inferred = h2_zero_inferred
 
 
 def kervaire_check(p: Presentation) -> KervaireReport:
@@ -161,16 +181,30 @@ def kervaire_check(p: Presentation) -> KervaireReport:
     )
 
 
-@dataclass(frozen=True)
 class CoverReport:
-    delta: LaurentPoly
-    beta1_Q: Union[int, _Infinite]
-    primes: tuple[PrimeRecord, ...]
-    index2: bool
-    surjects: SurjectionVerdict
-    large_flag: bool
-    kernel_fg: str
-    kervaire: KervaireReport = field(compare=False)
+    __slots__ = (
+        "delta", "beta1_Q", "primes", "index2", "surjects", "large_flag", "kernel_fg", "kervaire"
+    )
+
+    def __init__(
+        self,
+        delta: LaurentPoly,
+        beta1_Q: Union[int, _Infinite],
+        primes: tuple[PrimeRecord, ...],
+        index2: bool,
+        surjects: SurjectionVerdict,
+        large_flag: bool,
+        kernel_fg: str,
+        kervaire: KervaireReport,
+    ):
+        self.delta = delta
+        self.beta1_Q = beta1_Q
+        self.primes = primes
+        self.index2 = index2
+        self.surjects = surjects
+        self.large_flag = large_flag
+        self.kernel_fg = kernel_fg
+        self.kervaire = kervaire
 
 
 def analyze(

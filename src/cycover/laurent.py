@@ -10,7 +10,6 @@ on that orbit representative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
 from . import _intfactor
@@ -213,7 +212,6 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
-@dataclass(frozen=True)
 class Factorization:
     """f = sign * t^unit_exp * content * prod(poly^mult).
 
@@ -221,10 +219,15 @@ class Factorization:
     exponent 0, positive leading coefficient), ordered by (degree, coeffs).
     """
 
-    sign: int
-    unit_exp: int
-    content: int
-    factors: tuple[tuple[LaurentPoly, int], ...]
+    __slots__ = ("sign", "unit_exp", "content", "factors")
+
+    def __init__(
+        self, sign: int, unit_exp: int, content: int, factors: tuple[tuple[LaurentPoly, int], ...]
+    ):
+        self.sign = sign
+        self.unit_exp = unit_exp
+        self.content = content
+        self.factors = factors
 
     def unit_ends_factor(self) -> Optional[LaurentPoly]:
         """The first non-constant factor monic at both ends, or None."""

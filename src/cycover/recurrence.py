@@ -11,7 +11,6 @@ propagation directions integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,19 +35,27 @@ class Direction(Enum):
     BACKWARD = "backward"
 
 
-@dataclass(frozen=True)
 class AuxPolynomial:
     """Auxiliary polynomial a_d t^d + ... + a_0 with a_d, a_0 nonzero, d >= 1."""
 
-    ascending: tuple[int, ...]
+    __slots__ = ("ascending",)
 
-    def __post_init__(self):
-        asc = tuple(int(c) for c in self.ascending)
+    def __init__(self, ascending: Sequence[int]):
+        asc = tuple(int(c) for c in ascending)
         if len(asc) < 2:
             raise InvalidRecurrence("degree must be at least 1")
         if asc[0] == 0 or asc[-1] == 0:
             raise InvalidRecurrence("constant and leading coefficients must be nonzero")
         object.__setattr__(self, "ascending", asc)
+
+    def __setattr__(self, *a):
+        raise AttributeError("AuxPolynomial is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, AuxPolynomial) and self.ascending == other.ascending
+
+    def __hash__(self):
+        return hash(self.ascending)
 
     @classmethod
     def from_desc(cls, descending: Sequence[int]) -> "AuxPolynomial":
@@ -72,16 +79,23 @@ class AuxPolynomial:
         return str(self.to_laurent())
 
 
-@dataclass(frozen=True)
 class SequenceWindow:
     """Values x_base, x_base+1, ..., exact rationals or integers."""
 
-    base: int
-    values: tuple
+    __slots__ = ("base", "values")
 
-    def __post_init__(self):
-        if len(self.values) < 1:
+    def __init__(self, base: int, values: tuple):
+        if len(values) < 1:
             raise ValueError("window must be nonempty")
+        self.base = base
+        self.values = values
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SequenceWindow)
+            and self.base == other.base
+            and self.values == other.values
+        )
 
     @property
     def hi(self) -> int:
@@ -186,11 +200,13 @@ def propagate(
     )
 
 
-@dataclass(frozen=True)
 class PropagationResult:
-    values: tuple
-    integral: tuple
-    first_nonintegral: Optional[int]  # 1-based step index
+    __slots__ = ("values", "integral", "first_nonintegral")
+
+    def __init__(self, values: tuple, integral: tuple, first_nonintegral: Optional[int]):
+        self.values = values
+        self.integral = integral
+        self.first_nonintegral = first_nonintegral  # 1-based step index
 
 
 def apply_shift_factor(g: LaurentPoly, w: SequenceWindow) -> SequenceWindow:

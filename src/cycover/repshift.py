@@ -33,7 +33,6 @@ import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, islice, permutations, repeat
 from operator import gt, not_, sub
 from typing import Optional
@@ -259,7 +258,6 @@ def _sources(offsets: array):
     return chain.from_iterable(map(repeat, range(len(offsets) - 1), degrees))
 
 
-@dataclass
 class SftGraph:
     """Transition graph of the representation shift.
 
@@ -273,13 +271,13 @@ class SftGraph:
     biinfinite path.
     """
 
-    window: int
-    group: FiniteGroup
-    successors: Successors
-    essential: bytearray = field(init=False)
+    __slots__ = ("window", "group", "successors", "essential")
 
-    def __post_init__(self):
-        self.essential = _trim(self.successors)
+    def __init__(self, window: int, group: FiniteGroup, successors: Successors):
+        self.window = window
+        self.group = group
+        self.successors = successors
+        self.essential = _trim(successors)
 
     @property
     def state_count(self) -> int:
@@ -456,13 +454,23 @@ def _segment_values(seg, F: FiniteGroup, w: int) -> list[int]:
     return [0] * F.order**w if out is None else out
 
 
-@dataclass(frozen=True)
 class RepCensus:
-    classification: str  # OnlyTrivial | Finite | InfiniteZeroEntropy | PositiveEntropy
-    count: Optional[int]  # number of points when finite (1 for OnlyTrivial)
-    entropy: float
-    state_count: int
-    essential_count: int
+    # classification: OnlyTrivial | Finite | InfiniteZeroEntropy | PositiveEntropy
+    __slots__ = ("classification", "count", "entropy", "state_count", "essential_count")
+
+    def __init__(
+        self,
+        classification: str,
+        count: Optional[int],
+        entropy: float,
+        state_count: int,
+        essential_count: int,
+    ):
+        self.classification = classification
+        self.count = count  # number of points when finite (1 for OnlyTrivial)
+        self.entropy = entropy
+        self.state_count = state_count
+        self.essential_count = essential_count
 
 
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:

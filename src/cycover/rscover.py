@@ -8,7 +8,6 @@ set of the kernel is the family of all integer shifts of the templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .words import Presentation, _reduce
@@ -47,7 +46,6 @@ def template_to_text(template: tuple[TemplateSyllable, ...]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
 class ShiftPresentation:
     """Kernel presentation with Z-indexed copies of each symbol.
 
@@ -56,15 +54,18 @@ class ShiftPresentation:
     everything downstream unchanged.
     """
 
-    symbols: tuple[str, ...]
-    templates: tuple[tuple[TemplateSyllable, ...], ...]
+    __slots__ = ("symbols", "templates")
 
-    def __post_init__(self):
-        for tpl in self.templates:
+    def __init__(
+        self, symbols: tuple[str, ...], templates: tuple[tuple[TemplateSyllable, ...], ...]
+    ):
+        for tpl in templates:
             if tuple(tpl) != _reduce_indexed(tpl):
                 raise ValueError("template not freely reduced")
             if tpl and min(off for _, off, _ in tpl) != 0:
                 raise ValueError("template offsets not normalized to minimum 0")
+        self.symbols = symbols
+        self.templates = templates
 
     @property
     def width(self) -> int:
@@ -112,12 +113,14 @@ def reidemeister_schreier(p: Presentation, chi: Mapping[str, int]) -> ShiftPrese
     return ShiftPresentation(symbols=tuple(others), templates=tuple(templates))
 
 
-@dataclass(frozen=True)
 class RecurrenceRow:
     """Exponent sums of one symbol per offset: the abelianized template."""
 
-    symbol: str
-    coefficients: tuple[tuple[int, int], ...]  # sorted (offset, coeff) pairs
+    __slots__ = ("symbol", "coefficients")
+
+    def __init__(self, symbol: str, coefficients: tuple[tuple[int, int], ...]):
+        self.symbol = symbol
+        self.coefficients = coefficients  # sorted (offset, coeff) pairs
 
     @classmethod
     def make(cls, symbol: str, coeffs: Mapping[int, int]) -> "RecurrenceRow":

@@ -10,7 +10,6 @@ presentations reduce to after substituting v = u a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .words import FreeWord, Presentation
 
@@ -19,18 +18,18 @@ class InvalidParams(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class TwoBridgeParams:
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p <= 0 or self.p % 2 == 0:
-            raise InvalidParams(f"p must be odd and positive, got {self.p}")
-        if not 0 < self.q < self.p:
-            raise InvalidParams(f"q must satisfy 0 < q < p, got q={self.q}")
-        if math.gcd(self.p, self.q) != 1:
-            raise InvalidParams(f"p and q must be coprime, got ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int):
+        if p <= 0 or p % 2 == 0:
+            raise InvalidParams(f"p must be odd and positive, got {p}")
+        if not 0 < q < p:
+            raise InvalidParams(f"q must satisfy 0 < q < p, got q={q}")
+        if math.gcd(p, q) != 1:
+            raise InvalidParams(f"p and q must be coprime, got ({p}, {q})")
+        self.p = p
+        self.q = q
 
 
 def epsilon_sequence(params: TwoBridgeParams) -> list[int]:

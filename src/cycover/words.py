@@ -8,7 +8,6 @@ All arithmetic is exact; generators are plain strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
 
@@ -56,7 +55,6 @@ def _reduce(syllables: Iterable[tuple[Hashable, int]]) -> tuple[tuple[Hashable, 
     return tuple((g, e) for g, e in out)
 
 
-@dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word, e.g. FreeWord.make([("t", 1), ("a", -2)]).
 
@@ -67,7 +65,16 @@ class FreeWord:
     ()
     """
 
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ("syllables",)
+
+    def __init__(self, syllables: tuple[Syllable, ...] = ()):
+        self.syllables = syllables
+
+    def __eq__(self, other):
+        return isinstance(other, FreeWord) and self.syllables == other.syllables
+
+    def __hash__(self):
+        return hash(self.syllables)
 
     @classmethod
     def make(cls, syllables: Iterable[Syllable]) -> "FreeWord":
@@ -172,25 +179,36 @@ class _Scanner:
         return m.group()
 
 
-@dataclass(frozen=True)
 class Presentation:
     """A finite presentation: ordered generators plus cyclically reduced relators."""
 
-    generators: tuple[str, ...]
-    relators: tuple[FreeWord, ...]
+    # __dict__ holds the cached Smith form
+    __slots__ = ("generators", "relators", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[FreeWord, ...]):
         seen = set()
-        for g in self.generators:
+        for g in generators:
             if g in seen:
                 raise DuplicateGenerator(f"duplicate generator '{g}'")
             seen.add(g)
-        for r in self.relators:
+        for r in relators:
             for g in r.generators_used():
                 if g not in seen:
                     raise UnknownGenerator(f"relator uses undeclared generator '{g}'")
             if r.syllables != r.cyclic_reduce().syllables:
                 raise ValueError(f"relator '{r}' is not cyclically reduced")
+        self.generators = generators
+        self.relators = relators
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Presentation)
+            and self.generators == other.generators
+            and self.relators == other.relators
+        )
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     @classmethod
     def make(cls, generators: Iterable[str], relators: Iterable[FreeWord]) -> "Presentation":

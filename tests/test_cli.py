@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, JSON shape, determinism."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -145,6 +146,18 @@ def test_huge_weight_zero_exponent(capsys, tmp_path):
         assert rep["result"]["delta"] == "1000000000t - 1000000001"
 
 
+@contextlib.contextmanager
+def no_int_digit_limit():
+    """Let the test itself read and write integers of any length."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    lift(0)
+    try:
+        yield
+    finally:
+        lift(limit)
+
+
 def test_counts_past_the_int_digit_limit(capsys, tmp_path):
     # r_p = p^334 at p = 2^61 - 1 has 6,133 digits, past the 4,300 that Python
     # turns into a string by default; the CLI lifts that limit only to print.
@@ -160,13 +173,56 @@ def test_counts_past_the_int_digit_limit(capsys, tmp_path):
     code, out, err = run(capsys, "criteria", str(f), "--primes", str(p), "--json")
     assert code == 0, err
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
-    lift = getattr(sys, "set_int_max_str_digits", lambda n: None)
-    lift(0)
-    try:
+    with no_int_digit_limit():
         (rec,) = json.loads(out)["result"]["primes"]
-    finally:
-        lift(limit)
     assert rec["d"] == 334 and rec["r"] == p**334 and rec["n"] == (p**334 - 1) // (p - 1)
+
+
+def test_delta_past_the_int_digit_limit(capsys, tmp_path):
+    # With E = 10^3000 + 1 and chi = (1, 0, 0) the Fox matrix, column t
+    # deleted, is [[E t, -1], [-1, E t]], so delta = E^2 t^2 - 1: 6,001 digits.
+    e = 10**3000 + 1
+    f = tmp_path / "big.txt"
+    with no_int_digit_limit():
+        f.write_text(f"<t, a, b | t a^{e} t^-1 b^-1, t b^{e} t^-1 a^-1>")
+        delta = f"{e * e}t^2 - 1"
+    for command in ("alex", "criteria"):
+        code, out, err = run(capsys, command, str(f), "--chi", "t=1,a=0,b=0")
+        assert code == 0, err
+        assert out.startswith(f"delta: {delta}\n")
+        code, out, err = run(capsys, command, str(f), "--chi", "t=1,a=0,b=0", "--json")
+        assert code == 0, err
+        with no_int_digit_limit():
+            assert json.loads(out)["result"]["delta"] == delta
+
+
+def test_recurrence_window_past_the_int_digit_limit(capsys):
+    # F(30000) has 6,270 digits; the witness of t^2 - t - 1 is the Fibonacci sequence
+    fib = [0, 1]
+    while len(fib) < 30003:
+        fib.append(fib[-1] + fib[-2])
+    want = fib[30000:30003]
+    for mode in ((), ("--json",)):
+        code, out, err = run(capsys, "recurrence", "1,-1,-1", "--witness", "30000", "30002", *mode)
+        assert code == 0, err
+        with no_int_digit_limit():
+            if mode:
+                assert json.loads(out)["result"]["window"] == {"base": 30000, "values": want}
+            else:
+                assert f"window [30000, 30002]: {want}\n" in out
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int digits before 3.10.7"
+)
+def test_input_keeps_the_int_digit_limit(capsys, tmp_path):
+    # only output is exempt: a 5,001-digit exponent or coefficient is refused
+    huge = "1" + "0" * 5000
+    f = tmp_path / "huge.txt"
+    f.write_text(f"<t, a | t a^{huge} t^-1 a^-1>")
+    for argv in (["alex", str(f)], ["recurrence", f"{huge},1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", err
 
 
 def test_alex_bad_chi_syntax(capsys, dyadic_file):
@@ -427,6 +483,8 @@ def test_module_entry_point():
 
 # Every call also loads the package root, the command line and words; only
 # the subcommands that handle Laurent polynomials load laurent and _intfactor.
+# No call loads dataclasses or inspect, which cost every process ~10 ms to
+# import, unless something had loaded them before cycover (a site hook, say).
 SHARED = {"cycover", "cycover.cli", "cycover.words"}
 LAURENT = {"laurent", "_intfactor"}
 
@@ -448,10 +506,12 @@ def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
     (tmp_path / "dyadic.txt").write_text(DYADIC_TEXT)
     probe = (
         "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
         "from cycover.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cycover'))\n"
+        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(cycover.__file__))
     proc = subprocess.run(
@@ -461,6 +521,8 @@ def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
     )
-    code, *loaded = proc.stdout.split()
+    ours, slow = proc.stdout.split("\n")[:2]
+    code, *loaded = ours.split()
     assert code == "0", proc.stderr
     assert set(loaded) == SHARED | {f"cycover.{m}" for m in own}
+    assert slow == ""
