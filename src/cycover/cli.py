@@ -354,7 +354,7 @@ def _cmd_reps(args) -> None:
 
 
 def _cmd_recurrence(args) -> None:
-    from .recurrence import AuxPolynomial, has_integer_biinfinite, witness_sequence
+    from .recurrence import AuxPolynomial, has_integer_biinfinite, witness_window
 
     try:
         desc = [int(x) for x in args.coeffs.split(",")]
@@ -362,7 +362,7 @@ def _cmd_recurrence(args) -> None:
         raise DomainError(f"bad coefficient list {args.coeffs!r}")
     f = AuxPolynomial.from_desc(desc)
     answer, witness = has_integer_biinfinite(f)
-    w = None if args.witness is None else witness_sequence(f, *args.witness)
+    w = None if args.witness is None else witness_window(f, witness, *args.witness)
     with _any_int_digits():
         result = {
             "polynomial": str(f),

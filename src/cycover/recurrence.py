@@ -6,6 +6,11 @@ factor that is monic at both ends (leading and trailing coefficients +-1).
 The decision is by factorization; witnesses are built by propagating an
 impulse seed through such a factor, whose unit end coefficients make both
 propagation directions integral.
+
+The arithmetic is in integers.  `propagate` keeps its window as numerators
+over one denominator and builds one Fraction per produced value;
+`minimal_recurrence` scales the window by the lcm of its denominators and
+reduces the Hankel rows by fraction-free Gauss-Jordan elimination (Bareiss).
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from operator import mul
+from typing import Iterator, Optional, Sequence
 
 from .laurent import LaurentPoly, ZeroPolynomial, factor_over_Z
 
@@ -101,9 +107,6 @@ class SequenceWindow:
     def hi(self) -> int:
         return self.base + len(self.values) - 1
 
-    def value_at(self, i: int):
-        return self.values[i - self.base]
-
 
 def has_integer_biinfinite(f: AuxPolynomial) -> tuple[bool, Optional[LaurentPoly]]:
     """True with the smallest monic-at-both-ends non-constant factor, if any."""
@@ -111,60 +114,48 @@ def has_integer_biinfinite(f: AuxPolynomial) -> tuple[bool, Optional[LaurentPoly
     return g is not None, g
 
 
-def _propagate_unit(g_asc: Sequence[int], lo: int, hi: int, impulse_at: int) -> dict[int, int]:
-    """Solve g's recurrence with x_impulse = 1, the d-1 entries below it 0.
+def _propagate_unit(g_asc: Sequence[int], lo: int, hi: int, impulse_at: int) -> list[int]:
+    """Values on [lo, hi] of g's recurrence with x_impulse = 1, the d-1 entries below it 0.
 
     Both end coefficients of g are units, so all values are integers.
     """
     d = len(g_asc) - 1
-    lead, trail = g_asc[-1], g_asc[0]
-    vals = {impulse_at: 1}
-    for i in range(impulse_at - d + 1, impulse_at):
-        vals[i] = 0
-    n = impulse_at + 1
-    while n <= hi:
-        s = sum(g_asc[k] * vals[n - d + k] for k in range(d))
-        vals[n] = -s // lead if lead > 0 else s // -lead
-        assert s % lead == 0
-        n += 1
-    n = impulse_at - d
-    while n >= lo:
-        s = sum(g_asc[k] * vals[n + k] for k in range(1, d + 1))
-        assert s % trail == 0
-        vals[n] = -s // trail
-        n -= 1
-    return vals
+    base = min(lo, impulse_at - d + 1)
+    vals = [0] * (max(hi, impulse_at) - base + 1)
+    vals[impulse_at - base] = 1
+    for i in range(impulse_at - base + 1, len(vals)):
+        s = sum(map(mul, g_asc, vals[i - d : i]))
+        assert s % g_asc[-1] == 0
+        vals[i] = -s // g_asc[-1]
+    for i in range(impulse_at - base - d, -1, -1):
+        s = sum(map(mul, g_asc[1:], vals[i + 1 : i + d + 1]))
+        assert s % g_asc[0] == 0
+        vals[i] = -s // g_asc[0]
+    return vals[lo - base : hi - base + 1]
 
 
 def witness_sequence(f: AuxPolynomial, lo: int, hi: int) -> SequenceWindow:
-    """A nonzero integer window on [lo, hi] solving f's recurrence.
+    """A nonzero integer window on [lo, hi] solving f's recurrence."""
+    return witness_window(f, has_integer_biinfinite(f)[1], lo, hi)
 
-    Seeds the witness factor's recurrence with an impulse at index d-1
-    (so x_0..x_{d-2} = 0, x_{d-1} = 1) and propagates both ways.
-    """
+
+def witness_window(f: AuxPolynomial, g: Optional[LaurentPoly], lo: int, hi: int) -> SequenceWindow:
+    """`witness_sequence` from g, the factor `has_integer_biinfinite(f)` gave: an
+    impulse at index d-1 of g (x_0..x_{d-2} = 0, x_{d-1} = 1) propagated both ways."""
     if lo > hi:
         raise ValueError("lo must be <= hi")
-    ok, g = has_integer_biinfinite(f)
-    if not ok:
+    if g is None:
         raise NoWitness(f"{f} has no factor monic at both ends")
     g_asc = g.dense()
-    d = len(g_asc) - 1
-    vals = _propagate_unit(g_asc, min(lo, 0), max(hi, d - 1), d - 1)
-    window = [vals[i] for i in range(lo, hi + 1)]
-    if all(v == 0 for v in window):
+    window = _propagate_unit(g_asc, lo, hi, len(g_asc) - 2)
+    if not any(window):
         # [lo, hi] fell inside the zero padding; aim the impulse at hi instead
-        vals = _propagate_unit(g_asc, lo, hi, hi)
-        window = [vals[i] for i in range(lo, hi + 1)]
+        window = _propagate_unit(g_asc, lo, hi, hi)
     out = SequenceWindow(base=lo, values=tuple(window))
-    _assert_satisfies(f.to_laurent(), out)
+    if f.degree <= hi - lo:
+        residue = apply_shift_factor(f.to_laurent(), out).values
+        assert not any(residue), "window does not satisfy the recurrence"
     return out
-
-
-def _assert_satisfies(f: LaurentPoly, w: SequenceWindow) -> None:
-    if not f or f.degree_span() > len(w.values) - 1:
-        return
-    checked = apply_shift_factor(f, w)
-    assert all(v == 0 for v in checked.values), "window does not satisfy the recurrence"
 
 
 def propagate(
@@ -182,17 +173,28 @@ def propagate(
     if len(seed) != d:
         raise ValueError(f"seed must have length {d}")
     a = f.ascending
-    window = [Fraction(v) for v in seed]
+    forward = direction is Direction.FORWARD
+    # the window is nums / den with den > 0; each step multiplies it by |a_d| or |a_0|
+    div = a[d] if forward else a[0]
+    sign, div = (1, div) if div > 0 else (-1, -div)
+    seed = [Fraction(v) for v in seed]
+    den = math.lcm(*(v.denominator for v in seed))
+    nums = [v.numerator * (den // v.denominator) for v in seed]
     produced: list[Fraction] = []
     for _ in range(steps):
-        if direction is Direction.FORWARD:
-            s = sum(a[k] * window[-d + k] for k in range(d))
-            window.append(Fraction(-s, a[d]))
-            produced.append(window[-1])
+        if forward:
+            new = -sign * sum(map(mul, a, nums))
+            nums = [*(x * div for x in nums[1:]), new]
         else:
-            s = sum(a[k] * window[k - 1] for k in range(1, d + 1))
-            window.insert(0, Fraction(-s, a[0]))
-            produced.append(window[0])
+            new = -sign * sum(map(mul, a[1:], nums))
+            nums = [new, *(x * div for x in nums[:-1])]
+        den *= div
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [x // g for x in nums]
+            new //= g
+        produced.append(Fraction(new, den))
     integral = [v.denominator == 1 for v in produced]
     first_bad = next((i + 1 for i, ok in enumerate(integral) if not ok), None)
     return PropagationResult(
@@ -214,49 +216,48 @@ def apply_shift_factor(g: LaurentPoly, w: SequenceWindow) -> SequenceWindow:
     if not g:
         raise ZeroPolynomial("cannot apply the zero polynomial")
     span = g.degree_span()
-    if span > len(w.values) - 1:
-        raise WindowTooShort(
-            f"window of length {len(w.values)} cannot fit a stencil of span {span}"
-        )
+    vals = w.values
+    if span > len(vals) - 1:
+        raise WindowTooShort(f"window of length {len(vals)} cannot fit a stencil of span {span}")
     items = sorted(g.coeffs.items())
     lo_exp = items[0][0]
-    out_base = w.base - lo_exp
-    out_len = len(w.values) - span
-    out = []
-    for n in range(out_base, out_base + out_len):
-        out.append(sum(c * w.value_at(n + k) for k, c in items))
-    return SequenceWindow(base=out_base, values=tuple(out))
+    out_len = len(vals) - span
+    out = [0] * out_len
+    for k, c in items:
+        out = [y + c * x for y, x in zip(out, vals[k - lo_exp : k - lo_exp + out_len])]
+    return SequenceWindow(base=w.base - lo_exp, values=tuple(out))
 
 
-def _frac_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    a = [row[:] for row in rows]
-    nrows = len(a)
-    where = [-1] * ncols
-    r = 0
+def _int_nullspace(a: list[list[int]], ncols: int) -> Iterator[list[int]]:
+    """Kernel basis of an integer matrix, one integer vector per free column, in order.
+
+    Reduces the rows of a in place.  Each pivot row ends as a multiple of its
+    row of the reduced echelon form, which is unique, so each vector is a
+    multiple of the one read off that form.
+    """
+    pivots = []  # (column, row index)
     for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                c = a[i][col]
-                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
-        where[col] = r
-        r += 1
-    basis = []
-    for col in range(ncols):
-        if where[col] != -1:
-            continue
-        v = [Fraction(0)] * ncols
-        v[col] = Fraction(1)
-        for c2 in range(ncols):
-            if where[c2] != -1:
-                v[c2] = -a[where[c2]][col]
-        basis.append(v)
-    return basis
+        prow = a[r]
+        p = prow[col]
+        for i, row in enumerate(a):
+            c = row[col]
+            if c and i != r:
+                row = [p * x - c * y for x, y in zip(row, prow)]
+                g = math.gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
+        pivots.append((col, r))
+    scale = math.lcm(*(a[r][col] for col, r in pivots))
+    for free in sorted(set(range(ncols)) - {col for col, _ in pivots}):
+        v = [0] * ncols
+        v[free] = scale
+        for col, r in pivots:
+            v[col] = -a[r][free] * (scale // a[r][col])
+        yield v
 
 
 def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
@@ -269,21 +270,18 @@ def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
     """
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
-    vals = [Fraction(v) for v in w.values]
+    vals = w.values
     if len(vals) < 2 * dmax + 1:
         raise WindowTooShort(
             f"need at least {2 * dmax + 1} values for dmax={dmax}, have {len(vals)}"
         )
-    if all(v == 0 for v in vals):
+    den = math.lcm(*(v.denominator for v in vals))
+    xs = [v.numerator * (den // v.denominator) for v in vals]
+    if not any(xs):
         return None
     for d in range(1, dmax + 1):
-        rows = [vals[n : n + d + 1] for n in range(len(vals) - d)]
-        for v in _frac_nullspace(rows, d + 1):
-            if v[0] == 0 or v[d] == 0:
-                continue
-            den = 1
-            for x in v:
-                den = den * x.denominator // math.gcd(den, x.denominator)
-            ints = [int(x * den) for x in v]
-            return AuxPolynomial(ints).primitive()
+        rows = [xs[n : n + d + 1] for n in range(len(xs) - d)]
+        for v in _int_nullspace(rows, d + 1):
+            if v[0] and v[d]:
+                return AuxPolynomial(v).primitive()
     return None

@@ -479,7 +479,7 @@ def validate_weighting(p: Presentation, chi: dict[str, int]) -> None:
     for r in p.relators:
         s = sum(e * chi[g] for g, e in r.syllables)
         if s != 0:
-            raise ValueError(f"weighting does not vanish on relator {r} (value {s})")
+            raise ValueError(f"weighting does not vanish on relator {r}")
     nz = [abs(chi[g]) for g in p.generators if chi[g] != 0]
     if not nz or math.gcd(*nz) != 1:
         raise ValueError("weighting is not onto Z")

@@ -9,9 +9,10 @@ rational division of t^m - 1 and the cyclotomic factors of a polynomial by
 trying every one of small enough degree, the rows of Berlekamp's matrix by
 long division and convolution, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
-seed propagation, entropy by a dense eigenvalue call, shift-graph edges by
-evaluating every template on every window, the essential states of a graph
-by repeated degree counts, closed walks by an exact matrix power, the
+seed propagation, minimal recurrences by Gauss-Jordan over the rationals
+and propagation one Fraction per step, entropy by a dense eigenvalue call,
+shift-graph edges by evaluating every template on every window, the
+essential states of a graph by repeated degree counts, closed walks by an exact matrix power, the
 census class by degree counts and reachability, and Brown's
 finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
@@ -451,6 +452,82 @@ def propagation_box_verdict(asc, box=10, steps=40):
     # applied to the reversed seed; only forward survivors need it
     bwd = _seeds_survive(tuple(reversed(asc)), fwd[:, ::-1].copy(), steps)
     return bool(len(bwd))
+
+
+# -- recurrences over the rationals -------------------------------------
+
+
+def _frac_nullspace(rows, ncols):
+    a = [row[:] for row in rows]
+    nrows = len(a)
+    where = [-1] * ncols
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][col]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][col] != 0:
+                c = a[i][col]
+                a[i] = [x - c * y for x, y in zip(a[i], a[r])]
+        where[col] = r
+        r += 1
+    basis = []
+    for col in range(ncols):
+        if where[col] != -1:
+            continue
+        v = [Fraction(0)] * ncols
+        v[col] = Fraction(1)
+        for c2 in range(ncols):
+            if where[c2] != -1:
+                v[c2] = -a[where[c2]][col]
+        basis.append(v)
+    return basis
+
+
+def fraction_minimal_recurrence(values, dmax):
+    """`recurrence.minimal_recurrence` by Gauss-Jordan over Fractions, degree by degree.
+
+    Returns the primitive ascending coefficients, leading one positive, or None.
+    """
+    vals = [Fraction(v) for v in values]
+    if all(v == 0 for v in vals):
+        return None
+    for d in range(1, dmax + 1):
+        rows = [vals[n : n + d + 1] for n in range(len(vals) - d)]
+        for v in _frac_nullspace(rows, d + 1):
+            if v[0] == 0 or v[d] == 0:
+                continue
+            den = 1
+            for x in v:
+                den = den * x.denominator // math.gcd(den, x.denominator)
+            ints = [int(x * den) for x in v]
+            g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
+            return tuple(x // g for x in ints)
+    return None
+
+
+def fraction_propagate(a, seed, forward, steps):
+    """`recurrence.propagate` with a Fraction window: the values produced, outward.
+
+    a holds the ascending coefficients; forward divides by a[-1], backward by a[0].
+    """
+    d = len(a) - 1
+    window = [Fraction(v) for v in seed]
+    produced = []
+    for _ in range(steps):
+        if forward:
+            s = sum(a[k] * window[-d + k] for k in range(d))
+            window.append(Fraction(-s, a[d]))
+            produced.append(window[-1])
+        else:
+            s = sum(a[k] * window[k - 1] for k in range(1, d + 1))
+            window.insert(0, Fraction(-s, a[0]))
+            produced.append(window[0])
+    return tuple(produced)
 
 
 # -- shift graphs from plain lists --------------------------------------

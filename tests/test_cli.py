@@ -225,6 +225,16 @@ def test_input_keeps_the_int_digit_limit(capsys, tmp_path):
         assert code == 1 and out == "", err
 
 
+def test_weighting_error_past_the_int_digit_limit(capsys, tmp_path):
+    # a^N with chi(a) = N, N = 10^3000 - 1: the relator's weight N^2 has 6,000 digits
+    n = 10**3000 - 1
+    f = tmp_path / "weight.txt"
+    f.write_text(f"<t, a | a^{n}>")
+    code, out, err = run(capsys, "alex", str(f), "--chi", f"t=1,a={n}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: weighting: weighting does not vanish on relator a^999")
+
+
 def test_alex_bad_chi_syntax(capsys, dyadic_file):
     code, _, err = run(capsys, "alex", dyadic_file, "--chi", "t:1")
     assert code == 1
@@ -416,6 +426,17 @@ def test_recurrence_witness_window(capsys):
         "base": -5,
         "values": [5, -3, 2, -1, 1, 0, 1, 1, 2, 3, 5],
     }
+
+
+def test_recurrence_witness_factors_once(monkeypatch, capsys):
+    from cycover import recurrence
+
+    calls = []
+    real = recurrence.factor_over_Z
+    monkeypatch.setattr(recurrence, "factor_over_Z", lambda *a: calls.append(a) or real(*a))
+    r = run_json(capsys, "recurrence", "1,-1,-1", "--witness", "-5", "5")["result"]
+    assert r["window"]["values"] == [5, -3, 2, -1, 1, 0, 1, 1, 2, 3, 5]
+    assert len(calls) == 1
 
 
 def test_recurrence_factor_witness(capsys):

@@ -2,11 +2,19 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from corpus import two_bridge_pairs, weight_zero_form
 from cycover.laurent import LaurentPoly, factor_over_Z
+from cycover.recurrence import (
+    AuxPolynomial,
+    Direction,
+    SequenceWindow,
+    minimal_recurrence,
+    propagate,
+)
 from cycover.repshift import (
     FiniteGroup,
     build_sft,
@@ -17,10 +25,13 @@ from cycover.repshift import (
 from cycover.rscover import abelianized_recurrence, reidemeister_schreier
 from cycover.twobridge import family_presentation
 from oracles import (
+    _frac_nullspace,
     box_factor,
     census_class,
     closed_walks,
     essential_fixed_point,
+    fraction_minimal_recurrence,
+    fraction_propagate,
     graph_from_lists,
     perron_entropy,
     propagation_box_verdict,
@@ -234,3 +245,96 @@ def test_census_matches_degree_counts():
         assert c.essential_count == sum(essential_fixed_point(g.state_count, _edges(g)))
         kinds.add(c.classification)
     assert kinds == {"OnlyTrivial", "Finite", "InfiniteZeroEntropy", "PositiveEntropy"}
+
+
+# -- recurrences in integers against Fraction arithmetic ----------------
+
+RATIONAL_ROOTS = sorted({Fraction(p, q) for p in range(-5, 6) if p for q in (1, 2, 3)})
+
+
+def _closed_form_window(rng):
+    """x_n = sum of c_i r_i^n with rational r_i and c_i, from a negative index."""
+    roots = rng.sample(RATIONAL_ROOTS, rng.randint(1, 3))
+    cs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in roots]
+    dmax = len(roots) + rng.randint(0, 1)
+    base = -rng.randint(1, 6)
+    n = 2 * dmax + 1 + rng.randint(0, 3)
+    values = tuple(sum(c * r**i for r, c in zip(roots, cs)) for i in range(base, base + n))
+    return SequenceWindow(base, values), dmax
+
+
+def _impulse_window(rng):
+    """Zeros, then an impulse run forward through a random recurrence, then maybe zeros."""
+    d = rng.randint(1, 3)
+    ends = [rng.choice((-3, -2, -1, 1, 2)) for _ in range(2)]
+    asc = [ends[0]] + [rng.randint(-3, 3) for _ in range(d - 1)] + [ends[1]]
+    dmax = rng.randint(d, 4)
+    run = [0] * (d - 1) + [1]
+    if rng.random() < 0.7:
+        run += fraction_propagate(asc, run, True, 2 * dmax + 1)
+    values = (0,) * rng.choice((0, rng.randint(1, 2 * dmax))) + tuple(run)
+    values += (0,) * rng.choice((0, 0, 1, 2))
+    values += (0,) * max(0, 2 * dmax + 1 - len(values))
+    return SequenceWindow(-rng.randint(0, 4), values), dmax
+
+
+def _sparse_window(rng):
+    """Mostly zeros and small values at the shortest length, so Hankel kernels are often wide."""
+    dmax = rng.randint(2, 4)
+    values = tuple(rng.choice((0, 0, 0, 0, 1, -1, 2, Fraction(-1, 2))) for _ in range(2 * dmax + 1))
+    return SequenceWindow(0, values), dmax
+
+
+def _kernel_dims(w, dmax):
+    """Dimension of the Hankel kernel at each degree 1..dmax."""
+    vals = [Fraction(v) for v in w.values]
+    return [
+        len(_frac_nullspace([vals[n : n + d + 1] for n in range(len(vals) - d)], d + 1))
+        for d in range(1, dmax + 1)
+    ]
+
+
+def test_minimal_recurrence_matches_fraction_gauss_jordan():
+    rng = random.Random(15)
+    seen = {"found": 0, "none": 0, "wide kernel": 0}
+    for make in (_closed_form_window, _impulse_window, _sparse_window):
+        for _ in range(150):
+            w, dmax = make(rng)
+            got = minimal_recurrence(w, dmax)
+            want = fraction_minimal_recurrence(w.values, dmax)
+            assert (got and got.ascending) == want, (w.base, w.values, dmax)
+            seen["found" if got else "none"] += 1
+            seen["wide kernel"] += max(_kernel_dims(w, dmax)) >= 2
+    assert min(seen.values()) >= 30, seen
+
+
+def test_minimal_recurrence_on_wide_kernels_and_the_zero_window():
+    # degree 2 on (1, 0, 0, 0, 0): a two-dimensional kernel, every vector with a_0 = 0
+    w = SequenceWindow(-2, (1, 0, 0, 0, 0))
+    assert _kernel_dims(w, 2) == [1, 2]
+    assert minimal_recurrence(w, 2) is None is fraction_minimal_recurrence(w.values, 2)
+    zero = SequenceWindow(-3, (Fraction(0),) * 7)
+    assert minimal_recurrence(zero, 3) is None is fraction_minimal_recurrence(zero.values, 3)
+
+
+def test_propagate_matches_fraction_steps():
+    rng = random.Random(16)
+    nonintegral = 0
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        ends = [rng.choice((-6, -4, -3, -2, 2, 3, 5)) for _ in range(2)]
+        asc = [ends[0]] + [rng.randint(-5, 5) for _ in range(d - 1)] + [ends[1]]
+        seed = [
+            rng.choice((0, 1, -1, 4, Fraction(rng.randint(-9, 9), rng.randint(1, 7))))
+            for _ in range(d)
+        ]
+        for direction in Direction:
+            steps = rng.randint(1, 30)
+            got = propagate(AuxPolynomial(asc), seed, direction, steps)
+            want = fraction_propagate(asc, seed, direction is Direction.FORWARD, steps)
+            assert got.values == want and all(type(v) is Fraction for v in got.values)
+            assert got.integral == tuple(v.denominator == 1 for v in want)
+            flags = [i + 1 for i, v in enumerate(want) if v.denominator != 1]
+            assert got.first_nonintegral == (flags[0] if flags else None)
+            nonintegral += bool(flags)
+    assert nonintegral >= 100

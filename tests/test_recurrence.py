@@ -70,8 +70,8 @@ def test_aux_to_laurent():
 def test_window_basics():
     w = SequenceWindow(base=-2, values=(3, 1, 4, 1, 5))
     assert w.hi == 2
-    assert w.value_at(-2) == 3
-    assert w.value_at(2) == 5
+    # the stencil t^-2 reads x_-2 = 3 into y_0 and x_2 = 5 into y_4
+    assert apply_shift_factor(LaurentPoly({-2: 1}), w) == SequenceWindow(0, (3, 1, 4, 1, 5))
     with pytest.raises(ValueError):
         SequenceWindow(0, ())
 
