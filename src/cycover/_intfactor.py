@@ -26,8 +26,8 @@ cyclotomic split:
   when p < deg f, one product with x^p mod f otherwise.  The null space of
   Q - I comes from Gauss-Jordan elimination on rows packed the same way,
   one multiply-add a row update, with slots reduced mod p only when read.
-  Each factor found so far is split by one basis vector of the Berlekamp
-  algebra at a time, peeling off one value class per gcd; the subset sums
+  Each factor found so far is split by one basis vector at a time, one gcd
+  per root but the last of the vector's minimal polynomial; the subset sums
   of the factor degrees at each prime are intersected (Musser's degree-set
   test), and f is proved irreducible as soon as only 0 and deg f remain;
 - quadratic Hensel lifting to exactly p^l > 2B, B a Mignotte-style
@@ -395,11 +395,11 @@ def gf_is_squarefree(f: list[int], p: int) -> bool:
 def berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of a monic squarefree f over GF(p).
 
-    The r vectors of a basis of {v : v^p = v mod f} are taken in turn.  Each
-    factor u found so far is split by v: gcd(u, v - s) for s = 0, 1, ...
-    peels off the irreducible factors of u on which v takes the value s,
-    with v reduced mod what is left of u, until what is left is one class
-    (v constant on it).  The walk stops as soon as there are r factors.
+    The r vectors of a basis of {v : v^p = v mod f} are taken in turn.  The
+    minimal polynomial m of v mod u, u a factor found so far, is the product
+    of y - s over the values s of v on the irreducible factors of u.  While
+    m has two roots or more, a root s found by evaluation at 0, 1, ... is
+    divided out of m, and gcd(u, v - s) peels off its factors.
     """
     f = gf_monic(f, p)
     n = degree(f)
@@ -422,20 +422,47 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
         for i, u in enumerate(factors):
             left = len(factors) - i  # u and the factors after it
             vu = gf_divmod(v, u, p)[1]
-            s = 0
             # v constant mod u (always so for linear u) means u is one class.
-            while len(vu) > 1 and len(done) + left < r:
-                g = gf_gcd(u, [(vu[0] - s) % p] + vu[1:], p)
-                if len(g) > 1:
-                    done.append(g)
-                    u = gf_divmod(u, g, p)[0]
-                    vu = gf_divmod(vu, u, p)[1]
-                s += 1
+            if len(vu) > 1 and len(done) + left < r:
+                m = _minimal_polynomial(vu, u, p)
+                s = 0
+                while len(m) > 2:  # the last value's class is what is left of u
+                    acc = 0
+                    for c in reversed(m):
+                        acc = (acc * s + c) % p
+                    if not acc:
+                        g = gf_gcd(u, [(vu[0] - s) % p] + vu[1:], p)
+                        done.append(g)
+                        u = gf_divmod(u, g, p)[0]
+                        m = gf_divmod(m, [-s % p, 1], p)[0]
+                    s += 1
             done.append(u)
         factors = done
         if len(factors) == r:
             break
     return sorted(factors)
+
+
+def _minimal_polynomial(a: list[int], u: list[int], p: int) -> list[int]:
+    """The monic minimal polynomial of a in GF(p)[x]/(u), ascending: row k,
+    a^k mod u then e_k, is reduced by the rows before it until one's a-part
+    vanishes."""
+    d = degree(u)
+    rows: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
+    power = [1]
+    while True:
+        k = len(rows)
+        row = power + [0] * (d - len(power) + k) + [1] + [0] * (d - k)
+        for j, prow in rows:
+            c = row[j]
+            if c:
+                row = [(x - c * y) % p for x, y in zip(row, prow)]
+        j = next((j for j in range(d) if row[j]), None)
+        if j is None:
+            return strip(row[d:])
+        inv = pow(row[j], -1, p)
+        rows.append((j, [x * inv % p for x in row]))
+        power = gf_divmod(gf_mul(power, a, p), u, p)[1]
 
 
 class _Slots:

@@ -9,12 +9,13 @@ census classifies that shift: only the trivial point, finitely many
 points, infinitely many with zero entropy, or positive entropy.
 
 The edges are found by solving each template for the appended symbol, the
-hole, instead of trying every candidate.  A template is rotated so that its
-last hole syllable comes last (a word is trivial iff its rotation is); its
+hole, instead of trying every candidate.  A template is rotated so that a
+hole syllable comes last (a word is trivial iff its rotation is); its
 hole-free segments are then evaluated on all source windows at once, and
-the word reads S0 y^e1 S1 ... y^ek = 1.  With one hole the successors are
-the e-th roots of S0^-1, read from a root table; with several, each
-candidate y costs one table lookup per segment; with none, the template
+the word reads S0 y^e1 S1 ... y^ek = 1, i.e. S0 = L(y)^-1.  L depends on a
+window only through its inner tuple (S1, ..., S(k-1)), so one table per
+tuple, listing each y under L(y)^-1, answers its windows by a lookup on S0.
+With one hole that is the table of e-th roots; with none, the template
 allows every successor or none.  Element powers come from a per-element
 table, so no cost depends on the size of an exponent.
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, permutations, repeat
 from operator import gt, not_, sub
@@ -79,18 +81,10 @@ class FiniteGroup:
         for i in range(n):
             if set(mult[i]) != full or {mult[j][i] for j in range(n)} != full:
                 raise BadGroupTable("table is not a Latin square")
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if mult[i][j] == 0:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
-            raise BadGroupTable("missing inverses")
         self.name = name
         self.labels = labels
         self.mult = mult
-        self.inv = tuple(inv)
+        self.inv = tuple(row.index(0) for row in mult)  # every row holds 0 once
         # powers[x] = (x^0, x^1, ..., x^(k-1)) with k the order of x; right
         # multiplication by x is a bijection, so the walk returns to 0.
         powers = []
@@ -396,39 +390,56 @@ def _intersect(first, *rest):
 
 def _solve_template(tpl, F: FiniteGroup, w: int):
     """The allowed hole values of one template, ascending, for each source
-    window in state order (an iterator)."""
+    window in state order.  The windows are split by S1, then S2, ..., and
+    each group gets its table (see the module docstring) in turn."""
     if all(off != w for off, _ in tpl):
         tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
     cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
-    segments, exps, seg = [], [], []
+    segs, exps, seg = [], [], []
     for off, e in tpl[cut:] + tpl[:cut]:
         if off == w:
-            segments.append(_segment_values(seg, F, w))
+            segs.append(seg)
             exps.append(e)
             seg = []
         else:
             seg.append((off, e))
-    if len(exps) > 1:
-        return _try_candidates(segments, [F.power_map(e) for e in exps], F.mult, F.order)
-    # S y^e = 1: y runs over the e-th roots of S^-1, listed under S.
-    roots = [[] for _ in range(F.order)]
-    for y, g in enumerate(F.power_map(exps[0])):
-        roots[F.inv[g]].append(y)
-    return map(roots.__getitem__, segments[0])
+    if len(segs) == 1:
+        table = _hole_table(F.power_map(exps[0]), F)
+        return map(table.__getitem__, _segment_values(segs[0], F, w))
+
+    # The fewer offsets the inner segments read, the fewer tables.
+    reads = [{off for off, _ in sg} for sg in segs]
+    i = min(range(len(segs)), key=lambda i: len(set().union(*reads[:i], *reads[i + 1 :])))
+    segs, exps = segs[i:] + segs[:i], exps[i:] + exps[:i]
+    head = _segment_values(segs[0], F, w)
+    maps = [F.power_map(e) for e in exps]
+    inners = [_segment_values(sg, F, w) for sg in segs[1:]]
+    # windows that agree on S1 ... Sj, with the values of y^e1 S1 ... Sj y^e(j+1)
+    mult = F.mult
+    allowed = [None] * len(head)
+    stack = [(range(len(head)), maps[0], 0)]
+    while stack:
+        windows, vals, j = stack.pop()
+        if j < len(inners):
+            parts = defaultdict(list)
+            seg, pm = inners[j], maps[j + 1]
+            for s in windows:
+                parts[seg[s]].append(s)
+            for v, part in parts.items():
+                stack.append((part, [mult[mult[x][v]][p] for x, p in zip(vals, pm)], j + 1))
+        else:
+            table = _hole_table(vals, F)
+            for s in windows:
+                allowed[s] = table[head[s]]
+    return allowed
 
 
-def _try_candidates(segments, maps, mult, n: int):
-    """S0 y^e1 S1 y^e2 ... = 1, tested for every y: one lookup per segment."""
-    for vals in zip(*segments):
-        pairs = list(zip(vals, maps))
-        ys = []
-        for y in range(n):
-            acc = 0
-            for v, pm in pairs:
-                acc = mult[mult[acc][v]][pm[y]]
-            if acc == 0:
-                ys.append(y)
-        yield ys
+def _hole_table(values, F: FiniteGroup) -> list[list[int]]:
+    """The candidates y, ascending, listed under values[y]^-1."""
+    table = [[] for _ in range(F.order)]
+    for y, x in enumerate(values):
+        table[F.inv[x]].append(y)
+    return table
 
 
 def _segment_values(seg, F: FiniteGroup, w: int) -> list[int]:

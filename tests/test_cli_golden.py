@@ -26,6 +26,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 RECURRENCES = ["1,-1,-1", "1,-3,1", "1,-2", "2,-5,2", "1,-3,2", "3,0,-3", "x,1"]
 
+# weight-zero forms whose templates have two holes, or three for (11, 6) and (13, 7)
+MULTI_HOLE_FORMS = [(7, 3), (7, 4), (9, 4), (9, 5), (11, 6), (13, 7)]
+
 
 def _chi_arg(chi):
     return ",".join(f"{g}={v}" for g, v in chi.items())
@@ -34,7 +37,7 @@ def _chi_arg(chi):
 def presentations():
     """file name -> presentation text for every case that reads a file."""
     files = {f"{name}.pres": pres.to_text() for name, pres, _ in knotlike_corpus()}
-    for p, q in two_bridge_pairs(9):
+    for p, q in two_bridge_pairs(9) + MULTI_HOLE_FORMS:
         files[f"wz{p}_{q}.pres"] = weight_zero_form(p, q)[0].to_text()
     return files
 
@@ -70,6 +73,9 @@ def cases():
         for group in ("Z3", "S3"):
             add("reps", f, "--chi", "u=1,a=0", "--group", group, "--max-period", "4", "--json")
     add("reps", "family2.pres", "--group", "S3", "--max-period", "4")
+    for p, q in MULTI_HOLE_FORMS:
+        f = f"wz{p}_{q}.pres"
+        add("reps", f, "--chi", "u=1,a=0", "--group", "S4", "--max-period", "4", "--json")
     for coeffs in RECURRENCES:
         add("recurrence", coeffs, "--witness", "-3", "5", "--json")
         add("recurrence", coeffs, "--witness", "-3", "5")

@@ -292,6 +292,73 @@ def test_build_sft_matches_brute_force_successors():
     assert narrow >= 5 and huge >= 20
 
 
+# Hole-free segments of width-2 templates: each reads one of the two source
+# digits, or both.  The first of each list reads digit 0.
+ONE_DIGIT = [[(0, 1)], [(0, 2)], [(1, -1)], [(1, 3)], [(0, -1)]]
+BOTH_DIGITS = [[(0, 1), (1, 1)], [(1, 2), (0, -1)], [(0, 2), (1, -1)], [(1, 1), (0, 3)]]
+
+
+def _holes_template(segments, exps):
+    """S0 y^e1 S1 y^e2 ...: the segments interleaved with hole syllables at
+    offset 2, as a ShiftPresentation."""
+    tpl = []
+    for seg, e in zip(segments, exps):
+        tpl += [("a", off, x) for off, x in seg] + [("a", 2, e)]
+    return ShiftPresentation(symbols=("a",), templates=(tuple(tpl),))
+
+
+def test_multi_hole_solve_matches_brute_force_successors(monkeypatch):
+    # Inner segments that read one digit leave at most n inner tuples, so
+    # the windows share a few tables; when every segment reads both digits
+    # nearly every window has a tuple, and a table, of its own.
+    tables = []
+    hole_table = repshift._hole_table
+
+    def counting_hole_table(*args):
+        tables.append(1)
+        return hole_table(*args)
+
+    monkeypatch.setattr(repshift, "_hole_table", counting_hole_table)
+    groups = [FiniteGroup.symmetric(4), _group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)]
+    rng = random.Random(16)
+    table_per_window = set()
+    for gi, group in enumerate(groups):
+        for holes in (2, 3):
+            for pool in (ONE_DIGIT, BOTH_DIGITS, ONE_DIGIT + BOTH_DIGITS):
+                for _ in range(4):
+                    segments = [pool[0]] + [rng.choice(pool) for _ in range(holes - 1)]
+                    exps = [rng.choice((1, -1, 2, -2, 3, 10**9 + 7)) for _ in range(holes)]
+                    sp = _holes_template(segments, exps)
+                    tables.clear()
+                    got = build_sft(sp, group)
+                    words = [[(off, e) for _, off, e in sp.templates[0]]]
+                    want = brute_successors(words, group.mult, 2)
+                    assert [list(t) for t in got.successors] == want, (group.name, segments, exps)
+                    if pool is ONE_DIGIT:
+                        assert len(tables) <= group.order, (group.name, segments)
+                    if len(tables) == group.order**2:
+                        table_per_window.add(gi)
+    assert table_per_window == {0, 1, 2}
+
+
+def test_multi_hole_build_keeps_memory_per_state():
+    # Three holes over S5 at width 2, every segment reading both digits: the
+    # inner tuple (a0 a1, a0^2 a1) determines a0 and then a1, so each of the
+    # 14,400 windows has a tuple of its own.
+    s5 = FiniteGroup.symmetric(5)
+    sp = _holes_template([[(0, 1), (1, 2)], [(0, 1), (1, 1)], [(0, 2), (1, 1)]], [1, 1, 1])
+    tracemalloc.start()
+    try:
+        g = build_sft(sp, s5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.state_count == 120**2
+    # measured: 125 bytes per state; one table per tuple kept for the whole
+    # build would take over 7,000
+    assert peak <= 160 * g.state_count, peak / g.state_count
+
+
 def test_power_reads_the_table_whatever_the_exponent():
     s5 = FiniteGroup.symmetric(5)
     for x in range(s5.order):
