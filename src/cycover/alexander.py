@@ -42,7 +42,8 @@ def fox_derivative_abelianized(
     Product rule: d(uv) = du + phi(u) dv, where phi sends each
     generator x to t^chi(x).  A syllable x^e contributes a geometric
     block of powers of t^chi(x), which for chi(x) = 0 is e at one
-    exponent; anything else only advances the prefix weight.
+    exponent; anything else only advances the prefix weight.  Sums that
+    cancel to zero are dropped by the LaurentPoly constructor.
     """
     coeffs: dict[int, int] = {}
     h = 0  # weight of the prefix read so far
@@ -50,23 +51,15 @@ def fox_derivative_abelianized(
         cx = chi[x]
         if x == gen:
             if cx == 0:
-                _bump(coeffs, h, e)
+                coeffs[h] = coeffs.get(h, 0) + e
             elif e > 0:
                 for k in range(e):
-                    _bump(coeffs, h + k * cx, 1)
+                    coeffs[h + k * cx] = coeffs.get(h + k * cx, 0) + 1
             else:
                 for k in range(1, -e + 1):
-                    _bump(coeffs, h - k * cx, -1)
+                    coeffs[h - k * cx] = coeffs.get(h - k * cx, 0) - 1
         h += e * cx
     return LaurentPoly(coeffs)
-
-
-def _bump(coeffs: dict[int, int], e: int, delta: int) -> None:
-    c = coeffs.get(e, 0) + delta
-    if c:
-        coeffs[e] = c
-    else:
-        coeffs.pop(e, None)
 
 
 def alexander_matrix(

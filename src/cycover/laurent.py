@@ -52,9 +52,8 @@ class LaurentPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] = ()):
-        d = {int(e): int(c) for e, c in dict(coeffs).items() if c != 0}
-        object.__setattr__(self, "_coeffs", d)
+    def __init__(self, coeffs: Mapping[int, int]):
+        object.__setattr__(self, "_coeffs", {e: c for e, c in coeffs.items() if c})
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")

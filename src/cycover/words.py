@@ -7,6 +7,7 @@ All arithmetic is exact; generators are plain strings.
 
 from __future__ import annotations
 
+import math
 import re
 from functools import cached_property
 from typing import Hashable, Iterable
@@ -106,22 +107,17 @@ class FreeWord:
 
     def cyclic_reduce(self) -> "FreeWord":
         """Strip matching conjugating ends until the word is cyclically reduced."""
-        syl = list(self.syllables)
-        while len(syl) > 1 and syl[0][0] == syl[-1][0]:
-            g = syl[0][0]
-            e0, e1 = syl[0][1], syl[-1][1]
+        syl = self.syllables
+        while len(syl) > 1 and syl[0][0] == syl[-1][0] and (syl[0][1] > 0) != (syl[-1][1] > 0):
+            (g, e0), (_, e1), inner = syl[0], syl[-1], syl[1:-1]
+            # Cancel both ends, or fold the smaller into the larger.
             if e0 + e1 == 0:
-                syl = syl[1:-1]
-            elif (e0 > 0) == (e1 > 0):
-                break
+                syl = inner
+            elif abs(e0) > abs(e1):
+                syl = ((g, e0 + e1),) + inner
             else:
-                # Partial cancellation: fold the smaller end into the larger.
-                keep = e0 + e1
-                syl = syl[1:-1]
-                merged = _reduce([(g, keep)] + syl) if abs(e0) > abs(e1) else _reduce(syl + [(g, keep)])
-                syl = list(merged)
-                break
-        return FreeWord(_reduce(syl))
+                syl = inner + ((g, e0 + e1),)
+        return FreeWord(syl)
 
     def substitute(self, gen: str, replacement: "FreeWord") -> "FreeWord":
         """Replace every occurrence of gen (any exponent) by replacement."""
@@ -195,7 +191,7 @@ class Presentation:
             for g in r.generators_used():
                 if g not in seen:
                     raise UnknownGenerator(f"relator uses undeclared generator '{g}'")
-            if r.syllables != r.cyclic_reduce().syllables:
+            if r.syllables != FreeWord.make(r.syllables).cyclic_reduce().syllables:
                 raise ValueError(f"relator '{r}' is not cyclically reduced")
         self.generators = generators
         self.relators = relators
@@ -222,40 +218,33 @@ class Presentation:
         return [[r.exponent_sum(g) for g in self.generators] for r in self.relators]
 
     @cached_property
-    def _smith(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """`smith_diagonal` of the exponent matrix, computed once per presentation."""
-        diag, colops = smith_diagonal(self.exponent_matrix(), len(self.generators))
-        return tuple(diag), tuple(map(tuple, colops))
+    def _smith(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+        """`smith_diagonal` of the exponent matrix, computed once per presentation:
+        the nonzero invariant factors of H_1's relation matrix, and the primitive
+        kernel vector when H_1 has free rank one."""
+        diag, kernel = smith_diagonal(self.exponent_matrix(), len(self.generators))
+        return tuple(diag), kernel
 
     def abelianization_invariants(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion coefficients d_1 | d_2 | ... each > 1) of H_1."""
         diag, _ = self._smith
-        rank = sum(1 for d in diag if d != 0)
-        torsion = tuple(d for d in diag if d > 1)
-        return len(self.generators) - rank, torsion
+        return len(self.generators) - len(diag), tuple(d for d in diag if d > 1)
 
     def canonical_weighting(self) -> dict[str, int]:
         """The surjection onto Z when H_1 is infinite cyclic, else NotKnotLike.
 
-        Unique up to sign; the sign is fixed so the first generator carrying a
-        nonzero value maps positively.
+        It is the primitive kernel vector of the exponent matrix, unique up to
+        sign; the sign is fixed so the first generator carrying a nonzero
+        value maps positively.
         """
-        n = len(self.generators)
-        diag, colops = self._smith
-        free_cols = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-        torsion = [d for d in diag if d > 1]
-        if len(free_cols) != 1 or torsion:
+        free_rank, torsion = self.abelianization_invariants()
+        if free_rank != 1 or torsion:
             raise NotKnotLike(
-                f"H_1 has free rank {len(free_cols)} and torsion {torsion}; need exactly Z"
+                f"H_1 has free rank {free_rank} and torsion {list(torsion)}; need exactly Z"
             )
-        j = free_cols[0]
-        values = [colops[i][j] for i in range(n)]
-        for v in values:
-            if v != 0:
-                if v < 0:
-                    values = [-x for x in values]
-                break
-        return {g: values[i] for i, g in enumerate(self.generators)}
+        values = self._smith[1]
+        sign = -1 if next(v for v in values if v) < 0 else 1
+        return {g: sign * v for g, v in zip(self.generators, values)}
 
     def tietze_substitute(self, gen: str, replacement: FreeWord) -> "Presentation":
         """Eliminate gen by rewriting it as replacement everywhere.
@@ -380,99 +369,87 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
-def _nearest_quotient(x: int, y: int) -> int:
-    """q with |x - q*y| <= |y| / 2."""
-    return (2 * x + y) // (2 * y)
+def smith_diagonal(
+    matrix: list[list[int]], ncols: int
+) -> tuple[list[int], tuple[int, ...] | None]:
+    """Invariant factors of an integer matrix, plus its kernel vector at corank one.
 
+    Returns (diag, kernel): diag holds the r = rank nonzero invariant factors,
+    d_1 | d_2 | ... | d_r, and kernel is the primitive generator of the integer
+    kernel of x -> A x (up to sign) when r = ncols - 1, else None.
 
-def smith_diagonal(matrix: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Smith normal form diagonal of an integer matrix, plus the column transform.
-
-    Returns (diag, V) where diag holds the nonnegative invariant factors
-    (d_i | d_{i+1}) and V is the unimodular ncols x ncols matrix of accumulated
-    column operations, so that (row ops applied to A) * V is diagonal.  Exact
-    integer arithmetic; pivots chosen by minimal absolute value, and
-    eliminations use nearest-integer quotients so that every remainder is at
-    most half the pivot and entries stay small.
+    One fraction-free (Bareiss) echelon pass gives r and a nonzero r x r minor
+    m, its last pivot; each echelon entry is a minor, so none grows past
+    Hadamard's bound.  As d_1 ... d_r divides m, the Smith reduction then runs
+    on residues in [0, m): a diagonal place reads as gcd(pivot, m), and a
+    gcd/lcm pass over pairs sorts the places into the divisibility chain.  The
+    kernel vector is back substitution in the same echelon from x_free = m,
+    integral by Cramer's rule, divided by its content.
     """
-    a = [row[:] for row in matrix]
-    nrows = len(a)
-    for row in a:
-        assert len(row) == ncols
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    assert all(len(row) == ncols for row in matrix)
+    e = [row[:] for row in matrix]
+    nrows = len(e)
+    pivots: list[int] = []
+    m = 1  # the last pivot: the previous one is Bareiss's exact divisor
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, nrows) if e[i][j]), None)
+        if i is None:
+            continue
+        e[r], e[i] = e[i], e[r]
+        top = e[r]
+        for i in range(r + 1, nrows):
+            c = e[i][j]
+            e[i] = [(top[j] * x - c * y) // m for x, y in zip(e[i], top)]
+        m = top[j]
+        pivots.append(j)
+    r = len(pivots)
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    kernel = None
+    if r == ncols - 1:
+        x = [0] * ncols
+        x[next(j for j in range(ncols) if j not in pivots)] = m
+        for k in reversed(range(r)):
+            j = pivots[k]
+            x[j] = -sum(c * v for c, v in zip(e[k][j + 1 :], x[j + 1 :])) // e[k][j]
+        content = math.gcd(*x)
+        kernel = tuple(v // content for v in x)
 
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def diagonalize():
-        t = 0
-        while t < min(nrows, ncols):
-            best = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            a[t], a[best[0]] = a[best[0]], a[t]
-            if best[1] != t:
-                swap_cols(t, best[1])
-            while True:
-                dirty = False
-                for i in range(t + 1, nrows):
-                    if a[i][t] != 0:
-                        q = _nearest_quotient(a[i][t], a[t][t])
-                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                        if a[i][t] != 0:  # leftover remainder becomes the new pivot
-                            a[t], a[i] = a[i], a[t]
-                            dirty = True
-                for j in range(t + 1, ncols):
-                    if a[t][j] != 0:
-                        q = _nearest_quotient(a[t][j], a[t][t])
-                        add_col(t, j, -q)
-                        if a[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-                if not dirty:
-                    break
-            if a[t][t] < 0:
-                for row in a:
-                    row[t] = -row[t]
-                for row in v:
-                    row[t] = -row[t]
-            t += 1
-        return t
-
-    # Diagonalize, then repair the divisibility chain by folding an offending
-    # column into its predecessor and re-running; terminates because the first
-    # broken entry strictly shrinks to a gcd each round.
-    while True:
-        rank = diagonalize()
-        broken = None
-        for i in range(rank - 1):
-            if a[i][i] != 0 and a[i + 1][i + 1] % a[i][i] != 0:
-                broken = i
-                break
-        if broken is None:
+    m = abs(m)
+    if m == 1:
+        return [1] * r, kernel
+    a = [[x % m for x in row] for row in matrix]
+    diag = []
+    for t in range(min(nrows, ncols)):
+        rest = [(a[i][j], i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]]
+        if not rest:
+            diag += [m] * (min(nrows, ncols) - t)
             break
-        add_col(broken + 1, broken, 1)
-    diag = [a[i][i] for i in range(rank)]
-    return diag, v
+        _, i, j = min(rest)
+        a[t], a[i] = a[i], a[t]
+        while j is not None:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            for i in range(t + 1, nrows):  # Euclid on rows t and i clears a[i][t]
+                while a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    a[i] = [(x - q * y) % m for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+            # Column t is clear below the pivot, so column operations change row t alone.
+            a[t][t + 1 :] = [x % a[t][t] for x in a[t][t + 1 :]]
+            nonzero = [j for j in range(t + 1, ncols) if a[t][j]]
+            j = min(nonzero, key=a[t].__getitem__, default=None)
+        diag.append(math.gcd(a[t][t], m))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag[:r], kernel
 
 
 def validate_weighting(p: Presentation, chi: dict[str, int]) -> None:
     """Check chi kills every relator and hits 1 (i.e. is onto Z)."""
-    import math
-
     missing = [g for g in p.generators if g not in chi]
     if missing:
         raise ValueError(f"weighting missing generators {missing}")

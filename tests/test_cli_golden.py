@@ -29,6 +29,16 @@ RECURRENCES = ["1,-1,-1", "1,-3,1", "1,-2", "2,-5,2", "1,-3,2", "3,0,-3", "x,1"]
 # weight-zero forms whose templates have two holes, or three for (11, 6) and (13, 7)
 MULTI_HOLE_FORMS = [(7, 3), (7, 4), (9, 4), (9, 5), (11, 6), (13, 7)]
 
+# Presentations that reach branches the knot corpus does not: d(2) infinite
+# with the large flag set, Delta = 0 with its free-rank witness, a template
+# of width 0, and two templates whose solutions are intersected.
+EXTRA_FILES = {
+    "dyadic_square.pres": "<t, a | t a^2 t^-1 a^-2>",
+    "free_rank2.pres": "<t, a, b | t a t^-1 a^-2>",
+    "order2.pres": "<t, a | a^2>",
+    "two_templates.pres": "<t, a | t a t^-1 a^-2, a^3>",
+}
+
 
 def _chi_arg(chi):
     return ",".join(f"{g}={v}" for g, v in chi.items())
@@ -39,7 +49,7 @@ def presentations():
     files = {f"{name}.pres": pres.to_text() for name, pres, _ in knotlike_corpus()}
     for p, q in two_bridge_pairs(9) + MULTI_HOLE_FORMS:
         files[f"wz{p}_{q}.pres"] = weight_zero_form(p, q)[0].to_text()
-    return files
+    return {**files, **EXTRA_FILES}
 
 
 def cases():
@@ -79,6 +89,13 @@ def cases():
     for coeffs in RECURRENCES:
         add("recurrence", coeffs, "--witness", "-3", "5", "--json")
         add("recurrence", coeffs, "--witness", "-3", "5")
+    for mode in ((), ("--json",)):
+        add("criteria", "dyadic_square.pres", "--chi", "t=1,a=0", *mode)
+        add("criteria", "free_rank2.pres", "--chi", "t=1,a=0,b=0", *mode)
+    add("reps", "order2.pres", "--chi", "t=1,a=0", "--group", "S3", "--max-period", "2")
+    for group in ("Z3", "S3"):
+        add("reps", "two_templates.pres", "--group", group, "--json")
+    add("reps", "two_templates.pres", "--group", "S3", "--max-period", "1")
     return out
 
 
