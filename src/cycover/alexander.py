@@ -11,7 +11,8 @@ The determinant is computed over the integers by Kronecker substitution.
 After each row is shifted by its lowest exponent, no coefficient of the
 determinant, nor of any minor, exceeds B, the product of the row 1-norms.
 Evaluating every entry at t = 2^(8w), with 2^(8w - 1) > B, turns the matrix
-into one of integers; fraction-free Bareiss elimination on it gives the
+into one of integers; the fraction-free Bareiss echelon on it
+(`words.bareiss_echelon`, the one the Smith form uses) gives the
 determinant's value, whose balanced w-byte slots are its coefficients.
 """
 
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence, Union
 
 from ._intfactor import Kronecker
 from .laurent import LaurentPoly, _Infinite
-from .words import FreeWord, Presentation
+from .words import FreeWord, Presentation, bareiss_echelon
 
 DEFAULT_PRIMES = (2, 3, 5, 7)
 
@@ -87,12 +88,12 @@ def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
     of the determinant exceeds B, the product of the row 1-norms (the sum over
     a row of its entries' coefficient sizes), nor does any coefficient of a
     minor, so every entry is evaluated at t = 2^(8w) with 2^(8w - 1) > B, and
-    fraction-free Bareiss elimination (Bareiss 1968) runs on those integers.
-    A minor vanishes exactly when its value does (its roots are at most 1 + B
-    in size), so the pivots are those of elimination over the polynomials,
-    and every division is exact.  The balanced byte slots of the last value
-    are the coefficients of the shifted determinant.  A 1 x 1 matrix is its
-    own determinant.
+    `bareiss_echelon` runs on those integers.  A minor vanishes exactly when
+    its value does (its roots are at most 1 + B in size), so the pivots are
+    those of elimination over the polynomials: rank below k means the
+    determinant is 0, and otherwise it is the echelon's sign times its last
+    pivot, whose balanced byte slots are the coefficients of the shifted
+    determinant.  A 1 x 1 matrix is its own determinant.
     """
     k = len(rows)
     if k == 0:
@@ -112,26 +113,9 @@ def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
         [codec.pack([0] * (e.low() - lo) + e.dense()) if e else 0 for e in row]
         for row, lo in zip(rows, lows)
     ]
-    sign = 1
-    prev = 1
-    for col in range(k - 1):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
-        if piv is None:
-            return LaurentPoly.zero()
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        top = a[col]
-        p = top[col]
-        for i in range(col + 1, k):
-            row = a[i]
-            c = row[col]
-            for j in range(col + 1, k):
-                q, r = divmod(p * row[j] - c * top[j], prev)
-                if r:
-                    raise ArithmeticError("Bareiss division must be exact")
-                row[j] = q
-        prev = p
+    pivots, sign = bareiss_echelon(a, k)
+    if len(pivots) < k:
+        return LaurentPoly.zero()
     return LaurentPoly.from_coeffs(codec.unpack(sign * a[-1][-1], span), low=sum(lows))
 
 

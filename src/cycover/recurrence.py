@@ -9,8 +9,9 @@ propagation directions integral.
 
 The arithmetic is in integers.  `propagate` keeps its window as numerators
 over one denominator and builds one Fraction per produced value;
-`minimal_recurrence` scales the window by the lcm of its denominators and
-reduces the Hankel rows by fraction-free Gauss-Jordan elimination (Bareiss).
+`minimal_recurrence` scales the window by the lcm of its denominators,
+reduces the Hankel rows by `words.bareiss_echelon`, and reads each kernel
+vector off that echelon by back substitution (`words.echelon_kernel`).
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import math
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
+from . import _intfactor
 from .laurent import LaurentPoly, ZeroPolynomial, factor_over_Z
+from .words import bareiss_echelon, echelon_kernel
 
 
 class InvalidRecurrence(ValueError):
@@ -73,10 +76,7 @@ class AuxPolynomial:
         return len(self.ascending) - 1
 
     def primitive(self) -> "AuxPolynomial":
-        c = math.gcd(*(abs(x) for x in self.ascending))
-        if self.ascending[-1] < 0:
-            c = -c
-        return AuxPolynomial(tuple(x // c for x in self.ascending))
+        return AuxPolynomial(_intfactor.primitive(self.ascending))
 
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly.from_coeffs(self.ascending)
@@ -228,38 +228,6 @@ def apply_shift_factor(g: LaurentPoly, w: SequenceWindow) -> SequenceWindow:
     return SequenceWindow(base=w.base - lo_exp, values=tuple(out))
 
 
-def _int_nullspace(a: list[list[int]], ncols: int) -> Iterator[list[int]]:
-    """Kernel basis of an integer matrix, one integer vector per free column, in order.
-
-    Reduces the rows of a in place.  Each pivot row ends as a multiple of its
-    row of the reduced echelon form, which is unique, so each vector is a
-    multiple of the one read off that form.
-    """
-    pivots = []  # (column, row index)
-    for col in range(ncols):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(a)) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        p = prow[col]
-        for i, row in enumerate(a):
-            c = row[col]
-            if c and i != r:
-                row = [p * x - c * y for x, y in zip(row, prow)]
-                g = math.gcd(*row)
-                a[i] = [x // g for x in row] if g > 1 else row
-        pivots.append((col, r))
-    scale = math.lcm(*(a[r][col] for col, r in pivots))
-    for free in sorted(set(range(ncols)) - {col for col, _ in pivots}):
-        v = [0] * ncols
-        v[free] = scale
-        for col, r in pivots:
-            v[col] = -a[r][free] * (scale // a[r][col])
-        yield v
-
-
 def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
     """Least-degree primitive recurrence (degree <= dmax) the window satisfies.
 
@@ -281,7 +249,10 @@ def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
         return None
     for d in range(1, dmax + 1):
         rows = [xs[n : n + d + 1] for n in range(len(xs) - d)]
-        for v in _int_nullspace(rows, d + 1):
-            if v[0] and v[d]:
-                return AuxPolynomial(v).primitive()
+        pivots, _ = bareiss_echelon(rows, d + 1)
+        for free in range(d + 1):
+            if free not in pivots:
+                v = echelon_kernel(rows, d + 1, pivots, free)
+                if v[0] and v[d]:
+                    return AuxPolynomial(v).primitive()
     return None

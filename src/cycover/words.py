@@ -369,6 +369,66 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(gens, tuple(relators))
 
 
+def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) echelon form of integer rows, in place.
+
+    Returns (pivots, sign): the pivot column of each of the first r = rank
+    rows, in order, and (-1)^(row swaps).  At each pivot p, a row below with
+    entry c in the pivot column becomes p * row - c * (pivot row), divided by
+    the previous pivot (1 at first); the division is exact (Bareiss 1968)
+    and checked so.  Each pivot, and each entry right of it in its row, is
+    then a minor of the input, so none grows past Hadamard's bound, and the
+    last pivot is a nonzero r x r minor: for a square matrix of full rank,
+    sign times it is the determinant.  Only the columns right of the pivot
+    are updated (nothing reads the others again), and a row is left alone
+    when c is 0 and p equals the previous pivot.
+
+    >>> rows = [[0, 2, 1], [1, 1, 1], [2, 1, 3]]
+    >>> bareiss_echelon(rows, 3)
+    ([0, 1, 2], -1)
+    >>> rows[-1][-1]  # the determinant is -1 * 3
+    3
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    sign, m = 1, 1  # m is the last pivot, the next step's exact divisor
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, nrows) if rows[i][j]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[j]
+        for row in rows[r + 1 :]:
+            c = row[j]
+            if c or p != m:
+                for k in range(j + 1, ncols):
+                    q, rem = divmod(p * row[k] - c * top[k], m)
+                    if rem:
+                        raise ArithmeticError("Bareiss division must be exact")
+                    row[k] = q
+        m = p
+        pivots.append(j)
+    return pivots, sign
+
+
+def echelon_kernel(e: list[list[int]], ncols: int, pivots: list[int], free: int) -> list[int]:
+    """The kernel vector of `bareiss_echelon`'s rows e with x_free = the last pivot.
+
+    Every other non-pivot entry is 0, and back substitution gives the pivot
+    entries; by Cramer's rule they are integers, so each division is exact.
+    """
+    x = [0] * ncols
+    x[free] = e[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for k in reversed(range(len(pivots))):
+        j = pivots[k]
+        x[j] = -sum(c * v for c, v in zip(e[k][j + 1 :], x[j + 1 :])) // e[k][j]
+    return x
+
+
 def smith_diagonal(
     matrix: list[list[int]], ncols: int
 ) -> tuple[list[int], tuple[int, ...] | None]:
@@ -378,44 +438,24 @@ def smith_diagonal(
     d_1 | d_2 | ... | d_r, and kernel is the primitive generator of the integer
     kernel of x -> A x (up to sign) when r = ncols - 1, else None.
 
-    One fraction-free (Bareiss) echelon pass gives r and a nonzero r x r minor
-    m, its last pivot; each echelon entry is a minor, so none grows past
-    Hadamard's bound.  As d_1 ... d_r divides m, the Smith reduction then runs
-    on residues in [0, m): a diagonal place reads as gcd(pivot, m), and a
-    gcd/lcm pass over pairs sorts the places into the divisibility chain.  The
-    kernel vector is back substitution in the same echelon from x_free = m,
-    integral by Cramer's rule, divided by its content.
+    `bareiss_echelon` gives r and a nonzero r x r minor m, its last pivot.
+    As d_1 ... d_r divides m, the Smith reduction then runs on residues in
+    [0, m): a diagonal place reads as gcd(pivot, m), and a gcd/lcm pass over
+    pairs sorts the places into the divisibility chain.  The kernel vector is
+    `echelon_kernel` of the same echelon, divided by its content.
     """
     assert all(len(row) == ncols for row in matrix)
     e = [row[:] for row in matrix]
     nrows = len(e)
-    pivots: list[int] = []
-    m = 1  # the last pivot: the previous one is Bareiss's exact divisor
-    for j in range(ncols):
-        r = len(pivots)
-        i = next((i for i in range(r, nrows) if e[i][j]), None)
-        if i is None:
-            continue
-        e[r], e[i] = e[i], e[r]
-        top = e[r]
-        for i in range(r + 1, nrows):
-            c = e[i][j]
-            e[i] = [(top[j] * x - c * y) // m for x, y in zip(e[i], top)]
-        m = top[j]
-        pivots.append(j)
+    pivots, _ = bareiss_echelon(e, ncols)
     r = len(pivots)
-
     kernel = None
     if r == ncols - 1:
-        x = [0] * ncols
-        x[next(j for j in range(ncols) if j not in pivots)] = m
-        for k in reversed(range(r)):
-            j = pivots[k]
-            x[j] = -sum(c * v for c, v in zip(e[k][j + 1 :], x[j + 1 :])) // e[k][j]
+        x = echelon_kernel(e, ncols, pivots, next(j for j in range(ncols) if j not in pivots))
         content = math.gcd(*x)
         kernel = tuple(v // content for v in x)
 
-    m = abs(m)
+    m = abs(e[r - 1][pivots[-1]]) if pivots else 1
     if m == 1:
         return [1] * r, kernel
     a = [[x % m for x in row] for row in matrix]

@@ -31,12 +31,20 @@ MULTI_HOLE_FORMS = [(7, 3), (7, 4), (9, 4), (9, 5), (11, 6), (13, 7)]
 
 # Presentations that reach branches the knot corpus does not: d(2) infinite
 # with the large flag set, Delta = 0 with its free-rank witness, a template
-# of width 0, and two templates whose solutions are intersected.
+# of width 0, two templates whose solutions are intersected, a 3 x 3 Fox
+# minor (a four-generator knot-like presentation), and a 2 x 2 Fox minor of
+# rank 1 whose rows are both nonzero.
 EXTRA_FILES = {
     "dyadic_square.pres": "<t, a | t a^2 t^-1 a^-2>",
     "free_rank2.pres": "<t, a, b | t a t^-1 a^-2>",
     "order2.pres": "<t, a | a^2>",
     "two_templates.pres": "<t, a | t a t^-1 a^-2, a^3>",
+    "knotlike4.pres": (
+        "<t,a1,a2,a3 | a1 a2^-1 a1^-1 t a1 t^-1 a3 t a1^-1 t a2 a3^-1 a1 a1 a1^-1 t^-2, "
+        "a1 t a2 t^-1 a1^-1 a3^-1 t^-1 a3^-1 a3 a1 t a3 t a1^-1 a2^-1 t a2 t^-2, "
+        "t a1^-1 t a2 a3 a1 t^-1 a2^-1 t^-1 a3^-1 t^-1 a2 t a3 t a3^-1 t^-1 a3 t^-1 a2^-1 t>"
+    ),
+    "repeated_relator.pres": "<t, a, b | t a t^-1 a^-2, t a t^-1 a^-2>",
 }
 
 
@@ -96,6 +104,10 @@ def cases():
     for group in ("Z3", "S3"):
         add("reps", "two_templates.pres", "--group", group, "--json")
     add("reps", "two_templates.pres", "--group", "S3", "--max-period", "1")
+    for mode in ((), ("--json",)):
+        for command in ("alex", "criteria"):
+            add(command, "knotlike4.pres", *mode)
+            add(command, "repeated_relator.pres", "--chi", "t=1,a=0,b=0", *mode)
     return out
 
 

@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,11 +17,13 @@ from cycover.words import (
     Presentation,
     SelfReference,
     UnknownGenerator,
+    bareiss_echelon,
+    echelon_kernel,
     parse_presentation,
     smith_diagonal,
     validate_weighting,
 )
-from oracles import equal_up_to_cycling, letters
+from oracles import _frac_nullspace, equal_up_to_cycling, leibniz_det, letters
 
 
 def W(*syllables):
@@ -305,6 +308,47 @@ def test_validate_weighting_rejects_bad():
         validate_weighting(p, {"t": 1, "a": 1})  # relator weight nonzero
     with pytest.raises(ValueError):
         validate_weighting(p, {"t": 2, "a": 0})  # gcd 2
+
+
+# -- fraction-free echelon vs Fraction elimination and Leibniz ----------
+
+
+def _echelon_inputs(rng, shape):
+    """A seeded integer matrix: square, tall or wide, sparse enough that many
+    rows have 0 in a pivot column, with a zero column and a duplicate row at times."""
+    n = rng.randint(1, 6)
+    nrows, ncols = {"square": (n, n), "tall": (n + rng.randint(1, 3), n), "wide": (n, n + rng.randint(1, 3))}[shape]
+    h = rng.choice((1, 3, 30))
+    rows = [[rng.randint(-h, h) * rng.choice((0, 1, 1)) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if nrows > 1 and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = rows[rng.randrange(nrows)][:]
+    return rows, ncols
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+def test_bareiss_echelon_rank_determinant_and_kernel(shape):
+    rng = random.Random(f"bareiss-{shape}")
+    for _ in range(300):
+        rows, ncols = _echelon_inputs(rng, shape)
+        e = [row[:] for row in rows]
+        pivots, sign = bareiss_echelon(e, ncols)
+        r = len(pivots)
+        basis = _frac_nullspace([[Fraction(x) for x in row] for row in rows], ncols)
+        assert r == ncols - len(basis), rows
+        last = e[r - 1][pivots[-1]] if pivots else 1
+        assert last
+        if shape == "square":
+            det = leibniz_det([[{0: x} for x in row] for row in rows]).get(0, 0)
+            assert (sign * last if r == ncols else 0) == det, rows
+        for free in sorted(set(range(ncols)) - set(pivots)):
+            x = echelon_kernel(e, ncols, pivots, free)
+            assert x[free] == last
+            assert all(x[j] == 0 for j in range(ncols) if j != free and j not in pivots)
+            assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows), (rows, free)
 
 
 # -- Smith normal form vs sympy ----------------------------------------
