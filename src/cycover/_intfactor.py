@@ -23,13 +23,15 @@ cyclotomic split:
 - Berlekamp factorization modulo the first three good primes, keeping the
   prime with the fewest factors.  Each row x^(p*i) mod f of the matrix Q
   is the one before times x^p: p shifts of a row packed into one integer
-  when p < deg f, one product with x^p mod f otherwise.  The null space of
-  Q - I comes from Gauss-Jordan elimination on rows packed the same way,
-  one multiply-add a row update, with slots reduced mod p only when read.
-  Each factor found so far is split by one basis vector at a time, one gcd
-  per root but the last of the vector's minimal polynomial; the subset sums
-  of the factor degrees at each prime are intersected (Musser's degree-set
-  test), and f is proved irreducible as soon as only 0 and deg f remain;
+  when p < deg f, one product with x^p mod f otherwise.  One elimination
+  mod p, `_left_nullspace`, gives both the null space of Q - I and each
+  minimal polynomial: a row packed the same way, with a unit vector that
+  records its combination, takes one multiply-add a pivot row, and each
+  row that vanishes yields its combination.  Each factor found so far is
+  split by one basis vector at a time, one gcd per root but the last of
+  the vector's minimal polynomial; the subset sums of the factor degrees
+  at each prime are intersected (Musser's degree-set test), and f is
+  proved irreducible as soon as only 0 and deg f remain;
 - quadratic Hensel lifting to exactly p^l > 2B, B a Mignotte-style
   coefficient bound;
 - subset recombination: a subset is trial-divided only when its degree sum
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from itertools import combinations
 
 
@@ -393,23 +396,27 @@ def gf_is_squarefree(f: list[int], p: int) -> bool:
 
 
 def berlekamp(f: list[int], p: int) -> list[list[int]]:
-    """Monic irreducible factors of a monic squarefree f over GF(p).
+    """Monic irreducible factors of a monic squarefree f over GF(p), sorted.
 
-    The r vectors of a basis of {v : v^p = v mod f} are taken in turn.  The
-    minimal polynomial m of v mod u, u a factor found so far, is the product
-    of y - s over the values s of v on the irreducible factors of u.  While
-    m has two roots or more, a root s found by evaluation at 0, 1, ... is
+    The vectors v with v^p = v mod f are the left null space of Q - I; its r
+    basis vectors, one for each row of Q - I that `_left_nullspace` finds
+    dependent on the rows before it, are taken in turn.  The minimal
+    polynomial m of v mod u, u a factor found so far, is the product of
+    y - s over the values s of v on the irreducible factors of u.  While m
+    has two roots or more, a root s found by evaluation at 0, 1, ... is
     divided out of m, and gcd(u, v - s) peels off its factors.
+
+    >>> berlekamp([1, 0, 0, 0, 1], 5)  # x^4 + 1 = (x^2 + 2)(x^2 + 3) mod 5
+    [[2, 0, 1], [3, 0, 1]]
     """
     f = gf_monic(f, p)
     n = degree(f)
     if n <= 1:
         return [f]
-    # Left null space of (Q - I): vectors v with v(x)^p = v(x) mod f.
     m = _frobenius_rows(f, p)
     for i, row in enumerate(m):
-        row[i] = (row[i] - 1) % p
-    basis = _left_nullspace(m, p)
+        row[i] -= 1
+    basis = list(_left_nullspace(m, n, n, p))
     r = len(basis)
     if r == 1:
         return [f]
@@ -444,37 +451,31 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
 
 
 def _minimal_polynomial(a: list[int], u: list[int], p: int) -> list[int]:
-    """The monic minimal polynomial of a in GF(p)[x]/(u), ascending: row k,
-    a^k mod u then e_k, is reduced by the rows before it until one's a-part
-    vanishes."""
+    """The monic minimal polynomial of a in GF(p)[x]/(u), ascending: the
+    first combination of 1, a, a^2, ... mod u that vanishes.  Each power is
+    computed only when `_left_nullspace` asks for it, so no more than
+    deg m + 1 of them."""
     d = degree(u)
-    rows: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
-    power = [1]
-    while True:
-        k = len(rows)
-        row = power + [0] * (d - len(power) + k) + [1] + [0] * (d - k)
-        for j, prow in rows:
-            c = row[j]
-            if c:
-                row = [(x - c * y) % p for x, y in zip(row, prow)]
-        j = next((j for j in range(d) if row[j]), None)
-        if j is None:
-            return strip(row[d:])
-        inv = pow(row[j], -1, p)
-        rows.append((j, [x * inv % p for x in row]))
-        power = gf_divmod(gf_mul(power, a, p), u, p)[1]
+
+    def powers():
+        power = [1]
+        while True:
+            yield power + [0] * (d - len(power))
+            power = gf_divmod(gf_mul(power, a, p), u, p)[1]
+
+    return strip(next(_left_nullspace(powers(), d, d + 1, p)))
 
 
 class _Slots:
     """Rows of n ints in [0, bound], each packed into one int, a fixed-width slot an entry.
 
-    Entry j of a row is the slot (x >> j * bits) & mask of its packed value x.
+    Entry j of a row sits in bits j * bits up to (j + 1) * bits of its packed value.
     The slots are as wide as the narrowest of 1, 2, 4 and 8 bytes that holds
     bound, and pack and unpack go through the little-endian bytes of the row
     (`struct`), so neither costs a Python step per entry.
     """
 
-    __slots__ = ("bits", "mask", "_row")
+    __slots__ = ("bits", "_row")
 
     def __init__(self, bound: int, n: int) -> None:
         for code, size in ("B", 1), ("H", 2), ("I", 4), ("Q", 8):
@@ -483,7 +484,6 @@ class _Slots:
         else:
             raise ValueError(f"a slot of {bound.bit_length()} bits is wider than 8 bytes")
         self.bits = 8 * size
-        self.mask = (1 << self.bits) - 1
         self._row = struct.Struct(f"<{n}{code}")
 
     def pack(self, row: list[int]) -> int:
@@ -529,49 +529,43 @@ def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     return rows
 
 
-def _left_nullspace(m: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : v*M = 0} over GF(p), M square.
+def _left_nullspace(rows: Iterable[list[int]], n: int, k: int, p: int) -> Iterator[list[int]]:
+    """The combination v, v*M = 0 over GF(p), of each row of M that is a
+    combination mod p of the rows before it; M has at most k rows of n ints,
+    read lazily, and v[i] = 1 for row i with 0 after it.
 
-    Gauss-Jordan elimination on M^T, each row packed into `_Slots`.  The
-    pivot row is reduced mod p with its pivot made 1, and a row with c in the
-    pivot column becomes row + (p - c) * pivot row: one multiply-add, which
-    leaves a multiple of p in that column.  No other row is reduced, and a
-    slot is taken mod p only when it is read.  A row gets at most n such
-    additions of less than p^2 a slot, so no slot exceeds p + n p^2.
+    Row i, reduced mod p, is packed into `_Slots` before the unit vector e_i
+    of length k, which carries its combination, and reduced by the pivot
+    rows in order: with c in a pivot's column it becomes row + (p - c) *
+    pivot row, one multiply-add that leaves a multiple of p there.  Pivot
+    rows are reduced mod p with the pivot made 1, so each of at most k
+    additions is less than p^2 a slot and no slot exceeds p + k p^2.  A row
+    that vanishes mod p yields its combination; any other becomes a pivot.
+
+    >>> list(_left_nullspace([[1, 2], [2, 4], [0, 1]], 2, 3, 5))
+    [[3, 1, 0]]
     """
-    n = len(m)
-    slots = _Slots(p + n * p * p, n)
-    bits, mask = slots.bits, slots.mask
-    a = [slots.pack([x % p for x in col]) for col in zip(*m)]  # rows of M^T
-    where = [-1] * n
-    row = 0
-    for col in range(n):
-        shift = col * bits
-        sel = next((i for i in range(row, n) if ((a[i] >> shift) & mask) % p), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        piv = slots.unpack(a[row])
-        inv = pow(piv[col], -1, p)
-        a[row] = piv = slots.pack([x * inv % p for x in piv])
-        for i in range(n):
-            c = ((a[i] >> shift) & mask) % p
-            if c and i != row:
-                a[i] += (p - c) * piv
-        where[col] = row
-        row += 1
-    reduced = [[x % p for x in slots.unpack(r)] for r in a[:row]]
-    basis = []
-    for col in range(n):
-        if where[col] != -1:
-            continue
-        v = [0] * n
-        v[col] = 1
-        for c2 in range(n):
-            if where[c2] != -1:
-                v[c2] = (-reduced[where[c2]][col]) % p
-        basis.append(v)
-    return basis
+    slots = _Slots(p + k * p * p, n + k)
+    bits = slots.bits
+    unit = [0] * k
+    # (shift of the pivot column, mask of the slots up to it, pivot row)
+    pivots: list[tuple[int, int, int]] = []
+    for i, row in enumerate(rows):
+        unit[i] = 1
+        x = slots.pack([c % p for c in row] + unit)
+        unit[i] = 0
+        for shift, low, piv in pivots:
+            c = ((x & low) >> shift) % p
+            if c:
+                x += (p - c) * piv
+        e = slots.unpack(x)
+        j = next((j for j in range(n) if e[j] % p), None)
+        if j is None:
+            yield [c % p for c in e[n:]]
+        else:
+            inv = pow(e[j], -1, p)
+            low = (1 << (j + 1) * bits) - 1
+            pivots.append((j * bits, low, slots.pack([c * inv % p for c in e])))
 
 
 # -- Hensel lifting -----------------------------------------------------

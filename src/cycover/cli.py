@@ -306,11 +306,11 @@ def _group_from_args(args) -> FiniteGroup:
     name = args.group
     if name is None:
         raise DomainError("need --group NAME or --table FILE")
-    if name.upper().startswith("S") and name[1:].isdigit():
+    if name.upper().startswith("S") and name[1:].isdecimal():
         return FiniteGroup.symmetric(int(name[1:]))
-    if name.upper().startswith("Z") and name[1:].isdigit():
+    if name.upper().startswith("Z") and name[1:].isdecimal():
         return FiniteGroup.cyclic(int(name[1:]))
-    raise DomainError(f"unknown group {name!r} (use S2..S5, Z1..Z64, or --table)")
+    raise DomainError(f"unknown group {name!r} (use S1..S5, Z1..Z64, or --table)")
 
 
 def _cmd_reps(args) -> None:

@@ -485,6 +485,7 @@ class RepCensus:
 
 
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
+    _check_tol(tol)
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
@@ -604,14 +605,20 @@ def entropy(g: SftGraph, tol: float = 1e-6) -> float:
     keeps periodic graphs from oscillating.  The growth ratio of the
     vector sum converges to 1 + the Perron root of A.
     """
+    _check_tol(tol)
     _, offsets, targets = _essential_adjacency(g)
     return _perron_log(offsets, targets, tol)
 
 
-def _perron_log(offsets: array, targets: array, tol: float) -> float:
-    """`entropy` of the essential subgraph given in CSR form."""
+def _check_tol(tol: float) -> None:
+    """ValueError unless tol, the stopping tolerance of the power iteration,
+    is finite and positive; checked whether or not the iteration runs."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite positive number, not {tol}")
+
+
+def _perron_log(offsets: array, targets: array, tol: float) -> float:
+    """`entropy` of the essential subgraph given in CSR form."""
     n = len(offsets) - 1
     if len(targets) <= n:
         # one essential successor per essential state: disjoint cycles

@@ -354,6 +354,32 @@ def _rank_mod_p(rows, p):
     return rank
 
 
+def minimal_polynomial_mod_p(a, u, p):
+    """The monic minimal polynomial of a in GF(p)[x]/(u), u monic, ascending.
+
+    The powers 1, a, a^2, ... mod u, by schoolbook products and long
+    division, are the columns of a matrix over GF(p); at the first k for
+    which the columns of a^0 to a^k have a null space it is one vector, with
+    1 at the place of a^k.
+    """
+    d = len(u) - 1
+
+    def rem(g):
+        g = [c % p for c in g]
+        for top in range(len(g) - 1, d - 1, -1):
+            c = g[top]
+            for i, b in enumerate(u):
+                g[top - d + i] = (g[top - d + i] - c * b) % p
+        return (g + [0] * d)[:d]
+
+    powers = [rem([1])]
+    while True:
+        powers.append(rem(schoolbook_mul(powers[-1], a)))
+        basis = _nullspace_mod_p([list(r) for r in zip(*powers)], len(powers), p)
+        if basis:
+            return basis[0]
+
+
 def window_rank_count(coeff_pairs, p, inner=24):
     """Number of biinfinite solutions mod p of one recurrence stencil.
 

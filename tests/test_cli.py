@@ -378,6 +378,18 @@ def test_reps_group_errors(capsys, dyadic_file):
     assert run(capsys, "reps", dyadic_file, "--group", "S6")[0] == 1
 
 
+@pytest.mark.parametrize("name", ["S\u00b2", "Z\u00b3", "S", "Zx"])
+def test_reps_rejects_a_group_name_without_a_decimal_number(capsys, dyadic_file, name):
+    code, out, err = run(capsys, "reps", dyadic_file, "--group", name)
+    assert code == 1 and out == ""
+    assert err == f"error: unknown group {name!r} (use S1..S5, Z1..Z64, or --table)\n"
+
+
+def test_reps_accepts_the_trivial_symmetric_group(capsys, dyadic_file):
+    r = run_json(capsys, "reps", dyadic_file, "--group", "S1")["result"]
+    assert r["census"]["classification"] == "OnlyTrivial"
+
+
 FAMILY3_TEXT = "<u,a | u a^3 u a^-3 u^-1 a^2 u^-1 a^-3>"
 
 
@@ -392,11 +404,14 @@ def test_reps_s3_positive_entropy(capsys, tmp_path):
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-6"])
 def test_reps_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path, tol):
-    f = tmp_path / "fam3.txt"
-    f.write_text(FAMILY3_TEXT)
-    code, out, err = run(capsys, "reps", str(f), "--chi", "u=1,a=0", "--group", "S3", f"--tol={tol}")
-    assert code == 1 and out == ""
-    assert "tol must be a finite positive number" in err
+    # PositiveEntropy, where the power iteration runs, and Finite, where it does not
+    for text, chi, group in (FAMILY3_TEXT, "u=1,a=0", "S3"), (DYADIC_TEXT, "t=1,a=0", "Z7"):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        argv = "reps", str(f), "--chi", chi, "--group", group, f"--tol={tol}"
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", group
+        assert "tol must be a finite positive number" in err, group
 
 
 def test_reps_reports_an_unconverged_entropy_as_an_error(capsys, tmp_path, monkeypatch):

@@ -26,6 +26,17 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
 RECURRENCES = ["1,-1,-1", "1,-3,1", "1,-2", "2,-5,2", "1,-3,2", "3,0,-3", "x,1"]
 
+# Irreducible inputs that split into many factors modulo every prime: the
+# Swinnerton-Dyer polynomials SD(3) and SD(4).
+FACTORING_RECURRENCES = [
+    "1,0,-40,0,352,0,-960,0,576",
+    "1,0,-136,0,6476,0,-141912,0,1513334,0,-7453176,0,13950764,0,-5596840,0,46225",
+]
+
+# 3t^8 - 2t^5 - t^4 - t^2 - 3t - 2, whose witness factor t^4 - t - 1 comes
+# from recombining modular factors.
+RECOMBINED_WITNESS = "3,0,0,-2,-1,0,-1,-3,-2"
+
 # weight-zero forms whose templates have two holes, or three for (11, 6) and (13, 7)
 MULTI_HOLE_FORMS = [(7, 3), (7, 4), (9, 4), (9, 5), (11, 6), (13, 7)]
 
@@ -108,6 +119,10 @@ def cases():
         for command in ("alex", "criteria"):
             add(command, "knotlike4.pres", *mode)
             add(command, "repeated_relator.pres", "--chi", "t=1,a=0,b=0", *mode)
+    for coeffs in FACTORING_RECURRENCES:
+        add("recurrence", coeffs, "--json")
+    for mode in ((), ("--json",)):
+        add("recurrence", RECOMBINED_WITNESS, "--witness", "-3", "3", *mode)
     return out
 
 

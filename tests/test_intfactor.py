@@ -13,13 +13,13 @@ from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
 from oracles import (
-    _nullspace_mod_p,
     _rank_mod_p,
     cyclotomic,
     cyclotomic_divisors,
     frobenius_rows,
     gcd_over_Q,
     gf_factor_bruteforce,
+    minimal_polynomial_mod_p,
     multiply_back,
     primes_by_trial_division,
     schoolbook_mul,
@@ -288,13 +288,36 @@ def test_left_nullspace_matches_elimination_oracle():
         for n in (1, 2, 11, 29, 64, 130):
             widths.add(_intfactor._Slots(p + n * p * p, n).bits)
             m = _low_rank_matrix(rng, p, n)
-            mt = [list(col) for col in zip(*m)]
-            basis = _intfactor._left_nullspace(m, p)
-            assert len(basis) == n - _rank_mod_p(mt, p), (p, n)
-            assert basis == _nullspace_mod_p(mt, n, p), (p, n)
+            basis = list(_intfactor._left_nullspace(m, n, n, p))
+            # v*M = 0 for each v, independent, and n - rank of them: exactly
+            # a basis of the left null space.
             for v in basis:
-                assert all(sum(x * y for x, y in zip(v, col)) % p == 0 for col in mt), (p, n)
+                assert all(sum(x * y for x, y in zip(v, col)) % p == 0 for col in zip(*m)), (p, n)
+            assert _rank_mod_p(basis, p) == len(basis), (p, n)
+            assert len(basis) == n - _rank_mod_p(m, p), (p, n)
     assert widths == {8, 16, 32, 64}
+
+
+def test_minimal_polynomial_matches_power_oracle(monkeypatch):
+    products = []
+    real_mul = _intfactor.gf_mul
+
+    def counting(f, g, p):
+        products.append(p)
+        return real_mul(f, g, p)
+
+    monkeypatch.setattr(_intfactor, "gf_mul", counting)
+    rng = random.Random(446)
+    for p in (2, 3, 5, 13, 251, 19997):
+        for _ in range(60):
+            d = rng.randint(1, 12)
+            u = [rng.randrange(p) for _ in range(d)] + [1]
+            a = _intfactor.strip([rng.randrange(p) for _ in range(rng.randint(0, d))])
+            products.clear()
+            m = _intfactor._minimal_polynomial(a, u, p)
+            assert m == minimal_polynomial_mod_p(a, u, p), (a, u, p)
+            # the powers 1, a, ..., a^deg m and no more
+            assert len(products) <= len(m) - 1, (a, u, p)
 
 
 def _random_monic(rng, p, n):
