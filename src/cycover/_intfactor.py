@@ -3,12 +3,11 @@
 Internal helper for the laurent module.  Polynomials are lists of int
 coefficients in ascending order of exponent, with no high-order zeros;
 [] is the zero polynomial.  Products of two polynomials of 16 or more terms
-each (28 or more when the coefficients are wide) are taken by Kronecker
-substitution: one integer product of the two polynomials packed into
-byte-aligned slots by the `Kronecker` codec, which the Alexander determinant
-also uses.  Factorization follows the classical route (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), after an exact
-cyclotomic split:
+each are taken by Kronecker substitution: one integer product of the two
+polynomials packed into byte-aligned slots by the `Kronecker` codec, which
+the Alexander determinant also uses.  Factorization follows the classical
+route (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15),
+after an exact cyclotomic split:
 
 - squarefree decomposition: when f is squarefree modulo one of the first
   few primes not dividing its leading coefficient it is squarefree over Z
@@ -121,13 +120,8 @@ def sub(f: list[int], g: list[int]) -> list[int]:
 
 
 # Products with a factor shorter than _KRONECKER_MIN terms are multiplied
-# term by term, longer ones by Kronecker substitution.  Its slots are twice a
-# coefficient's width, so once the product's coefficient bound passes
-# _WIDE_BITS (coefficients of about 380 bits) the term-by-term loop stays
-# faster up to _KRONECKER_MIN_WIDE terms.
+# term by term, longer ones by Kronecker substitution.
 _KRONECKER_MIN = 16
-_KRONECKER_MIN_WIDE = 28
-_WIDE_BITS = 768
 
 
 class Kronecker:
@@ -164,11 +158,10 @@ def mul(f: list[int], g: list[int]) -> list[int]:
         return []
     short = min(len(f), len(g))
     if short >= _KRONECKER_MIN:
+        # Every coefficient of the product is at most bound in absolute value.
         bound = max(map(abs, f)) * max(map(abs, g)) * short
-        if short >= _KRONECKER_MIN_WIDE or bound.bit_length() <= _WIDE_BITS:
-            # Every coefficient of the product is at most bound in absolute value.
-            k = Kronecker(bound)
-            return k.unpack(k.pack(f) * k.pack(g), len(f) + len(g) - 1)
+        k = Kronecker(bound)
+        return k.unpack(k.pack(f) * k.pack(g), len(f) + len(g) - 1)
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:

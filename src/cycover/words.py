@@ -3,6 +3,22 @@
 Words are kept in syllable (run-length) form: a tuple of (generator, exponent)
 pairs with nonzero exponents and no two adjacent pairs sharing a generator.
 All arithmetic is exact; generators are plain strings.
+
+`parse_presentation` reads this grammar, with whitespace (Unicode included)
+allowed before any token:
+
+    presentation := "<" name ("," name)* ["|" [relation ("," relation)*]] ">"
+    relation     := word ["=" word]
+    word         := "1" | (generator ["^" exponent])*
+    exponent     := integer | "(" integer ")"
+    name         := [A-Za-z][A-Za-z0-9]*
+    integer      := ["+" | "-"] digit+
+
+A generator is the longest declared name at that point, so "tat^-1" reads
+as t a t^-1 when the generators are t and a; the word "1" is the identity,
+and an empty word is one too.  Reading a generator costs one set probe per
+distinct name length, and free and cyclic reduction are single passes, so
+parsing takes time linear in the text.
 """
 
 from __future__ import annotations
@@ -10,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NoReturn
 
 Syllable = tuple[str, int]
 
@@ -106,18 +122,20 @@ class FreeWord:
         return {g for g, _ in self.syllables}
 
     def cyclic_reduce(self) -> "FreeWord":
-        """Strip matching conjugating ends until the word is cyclically reduced."""
+        """Strip matching conjugating ends until the word is cyclically reduced.
+
+        Ends that cancel are stripped in pairs; a pair that does not cancel
+        folds the smaller end into the larger, after which the ends differ.
+        """
         syl = self.syllables
-        while len(syl) > 1 and syl[0][0] == syl[-1][0] and (syl[0][1] > 0) != (syl[-1][1] > 0):
-            (g, e0), (_, e1), inner = syl[0], syl[-1], syl[1:-1]
-            # Cancel both ends, or fold the smaller into the larger.
-            if e0 + e1 == 0:
-                syl = inner
-            elif abs(e0) > abs(e1):
-                syl = ((g, e0 + e1),) + inner
-            else:
-                syl = inner + ((g, e0 + e1),)
-        return FreeWord(syl)
+        i, j = 0, len(syl) - 1
+        while i < j and syl[i][0] == syl[j][0] and (syl[i][1] > 0) != (syl[j][1] > 0):
+            (g, e0), (_, e1) = syl[i], syl[j]
+            i, j = i + 1, j - 1
+            if e0 + e1:
+                end, inner = ((g, e0 + e1),), syl[i : j + 1]
+                return FreeWord(end + inner if abs(e0) > abs(e1) else inner + end)
+        return FreeWord(syl[i : j + 1])
 
     def substitute(self, gen: str, replacement: "FreeWord") -> "FreeWord":
         """Replace every occurrence of gen (any exponent) by replacement."""
@@ -140,37 +158,33 @@ _INT_RE = re.compile(r"[+-]?\d+")
 
 
 class _Scanner:
+    """A cursor over presentation text; every parse error is raised by `fail`."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
 
-    def loc(self) -> tuple[int, int]:
-        consumed = self.text[: self.pos]
-        line = consumed.count("\n") + 1
-        col = self.pos - (consumed.rfind("\n") + 1) + 1
-        return line, col
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """Skip whitespace; the next character, or "" at the end."""
+        text, pos = self.text, self.pos
+        while (ch := text[pos : pos + 1]).isspace():
+            pos += 1
+        self.pos = pos
+        return ch
+
+    def fail(self, message: str, error: type[ParseError] = ParseError) -> NoReturn:
+        consumed = self.text[: self.pos]
+        raise error(message, consumed.count("\n") + 1, self.pos - consumed.rfind("\n"))
 
     def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            line, col = self.loc()
-            got = self.peek() or "end of input"
-            raise ParseError(f"expected '{ch}', got '{got}'", line, col)
+        got = self.peek()
+        if got != ch:
+            self.fail(f"expected '{ch}', got '{got or 'end of input'}'")
         self.pos += 1
 
-    def name(self) -> str:
-        self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
-        if not m:
-            line, col = self.loc()
-            raise ParseError("expected a generator name", line, col)
+    def match(self, pattern: re.Pattern, message: str) -> str:
+        self.peek()
+        m = pattern.match(self.text, self.pos) or self.fail(message)
         self.pos = m.end()
         return m.group()
 
@@ -215,7 +229,13 @@ class Presentation:
 
     def exponent_matrix(self) -> list[list[int]]:
         """Rows = relators, columns = generators (declared order)."""
-        return [[r.exponent_sum(g) for g in self.generators] for r in self.relators]
+        rows = []
+        for r in self.relators:
+            row = dict.fromkeys(self.generators, 0)
+            for g, e in r.syllables:
+                row[g] += e
+            rows.append(list(row.values()))
+        return rows
 
     @cached_property
     def _smith(self) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
@@ -277,52 +297,34 @@ class Presentation:
         return self.to_text()
 
 
-def _parse_word(sc: _Scanner, generators: tuple[str, ...]) -> FreeWord:
-    # Longest-prefix match against the declared generator set, so that both
-    # "t a t^-1" and "tat^-1" read as t a t^-1 when the generators are a, t.
-    by_len = sorted(generators, key=len, reverse=True)
+def _parse_word(sc: _Scanner, names: set[str], lengths: list[int]) -> FreeWord:
+    # The longest declared generator at each point, so that both "t a t^-1"
+    # and "tat^-1" read as t a t^-1 when the generators are a, t: one probe
+    # of the name set per distinct name length, longest first.
+    text, peek = sc.text, sc.peek
     syllables: list[Syllable] = []
-    first = True
-    while True:
-        sc.skip_ws()
-        ch = sc.text[sc.pos] if sc.pos < len(sc.text) else ""
-        if ch in ("", "|", ">", ",", "="):
-            break
-        if first and ch == "1":
-            nxt = sc.text[sc.pos + 1 : sc.pos + 2]
-            if not nxt or not (nxt.isalnum()):
-                sc.pos += 1
-                sc.skip_ws()
-                break
-        first = False
-        matched = None
-        for g in by_len:
-            if sc.text.startswith(g, sc.pos):
-                matched = g
-                break
-        if matched is None:
-            line, col = sc.loc()
-            m = _NAME_RE.match(sc.text, sc.pos)
-            bad = m.group() if m else ch
-            raise UnknownGenerator(f"unknown generator '{bad}'", line, col)
-        sc.pos += len(matched)
-        exp = 1
-        if sc.peek() == "^":
+    while (ch := peek()) not in ("", "|", ">", ",", "="):
+        pos = sc.pos
+        if ch == "1" and not syllables and not text[pos + 1 : pos + 2].isalnum():
             sc.pos += 1
-            sc.skip_ws()
-            paren = sc.peek() == "("
+            break
+        for n in lengths:
+            if (gen := text[pos : pos + n]) in names:
+                break
+        else:
+            m = _NAME_RE.match(text, pos)
+            sc.fail(f"unknown generator '{m.group() if m else ch}'", UnknownGenerator)
+        sc.pos = pos + len(gen)
+        exp = 1
+        if peek() == "^":
+            sc.pos += 1
+            paren = peek() == "("
             if paren:
                 sc.pos += 1
-                sc.skip_ws()
-            m = _INT_RE.match(sc.text, sc.pos)
-            if not m:
-                line, col = sc.loc()
-                raise ParseError("expected an integer exponent after '^'", line, col)
-            sc.pos = m.end()
-            exp = int(m.group())
+            exp = int(sc.match(_INT_RE, "expected an integer exponent after '^'"))
             if paren:
                 sc.expect(")")
-        syllables.append((matched, exp))
+        syllables.append((gen, exp))
     return FreeWord.make(syllables)
 
 
@@ -334,39 +336,34 @@ def parse_presentation(text: str) -> Presentation:
     """
     sc = _Scanner(text)
     sc.expect("<")
-    generators: list[str] = []
-    generators.append(sc.name())
+    generators = [sc.match(_NAME_RE, "expected a generator name")]
     while sc.peek() == ",":
         sc.pos += 1
-        generators.append(sc.name())
-    seen = set()
+        generators.append(sc.match(_NAME_RE, "expected a generator name"))
+    names: set[str] = set()
     for g in generators:
-        if g in seen:
-            raise DuplicateGenerator(f"duplicate generator '{g}'", *sc.loc())
-        seen.add(g)
-    gens = tuple(generators)
+        if g in names:
+            sc.fail(f"duplicate generator '{g}'", DuplicateGenerator)
+        names.add(g)
+    lengths = sorted({len(g) for g in names}, reverse=True)
 
     relators: list[FreeWord] = []
     if sc.peek() == "|":
         sc.pos += 1
-        if sc.peek() != ">":
-            while True:
-                lhs = _parse_word(sc, gens)
-                if sc.peek() == "=":
-                    sc.pos += 1
-                    rhs = _parse_word(sc, gens)
-                    relators.append((lhs * rhs.inverse()).cyclic_reduce())
-                else:
-                    relators.append(lhs.cyclic_reduce())
-                if sc.peek() == ",":
-                    sc.pos += 1
-                    continue
+        # "<a |>" has no relators, but "<a | a,>" ends with an empty one.
+        while sc.peek() != ">" or relators:
+            word = _parse_word(sc, names, lengths)
+            if sc.peek() == "=":
+                sc.pos += 1
+                word = word * _parse_word(sc, names, lengths).inverse()
+            relators.append(word.cyclic_reduce())
+            if sc.peek() != ",":
                 break
+            sc.pos += 1
     sc.expect(">")
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ParseError("trailing text after '>'", *sc.loc())
-    return Presentation(gens, tuple(relators))
+    if sc.peek():
+        sc.fail("trailing text after '>'")
+    return Presentation(tuple(generators), tuple(relators))
 
 
 def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:

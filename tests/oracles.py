@@ -23,9 +23,15 @@ polynomial and the index-2 criterion read from it (a second derivation of
 `analyze`'s `index2`), equality of words up to cyclic permutation and
 inversion letter by letter, the digits of a shift-graph state by
 positional division, and a shift graph built from plain lists of targets.
+
+The parser of presentation text is checked against one that tries every
+declared generator at each token, the cyclic reduction of a
+word against stripping one pair of ends at a time, and the exponent matrix
+against one pass over a relator per generator.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import permutations, product, repeat
 
@@ -33,6 +39,13 @@ import numpy as np
 
 from cycover.laurent import LaurentPoly, ZeroPolynomial
 from cycover.repshift import FiniteGroup, SftGraph, Successors
+from cycover.words import (
+    DuplicateGenerator,
+    FreeWord,
+    ParseError,
+    Presentation,
+    UnknownGenerator,
+)
 
 
 # -- primality by trial division ----------------------------------------
@@ -789,3 +802,156 @@ def brown_by_letters(relator_letters, chi):
         return "Inapplicable"
     unique = [heights.count(max(heights)) == 1, heights.count(min(heights)) == 1]
     return {2: "FG", 1: "OneSided", 0: "NotFG"}[sum(unique)]
+
+
+# -- words and presentations, one step at a time -------------------------
+
+
+def cyclic_reduce_by_ends(w):
+    """w cyclically reduced by stripping or folding one pair of ends per step."""
+    syl = w.syllables
+    while len(syl) > 1 and syl[0][0] == syl[-1][0] and (syl[0][1] > 0) != (syl[-1][1] > 0):
+        (g, e0), (_, e1), inner = syl[0], syl[-1], syl[1:-1]
+        if e0 + e1 == 0:
+            syl = inner
+        elif abs(e0) > abs(e1):
+            syl = ((g, e0 + e1),) + inner
+        else:
+            syl = inner + ((g, e0 + e1),)
+    return FreeWord(syl)
+
+
+def exponent_matrix_by_columns(p):
+    """The exponent matrix of a Presentation, one pass per relator and generator."""
+    return [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+
+
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
+class _TokenScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def loc(self):
+        consumed = self.text[: self.pos]
+        line = consumed.count("\n") + 1
+        col = self.pos - (consumed.rfind("\n") + 1) + 1
+        return line, col
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch):
+        if self.peek() != ch:
+            line, col = self.loc()
+            got = self.peek() or "end of input"
+            raise ParseError(f"expected '{ch}', got '{got}'", line, col)
+        self.pos += 1
+
+    def name(self):
+        self.skip_ws()
+        m = _NAME_RE.match(self.text, self.pos)
+        if not m:
+            line, col = self.loc()
+            raise ParseError("expected a generator name", line, col)
+        self.pos = m.end()
+        return m.group()
+
+
+def _parse_word_by_tokens(sc, generators):
+    # Each token is compared with every generator, longest first.
+    by_len = sorted(generators, key=len, reverse=True)
+    syllables = []
+    first = True
+    while True:
+        sc.skip_ws()
+        ch = sc.text[sc.pos] if sc.pos < len(sc.text) else ""
+        if ch in ("", "|", ">", ",", "="):
+            break
+        if first and ch == "1":
+            nxt = sc.text[sc.pos + 1 : sc.pos + 2]
+            if not nxt or not (nxt.isalnum()):
+                sc.pos += 1
+                sc.skip_ws()
+                break
+        first = False
+        matched = None
+        for g in by_len:
+            if sc.text.startswith(g, sc.pos):
+                matched = g
+                break
+        if matched is None:
+            line, col = sc.loc()
+            m = _NAME_RE.match(sc.text, sc.pos)
+            bad = m.group() if m else ch
+            raise UnknownGenerator(f"unknown generator '{bad}'", line, col)
+        sc.pos += len(matched)
+        exp = 1
+        if sc.peek() == "^":
+            sc.pos += 1
+            sc.skip_ws()
+            paren = sc.peek() == "("
+            if paren:
+                sc.pos += 1
+                sc.skip_ws()
+            m = _INT_RE.match(sc.text, sc.pos)
+            if not m:
+                line, col = sc.loc()
+                raise ParseError("expected an integer exponent after '^'", line, col)
+            sc.pos = m.end()
+            exp = int(m.group())
+            if paren:
+                sc.expect(")")
+        syllables.append((matched, exp))
+    return FreeWord.make(syllables)
+
+
+def parse_by_tokens(text):
+    """The Presentation that text reads as, or the ParseError it raises.
+
+    Every token is compared with every declared generator, longest first,
+    and each relator is reduced by `cyclic_reduce_by_ends`.
+    """
+    sc = _TokenScanner(text)
+    sc.expect("<")
+    generators = []
+    generators.append(sc.name())
+    while sc.peek() == ",":
+        sc.pos += 1
+        generators.append(sc.name())
+    seen = set()
+    for g in generators:
+        if g in seen:
+            raise DuplicateGenerator(f"duplicate generator '{g}'", *sc.loc())
+        seen.add(g)
+    gens = tuple(generators)
+
+    relators = []
+    if sc.peek() == "|":
+        sc.pos += 1
+        if sc.peek() != ">":
+            while True:
+                lhs = _parse_word_by_tokens(sc, gens)
+                if sc.peek() == "=":
+                    sc.pos += 1
+                    rhs = _parse_word_by_tokens(sc, gens)
+                    relators.append(cyclic_reduce_by_ends(lhs * rhs.inverse()))
+                else:
+                    relators.append(cyclic_reduce_by_ends(lhs))
+                if sc.peek() == ",":
+                    sc.pos += 1
+                    continue
+                break
+    sc.expect(">")
+    sc.skip_ws()
+    if sc.pos != len(sc.text):
+        raise ParseError("trailing text after '>'", *sc.loc())
+    return Presentation(gens, tuple(relators))

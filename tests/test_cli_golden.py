@@ -58,6 +58,38 @@ EXTRA_FILES = {
     "repeated_relator.pres": "<t, a, b | t a t^-1 a^-2, t a t^-1 a^-2>",
 }
 
+# One file per message of the parser, each exiting with code 2; the unknown
+# generator sits on the second line, which pins the line and column.
+PARSE_ERRORS = {
+    "no_open.pres": "t, a | t a t^-1 a^-2>",
+    "no_close.pres": "<t, a | t a t^-1 a^-2",
+    "bad_name.pres": "<t, 2 | t>",
+    "duplicate.pres": "<t, a, t | t a t^-1 a^-2>",
+    "unknown.pres": "<t, a |\n  t a t^-1 b^-2>",
+    "bad_exponent.pres": "<t, a | t a^x t^-1>",
+    "open_paren.pres": "<t, a | t a^(2 t^-1 a^-2>",
+    "trailing.pres": "<t, a | t a t^-1 a^-2> t",
+}
+
+# Presentation syntax the corpus does not use: run-together names, "^(e)",
+# "=", the identity "1", and relators that need cyclic reduction.
+SYNTAX_FILE = (
+    "<t, a, b |\n  tat^-1 a^(-2),\n  1 = a b^2 t b^-1 t^-1 a^-2,\n  b a t a^-1 t^-1 b^-1>"
+)
+
+# Custom multiplication tables for `reps --table`: the Klein four-group, a
+# table that is not a Latin square, and a Latin square with an identity that
+# is not associative (a loop of order 5 in which every element is its own
+# inverse).
+TABLES = {
+    "klein.txt": "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n",
+    "not_latin.txt": "3\n0 1 2\n1 1 2\n2 2 0\n",
+    "loop5.txt": "5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n",
+}
+
+# (t^2 - t - 1)^2, which is squarefree modulo no prime.
+SQUARED_RECURRENCE = "1,-2,-1,2,1"
+
 
 def _chi_arg(chi):
     return ",".join(f"{g}={v}" for g, v in chi.items())
@@ -68,7 +100,7 @@ def presentations():
     files = {f"{name}.pres": pres.to_text() for name, pres, _ in knotlike_corpus()}
     for p, q in two_bridge_pairs(9) + MULTI_HOLE_FORMS:
         files[f"wz{p}_{q}.pres"] = weight_zero_form(p, q)[0].to_text()
-    return {**files, **EXTRA_FILES}
+    return {**files, **EXTRA_FILES, **PARSE_ERRORS, "syntax.pres": SYNTAX_FILE, **TABLES}
 
 
 def cases():
@@ -123,6 +155,14 @@ def cases():
         add("recurrence", coeffs, "--json")
     for mode in ((), ("--json",)):
         add("recurrence", RECOMBINED_WITNESS, "--witness", "-3", "3", *mode)
+    for f in PARSE_ERRORS:
+        add("parse", f)
+    for mode in ((), ("--json",)):
+        add("parse", "syntax.pres", *mode)
+    for table in TABLES:
+        add("reps", "dyadic.pres", "--table", table)
+    for mode in ((), ("--json",)):
+        add("recurrence", SQUARED_RECURRENCE, *mode)
     return out
 
 
@@ -166,7 +206,9 @@ def test_golden_snapshot_covers_every_subcommand():
         "parse", "alex", "criteria", "analyze", "twobridge", "rs", "reps", "recurrence"
     }
     assert golden["criteria torus23.pres --json"]["exit"] == 1
-    assert all(rec["exit"] in (0, 1) for rec in golden.values())
+    parse_errors = {f"parse {f}" for f in PARSE_ERRORS}
+    assert all(golden[case]["exit"] == 2 for case in parse_errors)
+    assert all(rec["exit"] in (0, 1) for case, rec in golden.items() if case not in parse_errors)
 
 
 if __name__ == "__main__":

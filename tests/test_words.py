@@ -1,5 +1,6 @@
 """Words, presentations, parsing, and weighting extraction."""
 
+import contextlib
 import math
 import random
 import signal
@@ -23,11 +24,33 @@ from cycover.words import (
     smith_diagonal,
     validate_weighting,
 )
-from oracles import _frac_nullspace, equal_up_to_cycling, leibniz_det, letters
+from oracles import (
+    _frac_nullspace,
+    cyclic_reduce_by_ends,
+    equal_up_to_cycling,
+    exponent_matrix_by_columns,
+    leibniz_det,
+    letters,
+    parse_by_tokens,
+)
 
 
 def W(*syllables):
     return FreeWord.make(list(syllables))
+
+
+@contextlib.contextmanager
+def _deadline(seconds, what):
+    def stop(signum, frame):
+        raise TimeoutError(f"{what} ran for {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- free words ---------------------------------------------------------
@@ -121,6 +144,30 @@ def test_exponent_sum_additive(u, v):
         assert (u * v).exponent_sum(g) == u.exponent_sum(g) + v.exponent_sum(g)
 
 
+def _random_word(rng, gens="abc", length=8):
+    """A word of fewer than length syllables, exponents -3 to 3, freely reduced."""
+    exps = (-3, -2, -1, 1, 2, 3)
+    return W(*[(rng.choice(gens), rng.choice(exps)) for _ in range(rng.randrange(length))])
+
+
+def test_cyclic_reduce_matches_stripping_one_pair_of_ends_at_a_time():
+    rng = random.Random(20)
+    for _ in range(3000):
+        w, u = _random_word(rng), _random_word(rng)
+        for v in (w, u * w * u.inverse(), u * w * _random_word(rng)):
+            assert v.cyclic_reduce() == cyclic_reduce_by_ends(v), v
+
+
+def test_cyclic_reduce_of_a_long_conjugate_takes_linear_time():
+    # (a b)^k t (b^-1 a^-1)^k: stripping one pair of ends at a time rebuilds
+    # the word k times, which takes 26 s at k = 32,000.
+    k = 32_000
+    text = "<t, a, b | " + "a b " * k + "t " + "b^-1 a^-1 " * k + ">"
+    with _deadline(5, f"parsing a conjugate of length {4 * k + 1}"):
+        p = parse_presentation(text)
+    assert p.relators == (W(("t", 1)),)
+
+
 # -- parsing ------------------------------------------------------------
 
 
@@ -194,6 +241,90 @@ def test_json_dict():
     }
 
 
+# Names that share prefixes and have several lengths, so that run-together
+# words ("xyx1") test the longest match.
+NAME_POOL = ("x", "xy", "x1", "xy1", "x12", "y", "t", "a", "ab", "b", "X")
+SPACES = ("", " ", " ", "  ", "\t", "\n", " \n ", "\u00a0", "\u2003")
+EXPONENTS = (
+    "", "", "", "^2", "^-1", "^+3", "^ -2", "^-0", "^12", "^(2)", "^(-3)", "^( +1 )",
+    "^\u0663", "^(\u0661\u0660)", "^- 1",
+)
+MUTATIONS = "<>|,=^()+-1209 \t\nxyabtX\u00a0\u0663#_"
+
+
+def _presentation_text(rng):
+    """Mostly valid presentation text over a few names from NAME_POOL."""
+    gens = rng.sample(NAME_POOL, rng.randint(1, 4))
+    if rng.random() < 0.03:
+        gens.append(rng.choice(gens))
+    usable = gens + [rng.choice(NAME_POOL)] if rng.random() < 0.05 else gens
+
+    def sp():
+        return rng.choice(SPACES)
+
+    def word():
+        if rng.random() < 0.1:
+            return "1"
+        n = rng.randint(0, 6)
+        return sp().join(rng.choice(usable) + rng.choice(EXPONENTS) for _ in range(n))
+
+    relations = [
+        word() + (f"{sp()}={sp()}{word()}" if rng.random() < 0.3 else "")
+        for _ in range(rng.randint(0, 4))
+    ]
+    body = f"{sp()},{sp()}".join(relations) + ("," if rng.random() < 0.1 else "")
+    bar = f"{sp()}|{sp()}{body}" if relations or rng.random() < 0.5 else ""
+    return f"{sp()}<{sp()}{f'{sp()},{sp()}'.join(gens)}{bar}{sp()}>{sp()}"
+
+
+def parser_inputs(seed, count):
+    """count texts: valid-heavy presentations, half of them with one character
+    inserted, deleted or replaced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        text = _presentation_text(rng)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(text) + 1)
+            op, c = rng.choice(("insert", "delete", "replace")), rng.choice(MUTATIONS)
+            text = text[:i] + ("" if op == "delete" else c) + text[i + (op != "insert") :]
+        yield text
+
+
+def _outcome(parse, text):
+    """(error class, message, line, column), or (Presentation, generators, relators)."""
+    try:
+        p = parse(text)
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+    return Presentation, p.generators, p.relators
+
+
+def test_parse_matches_the_token_by_token_parser():
+    outcomes = {}
+    for text in parser_inputs(2020, 20_000):
+        got = _outcome(parse_presentation, text)
+        assert got == _outcome(parse_by_tokens, text), repr(text)
+        outcomes[got[0]] = outcomes.get(got[0], 0) + 1
+    # Both sides of the parser are exercised, every error class among them.
+    assert outcomes[Presentation] > 5_000 and outcomes[ParseError] > 2_000
+    assert outcomes[UnknownGenerator] > 500 and outcomes[DuplicateGenerator] > 100
+
+
+def _wide_text(n):
+    """n generators x0, ..., x{n-1} and the one relator x0^2 x1^2 ... x{n-1}^2."""
+    names = [f"x{i}" for i in range(n)]
+    return "<" + ", ".join(names) + " | " + " ".join(f"{g}^2" for g in names) + ">"
+
+
+def test_parse_reads_many_generators_in_linear_time():
+    # Comparing every token with every generator takes 16 s on this text.
+    text = _wide_text(16_000)
+    with _deadline(5, "parsing 16,000 generators"):
+        p = parse_presentation(text)
+    assert len(p.generators) == 16_000 and p.generators[-1] == "x15999"
+    assert p.relators[0].syllables[-1] == ("x15999", 2)
+
+
 # -- presentation invariants -------------------------------------------
 
 
@@ -209,6 +340,21 @@ def test_relators_stored_cyclically_reduced():
 def test_exponent_matrix():
     p = parse_presentation("<t, a | t a t^-1 a^-2>")
     assert p.exponent_matrix() == [[0, -1]]
+
+
+def test_exponent_matrix_matches_one_pass_per_generator():
+    rng = random.Random(21)
+    for _ in range(500):
+        gens = rng.sample("tabcd", rng.randint(1, 5))
+        rels = [_random_word(rng, gens, 12) for _ in range(rng.randrange(4))]
+        p = Presentation.make(gens, rels)
+        assert p.exponent_matrix() == exponent_matrix_by_columns(p)
+
+
+def test_exponent_matrix_takes_one_pass_per_relator():
+    p = parse_presentation(_wide_text(16_000))
+    with _deadline(5, "the exponent matrix of 16,000 generators"):
+        assert p.exponent_matrix() == [[2] * 16_000]
 
 
 def test_tietze_substitute_appends_new_generators():
@@ -421,15 +567,7 @@ def test_smith_diagonal_finishes_on_dense_matrices(s):
         [rng.randrange(-30, 31) * rng.choice((0, 1, 1)) for _ in range(ncols)] for _ in range(nrows)
     ]
 
-    def stop(signum, frame):
-        raise TimeoutError(f"smith_diagonal ran for 5 s on {rows}")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.alarm(5)
-    try:
+    with _deadline(5, f"smith_diagonal on {rows}"):
         diag, kernel = smith_diagonal(rows, ncols)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert diag == _sympy_invariants(rows, ncols)
     _check_kernel(rows, ncols, diag, kernel)
