@@ -3,9 +3,9 @@
 Given a presentation of a group G and an integer weighting chi: G -> Z,
 the abelianized Fox Jacobian is a matrix over Z[t, 1/t] presenting the
 first homology of the kernel of chi as a module over the Laurent ring.
-For a two-generator one-relator presentation this matrix is 1x2 and the
-polynomial is a single entry; in general we delete the column of a
-generator of weight +-1 and take the determinant.
+Each row comes from one walk over its relator.  We delete the column of a
+generator of weight +-1 and take the determinant (for a two-generator
+one-relator presentation, the one entry left).
 
 The determinant is computed over the integers by Kronecker substitution.
 After each row is shifted by its lowest exponent, no coefficient of the
@@ -18,7 +18,7 @@ determinant's value, whose balanced w-byte slots are its coefficients.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Container, Mapping, Sequence, Union
 
 from ._intfactor import Kronecker
 from .laurent import LaurentPoly, _Infinite
@@ -35,22 +35,21 @@ class NoUnitWeightGenerator(ValueError):
     """No generator has weight +-1, so no column can be deleted."""
 
 
-def fox_derivative_abelianized(
-    w: FreeWord, gen: str, chi: Mapping[str, int]
-) -> LaurentPoly:
-    """Abelianized Fox derivative of w with respect to gen.
+def _fox_row(w: FreeWord, chi: Mapping[str, int], columns: Container[str]) -> dict[str, dict]:
+    """{x: {exponent: coefficient}}, the abelianized Fox derivatives of w by
+    the generators x in columns that w contains, from one walk over w.
 
-    Product rule: d(uv) = du + phi(u) dv, where phi sends each
-    generator x to t^chi(x).  A syllable x^e contributes a geometric
-    block of powers of t^chi(x), which for chi(x) = 0 is e at one
-    exponent; anything else only advances the prefix weight.  Sums that
-    cancel to zero are dropped by the LaurentPoly constructor.
+    Product rule: d(uv) = du + phi(u) dv, where phi sends each generator x to
+    t^chi(x).  So a syllable x^e adds to x's derivative a geometric block of
+    powers of t^chi(x), e at one exponent when chi(x) = 0, and advances the
+    prefix weight by e chi(x).
     """
-    coeffs: dict[int, int] = {}
+    row: dict[str, dict[int, int]] = {}
     h = 0  # weight of the prefix read so far
     for x, e in w.syllables:
         cx = chi[x]
-        if x == gen:
+        if x in columns:
+            coeffs = row.setdefault(x, {})
             if cx == 0:
                 coeffs[h] = coeffs.get(h, 0) + e
             elif e > 0:
@@ -60,7 +59,12 @@ def fox_derivative_abelianized(
                 for k in range(1, -e + 1):
                     coeffs[h - k * cx] = coeffs.get(h - k * cx, 0) - 1
         h += e * cx
-    return LaurentPoly(coeffs)
+    return row
+
+
+def fox_derivative_abelianized(w: FreeWord, gen: str, chi: Mapping[str, int]) -> LaurentPoly:
+    """Abelianized Fox derivative of w with respect to gen, `_fox_row`'s entry."""
+    return LaurentPoly(_fox_row(w, chi, (gen,)).get(gen, {}))
 
 
 def alexander_matrix(
@@ -69,15 +73,15 @@ def alexander_matrix(
     """Fox Jacobian of the presentation under the weighting, less one column if named.
 
     One row per relator, one column per generator kept, in declared order.
-    The deleted column is never computed: a syllable x^e of a generator x of
-    weight +-1 costs |e| steps in x's column, so that column alone can cost
-    more than all the others.
+    A row is one `_fox_row` walk over its relator; the entries it does not
+    fill share one zero.  The deleted column is never computed: a syllable
+    x^e of a generator x of weight +-1 costs |e| steps in x's column, so
+    that column alone can cost more than all the others.
     """
     columns = [g for g in p.generators if g != delete_column]
-    return tuple(
-        tuple(fox_derivative_abelianized(r, g, chi) for g in columns)
-        for r in p.relators
-    )
+    kept, zero = set(columns), LaurentPoly.zero()
+    rows = (_fox_row(r, chi, kept) for r in p.relators)
+    return tuple(tuple(LaurentPoly(row[g]) if g in row else zero for g in columns) for row in rows)
 
 
 def _det(rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:

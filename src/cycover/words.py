@@ -26,16 +26,17 @@ from __future__ import annotations
 import math
 import re
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, Iterable, NoReturn
 
 Syllable = tuple[str, int]
 
 
 class ParseError(ValueError):
-    """Raised on malformed presentation text.  Carries line/column."""
+    """Raised on malformed presentation text, with its line and column if it has any."""
 
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, col {col})")
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line}, col {col})")
         self.line = line
         self.col = col
 
@@ -97,10 +98,6 @@ class FreeWord:
     def make(cls, syllables: Iterable[Syllable]) -> "FreeWord":
         return cls(_reduce(syllables))
 
-    @classmethod
-    def identity(cls) -> "FreeWord":
-        return cls(())
-
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         return FreeWord(_reduce(self.syllables + other.syllables))
 
@@ -108,12 +105,7 @@ class FreeWord:
         return FreeWord(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "FreeWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FreeWord.identity()
-        for _ in range(n):
-            out = out * self
-        return out
+        return FreeWord.make((self if n >= 0 else self.inverse()).syllables * abs(n))
 
     def exponent_sum(self, gen: str) -> int:
         return sum(e for g, e in self.syllables if g == gen)
@@ -139,10 +131,8 @@ class FreeWord:
 
     def substitute(self, gen: str, replacement: "FreeWord") -> "FreeWord":
         """Replace every occurrence of gen (any exponent) by replacement."""
-        out = FreeWord.identity()
-        for g, e in self.syllables:
-            out = out * (replacement ** e if g == gen else FreeWord(((g, e),)))
-        return out
+        pieces = ((replacement**e).syllables if g == gen else ((g, e),) for g, e in self.syllables)
+        return FreeWord.make(chain.from_iterable(pieces))
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -370,15 +360,18 @@ def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) echelon form of integer rows, in place.
 
     Returns (pivots, sign): the pivot column of each of the first r = rank
-    rows, in order, and (-1)^(row swaps).  At each pivot p, a row below with
-    entry c in the pivot column becomes p * row - c * (pivot row), divided by
-    the previous pivot (1 at first); the division is exact (Bareiss 1968)
-    and checked so.  Each pivot, and each entry right of it in its row, is
-    then a minor of the input, so none grows past Hadamard's bound, and the
-    last pivot is a nonzero r x r minor: for a square matrix of full rank,
-    sign times it is the determinant.  Only the columns right of the pivot
-    are updated (nothing reads the others again), and a row is left alone
-    when c is 0 and p equals the previous pivot.
+    rows, in order, and (-1)^(row swaps and negations); a pivot row is
+    negated if need be, so its pivot p is positive.  A row below with entry
+    c in the pivot column becomes p * row - c * (pivot row), divided by the
+    previous pivot (1 at first); the division is exact (Bareiss 1968) and
+    checked so.  Each pivot, and each entry right of it in its row, is then
+    a minor of the input up to sign, so none grows past Hadamard's bound,
+    and the last pivot is a nonzero r x r minor: for a square matrix of full
+    rank, sign times it is the determinant.  Only the columns right of the
+    pivot are updated (nothing reads the others again), and a row with
+    c = 0 is left alone when p equals the previous pivot: so a pivot of 1
+    after a pivot of 1, as a Wirtinger exponent matrix has, costs only the
+    rows that meet its column.
 
     >>> rows = [[0, 2, 1], [1, 1, 1], [2, 1, 3]]
     >>> bareiss_echelon(rows, 3)
@@ -398,6 +391,9 @@ def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
             rows[r], rows[i] = rows[i], rows[r]
             sign = -sign
         top = rows[r]
+        if top[j] < 0:
+            top[j:] = [-v for v in top[j:]]
+            sign = -sign
         p = top[j]
         for row in rows[r + 1 :]:
             c = row[j]

@@ -44,6 +44,18 @@ def weight_zero_form(p, q):
     return pres, {"u": 1, "a": 0}
 
 
+def wirtinger_torus_text(n, relators=None):
+    """The Wirtinger presentation of the torus knot T(2, n), n odd, as text.
+
+    One generator per arc and one relation x{i+1} = x{i} x{i-1} x{i}^-1 per
+    crossing, indices mod n; only the first `relators` relations are kept
+    (all n by default).  Any one of them follows from the others.
+    """
+    x = [f"x{i}" for i in range(n)]
+    rels = [f"{x[(i + 1) % n]} = {x[i]} {x[i - 1]} {x[i]}^-1" for i in range(n)]
+    return "<" + ", ".join(x) + " | " + ", ".join(rels[:relators]) + ">"
+
+
 def knotlike_corpus():
     """(name, presentation, weighting) triples with H1 = Z."""
     triples = [

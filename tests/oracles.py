@@ -27,7 +27,10 @@ positional division, and a shift graph built from plain lists of targets.
 The parser of presentation text is checked against one that tries every
 declared generator at each token, the cyclic reduction of a
 word against stripping one pair of ends at a time, and the exponent matrix
-against one pass over a relator per generator.
+against one pass over a relator per generator.  Powers and substitutions
+are checked against multiplying one piece at a time, the Fox matrix against
+one walk over a relator per column, and the echelon against one that keeps
+negative pivots.
 """
 
 import math
@@ -824,6 +827,77 @@ def cyclic_reduce_by_ends(w):
 def exponent_matrix_by_columns(p):
     """The exponent matrix of a Presentation, one pass per relator and generator."""
     return [[r.exponent_sum(g) for g in p.generators] for r in p.relators]
+
+
+def power_by_multiplication(w, n):
+    """w ** n as |n| products, each freely reduced."""
+    if n < 0:
+        return power_by_multiplication(w.inverse(), -n)
+    out = FreeWord()
+    for _ in range(n):
+        out = out * w
+    return out
+
+
+def substitute_piece_by_piece(w, gen, replacement):
+    """w with gen replaced, one product per syllable of w."""
+    out = FreeWord()
+    for g, e in w.syllables:
+        out = out * (power_by_multiplication(replacement, e) if g == gen else FreeWord(((g, e),)))
+    return out
+
+
+def fox_derivative_by_column(w, gen, chi):
+    """The abelianized Fox derivative of w by gen, one walk over w for gen alone."""
+    coeffs = {}
+    h = 0
+    for x, e in w.syllables:
+        cx = chi[x]
+        if x == gen:
+            if cx == 0:
+                coeffs[h] = coeffs.get(h, 0) + e
+            elif e > 0:
+                for k in range(e):
+                    coeffs[h + k * cx] = coeffs.get(h + k * cx, 0) + 1
+            else:
+                for k in range(1, -e + 1):
+                    coeffs[h - k * cx] = coeffs.get(h - k * cx, 0) - 1
+        h += e * cx
+    return LaurentPoly(coeffs)
+
+
+def alexander_matrix_by_columns(p, chi, delete_column=None):
+    """The Fox matrix of a Presentation, one walk per relator and kept column."""
+    columns = [g for g in p.generators if g != delete_column]
+    return tuple(tuple(fox_derivative_by_column(r, g, chi) for g in columns) for r in p.relators)
+
+
+def bareiss_echelon_any_sign(rows, ncols):
+    """`words.bareiss_echelon` as it was before its pivots were made positive."""
+    nrows = len(rows)
+    pivots = []
+    sign, m = 1, 1
+    for j in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, nrows) if rows[i][j]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[j]
+        for row in rows[r + 1 :]:
+            c = row[j]
+            if c or p != m:
+                for k in range(j + 1, ncols):
+                    q, rem = divmod(p * row[k] - c * top[k], m)
+                    if rem:
+                        raise ArithmeticError("Bareiss division must be exact")
+                    row[k] = q
+        m = p
+        pivots.append(j)
+    return pivots, sign
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")

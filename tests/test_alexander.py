@@ -16,6 +16,7 @@ from corpus import (
     trefoil,
     two_bridge_pairs,
     weight_zero_form,
+    wirtinger_torus_text,
 )
 from cycover import alexander as alexander_mod, laurent
 from cycover.alexander import (
@@ -30,7 +31,8 @@ from cycover.alexander import (
 from cycover.laurent import INFINITE, LaurentPoly
 from cycover.twobridge import TwoBridgeParams, family_presentation, presentation
 from cycover.words import FreeWord, Presentation, parse_presentation
-from oracles import leibniz_det
+from oracles import alexander_matrix_by_columns, fox_derivative_by_column, leibniz_det
+from test_words import _deadline
 
 L = LaurentPoly.from_coeffs
 
@@ -72,7 +74,7 @@ def test_fox_weight_zero_syllable_is_one_term():
 
 
 def test_fox_of_identity_is_zero():
-    assert not fox_derivative_abelianized(FreeWord.identity(), "t", {"t": 1})
+    assert not fox_derivative_abelianized(FreeWord(), "t", {"t": 1})
 
 
 def _phi_weight(w, chi):
@@ -126,18 +128,63 @@ def test_matrix_without_column():
     assert rows[0][0] == L([-2, 1])
 
 
+def _random_fox_cases(rng, count):
+    """Presentations with weights 0, +-1 and +-3; a weight-0 syllable may
+    carry an exponent up to 10^9, which is one Fox term."""
+    for _ in range(count):
+        gens = ["t", "a", "b", "c"][: rng.randint(1, 4)]
+        chi = {g: rng.choice((0, 1, -1, 3, -3)) for g in gens}
+        rels = []
+        for _ in range(rng.randrange(4)):
+            syllables = []
+            for _ in range(rng.randrange(12)):
+                g = rng.choice(gens)
+                huge = chi[g] == 0 and rng.random() < 0.3
+                e = rng.randint(-(10**9), 10**9) if huge else rng.choice((-3, -2, -1, 1, 2, 3))
+                syllables.append((g, e))
+            rels.append(FreeWord.make(syllables))
+        yield Presentation.make(gens, rels), chi
+
+
+def test_fox_rows_match_one_walk_per_column():
+    cases = [(pres, chi) for _, pres, chi in knotlike_corpus()]
+    cases += [weight_zero_form(p, q) for p, q in two_bridge_pairs(13)]
+    cases += _random_fox_cases(random.Random(23), 600)
+    for pres, chi in cases:
+        for deleted in (None, *pres.generators):
+            got = alexander_matrix(pres, chi, deleted)
+            assert got == alexander_matrix_by_columns(pres, chi, deleted), (pres, chi, deleted)
+        for r in pres.relators:
+            for g in pres.generators:
+                assert fox_derivative_abelianized(r, g, chi) == fox_derivative_by_column(r, g, chi)
+
+
+def test_fox_matrix_of_a_large_wirtinger_presentation_takes_one_walk_per_relator():
+    # T(2, 801) less one relator: 800 relators of four letters each, over 801
+    # generators.  A walk per relator and column took 1.9 s.
+    pres = parse_presentation(wirtinger_torus_text(801, 800))
+    chi = dict.fromkeys(pres.generators, 1)
+    with _deadline(5, "the Fox matrix of Wirtinger T(2, 801)"):
+        rows = alexander_matrix(pres, chi, "x0")
+    assert len(rows) == 800 and {len(row) for row in rows} == {800}
+    assert rows[1][:2] == (L([-1, 1]), L([1]))  # x2 x1 x0^-1 x1^-1
+    assert all(sum(map(bool, row)) <= 3 for row in rows)
+
+
 def test_deleted_column_is_not_computed(monkeypatch):
     # The t column of t^N a t^-N a^-2 has 2N terms; the a column has three.
+    # Each row's walk fills only the columns it is given, so the t syllables
+    # are never expanded.
     pres = parse_presentation("<t, a | t^10000000 a t^-10000000 a^-2>")
-    columns = []
-    real = alexander_mod.fox_derivative_abelianized
+    filled = []
+    real = alexander_mod._fox_row
     monkeypatch.setattr(
         alexander_mod,
-        "fox_derivative_abelianized",
-        lambda w, gen, chi: columns.append(gen) or real(w, gen, chi),
+        "_fox_row",
+        lambda w, chi, columns: filled.append(real(w, chi, columns)) or filled[-1],
     )
     res = alexander_polynomial(pres, {"t": 1, "a": 0})
-    assert columns == ["a"]
+    assert filled == [{"a": {10**7: 1, 0: -2}}]
     assert res.delta.coeffs == {10**7: 1, 0: -2}
 
 

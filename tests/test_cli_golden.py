@@ -18,7 +18,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from corpus import knotlike_corpus, two_bridge_pairs, weight_zero_form
+from corpus import knotlike_corpus, two_bridge_pairs, weight_zero_form, wirtinger_torus_text
 
 from cycover.cli import main
 
@@ -77,6 +77,15 @@ SYNTAX_FILE = (
     "<t, a, b |\n  tat^-1 a^(-2),\n  1 = a b^2 t b^-1 t^-1 a^-2,\n  b a t a^-1 t^-1 b^-1>"
 )
 
+# The Wirtinger presentation of T(2, 7): all seven relators, whose exponent
+# matrix puts pivots of 1 and -1 into the Smith form, and the last one
+# dropped, which leaves a 6 x 6 Fox minor with
+# Delta = t^6 - t^5 + t^4 - t^3 + t^2 - t + 1.
+WIRTINGER = {
+    "wirtinger7.pres": wirtinger_torus_text(7),
+    "wirtinger7_less.pres": wirtinger_torus_text(7, 6),
+}
+
 # Custom multiplication tables for `reps --table`: the Klein four-group, a
 # table that is not a Latin square, and a Latin square with an identity that
 # is not associative (a loop of order 5 in which every element is its own
@@ -100,7 +109,9 @@ def presentations():
     files = {f"{name}.pres": pres.to_text() for name, pres, _ in knotlike_corpus()}
     for p, q in two_bridge_pairs(9) + MULTI_HOLE_FORMS:
         files[f"wz{p}_{q}.pres"] = weight_zero_form(p, q)[0].to_text()
-    return {**files, **EXTRA_FILES, **PARSE_ERRORS, "syntax.pres": SYNTAX_FILE, **TABLES}
+    return {
+        **files, **EXTRA_FILES, **PARSE_ERRORS, "syntax.pres": SYNTAX_FILE, **TABLES, **WIRTINGER
+    }
 
 
 def cases():
@@ -163,6 +174,11 @@ def cases():
         add("reps", "dyadic.pres", "--table", table)
     for mode in ((), ("--json",)):
         add("recurrence", SQUARED_RECURRENCE, *mode)
+    for mode in ((), ("--json",)):
+        add("parse", "wirtinger7.pres", *mode)
+    add("alex", "wirtinger7_less.pres")
+    for mode in ((), ("--json",)):
+        add("criteria", "wirtinger7_less.pres", *mode)
     return out
 
 

@@ -245,7 +245,7 @@ def test_brown_requires_one_relator():
 def test_brown_inapplicable():
     pres = parse_presentation("<x, y, z | x y z x^-1 z^-1>")
     assert brown_finite_generation(pres, {"x": 1, "y": 0, "z": 0}) == INAPPLICABLE
-    empty = Presentation.make(("x", "y"), [FreeWord.identity()])
+    empty = Presentation.make(("x", "y"), [FreeWord()])
     assert brown_finite_generation(empty, {"x": 1, "y": 0}) == INAPPLICABLE
 
 

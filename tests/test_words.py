@@ -24,14 +24,18 @@ from cycover.words import (
     smith_diagonal,
     validate_weighting,
 )
+from corpus import wirtinger_torus_text
 from oracles import (
     _frac_nullspace,
+    bareiss_echelon_any_sign,
     cyclic_reduce_by_ends,
     equal_up_to_cycling,
     exponent_matrix_by_columns,
     leibniz_det,
     letters,
     parse_by_tokens,
+    power_by_multiplication,
+    substitute_piece_by_piece,
 )
 
 
@@ -64,21 +68,21 @@ def test_free_reduction_merges_and_cancels():
 
 
 def test_identity_and_str():
-    assert FreeWord.identity().syllables == ()
-    assert str(FreeWord.identity()) == "1"
+    assert FreeWord().syllables == ()
+    assert str(FreeWord()) == "1"
     assert str(W(("t", 1), ("a", -2))) == "t a^-2"
 
 
 def test_inverse_and_mul():
     w = W(("t", 1), ("a", -2))
-    assert (w * w.inverse()) == FreeWord.identity()
+    assert (w * w.inverse()) == FreeWord()
     assert w.inverse().syllables == (("a", 2), ("t", -1))
 
 
 def test_pow():
     w = W(("a", 1), ("b", 1))
     assert w**2 == W(("a", 1), ("b", 1), ("a", 1), ("b", 1))
-    assert w**0 == FreeWord.identity()
+    assert w**0 == FreeWord()
     assert w**-1 == w.inverse()
 
 
@@ -127,8 +131,8 @@ def test_mul_associative(u, v, w):
 
 @given(WORDS)
 def test_inverse_cancels(w):
-    assert (w * w.inverse()) == FreeWord.identity()
-    assert (w.inverse() * w) == FreeWord.identity()
+    assert (w * w.inverse()) == FreeWord()
+    assert (w.inverse() * w) == FreeWord()
 
 
 @given(WORDS)
@@ -156,6 +160,56 @@ def test_cyclic_reduce_matches_stripping_one_pair_of_ends_at_a_time():
         w, u = _random_word(rng), _random_word(rng)
         for v in (w, u * w * u.inverse(), u * w * _random_word(rng)):
             assert v.cyclic_reduce() == cyclic_reduce_by_ends(v), v
+
+
+def test_power_matches_multiplying_one_factor_at_a_time():
+    rng = random.Random(21)
+    for _ in range(400):
+        w, u = _random_word(rng, "ab", rng.choice((8, 30, 200))), _random_word(rng, "ab")
+        for v in (w, u * w * u.inverse()):
+            for n in range(-6, 7):
+                assert v ** n == power_by_multiplication(v, n), (v, n)
+
+
+def _letter_length(w):
+    return sum(abs(e) for _, e in w.syllables)
+
+
+def test_substitute_matches_multiplying_one_piece_at_a_time():
+    rng = random.Random(22)
+    cancelled = 0
+    for _ in range(2000):
+        w, replacement = _random_word(rng, "vab", 16), _random_word(rng, "ab", 6)
+        got = w.substitute("v", replacement)
+        assert got == substitute_piece_by_piece(w, "v", replacement), (w, replacement)
+        unit = _letter_length(replacement)
+        pieces = [abs(e) * (unit if g == "v" else 1) for g, e in w.syllables]
+        cancelled += _letter_length(got) < sum(pieces)
+    # Many inputs cancel letters where the pieces join.
+    assert cancelled > 500
+
+
+def test_power_of_a_long_conjugate_takes_linear_time():
+    # Multiplying one factor at a time takes 7.7 s at n = 4,000; each join
+    # of (a b t a^2 b^-1 a^-1)^n cancels four letters.
+    u = W(("a", 1), ("b", 1))
+    w = u * W(("t", 1), ("a", 2)) * u.inverse()
+    with _deadline(5, "w ** 32000 and w ** -32000"):
+        v, v_inverse = w ** 32_000, w ** -32_000
+    assert v == u * W(*[("t", 1), ("a", 2)] * 32_000) * u.inverse()
+    assert v_inverse == v.inverse()
+
+
+def test_tietze_substitute_into_a_long_relator_takes_linear_time():
+    # One product per syllable takes 45 s on a relator of 4,000 blocks
+    # v b^k; with v = a b^-1 every block cancels a letter where it joins.
+    blocks = 8000
+    relator = W(*[s for i in range(blocks) for s in (("v", 1), ("b", 1 + i % 3))])
+    p = Presentation(("v", "b"), (relator,))
+    with _deadline(5, f"substituting into a relator of {blocks} blocks"):
+        q = p.tietze_substitute("v", W(("a", 1), ("b", -1)))
+    assert q.generators == ("b", "a")
+    assert q.relators == (W(*[s for i in range(blocks) for s in (("a", 1), ("b", i % 3))]),)
 
 
 def test_cyclic_reduce_of_a_long_conjugate_takes_linear_time():
@@ -328,6 +382,17 @@ def test_parse_reads_many_generators_in_linear_time():
 # -- presentation invariants -------------------------------------------
 
 
+def test_constructor_errors_carry_no_text_position():
+    # Only the parser knows a line and a column.
+    with pytest.raises(DuplicateGenerator) as dup:
+        Presentation(("a", "a"), ())
+    assert str(dup.value) == "duplicate generator 'a'" and dup.value.line is None
+    with pytest.raises(UnknownGenerator) as unknown:
+        Presentation(("a",), (W(("b", 1)),))
+    assert str(unknown.value) == "relator uses undeclared generator 'b'"
+    assert unknown.value.col is None
+
+
 def test_relators_stored_cyclically_reduced():
     p = Presentation.make(["a", "b"], [W(("a", 1), ("b", 1), ("a", -1))])
     assert p.relators[0] == W(("b", 1))
@@ -409,6 +474,16 @@ def test_canonical_weighting(src, expected):
     chi = p.canonical_weighting()
     assert chi == expected
     validate_weighting(p, chi)
+
+
+def test_wirtinger_abelianization_takes_little_time():
+    # The 801 x 801 exponent matrix of T(2, 801) has two entries, 1 and -1,
+    # in each row; Bareiss with negative pivots rescaled every row at every
+    # pivot, which took 15 s.
+    p = parse_presentation(wirtinger_torus_text(801))
+    with _deadline(5, "the abelianization of Wirtinger T(2, 801)"):
+        assert p.abelianization_invariants() == (1, ())
+        assert p.canonical_weighting() == dict.fromkeys(p.generators, 1)
 
 
 def test_canonical_weighting_runs_smith_once(monkeypatch):
@@ -495,6 +570,30 @@ def test_bareiss_echelon_rank_determinant_and_kernel(shape):
             assert x[free] == last
             assert all(x[j] == 0 for j in range(ncols) if j != free and j not in pivots)
             assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in rows), (rows, free)
+
+
+@pytest.mark.parametrize("shape", ["square", "tall", "wide"])
+def test_bareiss_echelon_matches_the_echelon_with_negative_pivots(shape):
+    # Negating a pivot row negates it in the end and flips the sign: the
+    # pivot columns, and sign times the last pivot, stay the same.
+    rng = random.Random(f"signs-{shape}")
+    negated = 0
+    for _ in range(300):
+        rows, ncols = _echelon_inputs(rng, shape)
+        e, f = [row[:] for row in rows], [row[:] for row in rows]
+        pivots, sign = bareiss_echelon(e, ncols)
+        old_pivots, old_sign = bareiss_echelon_any_sign(f, ncols)
+        assert pivots == old_pivots
+        signs = []
+        for k, j in enumerate(pivots):
+            assert e[k][j] > 0 and abs(f[k][j]) == e[k][j]
+            signs.append(1 if f[k][j] > 0 else -1)
+            assert e[k][j:] == [signs[-1] * v for v in f[k][j:]], rows
+        if pivots:
+            last = len(pivots) - 1, pivots[-1]
+            assert sign * e[last[0]][last[1]] == old_sign * f[last[0]][last[1]], rows
+        negated += -1 in signs
+    assert negated > 30
 
 
 # -- Smith normal form vs sympy ----------------------------------------
