@@ -360,18 +360,19 @@ def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) echelon form of integer rows, in place.
 
     Returns (pivots, sign): the pivot column of each of the first r = rank
-    rows, in order, and (-1)^(row swaps and negations); a pivot row is
-    negated if need be, so its pivot p is positive.  A row below with entry
-    c in the pivot column becomes p * row - c * (pivot row), divided by the
-    previous pivot (1 at first); the division is exact (Bareiss 1968) and
-    checked so.  Each pivot, and each entry right of it in its row, is then
-    a minor of the input up to sign, so none grows past Hadamard's bound,
-    and the last pivot is a nonzero r x r minor: for a square matrix of full
-    rank, sign times it is the determinant.  Only the columns right of the
-    pivot are updated (nothing reads the others again), and a row with
-    c = 0 is left alone when p equals the previous pivot: so a pivot of 1
-    after a pivot of 1, as a Wirtinger exponent matrix has, costs only the
-    rows that meet its column.
+    rows, in order, and (-1)^(row swaps).  Each row keeps its own divisor s,
+    the pivot it was last reduced at (1 at first).  At pivot p, a row below
+    with entry c != 0 in the pivot column becomes (p * row - c * top) / s,
+    top the pivot row, and its s becomes p; a row with c = 0 is not touched.
+    This is exact, and checked so: with m the last pivot, the row's value in
+    Bareiss's echelon (1968) is row * m / s, as the factors p_k / p_(k-1) of
+    the steps it skipped telescope.  A pivot row whose s is not m is first
+    brought up to date as top * m // s.  Each pivot, and each entry right of
+    it in its row, is then a minor of the input, so none grows past
+    Hadamard's bound, and the last pivot is a nonzero r x r minor: for a
+    square matrix of full rank, sign times it is the determinant.  Only the
+    columns right of the pivot are updated, so a pivot costs only the rows
+    that meet its column, whatever its value.
 
     >>> rows = [[0, 2, 1], [1, 1, 1], [2, 1, 3]]
     >>> bareiss_echelon(rows, 3)
@@ -381,28 +382,29 @@ def bareiss_echelon(rows: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """
     nrows = len(rows)
     pivots: list[int] = []
-    sign, m = 1, 1  # m is the last pivot, the next step's exact divisor
+    div = [1] * nrows  # each row's own divisor, swapped with it
+    sign, m = 1, 1  # m is the last pivot
     for j in range(ncols):
         r = len(pivots)
         i = next((i for i in range(r, nrows) if rows[i][j]), None)
         if i is None:
             continue
         if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
+            rows[r], rows[i], div[r], div[i] = rows[i], rows[r], div[i], div[r]
             sign = -sign
         top = rows[r]
-        if top[j] < 0:
-            top[j:] = [-v for v in top[j:]]
-            sign = -sign
+        if div[r] != m:
+            top[j:] = [v * m // div[r] for v in top[j:]]
         p = top[j]
-        for row in rows[r + 1 :]:
-            c = row[j]
-            if c or p != m:
+        for i in range(r + 1, nrows):
+            if c := rows[i][j]:
+                row, s = rows[i], div[i]
                 for k in range(j + 1, ncols):
-                    q, rem = divmod(p * row[k] - c * top[k], m)
+                    q, rem = divmod(p * row[k] - c * top[k], s)
                     if rem:
                         raise ArithmeticError("Bareiss division must be exact")
                     row[k] = q
+                div[i] = p
         m = p
         pivots.append(j)
     return pivots, sign

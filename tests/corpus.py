@@ -3,7 +3,7 @@
 from math import gcd
 
 from cycover.twobridge import TwoBridgeParams, family_presentation, presentation
-from cycover.words import FreeWord, parse_presentation
+from cycover.words import FreeWord, Presentation, parse_presentation
 
 # kernel of the weighting is the dyadic rationals
 DYADIC = parse_presentation("<t, a | t a t^-1 a^-2>")
@@ -44,16 +44,37 @@ def weight_zero_form(p, q):
     return pres, {"u": 1, "a": 0}
 
 
-def wirtinger_torus_text(n, relators=None):
+def wirtinger_torus_text(n, relators=None, drop=None):
     """The Wirtinger presentation of the torus knot T(2, n), n odd, as text.
 
     One generator per arc and one relation x{i+1} = x{i} x{i-1} x{i}^-1 per
     crossing, indices mod n; only the first `relators` relations are kept
-    (all n by default).  Any one of them follows from the others.
+    (all n by default), less relation number `drop` if one is given.  Any
+    one of them follows from the others.
     """
     x = [f"x{i}" for i in range(n)]
-    rels = [f"{x[(i + 1) % n]} = {x[i]} {x[i - 1]} {x[i]}^-1" for i in range(n)]
+    rels = [f"{x[(i + 1) % n]} = {x[i]} {x[i - 1]} {x[i]}^-1" for i in range(n) if i != drop]
     return "<" + ", ".join(x) + " | " + ", ".join(rels[:relators]) + ">"
+
+
+def artin_presentation(n, word):
+    """The Artin presentation <x1, ..., xn | b(xi) = xi> of the closed braid b in B_n.
+
+    `word` lists the letters of b: i for sigma_i, -i for its inverse.
+    sigma_i sends x_i to x_i x_(i+1) x_i^-1 and x_(i+1) to x_i, and its
+    inverse sends x_i to x_(i+1) and x_(i+1) to x_(i+1)^-1 x_i x_(i+1).  Any
+    one relator follows from the others.
+    """
+    x = [f"x{i}" for i in range(1, n + 1)]
+    image = {g: FreeWord.make([(g, 1)]) for g in x}
+    for letter in word:
+        a, b = x[abs(letter) - 1], x[abs(letter)]
+        u, v = image[a], image[b]
+        if letter > 0:
+            image[a], image[b] = u * v * u.inverse(), u
+        else:
+            image[a], image[b] = v, v.inverse() * u * v
+    return Presentation.make(x, [image[g] * FreeWord.make([(g, -1)]) for g in x])
 
 
 def knotlike_corpus():

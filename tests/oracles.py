@@ -29,8 +29,9 @@ declared generator at each token, the cyclic reduction of a
 word against stripping one pair of ends at a time, and the exponent matrix
 against one pass over a relator per generator.  Powers and substitutions
 are checked against multiplying one piece at a time, the Fox matrix against
-one walk over a relator per column, and the echelon against one that keeps
-negative pivots.
+one walk over a relator per column, and the echelon against the textbook
+one that divides every row at every step.  The Alexander polynomial of a
+closed braid is checked against the determinant of its Burau matrix.
 """
 
 import math
@@ -164,6 +165,21 @@ def multiply_back(fac):
     return LaurentPoly.from_coeffs(dense, low=fac.unit_exp)
 
 
+def _dict_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _dict_mul(f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def leibniz_det(rows):
     """Determinant of a square matrix of Laurent polynomials, each {exponent: coeff}.
 
@@ -176,14 +192,42 @@ def leibniz_det(rows):
         inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
         term = {0: -1 if inversions % 2 else 1}
         for i, j in enumerate(perm):
-            out = {}
-            for e1, c1 in term.items():
-                for e2, c2 in rows[i][j].items():
-                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-            term = out
-        for e, c in term.items():
-            total[e] = total.get(e, 0) + c
-    return {e: c for e, c in total.items() if c}
+            term = _dict_mul(term, rows[i][j])
+        total = _dict_add(total, term)
+    return total
+
+
+# sigma_i and its inverse on strands i and i + 1 of the unreduced Burau matrix
+_BURAU_BLOCKS = {
+    1: (({0: 1, 1: -1}, {1: 1}), ({0: 1}, {})),
+    -1: (({}, {0: 1}), ({-1: 1}, {0: 1, -1: -1})),
+}
+
+
+def burau_alexander(n, word):
+    """Alexander polynomial of a closed braid, from its Burau matrix, normalized.
+
+    `word` lists the letters of a braid b in B_n as in `corpus.artin_presentation`.
+    sigma_i acts on strands i and i + 1 by the block [[1 - t, t], [1, 0]],
+    its inverse by [[0, 1], [t^-1, 1 - t^-1]], and up to a unit +-t^k the
+    Alexander polynomial of the closure is det(I - B(b)) with the last row
+    and column deleted (Birman, *Braids, Links and Mapping Class Groups*,
+    ch. 3).  The matrix is a product of blocks in plain dicts, and the
+    determinant is `leibniz_det`: no Fox calculus and no Smith form.
+    """
+    b = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+    for letter in word:
+        i = abs(letter) - 1
+        (a00, a01), (a10, a11) = _BURAU_BLOCKS[1 if letter > 0 else -1]
+        for row in b:
+            u, v = row[i], row[i + 1]
+            row[i] = _dict_add(_dict_mul(u, a00), _dict_mul(v, a10))
+            row[i + 1] = _dict_add(_dict_mul(u, a01), _dict_mul(v, a11))
+    minor = [
+        [_dict_add({0: 1} if i == j else {}, {e: -c for e, c in b[i][j].items()}) for j in range(n - 1)]
+        for i in range(n - 1)
+    ]
+    return LaurentPoly(leibniz_det(minor)).normalize()
 
 
 def gcd_over_Q(f, g):
@@ -873,7 +917,12 @@ def alexander_matrix_by_columns(p, chi, delete_column=None):
 
 
 def bareiss_echelon_any_sign(rows, ncols):
-    """`words.bareiss_echelon` as it was before its pivots were made positive."""
+    """The textbook fraction-free echelon (Bareiss 1968), pivots of any sign.
+
+    Every row below the pivot row is divided by the last pivot at every
+    step, unless it is unchanged (0 in the pivot column and a pivot equal to
+    the last one).
+    """
     nrows = len(rows)
     pivots = []
     sign, m = 1, 1

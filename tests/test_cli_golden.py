@@ -80,10 +80,12 @@ SYNTAX_FILE = (
 # The Wirtinger presentation of T(2, 7): all seven relators, whose exponent
 # matrix puts pivots of 1 and -1 into the Smith form, and the last one
 # dropped, which leaves a 6 x 6 Fox minor with
-# Delta = t^6 - t^5 + t^4 - t^3 + t^2 - t + 1.
+# Delta = t^6 - t^5 + t^4 - t^3 + t^2 - t + 1.  With the first one dropped
+# instead, the echelon of the Fox minor skips rows at pivots other than +-1.
 WIRTINGER = {
     "wirtinger7.pres": wirtinger_torus_text(7),
     "wirtinger7_less.pres": wirtinger_torus_text(7, 6),
+    "wirtinger7_less_first.pres": wirtinger_torus_text(7, drop=0),
 }
 
 # Custom multiplication tables for `reps --table`: the Klein four-group, a
@@ -179,6 +181,8 @@ def cases():
     add("alex", "wirtinger7_less.pres")
     for mode in ((), ("--json",)):
         add("criteria", "wirtinger7_less.pres", *mode)
+    add("alex", "wirtinger7_less_first.pres")
+    add("criteria", "wirtinger7_less_first.pres", "--json")
     return out
 
 
