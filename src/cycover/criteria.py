@@ -214,12 +214,9 @@ def analyze(
 ) -> CoverReport:
     """Full report for a presentation and a validated weighting."""
     delta = alexander_polynomial(p, chi).delta
-    table = mod_p_table(delta, primes)
+    table = mod_p_table(delta, dict.fromkeys((*primes, 2)))
     records = tuple(PrimeRecord.from_span(q, table[q][1]) for q in primes)
-    rec2 = next((rec for rec in records if rec.p == 2), None)
-    if rec2 is None:
-        rec2 = PrimeRecord.from_span(2, delta.reduce_mod(2).degree_span())
-    index2 = rec2.n is None or rec2.n > 0  # infinitely many index-2 when d(2) infinite
+    index2 = table[2][1] != 0  # infinitely many index-2 when d(2) is INFINITE
     try:
         fg = brown_finite_generation(p, chi)
     except NotOneRelator:

@@ -485,7 +485,11 @@ class RepCensus:
 
 
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
-    _check_tol(tol)
+    """Classify the shift of g.  Zero entropy is decided exactly, from the
+    strongly connected components; otherwise `_perron_log` estimates it to
+    tol, which must be finite and positive even when no iteration runs."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
@@ -496,7 +500,7 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     # exactly one iff every in- and out-degree in it is one.
     if len(targets) == ess_count:
         return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
-    if _all_sccs_simple_cycles(offsets, targets):
+    if _zero_entropy(offsets, targets):
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
@@ -527,102 +531,81 @@ def _essential_adjacency(g: SftGraph) -> tuple[Sequence[int], array, array]:
     return nodes, sub_offsets, sub_targets
 
 
-def _sccs(offsets: array, targets: array) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, over a graph in CSR form."""
+def _sccs(offsets: array, targets: array) -> list[int]:
+    """Tarjan's algorithm, iterative, over a graph in CSR form: the number
+    of each state's strongly connected component.  Components are numbered
+    as they close, in reverse topological order: every edge between two
+    components goes to the lower number."""
     n = len(offsets) - 1
     index = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
+    comp = [-1] * n  # -1 until the state's component closes
+    cursor = offsets[:-1]  # the next edge of each state to follow
     stack: list[int] = []
-    sccs = []
-    counter = 0
+    counter = closed = 0
     for root in range(n):
         if index[root] != -1:
             continue
-        # each frame is (state, next edge to follow)
-        work = [(root, offsets[root])]
-        while work:
-            v, i = work[-1]
-            if index[v] == -1:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            end = offsets[v + 1]
-            while i < end:
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            i = cursor[v]
+            if i < offsets[v + 1]:
+                cursor[v] = i + 1
                 u = targets[i]
-                i += 1
                 if index[u] == -1:
-                    work[-1] = (v, i)
-                    work.append((u, offsets[u]))
-                    break
-                if on_stack[u] and index[u] < low[v]:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    path.append(u)
+                elif comp[u] == -1 and index[u] < low[v]:
                     low[v] = index[u]
-            else:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        u = stack.pop()
-                        on_stack[u] = 0
-                        comp.append(u)
-                        if u == v:
-                            break
-                    sccs.append(comp)
-    return sccs
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                u = -1
+                while u != v:
+                    u = stack.pop()
+                    comp[u] = closed
+                closed += 1
+    return comp
 
 
-def _all_sccs_simple_cycles(offsets: array, targets: array) -> bool:
-    """True when no strongly connected component carries two distinct cycles.
-
-    A component is a simple cycle iff its internal edge count equals its
-    size; singletons without self-loops carry no cycle at all.
-    """
-    sccs = _sccs(offsets, targets)
-    comp_of = [0] * (len(offsets) - 1)
-    for ci, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = ci
-    internal_edges = [0] * len(sccs)
+def _zero_entropy(offsets: array, targets: array) -> bool:
+    """True when no strongly connected component carries two cycles, that
+    is, when no state has two successors in its own component.  A state's
+    edges are consecutive, so no source may repeat among the edges inside
+    components."""
+    comp = _sccs(offsets, targets)
+    last = -1
     for v, u in zip(_sources(offsets), targets):
-        if comp_of[u] == comp_of[v]:
-            internal_edges[comp_of[v]] += 1
-    for ci, comp in enumerate(sccs):
-        if len(comp) == 1 and internal_edges[ci] == 0:
-            continue  # transit state, no cycle
-        if internal_edges[ci] != len(comp):
-            return False
+        if comp[u] == comp[v]:
+            if v == last:
+                return False
+            last = v
     return True
 
 
 def entropy(g: SftGraph, tol: float = 1e-6) -> float:
-    """Log of the Perron root of the essential adjacency matrix.
+    """The entropy of the shift of g, `census(g, tol).entropy`: the log of
+    the Perron root of the essential adjacency matrix, exactly 0.0 when
+    that root is at most 1."""
+    return census(g, tol).entropy
+
+
+def _perron_log(offsets: array, targets: array, tol: float) -> float:
+    """`entropy` of a graph in CSR form whose entropy is positive.
 
     Power iteration on exact integer vectors applied to (A + I); the +I
     keeps periodic graphs from oscillating.  The growth ratio of the
     vector sum converges to 1 + the Perron root of A.
     """
-    _check_tol(tol)
-    _, offsets, targets = _essential_adjacency(g)
-    return _perron_log(offsets, targets, tol)
-
-
-def _check_tol(tol: float) -> None:
-    """ValueError unless tol, the stopping tolerance of the power iteration,
-    is finite and positive; checked whether or not the iteration runs."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a finite positive number, not {tol}")
-
-
-def _perron_log(offsets: array, targets: array, tol: float) -> float:
-    """`entropy` of the essential subgraph given in CSR form."""
     n = len(offsets) - 1
-    if len(targets) <= n:
-        # one essential successor per essential state: disjoint cycles
-        return 0.0
     sources = list(_sources(offsets))
     v = [1] * n
     prev_ratio = None

@@ -13,7 +13,8 @@ seed propagation, minimal recurrences by Gauss-Jordan over the rationals
 and propagation one Fraction per step, entropy by a dense eigenvalue call,
 shift-graph edges by evaluating every template on every window, the
 essential states of a graph by repeated degree counts, closed walks by an exact matrix power, the
-census class by degree counts and reachability, and Brown's
+census class by degree counts and reachability, strongly connected
+components by a breadth-first search from every state, and Brown's
 finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
 
@@ -713,6 +714,20 @@ def census_class(n, edges):
     if any(sum(1 for j in range(k) if a[i][j] and reach[j][i]) >= 2 for i in range(k)):
         return "PositiveEntropy", None
     return "InfiniteZeroEntropy", None
+
+
+def sccs_by_reachability(successors):
+    """The strongly connected components of a graph, as a set of frozensets
+    of states: two states share one iff each reaches the other, with the
+    states each one reaches found by breadth-first search from it."""
+    reach = []
+    for s in range(len(successors)):
+        seen, frontier = {s}, [s]
+        while frontier:
+            frontier = {t for v in frontier for t in successors[v]} - seen
+            seen.update(frontier)
+        reach.append(seen)
+    return {frozenset(t for t in reach[s] if s in reach[t]) for s in range(len(successors))}
 
 
 # -- shift-graph successors by brute force ------------------------------

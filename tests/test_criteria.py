@@ -395,10 +395,10 @@ def test_analyze_reduces_delta_once_per_prime(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "reduce_mod", counting_reduce_mod)
     chi = {"t": 1, "a": 0}
-    for primes, expected in (((2, 3, 5, 7), [2, 3, 5, 7]), ((3,), [3, 2]), ((3, 3), [3, 3, 2])):
+    for primes, expected in (((2, 3, 5, 7), [2, 3, 5, 7]), ((3,), [3, 2]), ((3, 3), [3, 2])):
         calls.clear()
         analyze(DYADIC, chi, primes=primes)
-        # one reduction per listed prime, plus the p = 2 fallback for index2
+        # one reduction per distinct listed prime, and one at 2 for index2
         assert calls == expected, primes
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from cycover.recurrence import (
     minimal_recurrence,
     propagate,
 )
+from cycover import repshift
 from cycover.repshift import (
     FiniteGroup,
     build_sft,
@@ -35,6 +37,7 @@ from oracles import (
     graph_from_lists,
     perron_entropy,
     propagation_box_verdict,
+    sccs_by_reachability,
     window_rank_count,
 )
 
@@ -211,6 +214,28 @@ def test_essential_matches_fixed_point_on_random_graphs():
         assert [list(t) for t in g.successors] == lists
         want = essential_fixed_point(len(lists), _edges(g))
         assert [bool(x) for x in g.essential] == want, lists
+
+
+def test_sccs_match_reachability_on_random_graphs():
+    rng = random.Random(8)
+    kinds = set()
+    for _ in range(200):
+        lists = _random_graph(rng)
+        g = graph_from_lists(lists)
+        comp = repshift._sccs(g.successors.offsets, g.successors.targets)
+        parts = defaultdict(set)
+        for s, c in enumerate(comp):
+            parts[c].add(s)
+        assert sorted(parts) == list(range(len(parts))), lists
+        assert {frozenset(p) for p in parts.values()} == sccs_by_reachability(lists), lists
+        # numbered in reverse topological order
+        assert all(comp[u] <= comp[v] for v, u in _edges(g)), lists
+        if g.essential[0]:
+            c = census(g)
+            zero = c.count is None and perron_entropy(g) < 1e-9
+            assert (c.classification == "InfiniteZeroEntropy") == zero, lists
+            kinds.add(c.classification)
+    assert kinds == {"OnlyTrivial", "Finite", "InfiniteZeroEntropy", "PositiveEntropy"}, kinds
 
 
 def _census_graphs():

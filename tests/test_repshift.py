@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
-from oracles import brute_successors, graph_from_lists, state_digits
+from oracles import brute_successors, graph_from_lists, perron_entropy, state_digits
 from cycover.repshift import (
     STATE_CAP,
     BadGroupTable,
@@ -448,7 +448,9 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     c = census(g)
     assert c.classification == "PositiveEntropy"
     assert len(builds) == 1
-    assert c.entropy == entropy(g)
+    builds.clear()
+    assert entropy(g) == c.entropy
+    assert len(builds) == 1
 
 
 def test_census_family3_z3_only_trivial():
@@ -540,6 +542,18 @@ def test_entropy_full_shift():
 def test_entropy_zero_on_disjoint_cycles():
     assert entropy(family_sft(1, FiniteGroup.cyclic(2))) == 0.0
     assert entropy(sft(NOCOVER, {"t": 1, "a": 0}, FiniteGroup.cyclic(5))) == 0.0
+    # self-loops joined by transit edges: no cycle shares a component with
+    # another, so the entropy is exactly zero, not a power-iteration residue
+    for lists in ([[0, 1], [1]], [[0, 1], [1, 2], [2]]):
+        g = graph_from_lists(lists)
+        assert entropy(g) == census(g).entropy == 0.0, lists
+
+
+def test_entropy_renormalizes_on_chained_golden_mean_components():
+    # two golden-mean components, one feeding the other: the iteration
+    # converges slowly enough at tol = 1e-9 that the vector is scaled down
+    g = graph_from_lists([[0, 1], [0, 2], [2, 3], [2]])
+    assert abs(entropy(g, tol=1e-9) - perron_entropy(g)) < 1e-4
 
 
 def test_entropy_family3_s3():
