@@ -26,6 +26,28 @@ targets[offsets[s]:offsets[s + 1]], ascending.  A state costs four bytes
 plus four per edge and one for its essential flag, and the trim, census,
 SCC, entropy and periodic walks index these arrays.  `SftGraph.successors`
 reads them back as a sequence of per-state target arrays.
+
+Conjugating every coordinate of a window by one element of F maps the
+graph onto itself: a template is a word, so its value on the conjugated
+window is the conjugate of its value, trivial exactly when that is.  So
+conjugation permutes the states, the edges and the essential states, and
+the census and the periodic walks work on its orbits (Lind-Marcus,
+*Symbolic Dynamics and Coding*, 4.4; Godsil-Royle, *Algebraic Graph
+Theory*, 9.3).  `_orbits` finds the orbits of the essential states by
+conjugating their windows, digit by digit, with `FiniteGroup.conjugators`,
+and records for each state an element that carries its orbit's
+representative there.  The power iteration of the entropy,
+v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs on the
+in-flow quotient, where orbit O' has an edge from orbit O for each
+predecessor of rep(O') in O: |O| * (successors of rep(O) in O') / |O'|
+of them.  Each vector sum counts an orbit's value |O| times, so every
+integer of the iteration, the floors that keep it bounded included, is the
+one the iteration over all states gives, and so is the entropy.  The
+quotient has the Perron root of the essential subgraph, so its components
+decide zero entropy too.  Closed walks are searched from each orbit's
+representative and conjugated into those of the other states.  An abelian
+F has no conjugators: every orbit is one state, and the quotient is the
+essential subgraph itself, with unit sizes.
 """
 
 from __future__ import annotations
@@ -33,10 +55,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, permutations, repeat
-from operator import gt, not_, sub
+from operator import add, gt, mul, not_, sub
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -96,6 +118,28 @@ class FiniteGroup:
                 cur = mult[cur][x]
             powers.append(tuple(seq))
         self.powers = tuple(powers)
+        # A generating set, greedily, larger orders first to keep it short
+        # (two elements for S3, S4 and S5); conjugation by its non-central
+        # members generates the inner automorphisms, and there are none
+        # exactly when F is abelian.
+        span, gens = {0}, []
+        for x in sorted(range(n), key=lambda x: -len(powers[x])):
+            if x in span:
+                continue
+            gens.append(x)
+            todo = list(span)
+            while todo:
+                a = todo.pop()
+                for y in gens:
+                    b = mult[a][y]
+                    if b not in span:
+                        span.add(b)
+                        todo.append(b)
+            if len(span) == n:
+                break
+        self.conjugators = tuple(
+            x for x in gens if any(mult[x][y] != mult[y][x] for y in range(n))
+        )
 
     @property
     def order(self) -> int:
@@ -113,8 +157,7 @@ class FiniteGroup:
         return [seq[e % len(seq)] for seq in self.powers]
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.mult[i][j] == self.mult[j][i] for i in range(n) for j in range(i))
+        return not self.conjugators
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
@@ -487,24 +530,27 @@ class RepCensus:
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     """Classify the shift of g.  Zero entropy is decided exactly, from the
     strongly connected components; otherwise `_perron_log` estimates it to
-    tol, which must be finite and positive even when no iteration runs."""
+    tol, which must be finite and positive even when no iteration runs.
+    Past the Finite test both run on the quotient by conjugation (see the
+    module docstring)."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"tol must be a finite positive number, not {tol}")
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
         return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
-    _, offsets, targets = _essential_adjacency(g)
+    nodes, offsets, targets = _essential_adjacency(g)
     # Every essential state keeps an essential successor and predecessor,
     # so the essential subgraph has at least one edge per state, and
     # exactly one iff every in- and out-degree in it is one.
     if len(targets) == ess_count:
         return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
+    sizes, offsets, targets = _orbit_quotient(g, nodes, offsets, targets)
     if _zero_entropy(offsets, targets):
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
-    h = _perron_log(offsets, targets, tol)
+    h = _perron_log(sizes, offsets, targets, tol)
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
@@ -529,6 +575,82 @@ def _essential_adjacency(g: SftGraph) -> tuple[Sequence[int], array, array]:
                 append(index[t])
         mark(len(sub_targets))
     return nodes, sub_offsets, sub_targets
+
+
+def _orbits(
+    g: SftGraph, nodes: Sequence[int]
+) -> tuple[Sequence[int], Sequence[int], Sequence[int], list[int]]:
+    """The orbits of the essential states under conjugation, over the nodes
+    of `_essential_adjacency`, as (members, bounds, orbit, carry), the
+    orbits in CSR form: orbit o is members[bounds[o]:bounds[o + 1]], its
+    representative first; node i lies in orbit orbit[i], and conjugating
+    each digit of the representative's window by carry[i] gives node i's
+    window.  The orbits are found in node order, by a search that
+    conjugates the windows of the essential states alone."""
+    F = g.group
+    count = len(nodes)
+    if count == 1 or not F.conjugators:  # one state per orbit
+        return range(count), range(count + 1), range(count), [0] * count
+    n, mult, inv = F.order, F.mult, F.inv
+    w = max(g.window, 1)
+    digits = []  # digit k of every node's window, most significant first
+    for k in range(w):
+        p = n ** (w - 1 - k)
+        digits.append([s // p % n for s in nodes])
+    position = dict(zip(nodes, range(count)))
+    moves = []  # (x, the node of each node's window conjugated by x)
+    for x in F.conjugators:
+        row, x_inv = mult[x], inv[x]
+        conj = [mult[row[y]][x_inv] for y in range(n)].__getitem__
+        image = map(conj, digits[0])
+        for ds in digits[1:]:
+            image = map(add, map(mul, image, repeat(n)), map(conj, ds))
+        moves.append((x, list(map(position.__getitem__, image))))
+    del digits, position  # free them before the search
+    members: list[int] = []
+    bounds = [0]
+    orbit = [-1] * count
+    carry = [0] * count
+    for i in range(count):
+        if orbit[i] >= 0:
+            continue
+        found = [i]
+        orbit[i] = o = len(bounds) - 1
+        for u in found:  # grows as the search finds the orbit
+            for x, image in moves:
+                v = image[u]
+                if orbit[v] < 0:
+                    orbit[v] = o
+                    carry[v] = mult[x][carry[u]]
+                    found.append(v)
+        members += found
+        bounds.append(len(members))
+    return members, bounds, orbit, carry
+
+
+def _orbit_quotient(
+    g: SftGraph, nodes: Sequence[int], offsets: array, targets: array
+) -> tuple[list[int], array, array]:
+    """The in-flow quotient of the essential subgraph (nodes, offsets,
+    targets) by conjugation, as (sizes, offsets, targets) in CSR form: node
+    o is orbit o of `_orbits`, with sizes[o] states, and has an edge to o'
+    for each predecessor of the representative of o' that lies in o.  That
+    count is sizes[o] * (successors of o's representative in o') /
+    sizes[o'], so only the representatives' successors are read.  With
+    one-state orbits this is the subgraph itself."""
+    members, bounds, orbit, _ = _orbits(g, nodes)
+    sizes = list(map(sub, islice(bounds, 1, None), bounds))
+    if len(sizes) == len(nodes):
+        return sizes, offsets, targets
+    q_offsets = array("I", [0])
+    q_targets = array("I")
+    for lo, size in zip(bounds, sizes):
+        r = members[lo]
+        into = Counter(map(orbit.__getitem__, targets[offsets[r] : offsets[r + 1]]))
+        for o, c in into.items():
+            q_targets.extend(repeat(o, size * c // sizes[o]))
+        q_offsets.append(len(q_targets))
+    return sizes, q_offsets, q_targets
 
 
 def _sccs(offsets: array, targets: array) -> list[int]:
@@ -598,23 +720,25 @@ def entropy(g: SftGraph, tol: float = 1e-6) -> float:
     return census(g, tol).entropy
 
 
-def _perron_log(offsets: array, targets: array, tol: float) -> float:
-    """`entropy` of a graph in CSR form whose entropy is positive.
+def _perron_log(sizes: Sequence[int], offsets: array, targets: array, tol: float) -> float:
+    """`entropy` of a graph in CSR form whose entropy is positive, where
+    node i stands for sizes[i] states of equal value (see `_orbit_quotient`).
 
-    Power iteration on exact integer vectors applied to (A + I); the +I
-    keeps periodic graphs from oscillating.  The growth ratio of the
-    vector sum converges to 1 + the Perron root of A.
+    Power iteration on exact integer vectors, v <- (I + A^T) v from v = 1;
+    the +I keeps periodic graphs from oscillating.  The growth ratio of the
+    vector sum over all states, each node's value counted sizes[i] times,
+    converges to 1 + the Perron root of A.
     """
     n = len(offsets) - 1
     sources = list(_sources(offsets))
     v = [1] * n
     prev_ratio = None
-    total = n
+    total = sum(sizes)
     for _ in range(ENTROPY_MAX_ITER):
         nxt = list(v)  # the +I part
         for s, t in zip(sources, targets):
             nxt[t] += v[s]
-        new_total = sum(nxt)
+        new_total = sum(map(mul, sizes, nxt))
         ratio = new_total / total
         if prev_ratio is not None and abs(ratio - prev_ratio) < tol:
             return math.log(ratio - 1.0) if ratio > 1.0 else 0.0
@@ -624,7 +748,7 @@ def _perron_log(offsets: array, targets: array, tol: float) -> float:
             # renormalize by a power of two to keep integers bounded
             shift = total.bit_length() - 2000
             v = [max(x >> shift, 1) for x in v]
-            total = sum(v)
+            total = sum(map(mul, sizes, v))
             prev_ratio = None
     raise ArithmeticError("entropy iteration did not converge")
 
@@ -635,42 +759,58 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     Each walk gives the label sequence of its states' first coordinates;
     different phases of one orbit are distinct labelings.  Points of
     smaller period dividing max_period appear as their repeated tuples.
+    The walks are searched from one state of each conjugacy orbit (see
+    `_orbits`); those from the others are their conjugates.
     """
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
     N = max_period
     results: list[tuple[int, ...]] = []
     nodes, offsets, targets = _essential_adjacency(g)
-    # the walks read single items, which lists hand out unboxed
-    offsets, targets = offsets.tolist(), targets.tolist()
+    members, bounds, _, carry = _orbits(g, nodes)
     scale = g.group.order ** (max(g.window, 1) - 1)
     first = [s // scale for s in nodes]  # the label of each node
-    if N == 1:  # the self-loops
-        loops = (v for v in range(len(nodes)) if v in targets[offsets[v] : offsets[v + 1]])
-        results = [(first[v],) for v in loops]
+    del nodes  # free it before the lists below
+    # the walks read single items, which lists hand out unboxed
+    offsets, targets = offsets.tolist(), targets.tolist()
+    mult, inv = g.group.mult, g.group.inv
     last = N - 1
-    for start in range(len(nodes)) if N > 1 else ():
-        # DFS over walks start = v0, v1, ..., v(N-1), where iters[d] yields
-        # the candidates for v(d+1); the walk closes iff start follows
-        # v(N-1), which a search of its ascending successors tells
-        path = [start]
-        iters = [iter(targets[offsets[start] : offsets[start + 1]])]
-        while iters:
-            v = next(iters[-1], None)
-            if v is None:
-                iters.pop()
-                path.pop()
-                continue
-            if len(iters) < last:
-                path.append(v)
-                iters.append(iter(targets[offsets[v] : offsets[v + 1]]))
-                continue
-            hi = offsets[v + 1]
-            j = bisect_left(targets, start, offsets[v], hi)
-            if j < hi and targets[j] == start:
-                results.append(tuple(map(first.__getitem__, path)) + (first[v],))
-                if len(results) > STATE_CAP:
-                    raise CapExceeded("periodic labeling count exceeds cap")
+    for lo, hi in zip(bounds, islice(bounds, 1, None)):
+        start = members[lo]
+        found = len(results)
+        if N == 1:  # the self-loops
+            if start in targets[offsets[start] : offsets[start + 1]]:
+                results.append((first[start],))
+        else:
+            # DFS over walks start = v0, v1, ..., v(N-1), where iters[d]
+            # yields the candidates for v(d+1); the walk closes iff start
+            # follows v(N-1), which a search of its ascending successors tells
+            path = [start]
+            iters = [iter(targets[offsets[start] : offsets[start + 1]])]
+            while iters:
+                v = next(iters[-1], None)
+                if v is None:
+                    iters.pop()
+                    path.pop()
+                    continue
+                if len(iters) < last:
+                    path.append(v)
+                    iters.append(iter(targets[offsets[v] : offsets[v + 1]]))
+                    continue
+                end = offsets[v + 1]
+                j = bisect_left(targets, start, offsets[v], end)
+                if j < end and targets[j] == start:
+                    results.append(tuple(map(first.__getitem__, path)) + (first[v],))
+                    if len(results) > STATE_CAP:
+                        raise CapExceeded("periodic labeling count exceeds cap")
+        if len(results) == found or hi - lo == 1:
+            continue
+        walks = results[found:]
+        if len(results) + len(walks) * (hi - lo - 1) > STATE_CAP:
+            raise CapExceeded("periodic labeling count exceeds cap")
+        for u in members[lo + 1 : hi]:
+            row, h_inv = mult[carry[u]], inv[carry[u]]
+            results += [tuple([mult[row[x]][h_inv] for x in walk]) for walk in walks]
     results.sort()
     labels = g.group.labels
     return [tuple(labels[x] for x in tup) for tup in results]

@@ -14,7 +14,10 @@ and propagation one Fraction per step, entropy by a dense eigenvalue call,
 shift-graph edges by evaluating every template on every window, the
 essential states of a graph by repeated degree counts, closed walks by an exact matrix power, the
 census class by degree counts and reachability, strongly connected
-components by a breadth-first search from every state, and Brown's
+components by a breadth-first search from every state, the census and the
+periodic labelings of a shift graph from every essential state, not from
+one state per conjugacy orbit (Kosaraju's components, the exact power
+iteration over all states, a depth-first search from every start), and Brown's
 finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
 
@@ -714,6 +717,127 @@ def census_class(n, edges):
     if any(sum(1 for j in range(k) if a[i][j] and reach[j][i]) >= 2 for i in range(k)):
         return "PositiveEntropy", None
     return "InfiniteZeroEntropy", None
+
+
+# -- census and periodic points over every essential state ---------------
+
+
+def _essential_lists(graph):
+    """(nodes, succ): the essential states in state order, and for each the
+    positions of its essential successors, ascending."""
+    ess = graph.essential
+    nodes = [s for s in range(graph.state_count) if ess[s]]
+    pos = {s: i for i, s in enumerate(nodes)}
+    return nodes, [[pos[t] for t in graph.successors[s] if ess[t]] for s in nodes]
+
+
+def _components_kosaraju(succ):
+    """The strongly connected component of each state, by Kosaraju's two
+    passes: depth-first finishing order, then reachability over the
+    reversed edges in reverse finishing order."""
+    n = len(succ)
+    seen, order = [False] * n, []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for u in it:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append((u, iter(succ[u])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    pred = [[] for _ in range(n)]
+    for v in range(n):
+        for u in succ[v]:
+            pred[u].append(v)
+    comp, count = [-1] * n, 0
+    for root in reversed(order):
+        if comp[root] >= 0:
+            continue
+        comp[root] = count
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for u in pred[v]:
+                if comp[u] < 0:
+                    comp[u] = count
+                    stack.append(u)
+        count += 1
+    return comp
+
+
+def perron_log_over_states(succ, tol, max_iter=100000):
+    """The power iteration of `repshift._perron_log` as it ran over every
+    essential state, before the quotient by conjugation: exact integer
+    vectors v <- (I + A^T) v from v = 1, the vector sum's growth ratio
+    compared from step to step, and every entry floored by the same power
+    of two once the sum passes 4000 bits."""
+    n = len(succ)
+    v = [1] * n
+    prev_ratio = None
+    total = n
+    for _ in range(max_iter):
+        nxt = list(v)
+        for s, targets in enumerate(succ):
+            for t in targets:
+                nxt[t] += v[s]
+        new_total = sum(nxt)
+        ratio = new_total / total
+        if prev_ratio is not None and abs(ratio - prev_ratio) < tol:
+            return math.log(ratio - 1.0) if ratio > 1.0 else 0.0
+        prev_ratio = ratio
+        v, total = nxt, new_total
+        if total.bit_length() > 4000:
+            shift = total.bit_length() - 2000
+            v = [max(x >> shift, 1) for x in v]
+            total = sum(v)
+            prev_ratio = None
+    raise ArithmeticError("entropy iteration did not converge")
+
+
+def census_over_states(graph, tol=1e-6):
+    """(classification, count, entropy) of a shift graph from every
+    essential state: one state is OnlyTrivial, one essential successor each
+    is Finite, no state with two successors in its own component (by
+    Kosaraju) has zero entropy, and otherwise `perron_log_over_states`."""
+    nodes, succ = _essential_lists(graph)
+    if len(nodes) == 1:
+        return "OnlyTrivial", 1, 0.0
+    if all(len(targets) == 1 for targets in succ):
+        return "Finite", len(nodes), 0.0
+    comp = _components_kosaraju(succ)
+    if all(sum(comp[t] == comp[s] for t in targets) < 2 for s, targets in enumerate(succ)):
+        return "InfiniteZeroEntropy", None, 0.0
+    return "PositiveEntropy", None, perron_log_over_states(succ, tol)
+
+
+def periodic_by_search_from_every_state(graph, length):
+    """The labelings of the closed walks of the given length, sorted: a
+    depth-first search from every essential state over all walks, each
+    labeled by the first coordinates of its states."""
+    nodes, succ = _essential_lists(graph)
+    scale = graph.group.order ** (max(graph.window, 1) - 1)
+    first = [s // scale for s in nodes]
+    found = []
+
+    def walk(path):
+        if len(path) == length:
+            if path[0] in succ[path[-1]]:
+                found.append(tuple(first[v] for v in path))
+            return
+        for u in succ[path[-1]]:
+            walk(path + [u])
+
+    for start in range(len(nodes)):
+        walk([start])
+    labels = graph.group.labels
+    return [tuple(labels[x] for x in tup) for tup in sorted(found)]
 
 
 def sccs_by_reachability(successors):

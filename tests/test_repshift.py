@@ -8,13 +8,23 @@ import tracemalloc
 import pytest
 
 from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
-from oracles import brute_successors, graph_from_lists, perron_entropy, state_digits
+from oracles import (
+    brute_successors,
+    census_over_states,
+    graph_from_lists,
+    perron_entropy,
+    periodic_by_search_from_every_state,
+    perron_log_over_states,
+    state_digits,
+)
 from cycover.repshift import (
     STATE_CAP,
     BadGroupTable,
     CapExceeded,
     FiniteGroup,
     MultiSymbolUnsupported,
+    SftGraph,
+    Successors,
     build_sft,
     census,
     entropy,
@@ -436,21 +446,159 @@ def test_census_family3_s3_positive_entropy():
 
 
 def test_census_builds_the_essential_subgraph_once(monkeypatch):
-    g = family_sft(3, FiniteGroup.symmetric(3))
+    # family(3) over S3 iterates on 6 orbits of its 22 essential states;
+    # the Klein graph of 4 states, over an abelian group, on the essential
+    # subgraph itself.  Each census builds that graph once, and entropy,
+    # which is read from the census, builds no second one.
     builds = []
-    adjacency = repshift._essential_adjacency
+    for name in ("_essential_adjacency", "_orbit_quotient"):
 
-    def counting_adjacency(graph):
-        builds.append(graph)
-        return adjacency(graph)
+        def counting(*args, _build=getattr(repshift, name), _name=name):
+            builds.append(_name)
+            return _build(*args)
 
-    monkeypatch.setattr(repshift, "_essential_adjacency", counting_adjacency)
-    c = census(g)
-    assert c.classification == "PositiveEntropy"
-    assert len(builds) == 1
-    builds.clear()
-    assert entropy(g) == c.entropy
-    assert len(builds) == 1
+        monkeypatch.setattr(repshift, name, counting)
+    klein = FiniteGroup.from_table(KLEIN_TABLE)
+    nonabelian = family_sft(3, FiniteGroup.symmetric(3))
+    abelian = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
+    for g in (nonabelian, abelian):
+        builds.clear()
+        c = census(g)
+        assert c.classification == "PositiveEntropy"
+        assert builds == ["_essential_adjacency", "_orbit_quotient"]
+        builds.clear()
+        assert entropy(g) == c.entropy
+        assert builds == ["_essential_adjacency", "_orbit_quotient"]
+    nodes, offsets, targets = repshift._essential_adjacency(abelian)
+    sizes, q_offsets, q_targets = repshift._orbit_quotient(abelian, nodes, offsets, targets)
+    assert sizes == [1] * 4 and q_offsets is offsets and q_targets is targets
+    nodes, offsets, targets = repshift._essential_adjacency(nonabelian)
+    sizes, q_offsets, q_targets = repshift._orbit_quotient(nonabelian, nodes, offsets, targets)
+    assert sum(sizes) == 22 and len(sizes) == 6 and len(q_targets) < len(targets)
+
+
+def _s3_graph(rule):
+    """A window-1 graph over S3 with an edge x -> y wherever rule(x, y)
+    holds.  A rule that reads only element orders, equality and the
+    identity is invariant under conjugation, as every shift graph is."""
+    s3 = FiniteGroup.symmetric(3)
+    order = [len(seq) for seq in s3.powers]
+    rows = [(0, [y for y in range(6) if rule(order[x], order[y], x == y)]) for x in range(6)]
+    return SftGraph(window=1, group=s3, successors=Successors.from_rows(rows))
+
+
+# The identity loops alone.  Each transposition loops and goes to the
+# identity, each 3-cycle loops: one point per letter plus the rays that
+# leave a transposition, countably many.
+S3_ZERO_ENTROPY = _s3_graph(lambda ox, oy, same: same or (ox, oy) == (2, 1))
+# The identity loops alone.  Each transposition goes to the other two and to
+# both 3-cycles, and the 3-cycles go to each other and loop: two components
+# of Perron root 2, one feeding the other, so the power iteration converges
+# like 1/k and its sum passes 4000 bits long before the ratios settle.
+S3_CHAINED = _s3_graph(
+    lambda ox, oy, same: (ox, oy) == (1, 1) or (ox == 2 and oy > 1 and not same) or ox == oy == 3
+)
+
+WEIGHT_ZERO_PAIRS = (
+    (3, 1), (5, 2), (5, 3), (7, 2), (7, 3), (7, 4), (9, 4), (9, 5), (11, 5), (11, 6), (13, 7),
+)
+
+
+def _orbit_test_graphs(rng):
+    """Shift graphs over groups with and without inner automorphisms: the
+    knots of family(1..10) and the weight-zero two-bridge forms over S3, S4,
+    S5, D4, Q8, Z6 and the Klein group, seeded random templates over S3, D4,
+    Q8 and S4, the full shift on the Klein group, a width-0 template over
+    S3, and the two graphs over S3 built by hand."""
+    pairs = [(family_presentation(n), {"u": 1, "a": 0}) for n in range(1, 11)]
+    pairs += [weight_zero_form(p, q) for p, q in WEIGHT_ZERO_PAIRS]
+    s3, s4, d4, q8 = (
+        FiniteGroup.symmetric(3),
+        FiniteGroup.symmetric(4),
+        _group_from_rows(D4_TABLE),
+        _group_from_rows(Q8_TABLE),
+    )
+    klein = FiniteGroup.from_table(KLEIN_TABLE)
+    groups = [s3, s4, FiniteGroup.symmetric(5), d4, q8, FiniteGroup.cyclic(6), klein]
+    for group in groups:
+        for pres, chi in pairs:
+            sp = reidemeister_schreier(pres, chi)
+            if group.order ** sp.width <= STATE_CAP:
+                yield build_sft(sp, group)
+    for case in range(40):
+        group = (s3, d4, q8, s4)[case % 4]
+        width = rng.choice([w for w in (1, 2, 3) if group.order**w <= 576])
+        tpls = [_random_template(rng, width, rng.choice((1, 2, 3)))]
+        if rng.random() < 0.3:
+            tpls.append(_random_template(rng, rng.randrange(1, width + 1), 1))
+        pres = parse_presentation("<t, a | " + ", ".join(_relator(t) for t in tpls) + ">")
+        yield sft(pres, {"t": 1, "a": 0}, group)
+    yield sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
+    # width 0: x^2 = 1 keeps the identity and the transpositions, each
+    # followed by every element
+    yield build_sft(ShiftPresentation(symbols=("a",), templates=((("a", 0, 2),),)), s3)
+    yield S3_ZERO_ENTROPY
+    yield S3_CHAINED
+
+
+def test_orbit_census_and_walks_equal_the_search_over_every_state():
+    # The census iterates on conjugacy orbits and the walks are searched
+    # from one state per orbit; the oracles run over every essential state.
+    # Class, count and entropy must agree exactly, not to a tolerance.
+    rng = random.Random(24)
+    seen = set()
+    for g in _orbit_test_graphs(rng):
+        got = census(g)
+        assert (got.classification, got.count, got.entropy) == census_over_states(g), g.group.name
+        seen.add((g.group.is_abelian(), got.classification))
+        # Over S5 the search from every state takes seconds beyond period
+        # 3, so periods 4 and 5 are walked on the smaller graphs only.
+        top = 5 if g.group.order < 120 or g.essential_count <= 1000 else 3
+        for period in range(1, top + 1):
+            want = periodic_by_search_from_every_state(g, period)
+            assert enumerate_periodic(g, period) == want, (g.group.name, period)
+    classes = ("OnlyTrivial", "Finite", "InfiniteZeroEntropy", "PositiveEntropy")
+    assert {(False, c) for c in classes} <= seen
+    assert {(True, "OnlyTrivial"), (True, "Finite"), (True, "PositiveEntropy")} <= seen
+
+
+def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
+    # S3_CHAINED has orbits of 1, 3 and 2 states.  At these tolerances its
+    # vector is floored by a power of two, entry by entry, before the ratios
+    # settle; the floors of the orbit values must be the floors of the
+    # state values, so the floats agree bit for bit.
+    g = S3_CHAINED
+    nodes, offsets, targets = repshift._essential_adjacency(g)
+    assert repshift._orbit_quotient(g, nodes, offsets, targets)[0] == [1, 3, 2]
+    # The 3-cycles alone give a sum of at least 2 * 3^k after k steps, past
+    # 4000 bits from k = 2524 on, and at 1e-7 the ratios still differ then.
+    assert g.essential_count == 6
+    with pytest.raises(ArithmeticError):
+        perron_log_over_states([list(t) for t in g.successors], 1e-7, max_iter=2600)
+    for tol in (1e-7, 1e-8):
+        assert census(g, tol).entropy == census_over_states(g, tol)[2]
+    # log 2 is approached like 1/k, from above
+    assert 0 < census(g, 1e-8).entropy - math.log(2) < 1e-3
+
+
+def test_conjugators_are_non_central_and_generate_the_inner_automorphisms():
+    groups = [FiniteGroup.symmetric(k) for k in range(1, 6)]
+    groups += [FiniteGroup.cyclic(n) for n in (1, 2, 6, 12)]
+    groups += [FiniteGroup.from_table(KLEIN_TABLE), _group_from_rows(D4_TABLE)]
+    groups.append(_group_from_rows(Q8_TABLE))
+    for group in groups:
+        n, mult = group.order, group.mult
+        centre = {z for z in range(n) if all(mult[z][y] == mult[y][z] for y in range(n))}
+        assert group.is_abelian() == (len(centre) == n)
+        assert not centre & set(group.conjugators)
+        span = set(centre)
+        while True:
+            grown = span | {mult[a][x] for a in span for x in group.conjugators}
+            if grown == span:
+                break
+            span = grown
+        assert span == set(range(n)), group.name
+    assert all(len(FiniteGroup.symmetric(k).conjugators) == 2 for k in (3, 4, 5))
 
 
 def test_census_family3_z3_only_trivial():
@@ -585,6 +733,19 @@ def test_periodic_family3_s3_contains_paper_orbit():
     orbit = ("(12)", "(12)", "(123)", "(23)", "(23)", "(123)", "(13)", "(13)", "(123)")
     assert orbit in labelings
     assert len(labelings) == 82
+
+
+def test_periodic_cap_counts_the_walks_of_every_orbit(monkeypatch):
+    # family(3) over S3 has 82 labelings of period 9, found from one state
+    # per orbit and conjugated into the rest: the cap is passed exactly when
+    # their number exceeds it, during the search or when conjugating.
+    g = family_sft(3, FiniteGroup.symmetric(3))
+    for cap in (0, 1, 5, 40, 81):
+        monkeypatch.setattr(repshift, "STATE_CAP", cap)
+        with pytest.raises(CapExceeded):
+            enumerate_periodic(g, 9)
+    monkeypatch.setattr(repshift, "STATE_CAP", 82)
+    assert len(enumerate_periodic(g, 9)) == 82
 
 
 def test_periodic_labelings_are_solutions():
