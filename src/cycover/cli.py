@@ -314,13 +314,17 @@ def _group_from_args(args) -> FiniteGroup:
 
 
 def _cmd_reps(args) -> None:
-    from .repshift import build_sft, census, enumerate_periodic
+    from .repshift import build_sft, census, check_max_period, check_tol, enumerate_periodic
     from .rscover import reidemeister_schreier
 
     p, text = _load_presentation(args.file)
     chi = _resolve_chi(p, args.chi)
     F = _group_from_args(args)
     sp = reidemeister_schreier(p, chi)
+    # fail before the graph is built, not after it
+    check_tol(args.tol)
+    if args.max_period is not None:
+        check_max_period(args.max_period)
     graph = build_sft(sp, F)
     c = census(graph, tol=args.tol)
     labelings = None if args.max_period is None else enumerate_periodic(graph, args.max_period)

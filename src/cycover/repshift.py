@@ -31,23 +31,28 @@ Conjugating every coordinate of a window by one element of F maps the
 graph onto itself: a template is a word, so its value on the conjugated
 window is the conjugate of its value, trivial exactly when that is.  So
 conjugation permutes the states, the edges and the essential states, and
-the census and the periodic walks work on its orbits (Lind-Marcus,
-*Symbolic Dynamics and Coding*, 4.4; Godsil-Royle, *Algebraic Graph
-Theory*, 9.3).  `_orbits` finds the orbits of the essential states by
-conjugating their windows, digit by digit, with `FiniteGroup.conjugators`,
-and records for each state an element that carries its orbit's
-representative there.  The power iteration of the entropy,
-v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs on the
-in-flow quotient, where orbit O' has an edge from orbit O for each
-predecessor of rep(O') in O: |O| * (successors of rep(O) in O') / |O'|
-of them.  Each vector sum counts an orbit's value |O| times, so every
+the trim, the census and the periodic walks work on its orbits
+(Lind-Marcus, *Symbolic Dynamics and Coding*, 4.4; Godsil-Royle,
+*Algebraic Graph Theory*, 9.3).  When the graph is built, every window
+gets the label of its orbit from a canonical form, one digit at a time:
+the first digit goes to its class, then each prefix's stabilizer acts on
+the next digit (`_label_orbits`).  The trim runs on the orbit graph, with
+an edge from each orbit to the orbit of each successor of its
+representative: a state is essential exactly when its orbit is.  The
+census reads only the orbit sizes and the representatives' essential
+successors.  Every essential state has as many of those as its
+representative, which gives the Finite test.  The power iteration of the
+entropy, v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it
+runs on the in-flow quotient, where orbit O' has an edge from orbit O for
+each predecessor of rep(O') in O: |O| * (successors of rep(O) in O') /
+|O'| of them.  Each vector sum counts an orbit's value |O| times, so every
 integer of the iteration, the floors that keep it bounded included, is the
 one the iteration over all states gives, and so is the entropy.  The
 quotient has the Perron root of the essential subgraph, so its components
 decide zero entropy too.  Closed walks are searched from each orbit's
 representative and conjugated into those of the other states.  An abelian
-F has no conjugators: every orbit is one state, and the quotient is the
-essential subgraph itself, with unit sizes.
+F has no inner automorphisms: the graph keeps no labels, every orbit is
+one state, and the quotient is the essential subgraph itself.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, permutations, repeat
-from operator import add, gt, mul, not_, sub
+from operator import gt, mul, not_, sub
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -91,18 +96,17 @@ class FiniteGroup:
             raise BadGroupTable("empty group")
         if len(mult) != n or any(len(row) != n for row in mult):
             raise BadGroupTable("multiplication table is not square")
-        for row in mult:
-            if any(not 0 <= x < n for x in row):
-                raise BadGroupTable("table entry out of range")
+        if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
+            raise BadGroupTable("table entry out of range")
         # identity checks
         for i in range(n):
             if mult[0][i] != i or mult[i][0] != i:
                 raise BadGroupTable("element 0 is not an identity")
         # Latin square (cancellation laws)
         full = set(range(n))
-        for i in range(n):
-            if set(mult[i]) != full or {mult[j][i] for j in range(n)} != full:
-                raise BadGroupTable("table is not a Latin square")
+        cols = tuple(zip(*mult))  # cols[x][g] = g x
+        if any(set(row) != full for row in mult) or any(set(col) != full for col in cols):
+            raise BadGroupTable("table is not a Latin square")
         self.name = name
         self.labels = labels
         self.mult = mult
@@ -140,6 +144,18 @@ class FiniteGroup:
         self.conjugators = tuple(
             x for x in gens if any(mult[x][y] != mult[y][x] for y in range(n))
         )
+        # Conjugation rows, conj[g][x] = g x g^-1, the order of the centre,
+        # the conjugacy classes, with their least members and those members'
+        # centralizers, as the table of the empty window, and the tables of
+        # those members, the orbits of their centralizers on a second digit
+        # (see `_orbit_tables`): none of them for an abelian F.
+        self.conj = self.classes = self.pairs = None
+        self.centre_order = n
+        if self.conjugators:
+            self.conj = tuple(tuple(map(cols[i].__getitem__, row)) for row, i in zip(mult, self.inv))
+            self.centre_order = self.conj.count(self.conj[0])
+            self.classes = _orbit_tables(self, [0], [range(n)])
+            self.pairs = _orbit_tables(self, *self.classes[1:])
 
     @property
     def order(self) -> int:
@@ -180,8 +196,10 @@ class FiniteGroup:
             raise BadGroupTable(f"symmetric degree must be in [1, 5], got {k}")
         perms = sorted(permutations(range(k)))
         index = {p: i for i, p in enumerate(perms)}
+        # row f holds f*g = f[g[.]] for every g, composed and looked up in C
         mult = tuple(
-            tuple(index[tuple(f[g[x]] for x in range(k))] for g in perms) for f in perms
+            tuple(map(index.__getitem__, map(tuple, map(map, repeat(f.__getitem__), perms))))
+            for f in perms
         )
         labels = tuple(_cycle_notation(p) for p in perms)
         return cls(f"symmetric({k})", labels, mult)
@@ -305,16 +323,36 @@ class SftGraph:
 
     `successors` holds the edges in CSR form (see `Successors`).  `essential`
     is a bytearray, 1 for the states left by the trim: those on a
-    biinfinite path.
+    biinfinite path.  `orbits` holds the conjugacy orbits of the states
+    (see `Orbits`), None over an abelian F, where each orbit is one state.
+    The successors must be invariant under conjugation, as `build_sft`'s
+    are: the trim runs on the orbits.
     """
 
-    __slots__ = ("window", "group", "successors", "essential")
+    __slots__ = ("window", "group", "successors", "orbits", "essential")
 
     def __init__(self, window: int, group: FiniteGroup, successors: Successors):
         self.window = window
         self.group = group
         self.successors = successors
-        self.essential = _trim(successors)
+        if group.is_abelian():
+            self.orbits = None
+            self.essential = _trim(successors)
+            return
+        self.orbits = orbits = _label_orbits(group, max(window, 1))
+        # The orbit graph: an edge from orbit o to the orbit of each
+        # successor of its representative.  Conjugation is an automorphism,
+        # so a state survives the trim exactly when its orbit does.
+        label, offsets, targets = orbits.label, successors.offsets, successors.targets
+        q_offsets, q_targets = array("I", [0]), array("I")
+        for r in orbits.reps:
+            q_targets.extend(map(label.__getitem__, targets[offsets[r] : offsets[r + 1]]))
+            q_offsets.append(len(q_targets))
+        orbits.essential = alive = _trim(Successors(q_offsets, q_targets))
+        if 0 in alive:
+            self.essential = bytearray(map(list(alive).__getitem__, label))  # lists index faster
+        else:
+            self.essential = bytearray(b"\x01") * len(label)
 
     @property
     def state_count(self) -> int:
@@ -323,6 +361,120 @@ class SftGraph:
     @property
     def essential_count(self) -> int:
         return self.essential.count(1)
+
+
+class Orbits:
+    """The orbits of the windows of a graph under conjugation by F.
+
+    State s lies in orbit label[s].  Orbit o has sizes[o] states, its least
+    state reps[o] is its representative, and essential[o] is 1 when its
+    states are essential.  `carry(s)` is an element whose conjugation
+    carries the window of the representative of s's orbit to that of s.
+    """
+
+    __slots__ = ("label", "reps", "sizes", "essential", "_group", "_prefixes")
+
+    def __init__(self, F: FiniteGroup, label, reps, sizes, prefixes):
+        self.label = label
+        self.reps = reps
+        self.sizes = sizes
+        self.essential = None
+        self._group = F
+        self._prefixes = prefixes  # (tables, label, carry) of the prefixes
+
+    def carry(self, s: int) -> int:
+        F = self._group
+        tables, label, carry = self._prefixes
+        p, x = divmod(s, F.order)
+        h = carry[p]
+        row_carry = tables[label[p]][1]
+        return h if row_carry is None else F.mult[h][row_carry[F.conj[F.inv[h]][x]]]
+
+
+def _label_orbits(F: FiniteGroup, w: int) -> Orbits:
+    """The conjugacy orbits of the windows of w >= 1 digits over a
+    non-abelian F, labelled by a canonical form, one digit at a time
+    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*).
+
+    A window (p, x) whose prefix p is h . r, with r the representative of
+    the prefix's orbit, is conjugate by h to (r, h^-1 x h), and the
+    stabilizer of r moves only that last digit.  So each orbit of prefixes
+    has a table over F (`_orbit_tables`), and a window costs one lookup in
+    its prefix's table.  The empty window's table is the conjugacy classes,
+    and it comes with F, as do the tables of the windows of one digit.  The
+    carriers, one multiplication more per window, are derived for the
+    prefixes only; `Orbits.carry` gives those of the windows on demand.
+    """
+    tables, reps, stabs = F.classes
+    label, carry = [0], [0]  # the empty window
+    for k in range(1, w):
+        label, carry = _extend(F, tables, label, carry)
+        tables, reps, stabs = F.pairs if k == 1 else _orbit_tables(F, reps, stabs)
+    n, conj, inv = F.order, F.conj, F.inv
+    last: list[int] = []
+    for o, h in zip(label, carry):
+        last += map(tables[o][0].__getitem__, conj[inv[h]])
+    return Orbits(F, last, reps, [n // len(stab) for stab in stabs], (tables, label, carry))
+
+
+def _orbit_tables(F: FiniteGroup, reps, stabs):
+    """The tables of orbits of windows, given by their representatives and
+    their stabilizers (the elements of F, ascending, that fix them by
+    conjugation), with the representatives and stabilizers of the orbits
+    of windows one digit longer, as (tables, reps, stabs).
+
+    Table o is a pair of rows over the new digit y: the orbit of the window
+    (reps[o], y), and an element of stabs[o] that conjugates the least
+    digit of that orbit to y; or, when stabs[o] is the centre, which moves
+    no digit, a range and None: each y is an orbit of its own.
+    """
+    n, conj = F.order, F.conj
+    tables = []
+    new_reps: list[int] = []
+    new_stabs: list = []
+    for r, stab in zip(reps, stabs):
+        first = len(new_reps)
+        r *= n
+        if len(stab) == F.centre_order:
+            tables.append((range(first, first + n), None))
+            new_reps += range(r, r + n)
+            new_stabs += repeat(stab, n)
+            continue
+        row_label, row_carry = [-1] * n, [0] * n
+        for y in range(n):
+            if row_label[y] >= 0:
+                continue
+            o = len(new_reps)
+            new_reps.append(r + y)
+            fix = []
+            for c in stab:
+                x = conj[c][y]
+                if x == y:
+                    fix.append(c)
+                if row_label[x] < 0:
+                    row_label[x] = o
+                    row_carry[x] = c
+            new_stabs.append(fix if len(fix) < len(stab) else stab)
+        tables.append((row_label, row_carry))
+    return tables, new_reps, new_stabs
+
+
+def _extend(F: FiniteGroup, tables, label, carry):
+    """The labels and carriers of the windows one digit longer than those
+    given, from `_orbit_tables`; a prefix's carrier h takes the new digit x
+    to h^-1 x h, and the table's carrier c makes the window's h c."""
+    n, mult, conj, inv = F.order, F.mult, F.conj, F.inv
+    new_label: list[int] = []
+    new_carry: list[int] = []
+    for o, h in zip(label, carry):
+        row_label, row_carry = tables[o]
+        back = conj[inv[h]]
+        new_label += map(row_label.__getitem__, back)
+        if row_carry is None:
+            new_carry += repeat(h, n)
+        else:
+            new_carry += map(mult[h].__getitem__, map(row_carry.__getitem__, back))
+    return new_label, new_carry
 
 
 def _trim(successors: Successors) -> bytearray:
@@ -527,25 +679,35 @@ class RepCensus:
         self.essential_count = essential_count
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the census tolerance is finite and positive."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be a finite positive number, not {tol}")
+
+
+def check_max_period(max_period: int) -> None:
+    """Raise ValueError unless the walk length is at least 1."""
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+
+
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     """Classify the shift of g.  Zero entropy is decided exactly, from the
     strongly connected components; otherwise `_perron_log` estimates it to
     tol, which must be finite and positive even when no iteration runs.
-    Past the Finite test both run on the quotient by conjugation (see the
-    module docstring)."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"tol must be a finite positive number, not {tol}")
+    Past the OnlyTrivial test it reads only the orbit sizes and the
+    representatives' successors (`_essential_edges`, `_orbit_graph`)."""
+    check_tol(tol)
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
         return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
-    nodes, offsets, targets = _essential_adjacency(g)
     # Every essential state keeps an essential successor and predecessor,
     # so the essential subgraph has at least one edge per state, and
     # exactly one iff every in- and out-degree in it is one.
-    if len(targets) == ess_count:
+    if _essential_edges(g) == ess_count:
         return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
-    sizes, offsets, targets = _orbit_quotient(g, nodes, offsets, targets)
+    sizes, offsets, targets = _orbit_graph(g)
     if _zero_entropy(offsets, targets):
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
@@ -554,103 +716,67 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
-def _essential_adjacency(g: SftGraph) -> tuple[Sequence[int], array, array]:
-    """The subgraph on the essential states, in CSR form, as (nodes,
-    offsets, targets): node i is state nodes[i], in state order.  When
-    every state is essential this is the graph itself."""
+def _essential_edges(g: SftGraph) -> int:
+    """The edge count of the essential subgraph: every state of orbit O
+    has as many essential successors as its representative."""
     ess = g.essential
     offsets, targets = g.successors.offsets, g.successors.targets
     if 0 not in ess:
-        return range(len(ess)), offsets, targets
-    nodes = list(compress(range(len(ess)), ess))
-    index = array("I", bytes(4 * len(ess)))
-    for i, s in enumerate(nodes):
-        index[s] = i
-    sub_offsets = array("I", [0])
-    sub_targets = array("I")
-    append, mark = sub_targets.append, sub_offsets.append
-    for s in nodes:
-        for t in targets[offsets[s] : offsets[s + 1]]:
-            if ess[t]:
-                append(index[t])
-        mark(len(sub_targets))
-    return nodes, sub_offsets, sub_targets
+        return len(targets)
+    if g.orbits is None:
+        reps, sizes = compress(range(len(ess)), ess), repeat(1)
+    else:
+        live = g.orbits.essential
+        reps, sizes = compress(g.orbits.reps, live), compress(g.orbits.sizes, live)
+    return sum(
+        size * sum(map(ess.__getitem__, targets[offsets[r] : offsets[r + 1]]))
+        for r, size in zip(reps, sizes)
+    )
 
 
-def _orbits(
-    g: SftGraph, nodes: Sequence[int]
-) -> tuple[Sequence[int], Sequence[int], Sequence[int], list[int]]:
-    """The orbits of the essential states under conjugation, over the nodes
-    of `_essential_adjacency`, as (members, bounds, orbit, carry), the
-    orbits in CSR form: orbit o is members[bounds[o]:bounds[o + 1]], its
-    representative first; node i lies in orbit orbit[i], and conjugating
-    each digit of the representative's window by carry[i] gives node i's
-    window.  The orbits are found in node order, by a search that
-    conjugates the windows of the essential states alone."""
-    F = g.group
-    count = len(nodes)
-    if count == 1 or not F.conjugators:  # one state per orbit
-        return range(count), range(count + 1), range(count), [0] * count
-    n, mult, inv = F.order, F.mult, F.inv
-    w = max(g.window, 1)
-    digits = []  # digit k of every node's window, most significant first
-    for k in range(w):
-        p = n ** (w - 1 - k)
-        digits.append([s // p % n for s in nodes])
-    position = dict(zip(nodes, range(count)))
-    moves = []  # (x, the node of each node's window conjugated by x)
-    for x in F.conjugators:
-        row, x_inv = mult[x], inv[x]
-        conj = [mult[row[y]][x_inv] for y in range(n)].__getitem__
-        image = map(conj, digits[0])
-        for ds in digits[1:]:
-            image = map(add, map(mul, image, repeat(n)), map(conj, ds))
-        moves.append((x, list(map(position.__getitem__, image))))
-    del digits, position  # free them before the search
-    members: list[int] = []
-    bounds = [0]
-    orbit = [-1] * count
-    carry = [0] * count
-    for i in range(count):
-        if orbit[i] >= 0:
-            continue
-        found = [i]
-        orbit[i] = o = len(bounds) - 1
-        for u in found:  # grows as the search finds the orbit
-            for x, image in moves:
-                v = image[u]
-                if orbit[v] < 0:
-                    orbit[v] = o
-                    carry[v] = mult[x][carry[u]]
-                    found.append(v)
-        members += found
-        bounds.append(len(members))
-    return members, bounds, orbit, carry
-
-
-def _orbit_quotient(
-    g: SftGraph, nodes: Sequence[int], offsets: array, targets: array
-) -> tuple[list[int], array, array]:
-    """The in-flow quotient of the essential subgraph (nodes, offsets,
-    targets) by conjugation, as (sizes, offsets, targets) in CSR form: node
-    o is orbit o of `_orbits`, with sizes[o] states, and has an edge to o'
-    for each predecessor of the representative of o' that lies in o.  That
-    count is sizes[o] * (successors of o's representative in o') /
-    sizes[o'], so only the representatives' successors are read.  With
-    one-state orbits this is the subgraph itself."""
-    members, bounds, orbit, _ = _orbits(g, nodes)
-    sizes = list(map(sub, islice(bounds, 1, None), bounds))
-    if len(sizes) == len(nodes):
-        return sizes, offsets, targets
+def _orbit_graph(g: SftGraph) -> tuple[list[int], array, array]:
+    """The in-flow quotient of the essential subgraph by conjugation, as
+    (sizes, offsets, targets): node i, in CSR form, is the i-th essential
+    orbit, with sizes[i] states, and has an edge to orbit o' for each
+    predecessor of the representative of o' that lies in orbit i.  That
+    count is sizes[i] * (successors of i's representative in o') /
+    sizes[o'], so only the representatives' successors are read.  Over an
+    abelian F this is the essential subgraph itself, with unit sizes, and
+    when every state is essential, the graph."""
+    ess = g.essential
+    offsets, targets = g.successors.offsets, g.successors.targets
+    orbits = g.orbits
+    if orbits is None:
+        if 0 not in ess:
+            return [1] * len(ess), offsets, targets
+        nodes = list(compress(range(len(ess)), ess))
+        index = array("I", bytes(4 * len(ess)))
+        for i, s in enumerate(nodes):
+            index[s] = i
+        sub_offsets = array("I", [0])
+        sub_targets = array("I")
+        append, mark = sub_targets.append, sub_offsets.append
+        for s in nodes:
+            for t in targets[offsets[s] : offsets[s + 1]]:
+                if ess[t]:
+                    append(index[t])
+            mark(len(sub_targets))
+        return [1] * len(nodes), sub_offsets, sub_targets
+    label, reps, sizes = orbits.label, orbits.reps, orbits.sizes
+    live = list(compress(range(len(reps)), orbits.essential))
+    index = [0] * len(reps)
+    for i, o in enumerate(live):
+        index[o] = i
+    live_sizes = [sizes[o] for o in live]
     q_offsets = array("I", [0])
     q_targets = array("I")
-    for lo, size in zip(bounds, sizes):
-        r = members[lo]
-        into = Counter(map(orbit.__getitem__, targets[offsets[r] : offsets[r + 1]]))
-        for o, c in into.items():
-            q_targets.extend(repeat(o, size * c // sizes[o]))
+    for o in live:
+        r, size = reps[o], sizes[o]
+        into = Counter(index[label[t]] for t in targets[offsets[r] : offsets[r + 1]] if ess[t])
+        for i, c in into.items():
+            q_targets.extend(repeat(i, size * c // live_sizes[i]))
         q_offsets.append(len(q_targets))
-    return sizes, q_offsets, q_targets
+    return live_sizes, q_offsets, q_targets
 
 
 def _sccs(offsets: array, targets: array) -> list[int]:
@@ -722,7 +848,7 @@ def entropy(g: SftGraph, tol: float = 1e-6) -> float:
 
 def _perron_log(sizes: Sequence[int], offsets: array, targets: array, tol: float) -> float:
     """`entropy` of a graph in CSR form whose entropy is positive, where
-    node i stands for sizes[i] states of equal value (see `_orbit_quotient`).
+    node i stands for sizes[i] states of equal value (see `_orbit_graph`).
 
     Power iteration on exact integer vectors, v <- (I + A^T) v from v = 1;
     the +I keeps periodic graphs from oscillating.  The growth ratio of the
@@ -759,58 +885,68 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     Each walk gives the label sequence of its states' first coordinates;
     different phases of one orbit are distinct labelings.  Points of
     smaller period dividing max_period appear as their repeated tuples.
-    The walks are searched from one state of each conjugacy orbit (see
-    `_orbits`); those from the others are their conjugates.
+    The walks are searched from the representative of each essential
+    conjugacy orbit (see `Orbits`), stepping to essential states only;
+    those from the other states are their conjugates by the carriers.
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
+    check_max_period(max_period)
     N = max_period
-    results: list[tuple[int, ...]] = []
-    nodes, offsets, targets = _essential_adjacency(g)
-    members, bounds, _, carry = _orbits(g, nodes)
+    ess = g.essential
+    offsets, targets = g.successors.offsets, g.successors.targets
     scale = g.group.order ** (max(g.window, 1) - 1)
-    first = [s // scale for s in nodes]  # the label of each node
-    del nodes  # free it before the lists below
-    # the walks read single items, which lists hand out unboxed
-    offsets, targets = offsets.tolist(), targets.tolist()
-    mult, inv = g.group.mult, g.group.inv
+    orbits = g.orbits
+    if orbits is None:
+        live, starts, sizes = repeat(None), compress(range(len(ess)), ess), repeat(1)
+    else:
+        live = list(compress(range(len(orbits.reps)), orbits.essential))
+        starts = map(orbits.reps.__getitem__, live)
+        sizes = map(orbits.sizes.__getitem__, live)
+    results: list[tuple[int, ...]] = []
+    found = {}  # orbit -> the labelings of its representative's walks
+    total = 0  # the labelings of every state searched or conjugated so far
     last = N - 1
-    for lo, hi in zip(bounds, islice(bounds, 1, None)):
-        start = members[lo]
-        found = len(results)
+    for o, start, size in zip(live, starts, sizes):
+        lo = len(results)
         if N == 1:  # the self-loops
             if start in targets[offsets[start] : offsets[start + 1]]:
-                results.append((first[start],))
+                results.append((start // scale,))
         else:
             # DFS over walks start = v0, v1, ..., v(N-1), where iters[d]
-            # yields the candidates for v(d+1); the walk closes iff start
-            # follows v(N-1), which a search of its ascending successors tells
-            path = [start]
+            # yields the candidates for v(d+1) and path holds the labels of
+            # v0 ... vd; the walk closes iff start follows v(N-1), which a
+            # search of its ascending successors tells
+            path = [start // scale]
             iters = [iter(targets[offsets[start] : offsets[start + 1]])]
             while iters:
                 v = next(iters[-1], None)
                 if v is None:
                     iters.pop()
                     path.pop()
+                elif not ess[v]:
                     continue
-                if len(iters) < last:
-                    path.append(v)
+                elif len(iters) < last:
+                    path.append(v // scale)
                     iters.append(iter(targets[offsets[v] : offsets[v + 1]]))
-                    continue
-                end = offsets[v + 1]
-                j = bisect_left(targets, start, offsets[v], end)
-                if j < end and targets[j] == start:
-                    results.append(tuple(map(first.__getitem__, path)) + (first[v],))
-                    if len(results) > STATE_CAP:
-                        raise CapExceeded("periodic labeling count exceeds cap")
-        if len(results) == found or hi - lo == 1:
-            continue
-        walks = results[found:]
-        if len(results) + len(walks) * (hi - lo - 1) > STATE_CAP:
-            raise CapExceeded("periodic labeling count exceeds cap")
-        for u in members[lo + 1 : hi]:
-            row, h_inv = mult[carry[u]], inv[carry[u]]
-            results += [tuple([mult[row[x]][h_inv] for x in walk]) for walk in walks]
+                else:
+                    end = offsets[v + 1]
+                    j = bisect_left(targets, start, offsets[v], end)
+                    if j < end and targets[j] == start:
+                        results.append((*path, v // scale))
+                        if total + len(results) - lo > STATE_CAP:
+                            raise CapExceeded("periodic labeling count exceeds cap")
+        if len(results) > lo:
+            total += (len(results) - lo) * size
+            if total > STATE_CAP:
+                raise CapExceeded("periodic labeling count exceeds cap")
+            if size > 1:
+                found[o] = results[lo:]
+    if found:
+        label, carry, reps, conj = orbits.label, orbits.carry, orbits.reps, g.group.conj
+        for u in compress(range(len(ess)), ess):
+            walks = found.get(label[u])
+            if walks is not None and u != reps[label[u]]:
+                row = conj[carry(u)]
+                results += [tuple(map(row.__getitem__, walk)) for walk in walks]
     results.sort()
     labels = g.group.labels
     return [tuple(labels[x] for x in tup) for tup in results]

@@ -840,6 +840,47 @@ def periodic_by_search_from_every_state(graph, length):
     return [tuple(labels[x] for x in tup) for tup in sorted(found)]
 
 
+def orbits_by_conjugator_search(group, window):
+    """The orbits of the windows of max(window, 1) digits under conjugation,
+    as (orbit, carry) over the states: a search from each state not yet
+    reached, in state order, conjugates windows digit by digit by the
+    group's conjugators (the non-central members of a generating set, whose
+    conjugations generate the inner automorphisms), and numbers the orbits
+    as it finds them.  Conjugating each digit of the first state of orbit
+    orbit[s] by carry[s] gives the window of s."""
+    n, mult, inv = group.order, group.mult, group.inv
+    w = max(window, 1)
+    count = n**w
+    moves = []  # (x, the state of each state's window conjugated by x)
+    for x in group.conjugators:
+        row, x_inv = mult[x], inv[x]
+        conj = [mult[row[y]][x_inv] for y in range(n)]
+        image = [0] * count
+        for s in range(count):
+            t = 0
+            for k in range(w):
+                t = t * n + conj[s // n ** (w - 1 - k) % n]
+            image[s] = t
+        moves.append((x, image))
+    orbit = [-1] * count
+    carry = [0] * count
+    found = 0
+    for s in range(count):
+        if orbit[s] >= 0:
+            continue
+        orbit[s] = found
+        todo = [s]
+        for u in todo:  # grows as the search finds the orbit
+            for x, image in moves:
+                v = image[u]
+                if orbit[v] < 0:
+                    orbit[v] = found
+                    carry[v] = mult[x][carry[u]]
+                    todo.append(v)
+        found += 1
+    return orbit, carry
+
+
 def sccs_by_reachability(successors):
     """The strongly connected components of a graph, as a set of frozensets
     of states: two states share one iff each reaches the other, with the

@@ -414,6 +414,25 @@ def test_reps_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path, to
         assert "tol must be a finite positive number" in err, group
 
 
+@pytest.mark.parametrize("option", ["--max-period=0", "--max-period=-3", "--tol=nan", "--tol=0"])
+def test_reps_checks_period_and_tol_before_building_the_graph(capsys, tmp_path, monkeypatch, option):
+    # family(3) over S5 has 14,400 states; a bad argument fails before any is built
+    from cycover import repshift
+
+    def no_build(*args):
+        raise AssertionError("build_sft was reached")
+
+    monkeypatch.setattr(repshift, "build_sft", no_build)
+    f = tmp_path / "fam3.txt"
+    f.write_text(FAMILY3_TEXT)
+    code, out, err = run(capsys, "reps", str(f), "--chi", "u=1,a=0", "--group", "S5", option)
+    assert code == 1 and out == ""
+    if "period" in option:
+        assert err == "error: ValueError: max_period must be >= 1\n"
+    else:
+        assert err.startswith("error: ValueError: tol must be a finite positive number, not ")
+
+
 def test_reps_reports_an_unconverged_entropy_as_an_error(capsys, tmp_path, monkeypatch):
     from cycover import repshift
 

@@ -4,6 +4,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -11,7 +12,9 @@ from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
 from oracles import (
     brute_successors,
     census_over_states,
+    essential_fixed_point,
     graph_from_lists,
+    orbits_by_conjugator_search,
     perron_entropy,
     periodic_by_search_from_every_state,
     perron_log_over_states,
@@ -448,33 +451,44 @@ def test_census_family3_s3_positive_entropy():
 def test_census_builds_the_essential_subgraph_once(monkeypatch):
     # family(3) over S3 iterates on 6 orbits of its 22 essential states;
     # the Klein graph of 4 states, over an abelian group, on the essential
-    # subgraph itself.  Each census builds that graph once, and entropy,
-    # which is read from the census, builds no second one.
-    builds = []
-    for name in ("_essential_adjacency", "_orbit_quotient"):
+    # subgraph itself.  The orbits are labelled once, when the graph is
+    # built, and none over an abelian group; census, entropy and the
+    # periodic walks read the labels and relabel nothing.  Each census
+    # builds its orbit graph once, and entropy, which is read from the
+    # census, builds no second one.
+    calls = []
+    for name in ("_label_orbits", "_orbit_graph"):
 
-        def counting(*args, _build=getattr(repshift, name), _name=name):
-            builds.append(_name)
-            return _build(*args)
+        def counting(*args, _call=getattr(repshift, name), _name=name):
+            calls.append(_name)
+            return _call(*args)
 
         monkeypatch.setattr(repshift, name, counting)
     klein = FiniteGroup.from_table(KLEIN_TABLE)
     nonabelian = family_sft(3, FiniteGroup.symmetric(3))
+    assert calls == ["_label_orbits"]
+    calls.clear()
     abelian = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
+    assert calls == [] and abelian.orbits is None
     for g in (nonabelian, abelian):
-        builds.clear()
         c = census(g)
         assert c.classification == "PositiveEntropy"
-        assert builds == ["_essential_adjacency", "_orbit_quotient"]
-        builds.clear()
+        assert calls == ["_orbit_graph"]
+        calls.clear()
         assert entropy(g) == c.entropy
-        assert builds == ["_essential_adjacency", "_orbit_quotient"]
-    nodes, offsets, targets = repshift._essential_adjacency(abelian)
-    sizes, q_offsets, q_targets = repshift._orbit_quotient(abelian, nodes, offsets, targets)
-    assert sizes == [1] * 4 and q_offsets is offsets and q_targets is targets
-    nodes, offsets, targets = repshift._essential_adjacency(nonabelian)
-    sizes, q_offsets, q_targets = repshift._orbit_quotient(nonabelian, nodes, offsets, targets)
-    assert sum(sizes) == 22 and len(sizes) == 6 and len(q_targets) < len(targets)
+        assert calls == ["_orbit_graph"]
+        calls.clear()
+        for period in (1, 2, 4):
+            enumerate_periodic(g, period)
+        assert calls == []
+    sizes, offsets, targets = repshift._orbit_graph(abelian)
+    assert sizes == [1] * 4 and repshift._essential_edges(abelian) == 16
+    assert offsets is abelian.successors.offsets and targets is abelian.successors.targets
+    sizes, offsets, targets = repshift._orbit_graph(nonabelian)
+    assert sum(sizes) == 22 and len(sizes) == 6
+    ess = nonabelian.essential
+    edges = sum(ess[t] for s, ts in enumerate(nonabelian.successors) if ess[s] for t in ts)
+    assert repshift._essential_edges(nonabelian) == edges > len(targets)
 
 
 def _s3_graph(rule):
@@ -562,14 +576,95 @@ def test_orbit_census_and_walks_equal_the_search_over_every_state():
     assert {(True, "OnlyTrivial"), (True, "Finite"), (True, "PositiveEntropy")} <= seen
 
 
+def test_orbit_labels_match_the_conjugator_search():
+    # The labels come from a canonical form, digit by digit; the oracle
+    # finds the orbits by conjugating whole windows.  Over the abelian
+    # groups every orbit is one state, and the graph keeps no labels.
+    rng = random.Random(25)
+    groups = [FiniteGroup.symmetric(k) for k in (3, 4, 5)]
+    groups += [_group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)]
+    groups += [FiniteGroup.from_table(_table_text(FiniteGroup.cyclic(6))), FiniteGroup.from_table(KLEIN_TABLE)]
+    checked = 0
+    for group in groups:
+        n = group.order
+        for window in range(4):
+            w = max(window, 1)
+            if n**w > 10**5:
+                continue
+            if window == 0:
+                sp = ShiftPresentation(symbols=("a",), templates=((("a", 0, rng.choice((1, 2, 3))),),))
+            else:
+                sp = None
+                while sp is None or sp.width != window:  # cancelling syllables narrow a few
+                    relator = _relator(_random_template(rng, window, rng.choice((1, 2))))
+                    sp = reidemeister_schreier(parse_presentation(f"<t, a | {relator}>"), {"t": 1, "a": 0})
+            g = build_sft(sp, group)
+            orbit, carry = orbits_by_conjugator_search(group, window)
+            if group.is_abelian():
+                assert g.orbits is None and orbit == list(range(n**w))
+                continue
+            label, reps, sizes = g.orbits.label, g.orbits.reps, g.orbits.sizes
+            # constant on orbits and distinct across them
+            assert len(set(zip(orbit, label))) == len(set(orbit)) == len(set(label)) == len(reps)
+            members = Counter(orbit)
+            first = {}
+            for s, o in enumerate(orbit):
+                first.setdefault(o, s)
+            for s in range(n**w):
+                o = label[s]
+                assert sizes[o] == members[orbit[s]], (group.name, window, s)
+                assert reps[o] == first[orbit[s]]  # the least state of the orbit
+                h, inv_h = g.orbits.carry(s), group.inv[g.orbits.carry(s)]
+                window_of_rep = state_digits(g, reps[o])
+                image = tuple(group.mult[group.mult[h][d]][inv_h] for d in window_of_rep)
+                assert image == state_digits(g, s), (group.name, window, s)
+            checked += 1
+    assert checked == 19  # S3, S4, D4 and Q8 at windows 0-3, S5 at 0-2
+
+
+def _trim_test_graphs(rng):
+    """The benchmark's twenty knots over S3 and S4, (7, 2) over S4 at
+    window 3, family(3) over S5, and random templates over D4 and Q8."""
+    pairs = [(family_presentation(n), {"u": 1, "a": 0}) for n in range(1, 11)]
+    pairs += [weight_zero_form(p, q) for p, q in WEIGHT_ZERO_PAIRS if (p, q) != (7, 2)]
+    s3, s4 = FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)
+    for pres, chi in pairs:
+        for group in (s3, s4):
+            yield sft(pres, chi, group)
+    yield sft(*weight_zero_form(7, 2), s4)
+    yield family_sft(3, FiniteGroup.symmetric(5))
+    d4, q8 = _group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)
+    for case in range(40):
+        group = (d4, q8)[case % 2]
+        width = rng.choice((1, 2, 3))
+        tpls = [_random_template(rng, width, rng.choice((1, 2, 3)))]
+        if rng.random() < 0.3:
+            tpls.append(_random_template(rng, rng.randrange(1, width + 1), 1))
+        pres = parse_presentation("<t, a | " + ", ".join(_relator(t) for t in tpls) + ">")
+        yield sft(pres, {"t": 1, "a": 0}, group)
+
+
+def test_trim_on_orbits_keeps_the_essential_states_of_the_whole_graph():
+    # The trim runs on the orbit graph; the oracle drops states of the
+    # whole graph round by round.
+    rng = random.Random(251)
+    windows = Counter()
+    for g in _trim_test_graphs(rng):
+        edges = [(s, t) for s, targets in enumerate(g.successors) for t in targets]
+        want = essential_fixed_point(g.state_count, edges)
+        assert g.essential == bytearray(want), (g.group.name, g.window)
+        windows[g.group.order, g.window] += 1
+    assert windows[24, 3] == 1 and windows[120, 2] == 1 and windows[6, 2] == 20
+    assert sum(windows[8, w] for w in (1, 2, 3)) == 40
+
+
 def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
     # S3_CHAINED has orbits of 1, 3 and 2 states.  At these tolerances its
     # vector is floored by a power of two, entry by entry, before the ratios
     # settle; the floors of the orbit values must be the floors of the
     # state values, so the floats agree bit for bit.
     g = S3_CHAINED
-    nodes, offsets, targets = repshift._essential_adjacency(g)
-    assert repshift._orbit_quotient(g, nodes, offsets, targets)[0] == [1, 3, 2]
+    assert repshift._orbit_graph(g)[0] == [1, 3, 2]
     # The 3-cycles alone give a sum of at least 2 * 3^k after k steps, past
     # 4000 bits from k = 2524 on, and at 1e-7 the ratios still differ then.
     assert g.essential_count == 6
