@@ -36,23 +36,23 @@ the trim, the census and the periodic walks work on its orbits
 *Algebraic Graph Theory*, 9.3).  When the graph is built, every window
 gets the label of its orbit from a canonical form, one digit at a time:
 the first digit goes to its class, then each prefix's stabilizer acts on
-the next digit (`_label_orbits`).  The trim runs on the orbit graph, with
-an edge from each orbit to the orbit of each successor of its
-representative: a state is essential exactly when its orbit is.  The
-census reads only the orbit sizes and the representatives' essential
-successors.  Every essential state has as many of those as its
-representative, which gives the Finite test.  The power iteration of the
-entropy, v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it
-runs on the in-flow quotient, where orbit O' has an edge from orbit O for
-each predecessor of rep(O') in O: |O| * (successors of rep(O) in O') /
-|O'| of them.  Each vector sum counts an orbit's value |O| times, so every
-integer of the iteration, the floors that keep it bounded included, is the
-one the iteration over all states gives, and so is the entropy.  The
-quotient has the Perron root of the essential subgraph, so its components
-decide zero entropy too.  Closed walks are searched from each orbit's
-representative and conjugated into those of the other states.  An abelian
-F has no inner automorphisms: the graph keeps no labels, every orbit is
-one state, and the quotient is the essential subgraph itself.
+the next digit (`_label_orbits`).  The graph keeps its orbit graph B, with
+B[O, O'] edges from orbit O to orbit O', one for each successor of rep(O)
+in O'.  Every state s of O has that many successors in O' (the partition
+is equitable), so row s of A^k sums to B^k[O, O'] over O': B has the
+Perron root of A, and B on the essential orbits that of the essential
+subgraph.  The trim and the census run on B: a state is essential, or has
+one essential successor, exactly when its orbit does, and the components
+of B decide zero entropy.  The power iteration of the entropy,
+v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs as
+u <- (I + B^T) u from u[O] = |O|: with u[O] = |O| * v[O],
+u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'| times the step of
+v.  So every total of the iteration, the floors that keep it bounded
+included, is that of the iteration over all states, and so is the
+entropy.  Closed walks are searched from each orbit's representative and
+conjugated into those of the other states.  An abelian F has no inner
+automorphisms: the graph keeps no labels, every orbit is one state, and B
+is the graph itself.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, permutations, repeat
-from operator import gt, mul, not_, sub
+from operator import gt, not_, sub
 from typing import Optional
 
 from .rscover import ShiftPresentation, abelianized_recurrence
@@ -123,9 +123,10 @@ class FiniteGroup:
             powers.append(tuple(seq))
         self.powers = tuple(powers)
         # A generating set, greedily, larger orders first to keep it short
-        # (two elements for S3, S4 and S5); conjugation by its non-central
-        # members generates the inner automorphisms, and there are none
-        # exactly when F is abelian.
+        # (two elements for S3, S4 and S5): every element is a left-nested
+        # product of generators.  Conjugation by its non-central members
+        # generates the inner automorphisms, and there are none exactly when
+        # F is abelian.
         span, gens = {0}, []
         for x in sorted(range(n), key=lambda x: -len(powers[x])):
             if x in span:
@@ -141,6 +142,7 @@ class FiniteGroup:
                         todo.append(b)
             if len(span) == n:
                 break
+        self.generators = tuple(gens)
         self.conjugators = tuple(
             x for x in gens if any(mult[x][y] != mult[y][x] for y in range(n))
         )
@@ -208,7 +210,11 @@ class FiniteGroup:
     def from_table(cls, text: str, name: str = "custom") -> "FiniteGroup":
         """First line: order n.  Then n lines of n indices; element 0 = identity.
 
-        Unlike the built-in groups, the table is checked for associativity.
+        Unlike the built-in groups, the table is checked for associativity,
+        by Light's test: (x g) y = x (g y) for every generator g only.  The
+        elements that pass are closed under products, and every element is
+        a product of generators, so then every element passes.  Only a table
+        that fails is scanned for its first failing triple, for the message.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -228,16 +234,22 @@ class FiniteGroup:
             mult.append(row)
         labels = tuple(f"g{i}" for i in range(n))
         group = cls(name, labels, tuple(mult))
-        # (ab)c = a(bc) for all c: row ab equals row b mapped through row a
-        for a, row in enumerate(mult):
-            for b in range(n):
-                ab_c, a_bc = mult[row[b]], tuple(map(row.__getitem__, mult[b]))
-                if ab_c != a_bc:
-                    c = next(c for c in range(n) if ab_c[c] != a_bc[c])
-                    raise BadGroupTable(
-                        f"table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
-                    )
+        if _first_non_associative(group.mult, group.generators):
+            a, b, c = _first_non_associative(group.mult, range(n))
+            raise BadGroupTable(f"table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})")
         return group
+
+
+def _first_non_associative(mult, middles) -> Optional[tuple[int, int, int]]:
+    """The first triple (a, b, c), by a and then by the order of middles,
+    with b in middles and (ab)c != a(bc), or None.  (ab)c = a(bc) for all c
+    when row ab equals row b mapped through row a."""
+    for a, row in enumerate(mult):
+        for b in middles:
+            ab_c, a_bc = mult[row[b]], tuple(map(row.__getitem__, mult[b]))
+            if ab_c != a_bc:
+                return a, b, next(c for c in range(len(mult)) if ab_c[c] != a_bc[c])
+    return None
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -264,8 +276,9 @@ class Successors(Sequence):
     """The edges of a shift graph in CSR form, read as one sequence per state.
 
     `offsets` (n + 1 entries) and `targets` (one per edge) are array('I');
-    item s is targets[offsets[s]:offsets[s + 1]], the ascending successors
-    of state s, as a new array, so the graph cannot be changed through it.
+    item s is targets[offsets[s]:offsets[s + 1]], the successors of state s
+    (ascending, but for an orbit graph), as a new array, so the graph cannot
+    be changed through it.
     """
 
     __slots__ = ("offsets", "targets")
@@ -326,10 +339,12 @@ class SftGraph:
     biinfinite path.  `orbits` holds the conjugacy orbits of the states
     (see `Orbits`), None over an abelian F, where each orbit is one state.
     The successors must be invariant under conjugation, as `build_sft`'s
-    are: the trim runs on the orbits.
+    are: the trim runs on the orbit graph (see the module docstring), which
+    the graph keeps for the census, in CSR form, one node per orbit; over an
+    abelian F it is `successors` itself.
     """
 
-    __slots__ = ("window", "group", "successors", "orbits", "essential")
+    __slots__ = ("window", "group", "successors", "orbits", "essential", "_orbit_edges")
 
     def __init__(self, window: int, group: FiniteGroup, successors: Successors):
         self.window = window
@@ -337,18 +352,20 @@ class SftGraph:
         self.successors = successors
         if group.is_abelian():
             self.orbits = None
+            self._orbit_edges = successors
             self.essential = _trim(successors)
             return
         self.orbits = orbits = _label_orbits(group, max(window, 1))
-        # The orbit graph: an edge from orbit o to the orbit of each
-        # successor of its representative.  Conjugation is an automorphism,
-        # so a state survives the trim exactly when its orbit does.
+        # An edge from orbit o to the orbit of each successor of its
+        # representative.  Conjugation is an automorphism, so a state
+        # survives the trim exactly when its orbit does.
         label, offsets, targets = orbits.label, successors.offsets, successors.targets
         q_offsets, q_targets = array("I", [0]), array("I")
         for r in orbits.reps:
             q_targets.extend(map(label.__getitem__, targets[offsets[r] : offsets[r + 1]]))
             q_offsets.append(len(q_targets))
-        orbits.essential = alive = _trim(Successors(q_offsets, q_targets))
+        self._orbit_edges = Successors(q_offsets, q_targets)
+        orbits.essential = alive = _trim(self._orbit_edges)
         if 0 in alive:
             self.essential = bytearray(map(list(alive).__getitem__, label))  # lists index faster
         else:
@@ -356,7 +373,7 @@ class SftGraph:
 
     @property
     def state_count(self) -> int:
-        return len(self.successors)
+        return len(self.essential)
 
     @property
     def essential_count(self) -> int:
@@ -695,88 +712,48 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     """Classify the shift of g.  Zero entropy is decided exactly, from the
     strongly connected components; otherwise `_perron_log` estimates it to
     tol, which must be finite and positive even when no iteration runs.
-    Past the OnlyTrivial test it reads only the orbit sizes and the
-    representatives' successors (`_essential_edges`, `_orbit_graph`)."""
+    Past the OnlyTrivial test it reads only the orbit graph restricted to
+    the essential orbits, and their sizes (see the module docstring)."""
     check_tol(tol)
     ess_count = g.essential_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
         return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
-    # Every essential state keeps an essential successor and predecessor,
-    # so the essential subgraph has at least one edge per state, and
-    # exactly one iff every in- and out-degree in it is one.
-    if _essential_edges(g) == ess_count:
+    orbits = g.orbits
+    alive = g.essential if orbits is None else orbits.essential
+    offsets, targets = _restrict(g._orbit_edges, alive)
+    # The trim leaves every essential orbit an essential successor, so
+    # one edge per node means exactly one each: one per essential state.
+    if len(targets) == len(offsets) - 1:
         return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
-    sizes, offsets, targets = _orbit_graph(g)
     if _zero_entropy(offsets, targets):
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
+    sizes = [1] * ess_count if orbits is None else list(compress(orbits.sizes, alive))
     h = _perron_log(sizes, offsets, targets, tol)
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
 
-def _essential_edges(g: SftGraph) -> int:
-    """The edge count of the essential subgraph: every state of orbit O
-    has as many essential successors as its representative."""
-    ess = g.essential
-    offsets, targets = g.successors.offsets, g.successors.targets
-    if 0 not in ess:
-        return len(targets)
-    if g.orbits is None:
-        reps, sizes = compress(range(len(ess)), ess), repeat(1)
-    else:
-        live = g.orbits.essential
-        reps, sizes = compress(g.orbits.reps, live), compress(g.orbits.sizes, live)
-    return sum(
-        size * sum(map(ess.__getitem__, targets[offsets[r] : offsets[r + 1]]))
-        for r, size in zip(reps, sizes)
-    )
-
-
-def _orbit_graph(g: SftGraph) -> tuple[list[int], array, array]:
-    """The in-flow quotient of the essential subgraph by conjugation, as
-    (sizes, offsets, targets): node i, in CSR form, is the i-th essential
-    orbit, with sizes[i] states, and has an edge to orbit o' for each
-    predecessor of the representative of o' that lies in orbit i.  That
-    count is sizes[i] * (successors of i's representative in o') /
-    sizes[o'], so only the representatives' successors are read.  Over an
-    abelian F this is the essential subgraph itself, with unit sizes, and
-    when every state is essential, the graph."""
-    ess = g.essential
-    offsets, targets = g.successors.offsets, g.successors.targets
-    orbits = g.orbits
-    if orbits is None:
-        if 0 not in ess:
-            return [1] * len(ess), offsets, targets
-        nodes = list(compress(range(len(ess)), ess))
-        index = array("I", bytes(4 * len(ess)))
-        for i, s in enumerate(nodes):
-            index[s] = i
-        sub_offsets = array("I", [0])
-        sub_targets = array("I")
-        append, mark = sub_targets.append, sub_offsets.append
-        for s in nodes:
-            for t in targets[offsets[s] : offsets[s + 1]]:
-                if ess[t]:
-                    append(index[t])
-            mark(len(sub_targets))
-        return [1] * len(nodes), sub_offsets, sub_targets
-    label, reps, sizes = orbits.label, orbits.reps, orbits.sizes
-    live = list(compress(range(len(reps)), orbits.essential))
-    index = [0] * len(reps)
-    for i, o in enumerate(live):
-        index[o] = i
-    live_sizes = [sizes[o] for o in live]
-    q_offsets = array("I", [0])
-    q_targets = array("I")
-    for o in live:
-        r, size = reps[o], sizes[o]
-        into = Counter(index[label[t]] for t in targets[offsets[r] : offsets[r + 1]] if ess[t])
-        for i, c in into.items():
-            q_targets.extend(repeat(i, size * c // live_sizes[i]))
-        q_offsets.append(len(q_targets))
-    return live_sizes, q_offsets, q_targets
+def _restrict(graph: Successors, alive: bytearray) -> tuple[array, array]:
+    """The subgraph of graph on the nodes where alive is 1, renumbered in
+    order, as (offsets, targets); graph's own arrays when every node is."""
+    offsets, targets = graph.offsets, graph.targets
+    if 0 not in alive:
+        return offsets, targets
+    nodes = list(compress(range(len(alive)), alive))
+    index = array("I", bytes(4 * len(alive)))
+    for i, s in enumerate(nodes):
+        index[s] = i
+    sub_offsets = array("I", [0])
+    sub_targets = array("I")
+    append, mark = sub_targets.append, sub_offsets.append
+    for s in nodes:
+        for t in targets[offsets[s] : offsets[s + 1]]:
+            if alive[t]:
+                append(index[t])
+        mark(len(sub_targets))
+    return sub_offsets, sub_targets
 
 
 def _sccs(offsets: array, targets: array) -> list[int]:
@@ -826,9 +803,10 @@ def _sccs(offsets: array, targets: array) -> list[int]:
 
 def _zero_entropy(offsets: array, targets: array) -> bool:
     """True when no strongly connected component carries two cycles, that
-    is, when no state has two successors in its own component.  A state's
-    edges are consecutive, so no source may repeat among the edges inside
-    components."""
+    is, when no node has two edges into its own component, parallel edges
+    counted apart: then the Perron root is at most 1, on a multigraph such
+    as the orbit graph too.  A node's edges are consecutive, so no source
+    may repeat among the edges inside components."""
     comp = _sccs(offsets, targets)
     last = -1
     for v, u in zip(_sources(offsets), targets):
@@ -847,34 +825,35 @@ def entropy(g: SftGraph, tol: float = 1e-6) -> float:
 
 
 def _perron_log(sizes: Sequence[int], offsets: array, targets: array, tol: float) -> float:
-    """`entropy` of a graph in CSR form whose entropy is positive, where
-    node i stands for sizes[i] states of equal value (see `_orbit_graph`).
+    """`entropy` of an orbit graph B in CSR form whose entropy is positive,
+    where node i is an orbit of sizes[i] states (see the module docstring).
 
-    Power iteration on exact integer vectors, v <- (I + A^T) v from v = 1;
-    the +I keeps periodic graphs from oscillating.  The growth ratio of the
-    vector sum over all states, each node's value counted sizes[i] times,
-    converges to 1 + the Perron root of A.
+    Power iteration on exact integer vectors, v <- (I + A^T) v from v = 1
+    over the states, run as u <- (I + B^T) u from u = sizes, where u[i] is
+    sizes[i] times the value v of each state of orbit i; the +I keeps
+    periodic graphs from oscillating.  The growth ratio of sum(u), the sum
+    of v over all states, converges to 1 + the Perron root of A.
     """
-    n = len(offsets) - 1
     sources = list(_sources(offsets))
-    v = [1] * n
+    u = list(sizes)
     prev_ratio = None
-    total = sum(sizes)
+    total = sum(u)
     for _ in range(ENTROPY_MAX_ITER):
-        nxt = list(v)  # the +I part
+        nxt = list(u)  # the +I part
         for s, t in zip(sources, targets):
-            nxt[t] += v[s]
-        new_total = sum(map(mul, sizes, nxt))
+            nxt[t] += u[s]
+        new_total = sum(nxt)
         ratio = new_total / total
         if prev_ratio is not None and abs(ratio - prev_ratio) < tol:
             return math.log(ratio - 1.0) if ratio > 1.0 else 0.0
         prev_ratio = ratio
-        v, total = nxt, new_total
+        u, total = nxt, new_total
         if total.bit_length() > 4000:
-            # renormalize by a power of two to keep integers bounded
+            # renormalize every state's v by a power of two to keep
+            # integers bounded
             shift = total.bit_length() - 2000
-            v = [max(x >> shift, 1) for x in v]
-            total = sum(map(mul, sizes, v))
+            u = [size * max((x // size) >> shift, 1) for x, size in zip(u, sizes)]
+            total = sum(u)
             prev_ratio = None
     raise ArithmeticError("entropy iteration did not converge")
 

@@ -25,8 +25,9 @@ Some are checkers that the program itself does not need: a factorization
 multiplied back term by term, the centered symmetric form of a knot
 polynomial and the index-2 criterion read from it (a second derivation of
 `analyze`'s `index2`), equality of words up to cyclic permutation and
-inversion letter by letter, the digits of a shift-graph state by
-positional division, and a shift graph built from plain lists of targets.
+inversion letter by letter, the associativity of a group table by trying
+every triple, the digits of a shift-graph state by positional division,
+and a shift graph built from plain lists of targets.
 
 The parser of presentation text is checked against one that tries every
 declared generator at each token, the cyclic reduction of a
@@ -773,11 +774,12 @@ def _components_kosaraju(succ):
 
 
 def perron_log_over_states(succ, tol, max_iter=100000):
-    """The power iteration of `repshift._perron_log` as it ran over every
-    essential state, before the quotient by conjugation: exact integer
-    vectors v <- (I + A^T) v from v = 1, the vector sum's growth ratio
-    compared from step to step, and every entry floored by the same power
-    of two once the sum passes 4000 bits."""
+    """The power iteration that `repshift._perron_log` runs on the orbit
+    graph, run here over every essential state: exact integer vectors
+    v <- (I + A^T) v from v = 1, the vector sum's growth ratio compared from
+    step to step, and every entry floored by the same power of two once the
+    sum passes 4000 bits.  `_perron_log`'s u[O] is |O| times the v of each
+    state of orbit O, so every sum here is one of its sums."""
     n = len(succ)
     v = [1] * n
     prev_ratio = None
@@ -893,6 +895,22 @@ def sccs_by_reachability(successors):
             seen.update(frontier)
         reach.append(seen)
     return {frozenset(t for t in reach[s] if s in reach[t]) for s in range(len(successors))}
+
+
+# -- group tables ---------------------------------------------------------
+
+
+def first_non_associative_triple(rows):
+    """The first triple (a, b, c), in lexicographic order, with
+    (ab)c != a(bc) in the multiplication table rows, or None: the full scan,
+    every triple tried entry by entry."""
+    n = len(rows)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    return a, b, c
+    return None
 
 
 # -- shift-graph successors by brute force ------------------------------

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from itertools import compress
 
 import pytest
 
@@ -13,6 +14,7 @@ from oracles import (
     brute_successors,
     census_over_states,
     essential_fixed_point,
+    first_non_associative_triple,
     graph_from_lists,
     orbits_by_conjugator_search,
     perron_entropy,
@@ -221,6 +223,81 @@ def test_from_table_rejects_non_associative_table():
     assert FiniteGroup.from_table(KLEIN_TABLE).order == 4
     assert _group_from_rows(D4_TABLE).order == 8
     assert _group_from_rows(Q8_TABLE).order == 8
+
+
+def _random_loop(rng, n):
+    """A Latin square of order n with identity 0, filled cell by cell with
+    the symbols in a random order, backtracking where a cell has none left."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = {*rows[i][:j], *(rows[r][j] for r in range(i))}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            rows[i][j] = x
+            if fill(k + 1):
+                return True
+        rows[i][j] = None
+        return False
+
+    assert fill(0)
+    return rows
+
+
+def _relabeled(rng, rows):
+    """The table with its elements other than 0 renamed at random."""
+    p = [0] + rng.sample(range(1, len(rows)), len(rows) - 1)
+    out = [[0] * len(rows) for _ in rows]
+    for a, row in enumerate(rows):
+        for b, ab in enumerate(row):
+            out[p[a]][p[b]] = p[ab]
+    return out
+
+
+# A Latin square with identity generated by 3 and 1, in that order, that is
+# no group: (x*3)*y = x*(3*y) for all x and y, but (1*1)*2 = 2 != 1*(1*2) = 5
+LOOP6_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 5, 2, 4],
+    [2, 4, 0, 1, 5, 3],
+    [3, 2, 5, 4, 0, 1],
+    [4, 5, 1, 0, 3, 2],
+    [5, 3, 4, 2, 1, 0],
+]
+
+
+def test_light_associativity_test_agrees_with_the_full_scan():
+    # from_table checks associativity for its generators only; the oracle
+    # tries every triple.  The verdicts must agree, and a table that fails
+    # must name the oracle's first failing triple.  LOOP6 passes for its
+    # first generator and fails for its second.
+    rng = random.Random(26)
+    loop5 = [list(map(int, line.split())) for line in LOOP5_TABLE.splitlines()[1:]]
+    klein = [list(map(int, line.split())) for line in KLEIN_TABLE.splitlines()[1:]]
+    groups = [klein, D4_TABLE, Q8_TABLE]
+    groups += [list(FiniteGroup.cyclic(n).mult) for n in (1, 2, 5, 6, 12)]
+    groups += [list(FiniteGroup.symmetric(k).mult) for k in (3, 4)]
+    tables = [loop5, LOOP6_TABLE, *groups]
+    tables += [_relabeled(rng, rng.choice(groups)) for _ in range(20)]
+    tables += [_random_loop(rng, rng.randrange(2, 9)) for _ in range(60)]
+    verdicts = Counter()
+    for rows in tables:
+        text = "\n".join([str(len(rows))] + [" ".join(map(str, row)) for row in rows])
+        want = first_non_associative_triple(rows)
+        if want is None:
+            assert FiniteGroup.from_table(text).mult == tuple(map(tuple, rows))
+        else:
+            a, b, c = want
+            with pytest.raises(BadGroupTable) as err:
+                FiniteGroup.from_table(text)
+            assert str(err.value) == f"table is not associative: ({a}*{b})*{c} != {a}*({b}*{c})"
+        verdicts[want is None] += 1
+    assert verdicts[True] >= 30 and verdicts[False] >= 30, verdicts
 
 
 def _group_from_rows(rows):
@@ -449,46 +526,56 @@ def test_census_family3_s3_positive_entropy():
 
 
 def test_census_builds_the_essential_subgraph_once(monkeypatch):
-    # family(3) over S3 iterates on 6 orbits of its 22 essential states;
-    # the Klein graph of 4 states, over an abelian group, on the essential
-    # subgraph itself.  The orbits are labelled once, when the graph is
-    # built, and none over an abelian group; census, entropy and the
-    # periodic walks read the labels and relabel nothing.  Each census
-    # builds its orbit graph once, and entropy, which is read from the
-    # census, builds no second one.
+    # family(3) over S3 has 22 essential states in 6 orbits; the Klein graph
+    # of 4 states is over an abelian group.  The orbits are labelled once,
+    # when the graph is built, and none over an abelian group.  The graph
+    # keeps the orbit graph its trim ran on, and over an abelian group that
+    # is its successors, not a copy.  census and entropy read that graph
+    # and no per-state successor; census, entropy and the periodic walks
+    # relabel nothing.
     calls = []
-    for name in ("_label_orbits", "_orbit_graph"):
+    label_orbits = repshift._label_orbits
 
-        def counting(*args, _call=getattr(repshift, name), _name=name):
-            calls.append(_name)
-            return _call(*args)
+    def counting(*args):
+        calls.append(args)
+        return label_orbits(*args)
 
-        monkeypatch.setattr(repshift, name, counting)
+    monkeypatch.setattr(repshift, "_label_orbits", counting)
     klein = FiniteGroup.from_table(KLEIN_TABLE)
     nonabelian = family_sft(3, FiniteGroup.symmetric(3))
-    assert calls == ["_label_orbits"]
+    assert len(calls) == 1
     calls.clear()
     abelian = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
     assert calls == [] and abelian.orbits is None
+    assert abelian._orbit_edges is abelian.successors
+    assert len(nonabelian._orbit_edges) == len(nonabelian.orbits.reps)
     for g in (nonabelian, abelian):
         c = census(g)
         assert c.classification == "PositiveEntropy"
-        assert calls == ["_orbit_graph"]
-        calls.clear()
-        assert entropy(g) == c.entropy
-        assert calls == ["_orbit_graph"]
-        calls.clear()
+        # reading a bare object in any way raises
+        successors, g.successors = g.successors, object()
+        try:
+            again = census(g)
+            assert (again.classification, again.count, again.entropy) == (
+                c.classification, c.count, c.entropy
+            )
+            assert (again.state_count, again.essential_count) == (c.state_count, c.essential_count)
+            assert entropy(g) == c.entropy
+        finally:
+            g.successors = successors
         for period in (1, 2, 4):
             enumerate_periodic(g, period)
         assert calls == []
-    sizes, offsets, targets = repshift._orbit_graph(abelian)
-    assert sizes == [1] * 4 and repshift._essential_edges(abelian) == 16
-    assert offsets is abelian.successors.offsets and targets is abelian.successors.targets
-    sizes, offsets, targets = repshift._orbit_graph(nonabelian)
+    # Every essential state has as many essential successors as its orbit's
+    # node has edges in the essential orbit graph.
+    orbits = nonabelian.orbits
+    sizes = list(compress(orbits.sizes, orbits.essential))
     assert sum(sizes) == 22 and len(sizes) == 6
+    offsets, targets = repshift._restrict(nonabelian._orbit_edges, orbits.essential)
     ess = nonabelian.essential
     edges = sum(ess[t] for s, ts in enumerate(nonabelian.successors) if ess[s] for t in ts)
-    assert repshift._essential_edges(nonabelian) == edges > len(targets)
+    assert sum(size * (offsets[i + 1] - offsets[i]) for i, size in enumerate(sizes)) == edges
+    assert edges > len(targets)
 
 
 def _s3_graph(rule):
@@ -664,7 +751,7 @@ def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
     # settle; the floors of the orbit values must be the floors of the
     # state values, so the floats agree bit for bit.
     g = S3_CHAINED
-    assert repshift._orbit_graph(g)[0] == [1, 3, 2]
+    assert list(compress(g.orbits.sizes, g.orbits.essential)) == [1, 3, 2]
     # The 3-cycles alone give a sum of at least 2 * 3^k after k steps, past
     # 4000 bits from k = 2524 on, and at 1e-7 the ratios still differ then.
     assert g.essential_count == 6
