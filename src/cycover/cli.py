@@ -277,24 +277,24 @@ def _cmd_rs(args) -> None:
     sp = reidemeister_schreier(p, chi)
     rows = abelianized_recurrence(sp)
     with _any_int_digits():
+        templates = sp.template_texts()
+        polys = [str(r.polynomial()) for r in rows]
         result = {
             "symbols": list(sp.symbols),
-            "templates": sp.template_texts(),
+            "templates": templates,
             "width": sp.width,
             "rows": [
                 {
                     "symbol": r.symbol,
                     "coefficients": {str(o): c for o, c in r.coefficients},
-                    "polynomial": str(r.polynomial()),
+                    "polynomial": poly,
                 }
-                for r in rows
+                for r, poly in zip(rows, polys)
             ],
         }
         human = [f"symbols: {', '.join(sp.symbols)}", f"width: {sp.width}"]
-        for tpl_text in sp.template_texts():
-            human.append(f"template: {tpl_text}")
-        for r in rows:
-            human.append(f"row[{r.symbol}]: {r.polynomial()}")
+        human += (f"template: {tpl_text}" for tpl_text in templates)
+        human += (f"row[{r.symbol}]: {poly}" for r, poly in zip(rows, polys))
         _emit(args, "rs", text, result, "\n".join(human))
 
 

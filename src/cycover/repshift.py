@@ -36,7 +36,8 @@ the trim, the census and the periodic walks work on its orbits
 *Algebraic Graph Theory*, 9.3).  When the graph is built, every window
 gets the label of its orbit from a canonical form, one digit at a time:
 the first digit goes to its class, then each prefix's stabilizer acts on
-the next digit (`_label_orbits`).  The graph keeps its orbit graph B, with
+the next digit (`_label_orbits`), by tables that F derives once per digit,
+when a graph first needs them.  The graph keeps its orbit graph B, with
 B[O, O'] edges from orbit O to orbit O', one for each successor of rep(O)
 in O'.  Every state s of O has that many successors in O' (the partition
 is equitable), so row s of A^k sums to B^k[O, O'] over O': B has the
@@ -146,18 +147,15 @@ class FiniteGroup:
         self.conjugators = tuple(
             x for x in gens if any(mult[x][y] != mult[y][x] for y in range(n))
         )
-        # Conjugation rows, conj[g][x] = g x g^-1, the order of the centre,
-        # the conjugacy classes, with their least members and those members'
-        # centralizers, as the table of the empty window, and the tables of
-        # those members, the orbits of their centralizers on a second digit
-        # (see `_orbit_tables`): none of them for an abelian F.
-        self.conj = self.classes = self.pairs = None
+        # Conjugation rows, conj[g][x] = g x g^-1, and the order of the
+        # centre, for a non-abelian F only; levels[k], the orbit tables of
+        # the windows of k digits (level 0: the conjugacy classes), which
+        # `_label_orbits` derives once each, when a graph first needs them.
+        self.conj, self.levels = None, []
         self.centre_order = n
         if self.conjugators:
             self.conj = tuple(tuple(map(cols[i].__getitem__, row)) for row, i in zip(mult, self.inv))
             self.centre_order = self.conj.count(self.conj[0])
-            self.classes = _orbit_tables(self, [0], [range(n)])
-            self.pairs = _orbit_tables(self, *self.classes[1:])
 
     @property
     def order(self) -> int:
@@ -228,10 +226,9 @@ class FiniteGroup:
         mult = []
         for ln in lines[1:]:
             try:
-                row = tuple(int(x) for x in ln.split())
+                mult.append(tuple(map(int, ln.split())))
             except ValueError:
                 raise BadGroupTable(f"bad table row: {ln!r}")
-            mult.append(row)
         labels = tuple(f"g{i}" for i in range(n))
         group = cls(name, labels, tuple(mult))
         if _first_non_associative(group.mult, group.generators):
@@ -340,20 +337,21 @@ class SftGraph:
     (see `Orbits`), None over an abelian F, where each orbit is one state.
     The successors must be invariant under conjugation, as `build_sft`'s
     are: the trim runs on the orbit graph (see the module docstring), which
-    the graph keeps for the census, in CSR form, one node per orbit; over an
-    abelian F it is `successors` itself.
+    the graph keeps for the census, in CSR form, one node per orbit, and the
+    trim's flags on it; over an abelian F, `successors` and `essential`.
     """
 
-    __slots__ = ("window", "group", "successors", "orbits", "essential", "_orbit_edges")
+    __slots__ = (
+        "window", "group", "successors", "orbits", "essential", "_orbit_edges", "_orbit_alive"
+    )
 
     def __init__(self, window: int, group: FiniteGroup, successors: Successors):
         self.window = window
         self.group = group
         self.successors = successors
         if group.is_abelian():
-            self.orbits = None
-            self._orbit_edges = successors
-            self.essential = _trim(successors)
+            self.orbits, self._orbit_edges = None, successors
+            self.essential = self._orbit_alive = _trim(successors)
             return
         self.orbits = orbits = _label_orbits(group, max(window, 1))
         # An edge from orbit o to the orbit of each successor of its
@@ -365,7 +363,7 @@ class SftGraph:
             q_targets.extend(map(label.__getitem__, targets[offsets[r] : offsets[r + 1]]))
             q_offsets.append(len(q_targets))
         self._orbit_edges = Successors(q_offsets, q_targets)
-        orbits.essential = alive = _trim(self._orbit_edges)
+        self._orbit_alive = alive = _trim(self._orbit_edges)
         if 0 in alive:
             self.essential = bytearray(map(list(alive).__getitem__, label))  # lists index faster
         else:
@@ -383,19 +381,18 @@ class SftGraph:
 class Orbits:
     """The orbits of the windows of a graph under conjugation by F.
 
-    State s lies in orbit label[s].  Orbit o has sizes[o] states, its least
-    state reps[o] is its representative, and essential[o] is 1 when its
-    states are essential.  `carry(s)` is an element whose conjugation
-    carries the window of the representative of s's orbit to that of s.
+    State s lies in orbit label[s].  Orbit o has sizes[o] states, and its
+    least state reps[o] is its representative.  `carry(s)` is an element
+    whose conjugation carries the window of the representative of s's orbit
+    to that of s.
     """
 
-    __slots__ = ("label", "reps", "sizes", "essential", "_group", "_prefixes")
+    __slots__ = ("label", "reps", "sizes", "_group", "_prefixes")
 
     def __init__(self, F: FiniteGroup, label, reps, sizes, prefixes):
         self.label = label
         self.reps = reps
         self.sizes = sizes
-        self.essential = None
         self._group = F
         self._prefixes = prefixes  # (tables, label, carry) of the prefixes
 
@@ -411,22 +408,26 @@ class Orbits:
 def _label_orbits(F: FiniteGroup, w: int) -> Orbits:
     """The conjugacy orbits of the windows of w >= 1 digits over a
     non-abelian F, labelled by a canonical form, one digit at a time
-    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*).
+    (Holt-Eick-O'Brien, *Handbook of Computational Group Theory*, ch. 4).
 
     A window (p, x) whose prefix p is h . r, with r the representative of
     the prefix's orbit, is conjugate by h to (r, h^-1 x h), and the
     stabilizer of r moves only that last digit.  So each orbit of prefixes
     has a table over F (`_orbit_tables`), and a window costs one lookup in
-    its prefix's table.  The empty window's table is the conjugacy classes,
-    and it comes with F, as do the tables of the windows of one digit.  The
-    carriers, one multiplication more per window, are derived for the
-    prefixes only; `Orbits.carry` gives those of the windows on demand.
+    its prefix's table.  The tables of the windows of k digits are level k
+    of `F.levels`, which depend on F alone: the levels 0 to w - 1 that no
+    earlier graph over F needed are derived here, once.  The carriers, one
+    multiplication more per window, are derived for the prefixes only;
+    `Orbits.carry` gives those of the windows on demand.
     """
-    tables, reps, stabs = F.classes
+    levels = F.levels
+    while len(levels) < w:  # level 0 extends the empty window, fixed by all of F
+        reps, stabs = levels[-1][1:] if levels else ([0], [range(F.order)])
+        levels.append(_orbit_tables(F, reps, stabs))
     label, carry = [0], [0]  # the empty window
-    for k in range(1, w):
+    for tables, _, _ in islice(levels, w - 1):
         label, carry = _extend(F, tables, label, carry)
-        tables, reps, stabs = F.pairs if k == 1 else _orbit_tables(F, reps, stabs)
+    tables, reps, stabs = levels[w - 1]
     n, conj, inv = F.order, F.conj, F.inv
     last: list[int] = []
     for o, h in zip(label, carry):
@@ -719,8 +720,7 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
         return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
-    orbits = g.orbits
-    alive = g.essential if orbits is None else orbits.essential
+    alive = g._orbit_alive
     offsets, targets = _restrict(g._orbit_edges, alive)
     # The trim leaves every essential orbit an essential successor, so
     # one edge per node means exactly one each: one per essential state.
@@ -730,7 +730,7 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
         return RepCensus(
             "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
         )
-    sizes = [1] * ess_count if orbits is None else list(compress(orbits.sizes, alive))
+    sizes = [1] * ess_count if g.orbits is None else list(compress(g.orbits.sizes, alive))
     h = _perron_log(sizes, offsets, targets, tol)
     return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
 
@@ -877,7 +877,7 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     if orbits is None:
         live, starts, sizes = repeat(None), compress(range(len(ess)), ess), repeat(1)
     else:
-        live = list(compress(range(len(orbits.reps)), orbits.essential))
+        live = list(compress(range(len(orbits.reps)), g._orbit_alive))
         starts = map(orbits.reps.__getitem__, live)
         sizes = map(orbits.sizes.__getitem__, live)
     results: list[tuple[int, ...]] = []

@@ -548,6 +548,7 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     abelian = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
     assert calls == [] and abelian.orbits is None
     assert abelian._orbit_edges is abelian.successors
+    assert abelian._orbit_alive is abelian.essential
     assert len(nonabelian._orbit_edges) == len(nonabelian.orbits.reps)
     for g in (nonabelian, abelian):
         c = census(g)
@@ -568,10 +569,10 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
         assert calls == []
     # Every essential state has as many essential successors as its orbit's
     # node has edges in the essential orbit graph.
-    orbits = nonabelian.orbits
-    sizes = list(compress(orbits.sizes, orbits.essential))
+    alive = nonabelian._orbit_alive
+    sizes = list(compress(nonabelian.orbits.sizes, alive))
     assert sum(sizes) == 22 and len(sizes) == 6
-    offsets, targets = repshift._restrict(nonabelian._orbit_edges, orbits.essential)
+    offsets, targets = repshift._restrict(nonabelian._orbit_edges, alive)
     ess = nonabelian.essential
     edges = sum(ess[t] for s, ts in enumerate(nonabelian.successors) if ess[s] for t in ts)
     assert sum(size * (offsets[i + 1] - offsets[i]) for i, size in enumerate(sizes)) == edges
@@ -709,6 +710,48 @@ def test_orbit_labels_match_the_conjugator_search():
     assert checked == 19  # S3, S4, D4 and Q8 at windows 0-3, S5 at 0-2
 
 
+def test_orbit_tables_are_derived_once_per_group_on_first_use(monkeypatch):
+    # The orbit tables of each digit depend on the group alone.  Building a
+    # group derives none; a graph derives the levels that no earlier graph
+    # over its group needed, and a window-1 graph needs the classes only.
+    calls = []
+    orbit_tables = repshift._orbit_tables
+
+    def counting(F, reps, stabs):
+        calls.append(F.name)
+        return orbit_tables(F, reps, stabs)
+
+    monkeypatch.setattr(repshift, "_orbit_tables", counting)
+    groups = [FiniteGroup.symmetric(k) for k in (3, 4, 5)]
+    groups += [_group_from_rows(Q8_TABLE), _group_from_rows(D4_TABLE)]
+    z6 = FiniteGroup.cyclic(6)
+    assert calls == [] and all(F.levels == [] for F in groups + [z6])
+    # NOCOVER has window 1; its orbits are the classes of F: 3, 5 and 7
+    # for S3-S5, and 5 for Q8 and D4
+    for F, classes in zip(groups, (3, 5, 7, 5, 5)):
+        g = sft(NOCOVER, {"t": 1, "a": 0}, F)
+        assert g.window == 1 and calls == [F.name] and len(F.levels) == 1
+        assert len(F.levels[0][1]) == len(g.orbits.reps) == classes
+        calls.clear()
+    sft(NOCOVER, {"t": 1, "a": 0}, z6)
+    assert calls == [] and z6.levels == []
+    # (7, 2) has window 3: over the S4 above it grows the list to three
+    # levels, and a second graph derives none and reads the same labels as
+    # a graph over a fresh S4
+    s4 = groups[1]
+    g = sft(*weight_zero_form(7, 2), s4)
+    assert g.window == 3 and len(calls) == 2 and len(s4.levels) == 3
+    calls.clear()
+    again = sft(*weight_zero_form(7, 2), s4)
+    assert calls == []
+    fresh = sft(*weight_zero_form(7, 2), FiniteGroup.symmetric(4))
+    assert len(calls) == 3
+    for graph in (g, again):
+        assert graph.orbits.label == fresh.orbits.label
+        assert (graph.orbits.reps, graph.orbits.sizes) == (fresh.orbits.reps, fresh.orbits.sizes)
+        assert graph.essential == fresh.essential
+
+
 def _trim_test_graphs(rng):
     """The benchmark's twenty knots over S3 and S4, (7, 2) over S4 at
     window 3, family(3) over S5, and random templates over D4 and Q8."""
@@ -751,7 +794,7 @@ def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
     # settle; the floors of the orbit values must be the floors of the
     # state values, so the floats agree bit for bit.
     g = S3_CHAINED
-    assert list(compress(g.orbits.sizes, g.orbits.essential)) == [1, 3, 2]
+    assert list(compress(g.orbits.sizes, g._orbit_alive)) == [1, 3, 2]
     # The 3-cycles alone give a sum of at least 2 * 3^k after k steps, past
     # 4000 bits from k = 2524 on, and at 1e-7 the ratios still differ then.
     assert g.essential_count == 6
