@@ -310,7 +310,7 @@ def _group_from_args(args) -> FiniteGroup:
         return FiniteGroup.symmetric(int(name[1:]))
     if name.upper().startswith("Z") and name[1:].isdecimal():
         return FiniteGroup.cyclic(int(name[1:]))
-    raise DomainError(f"unknown group {name!r} (use S1..S5, Z1..Z64, or --table)")
+    raise DomainError(f"unknown group {name!r} (use S1..S6, Z1..Z64, or --table)")
 
 
 def _cmd_reps(args) -> None:

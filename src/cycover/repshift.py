@@ -124,10 +124,10 @@ class FiniteGroup:
             powers.append(tuple(seq))
         self.powers = tuple(powers)
         # A generating set, greedily, larger orders first to keep it short
-        # (two elements for S3, S4 and S5): every element is a left-nested
-        # product of generators.  Conjugation by its non-central members
-        # generates the inner automorphisms, and there are none exactly when
-        # F is abelian.
+        # (two elements for S3, S4 and S5, three for S6): every element is a
+        # left-nested product of generators.  Conjugation by its non-central
+        # members generates the inner automorphisms, and there are none
+        # exactly when F is abelian.
         span, gens = {0}, []
         for x in sorted(range(n), key=lambda x: -len(powers[x])):
             if x in span:
@@ -190,19 +190,31 @@ class FiniteGroup:
     def symmetric(cls, k: int) -> "FiniteGroup":
         """Permutations of k points in lexicographic order, identity first.
 
-        Composition convention: (f*g)(x) = f(g(x)).
+        Composition convention: (f*g)(x) = f(g(x)).  Only the rows of the
+        generators (0 1) and (0 1 ... k-1) are composed as permutations.
+        Left multiplication is a homomorphism, row(s*g) = row(s) o row(g),
+        so every other row is grown from the identity's by a search over
+        the generators, each found once as one row mapped through another.
+        k <= 6: the table of S7 would hold 25.4M entries.
         """
-        if not 1 <= k <= 5:
-            raise BadGroupTable(f"symmetric degree must be in [1, 5], got {k}")
+        if not 1 <= k <= 6:
+            raise BadGroupTable(f"symmetric degree must be in [1, 6], got {k}")
         perms = sorted(permutations(range(k)))
         index = {p: i for i, p in enumerate(perms)}
-        # row f holds f*g = f[g[.]] for every g, composed and looked up in C
-        mult = tuple(
-            tuple(map(index.__getitem__, map(tuple, map(map, repeat(f.__getitem__), perms))))
-            for f in perms
-        )
+        gens = {(*range(1, k), 0), (1, 0, *range(2, k)) if k > 1 else (0,)}
+        gen_rows = [tuple(index[tuple(map(g.__getitem__, p))] for p in perms) for g in gens]
+        rows = [None] * len(perms)
+        rows[0] = tuple(range(len(perms)))
+        todo = [0]
+        for s in todo:
+            row = rows[s]
+            for g in gen_rows:
+                sg = row[g[0]]  # g[0] = g*id indexes the generator itself
+                if rows[sg] is None:
+                    rows[sg] = tuple(map(row.__getitem__, g))
+                    todo.append(sg)
         labels = tuple(_cycle_notation(p) for p in perms)
-        return cls(f"symmetric({k})", labels, mult)
+        return cls(f"symmetric({k})", labels, tuple(rows))
 
     @classmethod
     def from_table(cls, text: str, name: str = "custom") -> "FiniteGroup":
@@ -220,6 +232,8 @@ class FiniteGroup:
         try:
             n = int(lines[0])
         except ValueError:
+            n = 0  # reported like an order below 1
+        if n < 1:
             raise BadGroupTable(f"bad order line: {lines[0]!r}")
         if len(lines) != n + 1:
             raise BadGroupTable(f"expected {n} table rows, got {len(lines) - 1}")

@@ -26,7 +26,8 @@ multiplied back term by term, the centered symmetric form of a knot
 polynomial and the index-2 criterion read from it (a second derivation of
 `analyze`'s `index2`), equality of words up to cyclic permutation and
 inversion letter by letter, the associativity of a group table by trying
-every triple, the digits of a shift-graph state by positional division,
+every triple, the table of a symmetric group by composing every pair of
+permutations, the digits of a shift-graph state by positional division,
 and a shift graph built from plain lists of targets.
 
 The parser of presentation text is checked against one that tries every
@@ -911,6 +912,33 @@ def first_non_associative_triple(rows):
                 if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
                     return a, b, c
     return None
+
+
+def _cycle_text(perm):
+    """perm in cycle notation on the points 1..k, each cycle from its least
+    point, fixed points dropped, and "id" for the identity."""
+    cycles, seen = [], set()
+    for start in range(len(perm)):
+        if start not in seen and perm[start] != start:
+            cyc = [start]
+            while perm[cyc[-1]] != start:
+                cyc.append(perm[cyc[-1]])
+            seen.update(cyc)
+            cycles.append("(" + "".join(str(x + 1) for x in cyc) + ")")
+    return "".join(cycles) or "id"
+
+
+def symmetric_table_by_composition(k):
+    """(labels, mult) of the permutations of k points in lexicographic
+    order: every product f*g, (f*g)(x) = f(g(x)), composed as a tuple and
+    looked up in a dict, not grown from the rows of generators."""
+    perms = sorted(permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    mult = tuple(
+        tuple(map(index.__getitem__, map(tuple, map(map, repeat(f.__getitem__), perms))))
+        for f in perms
+    )
+    return tuple(map(_cycle_text, perms)), mult
 
 
 # -- shift-graph successors by brute force ------------------------------

@@ -375,18 +375,26 @@ def test_reps_group_errors(capsys, dyadic_file):
     assert run(capsys, "reps", dyadic_file)[0] == 1  # no group
     assert run(capsys, "reps", dyadic_file, "--group", "Q8")[0] == 1
     assert run(capsys, "reps", dyadic_file, "--group", "Z100")[0] == 1
-    assert run(capsys, "reps", dyadic_file, "--group", "S6")[0] == 1
+    assert run(capsys, "reps", dyadic_file, "--group", "S7")[0] == 1
 
 
 @pytest.mark.parametrize("name", ["S\u00b2", "Z\u00b3", "S", "Zx"])
 def test_reps_rejects_a_group_name_without_a_decimal_number(capsys, dyadic_file, name):
     code, out, err = run(capsys, "reps", dyadic_file, "--group", name)
     assert code == 1 and out == ""
-    assert err == f"error: unknown group {name!r} (use S1..S5, Z1..Z64, or --table)\n"
+    assert err == f"error: unknown group {name!r} (use S1..S6, Z1..Z64, or --table)\n"
 
 
 def test_reps_accepts_the_trivial_symmetric_group(capsys, dyadic_file):
     r = run_json(capsys, "reps", dyadic_file, "--group", "S1")["result"]
+    assert r["census"]["classification"] == "OnlyTrivial"
+
+
+def test_reps_nocover_over_s6_is_only_trivial(capsys, tmp_path):
+    # no proper subgroup of index <= 6 in the kernel of NOCOVER
+    f = tmp_path / "nocover.pres"
+    f.write_text("<t, a | t a^-2 t^-1 a^-1 t a^-1 t^-1 a t a t^-1 a^-1 t a t^-1 a>")
+    r = run_json(capsys, "reps", str(f), "--chi", "t=1,a=0", "--group", "S6")["result"]
     assert r["census"]["classification"] == "OnlyTrivial"
 
 

@@ -21,6 +21,7 @@ from oracles import (
     periodic_by_search_from_every_state,
     perron_log_over_states,
     state_digits,
+    symmetric_table_by_composition,
 )
 from cycover.repshift import (
     STATE_CAP,
@@ -81,9 +82,28 @@ def test_symmetric_group_labels_and_composition():
     assert s3.inv[by_label["(123)"]] == by_label["(132)"]
 
 
-def test_symmetric_bounds():
-    with pytest.raises(BadGroupTable):
-        FiniteGroup.symmetric(6)
+def test_symmetric_bounds(monkeypatch):
+    assert FiniteGroup.symmetric(6).order == 720
+    # S7's table would hold 25.4M entries: refused before a permutation is listed
+    monkeypatch.setattr(repshift, "permutations", None)
+    for k in (0, 7):
+        with pytest.raises(BadGroupTable, match=rf"must be in \[1, 6\], got {k}$"):
+            FiniteGroup.symmetric(k)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_symmetric_table_equals_composing_every_pair(k):
+    group = FiniteGroup.symmetric(k)
+    labels, mult = symmetric_table_by_composition(k)
+    assert group.labels == labels and group.mult == mult
+    if k < 3:
+        assert group.conj is None
+        return
+    assert all(
+        group.conj[g][x] == mult[mult[g][x]][group.inv[g]]
+        for g in range(group.order)
+        for x in range(group.order)
+    )
 
 
 def _table_text(g):
@@ -101,14 +121,22 @@ def test_from_table_roundtrip():
 
 
 def test_from_table_validation():
-    with pytest.raises(BadGroupTable):
-        FiniteGroup.from_table("")
-    with pytest.raises(BadGroupTable):
-        FiniteGroup.from_table("2\n0 1")  # missing row
-    with pytest.raises(BadGroupTable):
-        FiniteGroup.from_table("2\n1 0\n0 1")  # 0 is not the identity
-    with pytest.raises(BadGroupTable):
-        FiniteGroup.from_table("2\n0 0\n0 0")  # not a Latin square
+    for text, message in [
+        ("", "empty table file"),
+        (" \n\n", "empty table file"),
+        ("x\n0", "bad order line: 'x'"),
+        ("-1", "bad order line: '-1'"),
+        ("0", "bad order line: '0'"),
+        ("2\n0 1", "expected 2 table rows, got 1"),  # missing row
+        ("1\n0\n0", "expected 1 table rows, got 2"),
+        ("2\n0 1\n1 x", "bad table row: '1 x'"),
+        ("2\n1 0\n0 1", "element 0 is not an identity"),
+        ("2\n0 0\n0 0", "element 0 is not an identity"),
+        ("3\n0 1 2\n1 1 0\n2 0 1", "table is not a Latin square"),
+    ]:
+        with pytest.raises(BadGroupTable) as err:
+            FiniteGroup.from_table(text)
+        assert str(err.value) == message, text
 
 
 # -- graph construction -------------------------------------------------
@@ -506,6 +534,18 @@ def test_census_nocover_only_trivial():
         c = census(sft(NOCOVER, {"t": 1, "a": 0}, group))
         assert c.classification == "OnlyTrivial", group.name
         assert c.count == 1
+
+
+def test_nocover_over_s6_is_only_trivial():
+    # NOCOVER has no proper subgroup of index <= 6: a homomorphism to S6
+    # with a nontrivial orbit would be a nontrivial point of this shift
+    sp = reidemeister_schreier(NOCOVER, {"t": 1, "a": 0})
+    s6 = FiniteGroup.symmetric(6)
+    g = build_sft(sp, s6)
+    c = census(g)
+    assert (c.classification, c.count, c.state_count) == ("OnlyTrivial", 1, 720)
+    words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
+    assert [list(t) for t in g.successors] == brute_successors(words, s6.mult, sp.width)
 
 
 def test_census_family1_z2_finite_four():
