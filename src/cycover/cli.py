@@ -299,7 +299,7 @@ def _cmd_rs(args) -> None:
 
 
 def _group_from_args(args) -> FiniteGroup:
-    from .repshift import FiniteGroup
+    from .repshift import MAX_CYCLIC_ORDER, MAX_SYMMETRIC_DEGREE, FiniteGroup
 
     if args.table is not None:
         return FiniteGroup.from_table(_read_file(args.table), name=args.table)
@@ -310,7 +310,8 @@ def _group_from_args(args) -> FiniteGroup:
         return FiniteGroup.symmetric(int(name[1:]))
     if name.upper().startswith("Z") and name[1:].isdecimal():
         return FiniteGroup.cyclic(int(name[1:]))
-    raise DomainError(f"unknown group {name!r} (use S1..S6, Z1..Z64, or --table)")
+    bounds = f"S1..S{MAX_SYMMETRIC_DEGREE}, Z1..Z{MAX_CYCLIC_ORDER}"
+    raise DomainError(f"unknown group {name!r} (use {bounds}, or --table)")
 
 
 def _cmd_reps(args) -> None:

@@ -70,6 +70,8 @@ from typing import Optional
 from .rscover import ShiftPresentation, abelianized_recurrence
 
 STATE_CAP = 10**6
+MAX_SYMMETRIC_DEGREE = 6  # the table of S7 would hold 25.4M entries
+MAX_CYCLIC_ORDER = 64
 ENTROPY_MAX_ITER = 100000  # power-iteration steps before entropy gives up
 
 
@@ -92,22 +94,9 @@ class FiniteGroup:
     """
 
     def __init__(self, name: str, labels: tuple[str, ...], mult: tuple[tuple[int, ...], ...]):
+        """Derives only, and checks nothing: `mult` must be a group's table,
+        as `cyclic` and `symmetric` build it (`from_table` checks one)."""
         n = len(labels)
-        if n == 0:
-            raise BadGroupTable("empty group")
-        if len(mult) != n or any(len(row) != n for row in mult):
-            raise BadGroupTable("multiplication table is not square")
-        if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
-            raise BadGroupTable("table entry out of range")
-        # identity checks
-        for i in range(n):
-            if mult[0][i] != i or mult[i][0] != i:
-                raise BadGroupTable("element 0 is not an identity")
-        # Latin square (cancellation laws)
-        full = set(range(n))
-        cols = tuple(zip(*mult))  # cols[x][g] = g x
-        if any(set(row) != full for row in mult) or any(set(col) != full for col in cols):
-            raise BadGroupTable("table is not a Latin square")
         self.name = name
         self.labels = labels
         self.mult = mult
@@ -125,9 +114,8 @@ class FiniteGroup:
         self.powers = tuple(powers)
         # A generating set, greedily, larger orders first to keep it short
         # (two elements for S3, S4 and S5, three for S6): every element is a
-        # left-nested product of generators.  Conjugation by its non-central
-        # members generates the inner automorphisms, and there are none
-        # exactly when F is abelian.
+        # left-nested product of generators, so F is abelian exactly when
+        # its generators commute pairwise.
         span, gens = {0}, []
         for x in sorted(range(n), key=lambda x: -len(powers[x])):
             if x in span:
@@ -144,16 +132,14 @@ class FiniteGroup:
             if len(span) == n:
                 break
         self.generators = tuple(gens)
-        self.conjugators = tuple(
-            x for x in gens if any(mult[x][y] != mult[y][x] for y in range(n))
-        )
         # Conjugation rows, conj[g][x] = g x g^-1, and the order of the
         # centre, for a non-abelian F only; levels[k], the orbit tables of
         # the windows of k digits (level 0: the conjugacy classes), which
         # `_label_orbits` derives once each, when a graph first needs them.
         self.conj, self.levels = None, []
         self.centre_order = n
-        if self.conjugators:
+        if any(mult[x][y] != mult[y][x] for x in gens for y in gens):
+            cols = tuple(zip(*mult))  # cols[x][g] = g x
             self.conj = tuple(tuple(map(cols[i].__getitem__, row)) for row, i in zip(mult, self.inv))
             self.centre_order = self.conj.count(self.conj[0])
 
@@ -173,15 +159,15 @@ class FiniteGroup:
         return [seq[e % len(seq)] for seq in self.powers]
 
     def is_abelian(self) -> bool:
-        return not self.conjugators
+        return self.conj is None
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order {self.order})"
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
-        if not 1 <= n <= 64:
-            raise BadGroupTable(f"cyclic order must be in [1, 64], got {n}")
+        if not 1 <= n <= MAX_CYCLIC_ORDER:
+            raise BadGroupTable(f"cyclic order must be in [1, {MAX_CYCLIC_ORDER}], got {n}")
         labels = tuple(str(i) for i in range(n))
         mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(f"cyclic({n})", labels, mult)
@@ -195,11 +181,10 @@ class FiniteGroup:
         Left multiplication is a homomorphism, row(s*g) = row(s) o row(g),
         so every other row is grown from the identity's by a search over
         the generators, each found once as one row mapped through another.
-        k <= 6: the table of S7 would hold 25.4M entries.
         """
-        if not 1 <= k <= 6:
-            raise BadGroupTable(f"symmetric degree must be in [1, 6], got {k}")
-        perms = sorted(permutations(range(k)))
+        if not 1 <= k <= MAX_SYMMETRIC_DEGREE:
+            raise BadGroupTable(f"symmetric degree must be in [1, {MAX_SYMMETRIC_DEGREE}], got {k}")
+        perms = tuple(permutations(range(k)))  # lexicographic, identity first
         index = {p: i for i, p in enumerate(perms)}
         gens = {(*range(1, k), 0), (1, 0, *range(2, k)) if k > 1 else (0,)}
         gen_rows = [tuple(index[tuple(map(g.__getitem__, p))] for p in perms) for g in gens]
@@ -220,11 +205,13 @@ class FiniteGroup:
     def from_table(cls, text: str, name: str = "custom") -> "FiniteGroup":
         """First line: order n.  Then n lines of n indices; element 0 = identity.
 
-        Unlike the built-in groups, the table is checked for associativity,
-        by Light's test: (x g) y = x (g y) for every generator g only.  The
-        elements that pass are closed under products, and every element is
-        a product of generators, so then every element passes.  Only a table
-        that fails is scanned for its first failing triple, for the message.
+        The way in for tables from outside, so every check runs here: square,
+        entries in [0, n), 0 an identity, a Latin square, and then, on the
+        group built, associativity by Light's test: (x g) y = x (g y) for
+        every generator g only.  The elements that pass are closed under
+        products, and every element is a product of generators, so then
+        every element passes.  Only a table that fails is scanned for its
+        first failing triple, for the message.
         """
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -243,6 +230,15 @@ class FiniteGroup:
                 mult.append(tuple(map(int, ln.split())))
             except ValueError:
                 raise BadGroupTable(f"bad table row: {ln!r}")
+        if any(len(row) != n for row in mult):
+            raise BadGroupTable("multiplication table is not square")
+        if min(map(min, mult)) < 0 or max(map(max, mult)) >= n:
+            raise BadGroupTable("table entry out of range")
+        if any(mult[0][i] != i or mult[i][0] != i for i in range(n)):
+            raise BadGroupTable("element 0 is not an identity")
+        full = set(range(n))  # a Latin square: the cancellation laws
+        if any(set(row) != full for row in mult) or any(set(col) != full for col in zip(*mult)):
+            raise BadGroupTable("table is not a Latin square")
         labels = tuple(f"g{i}" for i in range(n))
         group = cls(name, labels, tuple(mult))
         if _first_non_associative(group.mult, group.generators):

@@ -847,15 +847,15 @@ def orbits_by_conjugator_search(group, window):
     """The orbits of the windows of max(window, 1) digits under conjugation,
     as (orbit, carry) over the states: a search from each state not yet
     reached, in state order, conjugates windows digit by digit by the
-    group's conjugators (the non-central members of a generating set, whose
-    conjugations generate the inner automorphisms), and numbers the orbits
-    as it finds them.  Conjugating each digit of the first state of orbit
-    orbit[s] by carry[s] gives the window of s."""
+    group's generators (their conjugations generate the inner automorphisms;
+    a central one moves nothing), and numbers the orbits as it finds them.
+    Conjugating each digit of the first state of orbit orbit[s] by carry[s]
+    gives the window of s."""
     n, mult, inv = group.order, group.mult, group.inv
     w = max(window, 1)
     count = n**w
     moves = []  # (x, the state of each state's window conjugated by x)
-    for x in group.conjugators:
+    for x in group.generators:
         row, x_inv = mult[x], inv[x]
         conj = [mult[row[y]][x_inv] for y in range(n)]
         image = [0] * count

@@ -133,10 +133,29 @@ def test_from_table_validation():
         ("2\n1 0\n0 1", "element 0 is not an identity"),
         ("2\n0 0\n0 0", "element 0 is not an identity"),
         ("3\n0 1 2\n1 1 0\n2 0 1", "table is not a Latin square"),
+        ("2\n0 1\n1", "multiplication table is not square"),  # short row
+        ("2\n0 1\n1 0 1", "multiplication table is not square"),
+        ("2\n0 1\n1 2", "table entry out of range"),  # an entry equal to n
+        ("2\n0 1\n1 -1", "table entry out of range"),
+        # the checks run in order: range before identity, identity before Latin
+        ("2\n1 2\n0 1", "table entry out of range"),
+        ("2\n0 1\n0 0", "element 0 is not an identity"),
     ]:
         with pytest.raises(BadGroupTable) as err:
             FiniteGroup.from_table(text)
         assert str(err.value) == message, text
+
+
+def test_every_built_in_table_passes_the_checks_of_a_table_from_outside():
+    # FiniteGroup.__init__ checks nothing: cyclic and symmetric build their
+    # tables correct, and written out, each passes all of from_table's
+    # checks, associativity included, and gives the same group.
+    groups = [FiniteGroup.symmetric(k) for k in range(1, 7)]
+    groups += [FiniteGroup.cyclic(n) for n in range(1, 65)]
+    for group in groups:
+        again = FiniteGroup.from_table(_table_text(group), name=group.name)
+        assert again.mult == group.mult, group.name
+        assert again.conj == group.conj and again.centre_order == group.centre_order
 
 
 # -- graph construction -------------------------------------------------
@@ -846,24 +865,22 @@ def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
     assert 0 < census(g, 1e-8).entropy - math.log(2) < 1e-3
 
 
-def test_conjugators_are_non_central_and_generate_the_inner_automorphisms():
+def test_generators_generate_and_decide_whether_the_group_is_abelian():
     groups = [FiniteGroup.symmetric(k) for k in range(1, 6)]
     groups += [FiniteGroup.cyclic(n) for n in (1, 2, 6, 12)]
     groups += [FiniteGroup.from_table(KLEIN_TABLE), _group_from_rows(D4_TABLE)]
     groups.append(_group_from_rows(Q8_TABLE))
     for group in groups:
         n, mult = group.order, group.mult
-        centre = {z for z in range(n) if all(mult[z][y] == mult[y][z] for y in range(n))}
-        assert group.is_abelian() == (len(centre) == n)
-        assert not centre & set(group.conjugators)
-        span = set(centre)
+        span = {0}
         while True:
-            grown = span | {mult[a][x] for a in span for x in group.conjugators}
+            grown = span | {mult[a][x] for a in span for x in group.generators}
             if grown == span:
                 break
             span = grown
         assert span == set(range(n)), group.name
-    assert all(len(FiniteGroup.symmetric(k).conjugators) == 2 for k in (3, 4, 5))
+        centre = {z for z in range(n) if all(mult[z][y] == mult[y][z] for y in range(n))}
+        assert group.is_abelian() == (len(centre) == n) == (group.conj is None), group.name
 
 
 def test_census_family3_z3_only_trivial():
