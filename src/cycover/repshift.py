@@ -36,24 +36,25 @@ the trim, the census and the periodic walks work on its orbits
 *Algebraic Graph Theory*, 9.3).  When the graph is built, every window
 gets the label of its orbit from a canonical form, one digit at a time:
 the first digit goes to its class, then each prefix's stabilizer acts on
-the next digit (`_label_orbits`), by tables that F derives once per digit,
-when a graph first needs them.  The graph keeps its orbit graph B, with
-B[O, O'] edges from orbit O to orbit O', one for each successor of rep(O)
-in O'.  Every state s of O has that many successors in O' (the partition
-is equitable), so row s of A^k sums to B^k[O, O'] over O': B has the
-Perron root of A, and B on the essential orbits that of the essential
-subgraph.  The trim and the census run on B: a state is essential, or has
-one essential successor, exactly when its orbit does, and the components
-of B decide zero entropy.  The power iteration of the entropy,
-v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs as
-u <- (I + B^T) u from u[O] = |O|: with u[O] = |O| * v[O],
-u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'| times the step of
-v.  So every total of the iteration, the floors that keep it bounded
-included, is that of the iteration over all states, and so is the
-entropy.  Closed walks are searched from each orbit's representative and
-conjugated into those of the other states.  An abelian F has no inner
-automorphisms: the graph keeps no labels, every orbit is one state, and B
-is the graph itself.
+the next digit (`_label_orbits`).  F keeps the `Orbits` of each window
+length, every window's label and carrier, derived once, when a graph first
+needs them, and shared by every graph over F of that window.  The graph
+keeps its orbit graph B, with B[O, O'] edges from orbit O to orbit O', one
+for each successor of rep(O) in O'.  Every state s of O has that many
+successors in O' (the partition is equitable), so row s of A^k sums to
+B^k[O, O'] over O': B has the Perron root of A, and B on the essential
+orbits that of the essential subgraph.  The trim and the census run on B:
+a state is essential, or has one essential successor, exactly when its
+orbit does, and the components of B decide zero entropy.  The power
+iteration of the entropy, v <- (I + A^T) v from v = 1, keeps v constant on
+orbits, so it runs as u <- (I + B^T) u from u[O] = |O|: with
+u[O] = |O| * v[O], u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'|
+times the step of v.  So every total of the iteration, the floors that
+keep it bounded included, is that of the iteration over all states, and so
+is the entropy.  Closed walks are searched from each orbit's
+representative and conjugated into those of the other states.  An abelian
+F has no inner automorphisms: the graph keeps no labels, every orbit is
+one state, and B is the graph itself.
 """
 
 from __future__ import annotations
@@ -133,8 +134,8 @@ class FiniteGroup:
                 break
         self.generators = tuple(gens)
         # Conjugation rows, conj[g][x] = g x g^-1, and the order of the
-        # centre, for a non-abelian F only; levels[k], the orbit tables of
-        # the windows of k digits (level 0: the conjugacy classes), which
+        # centre, for a non-abelian F only; levels[k], the `Orbits` of the
+        # windows of k + 1 digits (level 0: the conjugacy classes), which
         # `_label_orbits` derives once each, when a graph first needs them.
         self.conj, self.levels = None, []
         self.centre_order = n
@@ -389,30 +390,23 @@ class SftGraph:
 
 
 class Orbits:
-    """The orbits of the windows of a graph under conjugation by F.
+    """The orbits of the windows of w digits under conjugation by F, level
+    w - 1 of `F.levels`, shared read-only by the graphs over F of window w.
 
-    State s lies in orbit label[s].  Orbit o has sizes[o] states, and its
-    least state reps[o] is its representative.  `carry(s)` is an element
-    whose conjugation carries the window of the representative of s's orbit
-    to that of s.
+    Window s lies in orbit label[s], and the conjugation by carry[s] carries
+    the representative of that orbit to s; both are array('I').  Orbit o
+    has sizes[o] windows, and its least window reps[o] is its
+    representative, fixed by the elements stabs[o] of F, ascending.
     """
 
-    __slots__ = ("label", "reps", "sizes", "_group", "_prefixes")
+    __slots__ = ("label", "carry", "reps", "sizes", "stabs")
 
-    def __init__(self, F: FiniteGroup, label, reps, sizes, prefixes):
+    def __init__(self, F: FiniteGroup, label, carry, reps, stabs):
         self.label = label
+        self.carry = carry
         self.reps = reps
-        self.sizes = sizes
-        self._group = F
-        self._prefixes = prefixes  # (tables, label, carry) of the prefixes
-
-    def carry(self, s: int) -> int:
-        F = self._group
-        tables, label, carry = self._prefixes
-        p, x = divmod(s, F.order)
-        h = carry[p]
-        row_carry = tables[label[p]][1]
-        return h if row_carry is None else F.mult[h][row_carry[F.conj[F.inv[h]][x]]]
+        self.stabs = stabs
+        self.sizes = [F.order // len(stab) for stab in stabs]
 
 
 def _label_orbits(F: FiniteGroup, w: int) -> Orbits:
@@ -423,57 +417,46 @@ def _label_orbits(F: FiniteGroup, w: int) -> Orbits:
     A window (p, x) whose prefix p is h . r, with r the representative of
     the prefix's orbit, is conjugate by h to (r, h^-1 x h), and the
     stabilizer of r moves only that last digit.  So each orbit of prefixes
-    has a table over F (`_orbit_tables`), and a window costs one lookup in
-    its prefix's table.  The tables of the windows of k digits are level k
-    of `F.levels`, which depend on F alone: the levels 0 to w - 1 that no
-    earlier graph over F needed are derived here, once.  The carriers, one
-    multiplication more per window, are derived for the prefixes only;
-    `Orbits.carry` gives those of the windows on demand.
+    has a table over F, and a window costs one lookup in its prefix's
+    table (`_next_level`).  The orbits depend on F and w alone: the levels
+    of `F.levels` up to w - 1 that no earlier graph over F needed are
+    derived here, once, each from the one before.
     """
     levels = F.levels
     while len(levels) < w:  # level 0 extends the empty window, fixed by all of F
-        reps, stabs = levels[-1][1:] if levels else ([0], [range(F.order)])
-        levels.append(_orbit_tables(F, reps, stabs))
-    label, carry = [0], [0]  # the empty window
-    for tables, _, _ in islice(levels, w - 1):
-        label, carry = _extend(F, tables, label, carry)
-    tables, reps, stabs = levels[w - 1]
-    n, conj, inv = F.order, F.conj, F.inv
-    last: list[int] = []
-    for o, h in zip(label, carry):
-        last += map(tables[o][0].__getitem__, conj[inv[h]])
-    return Orbits(F, last, reps, [n // len(stab) for stab in stabs], (tables, label, carry))
+        prev = levels[-1] if levels else Orbits(F, [0], [0], [0], [range(F.order)])
+        levels.append(_next_level(F, prev))
+    return levels[w - 1]
 
 
-def _orbit_tables(F: FiniteGroup, reps, stabs):
-    """The tables of orbits of windows, given by their representatives and
-    their stabilizers (the elements of F, ascending, that fix them by
-    conjugation), with the representatives and stabilizers of the orbits
-    of windows one digit longer, as (tables, reps, stabs).
+def _next_level(F: FiniteGroup, prev: Orbits) -> Orbits:
+    """The orbits of the windows one digit longer than those of prev.
 
-    Table o is a pair of rows over the new digit y: the orbit of the window
-    (reps[o], y), and an element of stabs[o] that conjugates the least
-    digit of that orbit to y; or, when stabs[o] is the centre, which moves
-    no digit, a range and None: each y is an orbit of its own.
+    Each orbit o of prev gets a table, a pair of rows over the new digit y:
+    the orbit of the window (reps[o], y), and an element of stabs[o] that
+    conjugates the least digit of that orbit to y; or, when stabs[o] is the
+    centre, which moves no digit, a range and None: each y is an orbit of
+    its own.  A window's prefix carrier h takes its new digit x to
+    h^-1 x h, and the table's carrier c makes the window's h c.
     """
-    n, conj = F.order, F.conj
+    n, mult, conj, inv = F.order, F.mult, F.conj, F.inv
     tables = []
-    new_reps: list[int] = []
-    new_stabs: list = []
-    for r, stab in zip(reps, stabs):
-        first = len(new_reps)
+    reps: list[int] = []
+    stabs: list = []
+    for r, stab in zip(prev.reps, prev.stabs):
+        first = len(reps)
         r *= n
         if len(stab) == F.centre_order:
             tables.append((range(first, first + n), None))
-            new_reps += range(r, r + n)
-            new_stabs += repeat(stab, n)
+            reps += range(r, r + n)
+            stabs += repeat(stab, n)
             continue
         row_label, row_carry = [-1] * n, [0] * n
         for y in range(n):
             if row_label[y] >= 0:
                 continue
-            o = len(new_reps)
-            new_reps.append(r + y)
+            o = len(reps)
+            reps.append(r + y)
             fix = []
             for c in stab:
                 x = conj[c][y]
@@ -482,27 +465,18 @@ def _orbit_tables(F: FiniteGroup, reps, stabs):
                 if row_label[x] < 0:
                     row_label[x] = o
                     row_carry[x] = c
-            new_stabs.append(fix if len(fix) < len(stab) else stab)
+            stabs.append(fix if len(fix) < len(stab) else stab)
         tables.append((row_label, row_carry))
-    return tables, new_reps, new_stabs
-
-
-def _extend(F: FiniteGroup, tables, label, carry):
-    """The labels and carriers of the windows one digit longer than those
-    given, from `_orbit_tables`; a prefix's carrier h takes the new digit x
-    to h^-1 x h, and the table's carrier c makes the window's h c."""
-    n, mult, conj, inv = F.order, F.mult, F.conj, F.inv
-    new_label: list[int] = []
-    new_carry: list[int] = []
-    for o, h in zip(label, carry):
+    label, carry = array("I"), array("I")
+    for o, h in zip(prev.label, prev.carry):
         row_label, row_carry = tables[o]
         back = conj[inv[h]]
-        new_label += map(row_label.__getitem__, back)
+        label.extend(map(row_label.__getitem__, back))
         if row_carry is None:
-            new_carry += repeat(h, n)
+            carry.extend(repeat(h, n))
         else:
-            new_carry += map(mult[h].__getitem__, map(row_carry.__getitem__, back))
-    return new_label, new_carry
+            carry.extend(map(mult[h].__getitem__, map(row_carry.__getitem__, back)))
+    return Orbits(F, label, carry, reps, stabs)
 
 
 def _trim(successors: Successors) -> bytearray:
@@ -934,7 +908,7 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
         for u in compress(range(len(ess)), ess):
             walks = found.get(label[u])
             if walks is not None and u != reps[label[u]]:
-                row = conj[carry(u)]
+                row = conj[carry[u]]
                 results += [tuple(map(row.__getitem__, walk)) for walk in walks]
     results.sort()
     labels = g.group.labels

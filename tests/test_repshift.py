@@ -586,12 +586,12 @@ def test_census_family3_s3_positive_entropy():
 
 def test_census_builds_the_essential_subgraph_once(monkeypatch):
     # family(3) over S3 has 22 essential states in 6 orbits; the Klein graph
-    # of 4 states is over an abelian group.  The orbits are labelled once,
-    # when the graph is built, and none over an abelian group.  The graph
-    # keeps the orbit graph its trim ran on, and over an abelian group that
-    # is its successors, not a copy.  census and entropy read that graph
-    # and no per-state successor; census, entropy and the periodic walks
-    # relabel nothing.
+    # of 4 states is over an abelian group.  The graph takes its orbits
+    # from its group's levels once, when it is built, and none over an
+    # abelian group.  The graph keeps the orbit graph its trim ran on, and
+    # over an abelian group that is its successors, not a copy.  census and
+    # entropy read that graph and no per-state successor; census, entropy
+    # and the periodic walks relabel nothing.
     calls = []
     label_orbits = repshift._label_orbits
 
@@ -761,7 +761,7 @@ def test_orbit_labels_match_the_conjugator_search():
                 o = label[s]
                 assert sizes[o] == members[orbit[s]], (group.name, window, s)
                 assert reps[o] == first[orbit[s]]  # the least state of the orbit
-                h, inv_h = g.orbits.carry(s), group.inv[g.orbits.carry(s)]
+                h, inv_h = g.orbits.carry[s], group.inv[g.orbits.carry[s]]
                 window_of_rep = state_digits(g, reps[o])
                 image = tuple(group.mult[group.mult[h][d]][inv_h] for d in window_of_rep)
                 assert image == state_digits(g, s), (group.name, window, s)
@@ -769,18 +769,45 @@ def test_orbit_labels_match_the_conjugator_search():
     assert checked == 19  # S3, S4, D4 and Q8 at windows 0-3, S5 at 0-2
 
 
+def test_stored_carriers_give_each_states_successors_from_its_representatives():
+    # Conjugation is an automorphism of the graph, so the carrier of a state
+    # takes its representative's window to its own, and its
+    # representative's successors onto its own.
+    checked = 0
+    for group in (FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)):
+        n = group.order
+        graphs = [family_sft(k, group) for k in (1, 2, 3)]
+        graphs.append(sft(*weight_zero_form(7, 2), group))
+        for g in graphs:
+            w = max(g.window, 1)
+            orbits, successors = g.orbits, g.successors
+
+            def conjugate(s, row):
+                return sum(row[d] * n ** (w - 1 - k) for k, d in enumerate(state_digits(g, s)))
+
+            for s in range(len(successors)):
+                rep = orbits.reps[orbits.label[s]]
+                row = group.conj[orbits.carry[s]]
+                assert conjugate(rep, row) == s, (group.name, g.window, s)
+                image = sorted(conjugate(t, row) for t in successors[rep])
+                assert image == list(successors[s]), (group.name, g.window, s)
+                checked += 1
+    assert checked == 15876
+
+
 def test_orbit_tables_are_derived_once_per_group_on_first_use(monkeypatch):
-    # The orbit tables of each digit depend on the group alone.  Building a
-    # group derives none; a graph derives the levels that no earlier graph
-    # over its group needed, and a window-1 graph needs the classes only.
+    # The orbits of the windows of each length depend on the group alone.
+    # Building a group derives none; a graph derives the levels that no
+    # earlier graph over its group needed, and a window-1 graph needs the
+    # classes only.  Graphs over one group and window share one `Orbits`.
     calls = []
-    orbit_tables = repshift._orbit_tables
+    next_level = repshift._next_level
 
-    def counting(F, reps, stabs):
+    def counting(F, prev):
         calls.append(F.name)
-        return orbit_tables(F, reps, stabs)
+        return next_level(F, prev)
 
-    monkeypatch.setattr(repshift, "_orbit_tables", counting)
+    monkeypatch.setattr(repshift, "_next_level", counting)
     groups = [FiniteGroup.symmetric(k) for k in (3, 4, 5)]
     groups += [_group_from_rows(Q8_TABLE), _group_from_rows(D4_TABLE)]
     z6 = FiniteGroup.cyclic(6)
@@ -790,24 +817,25 @@ def test_orbit_tables_are_derived_once_per_group_on_first_use(monkeypatch):
     for F, classes in zip(groups, (3, 5, 7, 5, 5)):
         g = sft(NOCOVER, {"t": 1, "a": 0}, F)
         assert g.window == 1 and calls == [F.name] and len(F.levels) == 1
-        assert len(F.levels[0][1]) == len(g.orbits.reps) == classes
+        assert F.levels[0] is g.orbits
+        assert len(F.levels[0].reps) == len(g.orbits.reps) == classes
         calls.clear()
     sft(NOCOVER, {"t": 1, "a": 0}, z6)
     assert calls == [] and z6.levels == []
     # (7, 2) has window 3: over the S4 above it grows the list to three
-    # levels, and a second graph derives none and reads the same labels as
-    # a graph over a fresh S4
+    # levels, and a second graph derives none and holds the same orbits,
+    # equal to those of a graph over a fresh S4
     s4 = groups[1]
     g = sft(*weight_zero_form(7, 2), s4)
     assert g.window == 3 and len(calls) == 2 and len(s4.levels) == 3
     calls.clear()
     again = sft(*weight_zero_form(7, 2), s4)
-    assert calls == []
+    assert calls == [] and again.orbits is g.orbits is s4.levels[2]
     fresh = sft(*weight_zero_form(7, 2), FiniteGroup.symmetric(4))
-    assert len(calls) == 3
+    assert len(calls) == 3 and fresh.orbits is not g.orbits
+    for attr in ("label", "carry", "reps", "sizes"):
+        assert getattr(g.orbits, attr) == getattr(fresh.orbits, attr), attr
     for graph in (g, again):
-        assert graph.orbits.label == fresh.orbits.label
-        assert (graph.orbits.reps, graph.orbits.sizes) == (fresh.orbits.reps, fresh.orbits.sizes)
         assert graph.essential == fresh.essential
 
 
