@@ -19,14 +19,6 @@ With one hole that is the table of e-th roots; with none, the template
 allows every successor or none.  Element powers come from a per-element
 table, so no cost depends on the size of an exponent.
 
-The graph is stored flat, in CSR (compressed sparse row) form: two
-array('I'), `offsets` with one entry per state plus one, and `targets` with
-one entry per edge, so the successors of state s are
-targets[offsets[s]:offsets[s + 1]], ascending.  A state costs four bytes
-plus four per edge and one for its essential flag, and the trim, census,
-SCC, entropy and periodic walks index these arrays.  `SftGraph.successors`
-reads them back as a sequence of per-state target arrays.
-
 Conjugating every coordinate of a window by one element of F maps the
 graph onto itself: a template is a word, so its value on the conjugated
 window is the conjugate of its value, trivial exactly when that is.  So
@@ -38,30 +30,31 @@ gets the label of its orbit from a canonical form, one digit at a time:
 the first digit goes to its class, then each prefix's stabilizer acts on
 the next digit (`_label_orbits`).  F keeps the `Orbits` of each window
 length, every window's label and carrier, derived once, when a graph first
-needs them, and shared by every graph over F of that window.  The graph
-keeps its orbit graph B, with B[O, O'] edges from orbit O to orbit O', one
-for each successor of rep(O) in O'.  Every state s of O has that many
-successors in O' (the partition is equitable), so row s of A^k sums to
-B^k[O, O'] over O': B has the Perron root of A, and B on the essential
-orbits that of the essential subgraph.  The trim and the census run on B:
-a state is essential, or has one essential successor, exactly when its
-orbit does, and the components of B decide zero entropy.  The power
-iteration of the entropy, v <- (I + A^T) v from v = 1, keeps v constant on
-orbits, so it runs as u <- (I + B^T) u from u[O] = |O|: with
-u[O] = |O| * v[O], u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'|
-times the step of v.  So every total of the iteration, the floors that
-keep it bounded included, is that of the iteration over all states, and so
-is the entropy.  Closed walks are searched from each orbit's
-representative and conjugated into those of the other states.  An abelian
-F has no inner automorphisms: the graph keeps no labels, every orbit is
-one state, and B is the graph itself.
+needs them, and shared by every graph over F of that window.  The
+templates are solved for the orbits' representatives only, and the graph
+keeps their digits and its orbit graph B, with B[O, O'] edges from orbit O
+to orbit O', one for each successor of rep(O) in O', and no edge per
+state.  Every state s of O has that many successors in O' (the partition
+is equitable), so row s of A^k sums to B^k[O, O'] over O': B has the
+Perron root of A, and B on the essential orbits that of the essential
+subgraph.  The trim and the census run on B: a state is essential, or has
+one essential successor, exactly when its orbit does, and the components
+of B decide zero entropy.  The power iteration of the entropy,
+v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs as
+u <- (I + B^T) u from u[O] = |O|: with u[O] = |O| * v[O],
+u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'| times the step of
+v.  So every total of the iteration, the floors that keep it bounded
+included, is that of the iteration over all states, and so is the
+entropy.  Closed walks are searched from each orbit's representative,
+stepping by the digits and carriers, and conjugated into those of the
+other states.  An abelian F has no inner automorphisms: the graph keeps
+no labels, every orbit is one state, and B is the graph itself.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Sequence
 from itertools import accumulate, chain, compress, islice, permutations, repeat
@@ -281,12 +274,13 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
 
 
 class Successors(Sequence):
-    """The edges of a shift graph in CSR form, read as one sequence per state.
+    """Edges in CSR (compressed sparse row) form, read as one sequence per node.
 
     `offsets` (n + 1 entries) and `targets` (one per edge) are array('I');
-    item s is targets[offsets[s]:offsets[s + 1]], the successors of state s
-    (ascending, but for an orbit graph), as a new array, so the graph cannot
-    be changed through it.
+    item s is targets[offsets[s]:offsets[s + 1]], the successors of node s,
+    as a new array, so the graph cannot be changed through it.  A shift
+    graph's successors are ascending; an orbit graph's are in the order of
+    its representative's digits, parallel edges apart.
     """
 
     __slots__ = ("offsets", "targets")
@@ -342,36 +336,49 @@ class SftGraph:
     appends one element on the right; the label of a state is its first
     (most significant) coordinate.
 
-    `successors` holds the edges in CSR form (see `Successors`).  `essential`
-    is a bytearray, 1 for the states left by the trim: those on a
-    biinfinite path.  `orbits` holds the conjugacy orbits of the states
+    `essential` is a bytearray, 1 for the states left by the trim: those on
+    a biinfinite path.  `orbits` holds the conjugacy orbits of the states
     (see `Orbits`), None over an abelian F, where each orbit is one state.
-    The successors must be invariant under conjugation, as `build_sft`'s
-    are: the trim runs on the orbit graph (see the module docstring), which
-    the graph keeps for the census, in CSR form, one node per orbit, and the
-    trim's flags on it; over an abelian F, `successors` and `essential`.
+    The trim runs on the orbit graph (see the module docstring), which the
+    graph keeps for the census, in CSR form, one node per orbit, with the
+    trim's flags on it; over an abelian F, the successors and `essential`,
+    5 bytes per state and 4 per edge.  Over a non-abelian F it keeps no
+    edge per state: digits[o] lists the y that may follow the
+    representative r of orbit o, whose successors are (r mod n^(w-1)) n + y.
+    `successors` (see `Successors`) is then derived on first read, each
+    state's from its representative's, conjugated by its carrier.  Given
+    per-state successors, invariant under conjugation as `build_sft`'s are,
+    the graph reads the digits from them; `build_sft` gives it the orbits
+    and digits instead.
     """
 
     __slots__ = (
-        "window", "group", "successors", "orbits", "essential", "_orbit_edges", "_orbit_alive"
+        "window", "group", "orbits", "digits", "essential", "_successors", "_orbit_edges", "_orbit_alive"
     )
 
-    def __init__(self, window: int, group: FiniteGroup, successors: Successors):
+    def __init__(self, window: int, group: FiniteGroup, successors: Optional[Successors] = None,
+                 orbits: Optional[Orbits] = None, digits: Optional[list] = None):
         self.window = window
         self.group = group
-        self.successors = successors
+        self._successors = successors
         if group.is_abelian():
-            self.orbits, self._orbit_edges = None, successors
+            self.orbits = self.digits = None
+            self._orbit_edges = successors
             self.essential = self._orbit_alive = _trim(successors)
             return
-        self.orbits = orbits = _label_orbits(group, max(window, 1))
+        n, w = group.order, max(window, 1)
+        if digits is None:  # the last digit of each successor
+            orbits = _label_orbits(group, w)
+            digits = [[t % n for t in successors[r]] for r in orbits.reps]
+        self.orbits, self.digits = orbits, digits
         # An edge from orbit o to the orbit of each successor of its
         # representative.  Conjugation is an automorphism, so a state
         # survives the trim exactly when its orbit does.
-        label, offsets, targets = orbits.label, successors.offsets, successors.targets
+        label = orbits.label
         q_offsets, q_targets = array("I", [0]), array("I")
-        for r in orbits.reps:
-            q_targets.extend(map(label.__getitem__, targets[offsets[r] : offsets[r + 1]]))
+        for r, ys in zip(orbits.reps, digits):
+            base = r % n ** (w - 1) * n
+            q_targets.extend(map(label[base : base + n].__getitem__, ys))
             q_offsets.append(len(q_targets))
         self._orbit_edges = Successors(q_offsets, q_targets)
         self._orbit_alive = alive = _trim(self._orbit_edges)
@@ -381,12 +388,26 @@ class SftGraph:
             self.essential = bytearray(b"\x01") * len(label)
 
     @property
+    def successors(self) -> Successors:
+        if self._successors is None:
+            conj, digits, orbits = self.group.conj, self.digits, self.orbits
+            rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
+            self._successors = Successors.from_rows(zip(_stubs(self.group.order, self.window), rows))
+        return self._successors
+
+    @property
     def state_count(self) -> int:
         return len(self.essential)
 
     @property
     def essential_count(self) -> int:
         return self.essential.count(1)
+
+
+def _stubs(n: int, w: int):
+    """For each state s of max(w, 1) digits, in order, (s mod n^(w-1)) n:
+    the successors of s are this plus their last digit."""
+    return chain.from_iterable(repeat(range(0, n ** max(w, 1), n), n))
 
 
 class Orbits:
@@ -540,6 +561,8 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
 
     Width-0 presentations (all template letters at one index) get a graph
     on F itself whose edges leave the states satisfying the unary relation.
+    Over a non-abelian F only the orbit representatives are solved, and the
+    graph keeps their digits (see `SftGraph`).
     """
     if len(sp.symbols) != 1:
         raise MultiSymbolUnsupported(f"need exactly one symbol, have {len(sp.symbols)}")
@@ -550,24 +573,21 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
         raise CapExceeded(f"{n}^{eff_w} states exceed the cap of {STATE_CAP}")
 
     templates = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
-    if F.is_abelian():
+    orbits = None if F.is_abelian() else _label_orbits(F, eff_w)
+    if orbits is None:
         # Exponent sums suffice for an abelian target.
-        rows = abelianized_recurrence(sp)
-        templates = [list(r.coefficients) for r in rows]
-
+        templates = [list(r.coefficients) for r in abelianized_recurrence(sp)]
+    sources = range(n**eff_w) if orbits is None else orbits.reps
     if w == 0:
-        rows = (range(n) if _window_ok(templates, (x,), F) else () for x in range(n))
-        successors = Successors.from_rows(zip(repeat(0), rows))
-        return SftGraph(window=w, group=F, successors=successors)
-
-    solved = [_solve_template(tpl, F, w) for tpl in templates]
-    allowed = iter(solved[0]) if len(solved) == 1 else map(_intersect, *solved)
-    # State s keeps its last w-1 digits, (s mod n^(w-1)) * n, and appends y;
-    # the states run through these stubs once per leading digit, taking the
-    # next items of `allowed`.
-    stubs = chain.from_iterable(repeat(range(0, n**w, n), n))
-    successors = Successors.from_rows(zip(stubs, allowed))
-    del solved, allowed  # free the segment values before the trim
+        allowed = [range(n) if _window_ok(templates, (x,), F) else () for x in sources]
+    else:
+        solved = [_solve_template(tpl, F, w, sources) for tpl in templates]
+        allowed = solved[0] if len(solved) == 1 else map(_intersect, *solved)
+        del solved
+    if orbits is not None:
+        return SftGraph(window=w, group=F, orbits=orbits, digits=list(allowed))
+    successors = Successors.from_rows(zip(_stubs(n, w), allowed))
+    del allowed  # free the segment values before the trim
     return SftGraph(window=w, group=F, successors=successors)
 
 
@@ -585,10 +605,11 @@ def _intersect(first, *rest):
     return [y for y in first if all(y in ys for ys in rest)]
 
 
-def _solve_template(tpl, F: FiniteGroup, w: int):
-    """The allowed hole values of one template, ascending, for each source
-    window in state order.  The windows are split by S1, then S2, ..., and
-    each group gets its table (see the module docstring) in turn."""
+def _solve_template(tpl, F: FiniteGroup, w: int, windows: Sequence[int]):
+    """The allowed hole values of one template, ascending, for each of the
+    given source windows in turn.  The segment values are computed on all
+    windows at once and read at those; they are split by S1, then S2, ...,
+    and each group gets its table (see the module docstring) in turn."""
     if all(off != w for off, _ in tpl):
         tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
     cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
@@ -600,33 +621,31 @@ def _solve_template(tpl, F: FiniteGroup, w: int):
             seg = []
         else:
             seg.append((off, e))
-    if len(segs) == 1:
-        table = _hole_table(F.power_map(exps[0]), F)
-        return map(table.__getitem__, _segment_values(segs[0], F, w))
-
     # The fewer offsets the inner segments read, the fewer tables.
     reads = [{off for off, _ in sg} for sg in segs]
     i = min(range(len(segs)), key=lambda i: len(set().union(*reads[:i], *reads[i + 1 :])))
     segs, exps = segs[i:] + segs[:i], exps[i:] + exps[:i]
-    head = _segment_values(segs[0], F, w)
+    head, *inners = (_segment_values(sg, F, w, windows) for sg in segs)
     maps = [F.power_map(e) for e in exps]
-    inners = [_segment_values(sg, F, w) for sg in segs[1:]]
+    if not inners:
+        return map(_hole_table(maps[0], F).__getitem__, head)
+
     # windows that agree on S1 ... Sj, with the values of y^e1 S1 ... Sj y^e(j+1)
     mult = F.mult
     allowed = [None] * len(head)
     stack = [(range(len(head)), maps[0], 0)]
     while stack:
-        windows, vals, j = stack.pop()
+        members, vals, j = stack.pop()
         if j < len(inners):
             parts = defaultdict(list)
             seg, pm = inners[j], maps[j + 1]
-            for s in windows:
+            for s in members:
                 parts[seg[s]].append(s)
             for v, part in parts.items():
                 stack.append((part, [mult[mult[x][v]][p] for x, p in zip(vals, pm)], j + 1))
         else:
             table = _hole_table(vals, F)
-            for s in windows:
+            for s in members:
                 allowed[s] = table[head[s]]
     return allowed
 
@@ -639,12 +658,13 @@ def _hole_table(values, F: FiniteGroup) -> list[list[int]]:
     return table
 
 
-def _segment_values(seg, F: FiniteGroup, w: int) -> list[int]:
-    """Value of a hole-free word on every source window, in state order.
+def _segment_values(seg, F: FiniteGroup, w: int, windows: Sequence[int]) -> list[int]:
+    """Value of a hole-free word on each of the given source windows.
 
     The word is cut into runs of strictly increasing offsets.  A run is
-    evaluated by prefix expansion over the window digits, most significant
-    first, and the runs are multiplied pointwise.
+    evaluated on every window by prefix expansion over the window digits,
+    most significant first, and read at the given ones; the runs are
+    multiplied pointwise.
     """
     mult = F.mult
     runs: list[dict[int, int]] = []
@@ -658,8 +678,10 @@ def _segment_values(seg, F: FiniteGroup, w: int) -> list[int]:
         for pos in range(w):
             pm = F.power_map(run.get(pos, 0))
             val = [mult[v][x] for v in val for x in pm]
+        if len(windows) < len(val):
+            val = list(map(val.__getitem__, windows))
         out = val if out is None else [mult[a][b] for a, b in zip(out, val)]
-    return [0] * F.order**w if out is None else out
+    return [0] * len(windows) if out is None else out
 
 
 class RepCensus:
@@ -850,66 +872,85 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     smaller period dividing max_period appear as their repeated tuples.
     The walks are searched from the representative of each essential
     conjugacy orbit (see `Orbits`), stepping to essential states only;
-    those from the other states are their conjugates by the carriers.
+    those from the other states are their conjugates by the carriers.  A
+    state v steps to (v mod n^(w-1)) n + h y h^-1, h = carry[v], for the
+    digits y of its orbit (see `SftGraph`).  The last state of a walk ends
+    in the first w - 1 digits of the first, so with w >= 2 only one
+    successor of the state before it is tried.
     """
     check_max_period(max_period)
     N = max_period
     ess = g.essential
-    offsets, targets = g.successors.offsets, g.successors.targets
-    scale = g.group.order ** (max(g.window, 1) - 1)
-    orbits = g.orbits
-    if orbits is None:
-        live, starts, sizes = repeat(None), compress(range(len(ess)), ess), repeat(1)
+    n = g.group.order
+    scale = n ** (max(g.window, 1) - 1)
+    if g.orbits is None:  # each state is an orbit, carried to itself by the identity
+        label = reps = range(len(ess))
+        carry, sizes, conj, inv = bytes(len(ess)), b"\x01" * len(ess), (range(n),), (0,)
+        offsets, targets = g.successors.offsets, g.successors.targets
+        digits = Successors(offsets, array("I", [t % n for t in targets]))
     else:
-        live = list(compress(range(len(orbits.reps)), g._orbit_alive))
-        starts = map(orbits.reps.__getitem__, live)
-        sizes = map(orbits.sizes.__getitem__, live)
+        label, carry, reps, sizes = g.orbits.label, g.orbits.carry, g.orbits.reps, g.orbits.sizes
+        conj, inv, digits = g.group.conj, g.group.inv, g.digits
     results: list[tuple[int, ...]] = []
     found = {}  # orbit -> the labelings of its representative's walks
     total = 0  # the labelings of every state searched or conjugated so far
-    last = N - 1
-    for o, start, size in zip(live, starts, sizes):
+    depth = N - 2
+    for o in compress(range(len(reps)), g._orbit_alive):
+        start, size = reps[o], sizes[o]
         lo = len(results)
-        if N == 1:  # the self-loops
-            if start in targets[offsets[start] : offsets[start + 1]]:
+        head = start // n  # the first w - 1 digits
+        final, second = start % n, head % n
+        # DFS over walks start = v0, ..., v(N-2): iters[d] yields the last
+        # digits of the candidates for v(d+1), to add to bases[d], and path
+        # holds the labels of v0 ... vd.  start's carrier is the identity.
+        if N > 2:
+            path, bases, iters = [start // scale], [start % scale * n], [iter(digits[o])]
+        elif N == 2:
+            path, bases, iters = [], [0], [iter((start,))]
+        else:  # the self-loops
+            if start % scale == head and final in digits[o]:
                 results.append((start // scale,))
-        else:
-            # DFS over walks start = v0, v1, ..., v(N-1), where iters[d]
-            # yields the candidates for v(d+1) and path holds the labels of
-            # v0 ... vd; the walk closes iff start follows v(N-1), which a
-            # search of its ascending successors tells
-            path = [start // scale]
-            iters = [iter(targets[offsets[start] : offsets[start + 1]])]
-            while iters:
-                v = next(iters[-1], None)
-                if v is None:
-                    iters.pop()
-                    path.pop()
-                elif not ess[v]:
+            iters = []
+        while iters:
+            y = next(iters[-1], None)
+            if y is None:
+                iters.pop()
+                bases.pop()
+                del path[-1:]
+                continue
+            v = bases[-1] + y
+            if not ess[v]:
+                continue
+            if len(iters) < depth:
+                path.append(v // scale)
+                bases.append(v % scale * n)
+                iters.append(map(conj[carry[v]].__getitem__, digits[label[v]]))
+                continue
+            # v = v(N-2): v(N-1) ends in head, and start follows it
+            h, ys = carry[v], digits[label[v]]
+            if scale == 1:
+                ends = map(conj[h].__getitem__, ys)
+            else:
+                c = v % scale * n + second
+                if c % scale != head or conj[inv[h]][second] not in ys:
                     continue
-                elif len(iters) < last:
-                    path.append(v // scale)
-                    iters.append(iter(targets[offsets[v] : offsets[v + 1]]))
-                else:
-                    end = offsets[v + 1]
-                    j = bisect_left(targets, start, offsets[v], end)
-                    if j < end and targets[j] == start:
-                        results.append((*path, v // scale))
-                        if total + len(results) - lo > STATE_CAP:
-                            raise CapExceeded("periodic labeling count exceeds cap")
+                ends = (c,)
+            for c in ends:
+                if ess[c] and conj[inv[carry[c]]][final] in digits[label[c]]:
+                    results.append((*path, v // scale, c // scale))
+                    if total + len(results) - lo > STATE_CAP:
+                        raise CapExceeded("periodic labeling count exceeds cap")
         if len(results) > lo:
             total += (len(results) - lo) * size
             if total > STATE_CAP:
                 raise CapExceeded("periodic labeling count exceeds cap")
             if size > 1:
                 found[o] = results[lo:]
-    if found:
-        label, carry, reps, conj = orbits.label, orbits.carry, orbits.reps, g.group.conj
-        for u in compress(range(len(ess)), ess):
-            walks = found.get(label[u])
-            if walks is not None and u != reps[label[u]]:
+    if found:  # the states of those orbits, but their representatives
+        for u in compress(range(len(label)), map(found.__contains__, label)):
+            if u != reps[label[u]]:
                 row = conj[carry[u]]
-                results += [tuple(map(row.__getitem__, walk)) for walk in walks]
+                results += [tuple(map(row.__getitem__, walk)) for walk in found[label[u]]]
     results.sort()
     labels = g.group.labels
     return [tuple(labels[x] for x in tup) for tup in results]

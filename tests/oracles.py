@@ -962,6 +962,26 @@ def state_digits(graph, s):
     return tuple(s // n ** (w - 1 - k) % n for k in range(w))
 
 
+def inner_tuple_counts(segments, mult_table, windows):
+    """For each rotation i of the cyclic word S0 y^e1 S1 ... S(k-1) y^ek,
+    the number of distinct tuples of its inner segment values,
+    (S(i+1), ..., S(k-1), S0, ..., S(i-1)), over the given windows.  A
+    segment is a list of (offset, exponent) syllables, read on a window of
+    digits by repeated multiplication."""
+
+    def value(seg, win):
+        acc = 0
+        for off, e in seg:
+            acc = mult_table[acc][_power_by_multiplication(mult_table, win[off], e)]
+        return acc
+
+    counts = []
+    for i in range(len(segments)):
+        inner = segments[i + 1 :] + segments[:i]
+        counts.append(len({tuple(value(seg, win) for seg in inner) for win in windows}))
+    return counts
+
+
 def brute_successors(templates, mult_table, w):
     """Successor lists of the window graph over a group given by its table.
 

@@ -16,6 +16,7 @@ from oracles import (
     essential_fixed_point,
     first_non_associative_triple,
     graph_from_lists,
+    inner_tuple_counts,
     orbits_by_conjugator_search,
     perron_entropy,
     periodic_by_search_from_every_state,
@@ -215,6 +216,22 @@ def test_build_sft_keeps_a_few_bytes_per_state():
     # offsets, targets and essential flags: 4 + 4 + 1 bytes per state
     assert kept <= 16 * g.state_count, kept / g.state_count
     assert peak <= 40 * g.state_count, peak / g.state_count
+
+
+def test_second_non_abelian_build_keeps_under_three_bytes_per_state():
+    # family(3) over S5: 14,400 windows in 161 orbits.  Once its group has
+    # the levels, a build keeps the essential flags, one byte per state, and
+    # per orbit its digits and the orbit graph; no edge per state.
+    s5 = FiniteGroup.symmetric(5)
+    family_sft(3, s5)
+    tracemalloc.start()
+    try:
+        g = family_sft(3, s5)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.state_count == 120**2 and g._successors is None
+    assert kept <= 3 * g.state_count, kept / g.state_count
 
 
 def test_multi_symbol_rejected():
@@ -445,9 +462,11 @@ def _holes_template(segments, exps):
 
 
 def test_multi_hole_solve_matches_brute_force_successors(monkeypatch):
+    # Tables are built for the orbit representatives only, one per inner
+    # tuple among them, for the rotation of the word that the solve picks.
     # Inner segments that read one digit leave at most n inner tuples, so
-    # the windows share a few tables; when every segment reads both digits
-    # nearly every window has a tuple, and a table, of its own.
+    # the representatives share a few tables; when every segment reads both
+    # digits nearly every representative has a tuple, and a table, of its own.
     tables = []
     hole_table = repshift._hole_table
 
@@ -458,7 +477,7 @@ def test_multi_hole_solve_matches_brute_force_successors(monkeypatch):
     monkeypatch.setattr(repshift, "_hole_table", counting_hole_table)
     groups = [FiniteGroup.symmetric(4), _group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)]
     rng = random.Random(16)
-    table_per_window = set()
+    table_per_rep = set()
     for gi, group in enumerate(groups):
         for holes in (2, 3):
             for pool in (ONE_DIGIT, BOTH_DIGITS, ONE_DIGIT + BOTH_DIGITS):
@@ -473,9 +492,11 @@ def test_multi_hole_solve_matches_brute_force_successors(monkeypatch):
                     assert [list(t) for t in got.successors] == want, (group.name, segments, exps)
                     if pool is ONE_DIGIT:
                         assert len(tables) <= group.order, (group.name, segments)
-                    if len(tables) == group.order**2:
-                        table_per_window.add(gi)
-    assert table_per_window == {0, 1, 2}
+                    reps = [state_digits(got, r) for r in got.orbits.reps]
+                    assert len(tables) in inner_tuple_counts(segments, group.mult, reps), (group.name, segments)
+                    if len(tables) == len(reps):
+                        table_per_rep.add(gi)
+    assert table_per_rep == {0, 1, 2}
 
 
 def test_multi_hole_build_keeps_memory_per_state():
@@ -555,12 +576,24 @@ def test_census_nocover_only_trivial():
         assert c.count == 1
 
 
-def test_nocover_over_s6_is_only_trivial():
+def test_nocover_over_s6_is_only_trivial(monkeypatch):
     # NOCOVER has no proper subgroup of index <= 6: a homomorphism to S6
-    # with a nontrivial orbit would be a nontrivial point of this shift
+    # with a nontrivial orbit would be a nontrivial point of this shift.
+    # Its one template has several holes and window 1, so each of the 11
+    # classes of S6 has an inner tuple, and a table, of its own, and no
+    # other element does.
+    tables = []
+    hole_table = repshift._hole_table
+
+    def counting_hole_table(*args):
+        tables.append(1)
+        return hole_table(*args)
+
+    monkeypatch.setattr(repshift, "_hole_table", counting_hole_table)
     sp = reidemeister_schreier(NOCOVER, {"t": 1, "a": 0})
     s6 = FiniteGroup.symmetric(6)
     g = build_sft(sp, s6)
+    assert len(g.orbits.reps) == 11 and 1 <= len(tables) <= 11
     c = census(g)
     assert (c.classification, c.count, c.state_count) == ("OnlyTrivial", 1, 720)
     words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
@@ -586,12 +619,13 @@ def test_census_family3_s3_positive_entropy():
 
 def test_census_builds_the_essential_subgraph_once(monkeypatch):
     # family(3) over S3 has 22 essential states in 6 orbits; the Klein graph
-    # of 4 states is over an abelian group.  The graph takes its orbits
-    # from its group's levels once, when it is built, and none over an
-    # abelian group.  The graph keeps the orbit graph its trim ran on, and
-    # over an abelian group that is its successors, not a copy.  census and
-    # entropy read that graph and no per-state successor; census, entropy
-    # and the periodic walks relabel nothing.
+    # of 4 states is over an abelian group.  A build looks its orbits up in
+    # its group's levels once, and not at all over an abelian group.  The
+    # graph keeps the orbit graph its trim ran on, and over an abelian group
+    # that is its successors, not a copy.  Over S3 it keeps no per-state
+    # successor, only each representative's digits: census, entropy and the
+    # periodic walks read those and the orbit graph, never derive the
+    # per-state view, and relabel nothing.
     calls = []
     label_orbits = repshift._label_orbits
 
@@ -608,12 +642,13 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     assert calls == [] and abelian.orbits is None
     assert abelian._orbit_edges is abelian.successors
     assert abelian._orbit_alive is abelian.essential
-    assert len(nonabelian._orbit_edges) == len(nonabelian.orbits.reps)
+    assert len(nonabelian._orbit_edges) == len(nonabelian.digits) == len(nonabelian.orbits.reps)
     for g in (nonabelian, abelian):
         c = census(g)
         assert c.classification == "PositiveEntropy"
-        # reading a bare object in any way raises
-        successors, g.successors = g.successors, object()
+        # reading a bare object in any way raises; the abelian walks read
+        # the successors, which are the graph itself
+        successors, g._successors = g._successors, object()
         try:
             again = census(g)
             assert (again.classification, again.count, again.entropy) == (
@@ -621,11 +656,15 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
             )
             assert (again.state_count, again.essential_count) == (c.state_count, c.essential_count)
             assert entropy(g) == c.entropy
+            if g is nonabelian:
+                for period in (1, 2, 4):
+                    enumerate_periodic(g, period)
         finally:
-            g.successors = successors
+            g._successors = successors
         for period in (1, 2, 4):
             enumerate_periodic(g, period)
         assert calls == []
+    assert nonabelian._successors is None
     # Every essential state has as many essential successors as its orbit's
     # node has edges in the essential orbit graph.
     alive = nonabelian._orbit_alive
@@ -793,6 +832,73 @@ def test_stored_carriers_give_each_states_successors_from_its_representatives():
                 assert image == list(successors[s]), (group.name, g.window, s)
                 checked += 1
     assert checked == 15876
+
+
+def _template_presentation(rng, window):
+    """Random templates of exactly this width; width 0 is a unary relation."""
+    if window == 0:
+        return ShiftPresentation(symbols=("a",), templates=((("a", 0, rng.choice((1, 2, 3))),),))
+    sp = None
+    while sp is None or sp.width != window:  # cancelling syllables narrow a few
+        tpls = [_random_template(rng, window, rng.choice((1, 2)))]
+        if rng.random() < 0.3:
+            tpls.append(_random_template(rng, rng.randrange(1, window + 1), 1))
+        pres = parse_presentation("<t, a | " + ", ".join(_relator(t) for t in tpls) + ">")
+        sp = reidemeister_schreier(pres, {"t": 1, "a": 0})
+    return sp
+
+
+def test_derived_successors_equal_the_brute_force_successors():
+    # Over a non-abelian group the graph keeps each representative's digits
+    # and derives every state's successors from them and the carriers, on
+    # first read.  S3 and S4 have a trivial centre, D4 and Q8 one of order
+    # 2; a representative outside the centre has a nontrivial stabilizer
+    # and an orbit of more than one state.  A graph given those successors
+    # reads the same digits back.
+    rng = random.Random(31)
+    groups = [FiniteGroup.symmetric(3), FiniteGroup.symmetric(4)]
+    groups += [_group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)]
+    checked = stabilized = 0
+    for group in groups:
+        for window in range(4):
+            for _ in range(2 if group.order**window <= 512 else 1):
+                sp = _template_presentation(rng, window)
+                g = build_sft(sp, group)
+                assert g._successors is None
+                words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
+                want = brute_successors(words, group.mult, window)
+                assert [list(t) for t in g.successors] == want, (group.name, window)
+                again = SftGraph(g.window, group, g.successors)
+                assert list(map(list, again.digits)) == list(map(list, g.digits))
+                assert again.essential == g.essential
+                orbits = g.orbits
+                stabilized += any(
+                    len(stab) > group.centre_order and size > 1 and ys
+                    for stab, size, ys in zip(orbits.stabs, orbits.sizes, g.digits)
+                )
+                checked += 1
+    assert checked == 30 and stabilized >= 20
+
+
+def test_walks_with_the_forced_last_step_equal_the_search_from_every_state():
+    # The walks step from each state by its orbit's digits and its carrier,
+    # and the last state of a walk from s at window w >= 2 is the one
+    # successor of the state before it that ends in the first w - 1 digits
+    # of s; at window 1 every successor is tried.  The oracle walks every
+    # essential state's successors to the end.
+    rng = random.Random(32)
+    groups = [FiniteGroup.symmetric(3), _group_from_rows(D4_TABLE), _group_from_rows(Q8_TABLE)]
+    groups += [FiniteGroup.cyclic(6), FiniteGroup.from_table(KLEIN_TABLE)]
+    walks = Counter()
+    for group in groups:
+        for window in (1, 2, 3):
+            for _ in range(3):
+                g = build_sft(_template_presentation(rng, window), group)
+                for period in range(1, 7):
+                    got = enumerate_periodic(g, period)
+                    assert got == periodic_by_search_from_every_state(g, period), (group.name, window, period)
+                    walks[group.is_abelian(), window] += len(got)
+    assert all(walks[abelian, window] > 0 for abelian in (False, True) for window in (1, 2, 3)), walks
 
 
 def test_orbit_tables_are_derived_once_per_group_on_first_use(monkeypatch):
