@@ -13,8 +13,9 @@ hole, instead of trying every candidate.  A template is rotated so that a
 hole syllable comes last (a word is trivial iff its rotation is); its
 hole-free segments are then evaluated on all source windows at once, and
 the word reads S0 y^e1 S1 ... y^ek = 1, i.e. S0 = L(y)^-1.  L depends on a
-window only through its inner tuple (S1, ..., S(k-1)), so one table per
-tuple, listing each y under L(y)^-1, answers its windows by a lookup on S0.
+window only through its inner tuple (S1, ..., S(k-1)), so the windows are
+grouped by that tuple, and one table per tuple, listing each y under
+L(y)^-1, answers its windows by a lookup on S0.
 With one hole that is the table of e-th roots; with none, the template
 allows every successor or none.  Element powers come from a per-element
 table, so no cost depends on the size of an exponent.
@@ -342,14 +343,12 @@ class SftGraph:
     The trim runs on the orbit graph (see the module docstring), which the
     graph keeps for the census, in CSR form, one node per orbit, with the
     trim's flags on it; over an abelian F, the successors and `essential`,
-    5 bytes per state and 4 per edge.  Over a non-abelian F it keeps no
-    edge per state: digits[o] lists the y that may follow the
-    representative r of orbit o, whose successors are (r mod n^(w-1)) n + y.
-    `successors` (see `Successors`) is then derived on first read, each
-    state's from its representative's, conjugated by its carrier.  Given
-    per-state successors, invariant under conjugation as `build_sft`'s are,
-    the graph reads the digits from them; `build_sft` gives it the orbits
-    and digits instead.
+    5 bytes per state and 4 per edge.  Over a non-abelian F it is built
+    from the orbits, as `build_sft` builds it, and keeps no edge per state:
+    digits[o] lists the y that may follow the representative r of orbit o,
+    whose successors are (r mod n^(w-1)) n + y.  `successors` (see
+    `Successors`) is then derived on first read, each state's from its
+    representative's, conjugated by its carrier.
     """
 
     __slots__ = (
@@ -366,10 +365,9 @@ class SftGraph:
             self._orbit_edges = successors
             self.essential = self._orbit_alive = _trim(successors)
             return
+        if digits is None:
+            raise TypeError("a graph over a non-abelian group is built from its orbits and digits")
         n, w = group.order, max(window, 1)
-        if digits is None:  # the last digit of each successor
-            orbits = _label_orbits(group, w)
-            digits = [[t % n for t in successors[r]] for r in orbits.reps]
         self.orbits, self.digits = orbits, digits
         # An edge from orbit o to the orbit of each successor of its
         # representative.  Conjugation is an automorphism, so a state
@@ -608,8 +606,9 @@ def _intersect(first, *rest):
 def _solve_template(tpl, F: FiniteGroup, w: int, windows: Sequence[int]):
     """The allowed hole values of one template, ascending, for each of the
     given source windows in turn.  The segment values are computed on all
-    windows at once and read at those; they are split by S1, then S2, ...,
-    and each group gets its table (see the module docstring) in turn."""
+    windows at once and read at those; the windows are grouped by their
+    inner tuple (S1, ..., S(k-1)), and each group gets its table (see the
+    module docstring)."""
     if all(off != w for off, _ in tpl):
         tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
     cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
@@ -630,23 +629,18 @@ def _solve_template(tpl, F: FiniteGroup, w: int, windows: Sequence[int]):
     if not inners:
         return map(_hole_table(maps[0], F).__getitem__, head)
 
-    # windows that agree on S1 ... Sj, with the values of y^e1 S1 ... Sj y^e(j+1)
+    parts = defaultdict(list)  # inner tuple -> the windows that have it
+    for s, inner in enumerate(zip(*inners)):
+        parts[inner].append(s)
     mult = F.mult
     allowed = [None] * len(head)
-    stack = [(range(len(head)), maps[0], 0)]
-    while stack:
-        members, vals, j = stack.pop()
-        if j < len(inners):
-            parts = defaultdict(list)
-            seg, pm = inners[j], maps[j + 1]
-            for s in members:
-                parts[seg[s]].append(s)
-            for v, part in parts.items():
-                stack.append((part, [mult[mult[x][v]][p] for x, p in zip(vals, pm)], j + 1))
-        else:
-            table = _hole_table(vals, F)
-            for s in members:
-                allowed[s] = table[head[s]]
+    for inner, members in parts.items():
+        vals = maps[0]  # the values of y^e1 S1 ... y^ek
+        for v, pm in zip(inner, maps[1:]):
+            vals = [mult[mult[x][v]][p] for x, p in zip(vals, pm)]
+        table = _hole_table(vals, F)
+        for s in members:
+            allowed[s] = table[head[s]]
     return allowed
 
 

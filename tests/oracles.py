@@ -28,7 +28,8 @@ polynomial and the index-2 criterion read from it (a second derivation of
 inversion letter by letter, the associativity of a group table by trying
 every triple, the table of a symmetric group by composing every pair of
 permutations, the digits of a shift-graph state by positional division,
-and a shift graph built from plain lists of targets.
+and a shift graph built from plain lists of targets, or from rows
+checked invariant under conjugation.
 
 The parser of presentation text is checked against one that tries every
 declared generator at each token, the cyclic reduction of a
@@ -48,7 +49,7 @@ from itertools import permutations, product, repeat
 import numpy as np
 
 from cycover.laurent import LaurentPoly, ZeroPolynomial
-from cycover.repshift import FiniteGroup, SftGraph, Successors
+from cycover.repshift import FiniteGroup, SftGraph, Successors, _label_orbits
 from cycover.words import (
     DuplicateGenerator,
     FreeWord,
@@ -633,6 +634,23 @@ def graph_from_lists(lists):
     rows = (sorted(set(targets)) for targets in lists)
     successors = Successors.from_rows(zip(repeat(0), rows))
     return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=successors)
+
+
+def graph_from_invariant_rows(group, rows):
+    """The window-1 SftGraph over a non-abelian group in which state x has the targets rows[x].
+
+    The rows must be invariant under conjugation, as a shift graph's are:
+    conjugating x and its targets by a generator gives the row of the
+    conjugate of x.  The graph is then built as `build_sft` builds it, from
+    the orbits of the group's elements and the representatives' rows.
+    """
+    for g in group.generators:
+        row = group.conj[g]
+        for x, targets in enumerate(rows):
+            assert sorted(row[y] for y in targets) == sorted(rows[row[x]]), (g, x)
+    orbits = _label_orbits(group, 1)
+    digits = [sorted(rows[r]) for r in orbits.reps]
+    return SftGraph(window=1, group=group, orbits=orbits, digits=digits)
 
 
 # -- spectral radius ----------------------------------------------------

@@ -6,8 +6,10 @@ its own definition: as an ``ast.Name`` or ``ast.Attribute`` in
 ``src/cycover/``, in ``cycbench/*.py`` or in ``tests/corpus.py`` (which the
 benchmark loads), or as an attribute string in ``cycbench/tracer.py``
 ``LAYERS``, which the tracer rebinds by name.  Names in ``cycover.__all__``
-are exempt.  References from the test suite do not count: a helper that only
-tests reach belongs in ``tests/oracles.py``.
+are exempt.  The names that only ``LAYERS`` keeps alive are pinned, so no
+other definition can live for the tracer alone.  References from the test
+suite do not count: a helper that only tests reach belongs in
+``tests/oracles.py``.
 
 The check matches by bare name, not by resolved binding, so a dead
 definition escapes it when a live one elsewhere shares its name.
@@ -65,14 +67,14 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def unreferenced_definitions():
+def unreferenced_definitions(layers_exempt=True):
     src = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
     readers = [*sorted(BENCH.glob("*.py")), ROOT / "tests" / "corpus.py"]
     refs = {}  # bare name -> [(path, line)] of its references
     for path, tree in [*src.items(), *((path, _parse(path)) for path in readers)]:
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
-    exempt = set(cycover.__all__) | _layer_names()
+    exempt = set(cycover.__all__) | (_layer_names() if layers_exempt else set())
 
     dead = []
     for path, tree in src.items():
@@ -87,3 +89,14 @@ def unreferenced_definitions():
 def test_every_definition_is_reached_by_the_program_or_the_benchmark():
     dead = unreferenced_definitions()
     assert not dead, "named nowhere outside their own bodies:\n  " + "\n  ".join(dead)
+
+
+def test_only_the_known_names_live_for_the_tracer_alone():
+    # The tracer rebinds these by name, and nothing else calls them; any
+    # other name kept alive by LAYERS alone would be dead code.
+    assert sorted(unreferenced_definitions(layers_exempt=False)) == [
+        "alexander.fox_derivative_abelianized",
+        "criteria.classify_prime",
+        "criteria.count_prime_index",
+        "laurent.exact_div",
+    ]
