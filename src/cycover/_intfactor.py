@@ -19,8 +19,10 @@ after an exact cyclotomic split:
   b = 2^8; each hit is confirmed by exact division and divided out, and
   the cofactor, which has no cyclotomic factor left, goes on to the steps
   below unless it is constant or linear;
-- Berlekamp factorization modulo the first three good primes, keeping the
-  prime with the fewest factors.  Each row x^(p*i) mod f of the matrix Q
+- Berlekamp factorization modulo good primes in increasing order, keeping
+  the prime with the fewest factors: the search stops after three of them,
+  or at the first that leaves at most two factors, as one lift and at most
+  two trial divisions then decide f.  Each row x^(p*i) mod f of the matrix Q
   is the one before times x^p: p shifts of a row packed into one integer
   when p < deg f, one product with x^p mod f otherwise.  One elimination
   mod p, `_left_nullspace`, gives both the null space of Q - I and each
@@ -756,8 +758,12 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
 
     Also returns the bit mask of the degrees a factor of f over Z can have:
     the intersection of the subset-sum degree sets at the primes tried.  The
-    search stops early once that leaves only 0 and deg f, which proves f
-    irreducible.
+    search stops after three good primes, once that mask leaves only 0 and
+    deg f, which proves f irreducible, or once a prime leaves at most two
+    modular factors: their recombination is one complementary pair, decided
+    by one lift and at most two trial divisions, and another prime could
+    only save that lift.  A bad prime divides lc * f(0) or the discriminant
+    of the squarefree f, so the search always ends.
     """
     lc, tc = f[-1], f[0]
     irreducible = 1 | 1 << degree(f)
@@ -765,8 +771,6 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
     degrees = -1
     good_seen = 0
     for p in _primes():
-        if p > 20000:
-            raise RuntimeError("no good prime found (unexpected at this scale)")
         if lc % p == 0 or tc % p == 0:
             continue
         if not gf_is_squarefree(f, p):
@@ -776,7 +780,7 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
         if best is None or len(facs) < len(best[1]):
             best = (p, facs)
         good_seen += 1
-        if good_seen >= 3 or degrees == irreducible:
+        if good_seen >= 3 or degrees == irreducible or len(best[1]) <= 2:
             break
     assert best is not None
     return best[0], best[1], degrees

@@ -57,6 +57,32 @@ def wirtinger_torus_text(n, relators=None, drop=None):
     return "<" + ", ".join(x) + " | " + ", ".join(rels[:relators]) + ">"
 
 
+def prime_product_exponents():
+    """(A, B, C, D): the primes below 20,000 dealt out in turn to four products.
+
+    With these exponents, <t, a, b | t a^A t^-1 a^-C, t b^B t^-1 b^-D>
+    weighted t=1, a=0, b=0 has delta (A t - C)(B t - D).  Every prime below
+    20,000 divides lc * delta(0) = A B C D, so a search for a good prime has
+    to go past 20,000.  Each product has about 2,150 digits.
+    """
+    limit = 20000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    out = [1, 1, 1, 1]
+    k = 0
+    for n in range(limit):
+        if sieve[n]:
+            sieve[n * n :: n] = bytes(len(range(n * n, limit, n)))
+            out[k % 4] *= n
+            k += 1
+    return tuple(out)
+
+
+def prime_product_text():
+    a, b, c, d = prime_product_exponents()
+    return f"<t, a, b | t a^{a} t^-1 a^-{c}, t b^{b} t^-1 b^-{d}>"
+
+
 def artin_presentation(n, word):
     """The Artin presentation <x1, ..., xn | b(xi) = xi> of the closed braid b in B_n.
 

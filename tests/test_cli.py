@@ -196,6 +196,20 @@ def test_delta_past_the_int_digit_limit(capsys, tmp_path):
             assert json.loads(out)["result"]["delta"] == delta
 
 
+def test_criteria_finds_a_good_prime_past_every_small_one(capsys, tmp_path):
+    # Every prime below 20,000 divides lc * delta(0) of delta = (A t - C)(B t - D).
+    from corpus import prime_product_text
+
+    f = tmp_path / "prime_products.txt"
+    f.write_text(prime_product_text())
+    code, out, err = run(capsys, "criteria", str(f), "--chi", "t=1,a=0,b=0", "--json")
+    assert code == 0, err
+    assert '"answer":false' in out
+    code, out, err = run(capsys, "criteria", str(f), "--chi", "t=1,a=0,b=0")
+    assert code == 0, err
+    assert "surjects onto Z: no\n" in out
+
+
 def test_recurrence_window_past_the_int_digit_limit(capsys):
     # F(30000) has 6,270 digits; the witness of t^2 - t - 1 is the Fibonacci sequence
     fib = [0, 1]

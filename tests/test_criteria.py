@@ -13,6 +13,8 @@ from corpus import (
     TORUS23,
     figure_eight,
     knotlike_corpus,
+    prime_product_exponents,
+    prime_product_text,
     trefoil,
     two_bridge_pairs,
 )
@@ -23,6 +25,7 @@ from oracles import (
     index2_criterion,
     letters,
 )
+from cycover import _intfactor
 from cycover.alexander import alexander_polynomial
 from cycover.criteria import (
     FG,
@@ -42,6 +45,7 @@ from cycover.laurent import (
     LaurentPoly,
     NotPrime,
     exact_div,
+    factor_over_Z,
 )
 from cycover.twobridge import TwoBridgeParams, presentation
 from cycover.words import FreeWord, Presentation, parse_presentation
@@ -383,6 +387,26 @@ def test_analyze_free_rank():
     for r in rep.primes:
         assert r.d is INFINITE and r.r is None and r.n is None
         assert r.classification.kind == "infinite"
+
+
+def test_analyze_finds_a_good_prime_past_every_small_one(monkeypatch):
+    # delta = (A t - C)(B t - D), and every prime below 20,000 divides A B C D.
+    a, b, c, d = prime_product_exponents()
+    chosen = []
+    real_choose = _intfactor._choose_prime
+
+    def spy(f):
+        out = real_choose(f)
+        chosen.append(out[0])
+        return out
+
+    monkeypatch.setattr(_intfactor, "_choose_prime", spy)
+    rep = analyze(parse_presentation(prime_product_text()), {"t": 1, "a": 0, "b": 0})
+    assert rep.delta == L([c * d, -(a * d + b * c), a * b])
+    assert rep.surjects.answer is False  # neither factor is monic at both ends
+    fac = factor_over_Z(rep.delta)
+    assert [(g.dense(), m) for g, m in fac.factors] == sorted([([-c, a], 1), ([-d, b], 1)])
+    assert chosen and all(p > 20000 for p in chosen)
 
 
 def test_analyze_reduces_delta_once_per_prime(monkeypatch):

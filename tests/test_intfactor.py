@@ -452,6 +452,43 @@ def test_lift_precision_exceeds_twice_the_bound(monkeypatch):
 # -- cost guards (counts, not timings) ----------------------------------
 
 
+def record_calls(monkeypatch, name):
+    """Rebind _intfactor.<name> to record each call's arguments in the returned list."""
+    calls = []
+    real = getattr(_intfactor, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_intfactor, name, spy)
+    return calls
+
+
+def test_reducible_cubics_run_berlekamp_at_most_once(monkeypatch):
+    # (t^2 - c t + 1)(a + b t): a quadratic and a linear factor, so no set
+    # of factor degrees proves the cubic irreducible; two modular factors
+    # end the prime search at once.
+    calls = record_calls(monkeypatch, "berlekamp")
+    for i in range(30):
+        quadratic, linear = [1, -(1 + i % 4), 1], [1 + i % 5, 2 + i // 5 % 2]
+        calls.clear()
+        fac = factor_over_Z(LaurentPoly.from_coeffs(product(quadratic, linear)))
+        linear = _intfactor.primitive(linear)
+        expect = [(linear, 1), ([-1, 1], 2)] if i % 4 == 1 else [(linear, 1), (quadratic, 1)]
+        assert sorted((g.dense(), m) for g, m in fac.factors) == sorted(expect), i
+        assert len(calls) <= 1, i
+
+
+def test_two_modular_factors_are_lifted_not_tried_at_more_primes(monkeypatch):
+    d = delta(601, 5)  # degree 120, two factors modulo 2
+    calls = record_calls(monkeypatch, "berlekamp")
+    lifts = record_calls(monkeypatch, "hensel_lift")
+    assert _intfactor.factor_squarefree(d) == [d]
+    assert [p for _, p in calls] == [2]
+    assert [len(modular) for _, _, modular, _ in lifts if len(modular) > 1] == [2]
+
+
 def test_swinnerton_dyer_splits_with_few_gcds(monkeypatch):
     # Each Berlekamp factor is split once per basis vector, peeling one value
     # class per gcd, not tried against every (vector, value) pair.
@@ -530,6 +567,44 @@ def _mine(dense):
     fac = factor_over_Z(LaurentPoly.from_coeffs(dense))
     assert multiply_back(fac) == LaurentPoly.from_coeffs(dense)
     return sorted((tuple(g.dense()), m) for g, m in fac.factors)
+
+
+def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch):
+    rng = random.Random(3301)
+
+    def random_factor():
+        """Degree 1-5, coefficients in [-9, 9], nonzero at both ends, primitive."""
+        const = rng.choice((-1, 1)) * rng.randint(1, 9)
+        middle = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+        return _intfactor.primitive([const] + middle + [rng.randint(1, 9)])
+
+    # (input of _choose_prime, modular factors kept, primes Berlekamp ran at)
+    searches = []
+    tried = record_calls(monkeypatch, "berlekamp")
+    real_choose = _intfactor._choose_prime
+
+    def spy(f):
+        tried.clear()
+        out = real_choose(f)
+        if out[2] != 1 | 1 << len(f) - 1:  # not proved irreducible by degree sets
+            searches.append((f, len(out[1]), [p for _, p in tried]))
+        return out
+
+    monkeypatch.setattr(_intfactor, "_choose_prime", spy)
+    # The lone factors are mostly irreducible over Z: those that split in two
+    # modulo the kept prime make the recombination run out of candidates.
+    inputs = [random_factor() for _ in range(40)]
+    inputs += [product(*(random_factor() for _ in range(rng.randint(2, 3)))) for _ in range(200)]
+    two_factor_exits = irreducible_exits = 0
+    for f in inputs:
+        searches.clear()
+        mine = _mine(f)
+        assert mine == _sympy_factors(f), f
+        for g, r, primes in searches:
+            if r == 2 and len(primes) < 3:
+                two_factor_exits += 1
+                irreducible_exits += (tuple(g), 1) in mine
+    assert two_factor_exits >= 50 and irreducible_exits >= 10, (two_factor_exits, irreducible_exits)
 
 
 @pytest.mark.parametrize("n", [60, 96, 120])
