@@ -5,20 +5,32 @@ coefficients in ascending order of exponent, with no high-order zeros;
 [] is the zero polynomial.  Products of two polynomials of 16 or more terms
 each are taken by Kronecker substitution: one integer product of the two
 polynomials packed into byte-aligned slots by the `Kronecker` codec, which
-the Alexander determinant also uses.  Factorization follows the classical
-route (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14-15),
-after an exact cyclotomic split:
+the Alexander determinant also uses.  Primes and cyclotomic polynomials
+come from `_numbers`.  Factorization follows the classical route (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), after an exact
+cyclotomic split:
 
+- GF(p) arithmetic on packed integers (Kronecker substitution, ibid.
+  ch. 8): a division, gcd or product past a few terms packs each
+  polynomial into one int, a slot of 1, 2, 4 or 8 bytes a coefficient
+  (`_Slots`), so a quotient step is one multiply-add of ints and a product
+  one int product; a gcd keeps its remainders packed and reduces them mod
+  p only before a division that could overflow a slot.  Small inputs and
+  moduli too wide for 8-byte slots, such as the later Hensel moduli, stay
+  on lists.  The last quadratic Hensel step lifts the factors only, not
+  the Bezout coefficients, which nothing reads at p^l;
 - squarefree decomposition: when f is squarefree modulo one of the first
   few primes not dividing its leading coefficient it is squarefree over Z
-  and Yun's algorithm is skipped; otherwise Yun's algorithm runs on gcds
-  taken by a primitive remainder sequence over Z;
+  and Yun's algorithm is skipped, and the prime search below repeats none
+  of those tests; otherwise Yun's algorithm runs on gcds taken by a
+  primitive remainder sequence over Z;
 - cyclotomic split (cf. Bradford & Davenport, Effective tests for
   cyclotomic polynomials, ISSAC 1988): for every m with phi(m) <= deg f, in
   increasing order, Phi_m can divide f only if Phi_m(b) divides f(b),
-  b = 2^8; each hit is confirmed by exact division and divided out, and
-  the cofactor, which has no cyclotomic factor left, goes on to the steps
-  below unless it is constant or linear;
+  b = 2^8; f is divided once by the product of the hits, and hit by hit
+  only when a false hit makes that fail, and the cofactor, which has no
+  cyclotomic factor left, goes on to the steps below unless it is
+  constant or linear;
 - Berlekamp factorization modulo good primes in increasing order, keeping
   the prime with the fewest factors: the search stops after three of them,
   or at the first that leaves at most two factors, as one lift and at most
@@ -45,57 +57,13 @@ Everything is deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
-
-# The first 13 primes.  As strong-probable-prime bases they decide primality
-# for every n < SPRP_BOUND (Sorenson & Webster, Strong pseudoprimes to twelve
-# prime bases, Math. Comp. 2017).
-_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-SPRP_BOUND = 3_317_044_064_679_887_385_961_981
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality for n < SPRP_BOUND; ValueError at or above it.
-
-    Trial division by the bases comes first, which alone decides n < 41^2;
-    then a strong-probable-prime test to each base.
-    """
-    if n < 2:
-        return False
-    for a in _SPRP_BASES:
-        if n % a == 0:
-            return n == a
-    if n < _SPRP_BASES[-1] ** 2:
-        return True
-    if n >= SPRP_BOUND:
-        raise ValueError(f"primality of {n} is decided only below {SPRP_BOUND}")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SPRP_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1
+from ._numbers import _CYCLOTOMIC, _CYCLOTOMIC_BITS, _primes
 
 
 # -- dense arithmetic over Z -------------------------------------------
@@ -124,6 +92,14 @@ def sub(f: list[int], g: list[int]) -> list[int]:
 # Products with a factor shorter than _KRONECKER_MIN terms are multiplied
 # term by term, longer ones by Kronecker substitution.
 _KRONECKER_MIN = 16
+# GF(p) products, divisions and gcds smaller than these stay on lists, where
+# packing into `_Slots` would cost more than it saves: a product with a factor
+# shorter than _PACKED_MUL_MIN terms, a division of fewer than
+# _PACKED_DIV_MIN quotient terms times divisor terms, and a gcd whose smaller
+# operand is shorter than _PACKED_GCD_MIN terms.
+_PACKED_MUL_MIN = 8
+_PACKED_DIV_MIN = 24
+_PACKED_GCD_MIN = 6
 
 
 class Kronecker:
@@ -267,8 +243,6 @@ def squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
     assert f and f[-1] > 0
     if degree(f) == 0:
         return []
-    if _squarefree_mod_small_prime(f):
-        return [(f, 1)]
     a = int_poly_gcd(f, derivative(f))
     b = exact_div_int(f, a)
     c = exact_div_int(derivative(f), a)
@@ -291,21 +265,21 @@ def squarefree_decomposition(f: list[int]) -> list[tuple[list[int], int]]:
 _SQUAREFREE_PRIMES = 5
 
 
-def _squarefree_mod_small_prime(f: list[int]) -> bool:
-    """True when f is squarefree mod one of the first few primes not dividing lc(f).
+def _squarefree_mod_small_prime(f: list[int]) -> dict[int, bool]:
+    """Whether f is squarefree mod p, for the primes p not dividing lc(f) in
+    increasing order up to the first that answers True, or the first few.
 
     Such a prime keeps the degree of every factor of f, so a square factor
-    over Z would stay a square factor mod p: f is then squarefree over Z.
+    over Z would stay a square factor mod p: f is squarefree over Z when
+    one answers True.
     """
-    tried = 0
+    tested: dict[int, bool] = {}
     for p in _primes():
         if f[-1] % p == 0:
             continue
-        if gf_is_squarefree(f, p):
-            return True
-        tried += 1
-        if tried == _SQUAREFREE_PRIMES:
-            return False
+        tested[p] = gf_is_squarefree(f, p)
+        if tested[p] or len(tested) == _SQUAREFREE_PRIMES:
+            return tested
 
 
 # -- GF(p) arithmetic ---------------------------------------------------
@@ -331,19 +305,43 @@ def gf_sub(f, g, p):
 
 
 def gf_mul(f, g, p):
+    """Product in (Z/p)[x].  From _PACKED_MUL_MIN terms a factor, and while a
+    slot of 8 bytes holds min(len) (p - 1)^2, one product of packed ints."""
+    if len(f) >= _PACKED_MUL_MIN <= len(g):
+        f, g = gf_trunc(f, p), gf_trunc(g, p)
+        slots = _slots(min(len(f), len(g)) * (p - 1) ** 2)
+        if f and g and slots:
+            return gf_trunc(slots.unpack(slots.pack(f) * slots.pack(g), len(f) + len(g) - 1), p)
     return gf_trunc(mul(f, g), p)
 
 
 def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Division in (Z/p)[x]; also valid mod a composite when g is monic."""
+    """Division in (Z/p)[x]; also valid mod a composite when g is monic.
+
+    From _PACKED_DIV_MIN quotient terms times divisor terms, and while a slot
+    of 8 bytes holds p + (deg f - deg g + 1)(p - 1)^2, f and g are packed
+    once into `_Slots` and divided by `_packed_divide`; otherwise by the list
+    loop `_list_divmod`.
+    """
     f = gf_trunc(f, p)
     g = gf_trunc(g, p)
     if not g:
         raise ZeroDivisionError
+    steps = len(f) - len(g) + 1
+    if steps <= 0:
+        return [], f
+    if steps * len(g) >= _PACKED_DIV_MIN:
+        slots = _slots(p + steps * (p - 1) ** 2)
+        if slots:
+            q, r = _packed_divide(slots.pack(f), len(f), slots.pack(g), len(g) - 1, slots.bits, p)
+            return strip(q), gf_trunc(slots.unpack(r, len(g) - 1), p)
+    return _list_divmod(f, g, p)
+
+
+def _list_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
+    """gf_divmod of f and g reduced mod p, len(f) >= len(g) > 0, on lists."""
     inv = pow(g[-1], -1, p)
     rem = list(f)
-    if len(rem) < len(g):
-        return [], rem
     # rem is reduced mod p only as each top coefficient is read, and at the end.
     q = [0] * (len(rem) - len(g) + 1)
     for k in range(len(q) - 1, -1, -1):
@@ -355,6 +353,30 @@ def gf_divmod(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]
     return strip(q), strip([c % p for c in rem])
 
 
+def _packed_divide(x: int, n: int, y: int, d: int, bits: int, p: int) -> tuple[list[int], int]:
+    """Quotient and remainder of x by y, packed into slots of `bits` bits.
+
+    x has n slots; y has degree d < n, a unit mod p in its top slot, and both
+    may hold values not reduced mod p.  Quotient term k, top first, is c =
+    (slot k + d of x) / lc(y) mod p, and x gains (p - c) times y less its top
+    slot, shifted k slots: slots k up to k + d - 1 each gain less than p times
+    the largest slot of y, which the caller keeps within the slot width.
+    Slot k + d is never read again.  Returns the quotient, reduced and
+    ascending, and the remainder: the low d slots of x, not reduced.
+    """
+    inv = pow((y >> d * bits) % p, -1, p)
+    low = y & ((1 << d * bits) - 1)
+    slot = (1 << bits) - 1
+    q = [0] * (n - d)
+    for k in range(n - d - 1, -1, -1):
+        c = (x >> (k + d) * bits & slot) % p
+        if c:
+            c = c * inv % p
+            q[k] = c
+            x += (p - c) * low << k * bits
+    return q, x & ((1 << d * bits) - 1)
+
+
 def gf_monic(f: list[int], p: int) -> list[int]:
     f = gf_trunc(f, p)
     if not f:
@@ -364,10 +386,41 @@ def gf_monic(f: list[int], p: int) -> list[int]:
 
 
 def gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
+    """Monic gcd in (Z/p)[x], p prime, by Euclid's algorithm.
+
+    When the smaller operand has _PACKED_GCD_MIN terms or more, and a slot of
+    8 bytes holds 16 (p + n (p - 1)^2), n = the larger length, both operands
+    are packed once into `_Slots` of at least 32 bits and each remainder comes
+    from `_packed_divide`, never unpacked: its degree is that of its top slot
+    not divisible by p.  Slot values are not reduced mod p after a division;
+    a bound on each operand's slots is carried along instead, and both are
+    reduced (unpacked, reduced, packed) only before a division that could
+    overflow a slot, which the 16-fold headroom makes rare.
+    """
     a, b = gf_trunc(f, p), gf_trunc(g, p)
-    while b:
-        a, b = b, gf_divmod(a, b, p)[1]
-    return gf_monic(a, p)
+    if len(a) < len(b):
+        a, b = b, a
+    # max(..., 2^31): slots of at least 32 bits.
+    slots = _slots(max(16 * (p + len(a) * (p - 1) ** 2), 1 << 31)) if len(b) >= _PACKED_GCD_MIN else None
+    if slots is None:
+        while b:
+            a, b = b, _list_divmod(a, b, p)[1]
+        return gf_monic(a, p)
+    bits = slots.bits
+    x, y, dx, dy = slots.pack(a), slots.pack(b), len(a) - 1, len(b) - 1
+    bx = by = p - 1  # bounds on the slots of x and y
+    while dy >= 0:
+        steps = (dx - dy + 1) * (p - 1)
+        if bx + steps * by >> bits:
+            x = slots.pack([c % p for c in slots.unpack(x, dx + 1)])
+            y = slots.pack([c % p for c in slots.unpack(y, dy + 1)])
+            bx = by = p - 1
+        x, y = y, _packed_divide(x, dx + 1, y, dy, bits, p)[1]
+        dx, dy, bx, by = dy, dy - 1, by, bx + steps * by
+        while dy >= 0 and (y >> dy * bits) % p == 0:
+            y &= (1 << dy * bits) - 1
+            dy -= 1
+    return gf_monic(slots.unpack(x, dx + 1), p)
 
 
 def gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -462,30 +515,39 @@ def _minimal_polynomial(a: list[int], u: list[int], p: int) -> list[int]:
 
 
 class _Slots:
-    """Rows of n ints in [0, bound], each packed into one int, a fixed-width slot an entry.
+    """Rows of ints in [0, 2^bits), each packed into one int, a fixed-width slot an entry.
 
-    Entry j of a row sits in bits j * bits up to (j + 1) * bits of its packed value.
-    The slots are as wide as the narrowest of 1, 2, 4 and 8 bytes that holds
-    bound, and pack and unpack go through the little-endian bytes of the row
-    (`struct`), so neither costs a Python step per entry.
+    Entry j of a row sits in bits j * bits up to (j + 1) * bits of its packed
+    value.  pack and unpack go through the little-endian bytes of the row
+    (`struct`), so neither costs a Python step per entry; the codec of each
+    row length is built once.
     """
 
-    __slots__ = ("bits", "_row")
+    __slots__ = ("bits", "_code")
 
-    def __init__(self, bound: int, n: int) -> None:
-        for code, size in ("B", 1), ("H", 2), ("I", 4), ("Q", 8):
-            if bound >> 8 * size == 0:
-                break
-        else:
-            raise ValueError(f"a slot of {bound.bit_length()} bits is wider than 8 bytes")
-        self.bits = 8 * size
-        self._row = struct.Struct(f"<{n}{code}")
+    def __init__(self, code: str) -> None:
+        self._code = code
+        self.bits = 8 * struct.calcsize("<" + code)
 
     def pack(self, row: list[int]) -> int:
-        return int.from_bytes(self._row.pack(*row), "little")
+        return int.from_bytes(_row_codec(len(row), self._code).pack(*row), "little")
 
-    def unpack(self, x: int) -> tuple[int, ...]:
-        return self._row.unpack(x.to_bytes(self._row.size, "little"))
+    def unpack(self, x: int, n: int) -> tuple[int, ...]:
+        codec = _row_codec(n, self._code)
+        return codec.unpack(x.to_bytes(codec.size, "little"))
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_codec(n: int, code: str) -> struct.Struct:
+    return struct.Struct(f"<{n}{code}")
+
+
+_WIDTHS = tuple(_Slots(code) for code in "BHIQ")  # slots of 1, 2, 4 and 8 bytes
+
+
+def _slots(bound: int) -> _Slots | None:
+    """The narrowest `_Slots` that hold every int in [0, bound]; None past 8 bytes."""
+    return next((s for s in _WIDTHS if bound >> s.bits == 0), None)
 
 
 def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
@@ -501,7 +563,7 @@ def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
     n = degree(f)
     rows = [[1] + [0] * (n - 1)]
     if p < n:
-        slots = _Slots(p + p**3, n)
+        slots = _slots(p + p**3)
         bits, top = slots.bits, n * slots.bits
         low, below = slots.pack(f[:n]), (1 << top) - 1
         x = 1
@@ -509,7 +571,7 @@ def _frobenius_rows(f: list[int], p: int) -> list[list[int]]:
             for _ in range(p):
                 x <<= bits
                 x = (x & below) + (-(x >> top) % p) * low
-            rows.append([c % p for c in slots.unpack(x)])
+            rows.append([c % p for c in slots.unpack(x, n)])
             x = slots.pack(rows[-1])
         return rows
     xp = [1]
@@ -540,7 +602,9 @@ def _left_nullspace(rows: Iterable[list[int]], n: int, k: int, p: int) -> Iterat
     >>> list(_left_nullspace([[1, 2], [2, 4], [0, 1]], 2, 3, 5))
     [[3, 1, 0]]
     """
-    slots = _Slots(p + k * p * p, n + k)
+    slots = _slots(p + k * p * p)
+    if slots is None:
+        raise ValueError(f"a slot of {(p + k * p * p).bit_length()} bits is wider than 8 bytes")
     bits = slots.bits
     unit = [0] * k
     # (shift of the pivot column, mask of the slots up to it, pivot row)
@@ -553,7 +617,7 @@ def _left_nullspace(rows: Iterable[list[int]], n: int, k: int, p: int) -> Iterat
             c = ((x & low) >> shift) % p
             if c:
                 x += (p - c) * piv
-        e = slots.unpack(x)
+        e = slots.unpack(x, n + k)
         j = next((j for j in range(n) if e[j] % p), None)
         if j is None:
             yield [c % p for c in e[n:]]
@@ -567,19 +631,25 @@ def _left_nullspace(rows: Iterable[list[int]], n: int, k: int, p: int) -> Iterat
 
 
 def _hensel_step(M, f, g, h, s, t):
-    """One quadratic lift from mod m to mod M, M dividing m*m.
+    """One quadratic lift of the factors from mod m to mod M, M dividing m*m.
 
-    h monic; f = g*h and s*g + t*h = 1 (mod m).
+    h monic; f = g*h and s*g + t*h = 1 (mod m).  Returns G, H with f = G*H
+    (mod M), H monic; `_bezout_step` lifts s and t to go with them.
     """
     e = gf_trunc(sub(f, mul(g, h)), M)
     q, r = gf_divmod(mul(s, e), h, M)
     G = gf_trunc(add(add(g, mul(t, e)), mul(q, g)), M)
     H = gf_trunc(add(h, r), M)
+    return G, H
+
+
+def _bezout_step(M, G, H, s, t):
+    """S, T with S*G + T*H = 1 (mod M), from s*G + t*H = 1 (mod m), M dividing m*m."""
     b = gf_trunc(sub(add(mul(s, G), mul(t, H)), [1]), M)
     c, d = gf_divmod(mul(s, b), H, M)
     S = gf_trunc(sub(s, d), M)
     T = gf_trunc(sub(sub(t, mul(t, b)), mul(c, G)), M)
-    return G, H, S, T
+    return S, T
 
 
 def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[list[int]]:
@@ -587,7 +657,9 @@ def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[
 
     The factors are split into two halves; f = g*h is lifted from mod p by
     quadratic steps, each to min(m^2, p^l), so the last step stops at exactly
-    p^l; then each half is lifted the same way from its own product.
+    p^l; then each half is lifted the same way from its own product.  The
+    Bezout coefficients s, t are lifted after every step but the last, as
+    nothing reads them at p^l.
     """
     r = len(modular)
     lc = f[-1]
@@ -606,140 +678,46 @@ def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[
     m = p
     while m < pl:
         m = min(m * m, pl)
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+        g, h = _hensel_step(m, f, g, h, s, t)
+        if m < pl:
+            s, t = _bezout_step(m, g, h, s, t)
     return hensel_lift(p, g, modular[:k], l) + hensel_lift(p, h, modular[k:], l)
 
 
 # -- cyclotomic factors -------------------------------------------------
 
-# The split evaluates at b = 2^_CYCLOTOMIC_BITS: a small b keeps f(b) and each
-# Phi_m(b) short, and the rare false hit it lets through costs one exact division.
-_CYCLOTOMIC_BITS = 8
-
-
-def _totients(n: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(m, phi(m), the primes dividing m) for every m with phi(m) <= n, ascending m.
-
-    A prime p dividing such an m has p - 1 <= n.  As phi is multiplicative,
-    each m is built once, from powers of those primes taken in increasing order.
-    """
-    if n < 1:
-        return []
-    out: list[tuple[int, int, tuple[int, ...]]] = [(1, 1, ())]
-    for p in _primes():
-        if p - 1 > n:
-            break
-        for m, ph, ps in list(out):
-            pk, phk = p, p - 1
-            while ph * phk <= n:
-                out.append((m * pk, ph * phk, ps + (p,)))
-                pk *= p
-                phk *= p
-    return sorted(out)
-
-
-def _moebius_divisors(primes: tuple[int, ...]) -> list[tuple[int, bool]]:
-    """(d, mu(r/d) == -1) for each divisor d of r = prod(primes)."""
-    r = math.prod(primes)
-    subsets = (s for k in range(len(primes) + 1) for s in combinations(primes, k))
-    return [(r // math.prod(s), len(s) % 2 == 1) for s in subsets]
-
-
-def _cyclotomic_value(m: int, primes: tuple[int, ...], x: int) -> int:
-    """Phi_m(x) = Phi_r(y), y = x^(m/r), r = prod(primes) the radical of m.
-
-    Phi_r(y) is the product of (y^d - 1)^mu(r/d) over the divisors d of r.
-    """
-    y = x ** (m // math.prod(primes))
-    num = den = 1
-    for d, inverse in _moebius_divisors(primes):
-        if inverse:
-            den *= y**d - 1
-        else:
-            num *= y**d - 1
-    return num // den
-
-
-def _cyclotomic_poly(m: int, primes: tuple[int, ...]) -> list[int]:
-    """Phi_m(t) = Phi_r(t^(m/r)), r = prod(primes) the radical of m.
-
-    For r > 1, Phi_r is the product of (1 - t^d)^mu(r/d) over the divisors d
-    of r, taken as a power series truncated at its degree phi(r).
-    """
-    if m == 1:
-        return [-1, 1]
-    r = math.prod(primes)
-    n = math.prod(p - 1 for p in primes)
-    c = [1] + [0] * n
-    for d, inverse in _moebius_divisors(primes):
-        if inverse:
-            for i in range(d, n + 1):
-                c[i] += c[i - d]
-        else:
-            for i in range(n, d - 1, -1):
-                c[i] -= c[i - d]
-    s = m // r
-    out = [0] * (n * s + 1)
-    out[::s] = c
-    return out
-
-
-class _CyclotomicTable:
-    """Constants of the cyclotomic split for every m with phi(m) <= degree.
-
-    rows holds (m, phi(m), Phi_m(b), the primes dividing m) in ascending m;
-    polys holds each Phi_m the split has divided by.  The table grows with
-    the largest degree split so far and is never trimmed.
-    """
-
-    def __init__(self) -> None:
-        self.degree = 0
-        self.rows: list[tuple[int, int, int, tuple[int, ...]]] = []
-        self.polys: dict[int, list[int]] = {}
-
-    def cover(self, n: int) -> list[tuple[int, int, int, tuple[int, ...]]]:
-        if n > self.degree:
-            b = 1 << _CYCLOTOMIC_BITS
-            known = {row[0]: row for row in self.rows}
-            self.rows = [
-                known.get(m) or (m, ph, _cyclotomic_value(m, ps, b), ps)
-                for m, ph, ps in _totients(n)
-            ]
-            self.degree = n
-        return self.rows
-
-    def poly(self, m: int, primes: tuple[int, ...]) -> list[int]:
-        if m not in self.polys:
-            self.polys[m] = _cyclotomic_poly(m, primes)
-        return self.polys[m]
-
-
-_CYCLOTOMIC = _CyclotomicTable()
-
-
-def _split_cyclotomic(f: list[int]) -> tuple[list[list[int]], list[int]]:
+def _split_cyclotomic(f: list[int], confirm: bool = False) -> tuple[list[list[int]], list[int]]:
     """The cyclotomic factors Phi_m of a squarefree f, ascending m, and the cofactor.
 
     If Phi_m divides f then Phi_m(b) divides f(b), b = 2^_CYCLOTOMIC_BITS, so
     f(b) is formed once and every m with phi(m) <= deg f costs one integer
-    remainder.  Each hit is confirmed by exact division before it is divided
-    out; the cofactor has no cyclotomic factor left.
+    remainder.  The hits are collected by value, each divided out of f(b),
+    and f is divided once by their product.  Only when that division fails,
+    as a false hit makes it, is the scan run again with confirm set: each
+    hit is then confirmed by its own exact division before it is divided
+    out.  The cofactor has no cyclotomic factor left.
     """
     n = degree(f)
-    rows = _CYCLOTOMIC.cover(n)
     fb = 0
     for c in reversed(f):
         fb = (fb << _CYCLOTOMIC_BITS) + c
-    found = []
-    for m, ph, at_b, primes in rows:
+    found, cofactor = [], f
+    for m, ph, at_b, primes in _CYCLOTOMIC.cover(n):
         if ph > n or fb % at_b:
             continue
         phi_m = _CYCLOTOMIC.poly(m, primes)
-        q = exact_div_int(f, phi_m)
-        if q is not None:
-            found.append(list(phi_m))
-            f, fb, n = q, fb // at_b, n - ph
-    return found, f
+        if confirm:
+            q = exact_div_int(cofactor, phi_m)
+            if q is None:
+                continue
+            cofactor = q
+        found.append(list(phi_m))
+        fb, n = fb // at_b, n - ph
+    if found and not confirm:
+        cofactor = exact_div_int(f, functools.reduce(mul, found))
+        if cofactor is None:
+            return _split_cyclotomic(f, confirm=True)
+    return found, cofactor
 
 
 # -- Zassenhaus ---------------------------------------------------------
@@ -753,7 +731,7 @@ def _degree_sums(factors: list[list[int]]) -> int:
     return mask
 
 
-def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
+def _choose_prime(f: list[int], tested: dict[int, bool] | None = None) -> tuple[int, list[list[int]], int]:
     """First few good primes; keep the one giving the fewest modular factors.
 
     Also returns the bit mask of the degrees a factor of f over Z can have:
@@ -763,9 +741,11 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
     modular factors: their recombination is one complementary pair, decided
     by one lift and at most two trial divisions, and another prime could
     only save that lift.  A bad prime divides lc * f(0) or the discriminant
-    of the squarefree f, so the search always ends.
+    of the squarefree f, so the search always ends.  f is not tested for
+    squarefreeness again at a prime that `tested` already answers for.
     """
     lc, tc = f[-1], f[0]
+    tested = tested or {}
     irreducible = 1 | 1 << degree(f)
     best: tuple[int, list[list[int]]] | None = None
     degrees = -1
@@ -773,7 +753,7 @@ def _choose_prime(f: list[int]) -> tuple[int, list[list[int]], int]:
     for p in _primes():
         if lc % p == 0 or tc % p == 0:
             continue
-        if not gf_is_squarefree(f, p):
+        if not (tested[p] if p in tested else gf_is_squarefree(f, p)):
             continue
         facs = berlekamp(gf_monic(f, p), p)
         degrees &= _degree_sums(facs)
@@ -800,17 +780,24 @@ def _balanced_value(lc: int, values: list[int], subset: tuple[int, ...], m: int)
     return v - m if v > m // 2 else v
 
 
-def factor_squarefree(f: list[int]) -> list[list[int]]:
+def factor_squarefree(f: list[int], tested: dict[int, bool] | None = None) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f, positive lead, deg >= 1.
 
     f(0) must be nonzero.  The cyclotomic factors come first, in ascending m.
+    tested, if given, says whether f is squarefree mod p at some primes p not
+    dividing lc(f), as `_squarefree_mod_small_prime` found; the prime search
+    does not test those again.  The cofactor of the cyclotomic split, a
+    divisor of f with the same lead, keeps each True: it stays squarefree
+    mod p.
     """
     f = strip(list(f))
     assert f and f[-1] > 0 and degree(f) >= 1
     out, f = _split_cyclotomic(f)
     if degree(f) <= 1:
         return out + [f] if degree(f) == 1 else out
-    p, modular, degrees = _choose_prime(f)
+    if out and tested:
+        tested = {p: ok for p, ok in tested.items() if ok}
+    p, modular, degrees = _choose_prime(f, tested)
     if degrees == 1 | 1 << degree(f):
         return out + [f]
     B = _mignotte_bound(f)
@@ -876,8 +863,11 @@ def factor_primitive(f: list[int]) -> list[tuple[list[int], int]]:
     assert f and f[-1] > 0 and f[0] != 0 and content(f) == 1
     if degree(f) == 0:
         return []
+    tested = _squarefree_mod_small_prime(f)
+    parts = [(f, 1)] if True in tested.values() else squarefree_decomposition(f)
     out: list[tuple[list[int], int]] = []
-    for part, mult in squarefree_decomposition(f):
-        for irr in factor_squarefree(part):
+    for part, mult in parts:
+        # The squarefree tests of f hold for a part only when it is f itself.
+        for irr in factor_squarefree(part, tested if part == f else None):
             out.append((irr, mult))
     return out

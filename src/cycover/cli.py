@@ -13,11 +13,11 @@ its names lazily), the subcommands compile:
 
     parse       nothing more
     twobridge   twobridge
-    alex        alexander, laurent, _intfactor
-    criteria    criteria, alexander, laurent, _intfactor
-    rs          rscover, laurent, _intfactor (through RecurrenceRow.polynomial)
+    alex        alexander, laurent, _intfactor, _numbers
+    criteria    criteria, alexander, laurent, _intfactor, _numbers
+    rs          rscover, laurent, _intfactor, _numbers (through RecurrenceRow.polynomial)
     reps        rscover, repshift
-    recurrence  recurrence, laurent, _intfactor
+    recurrence  recurrence, laurent, _intfactor, _numbers
 
 `laurent` imports `_intfactor` eagerly on purpose: code that looks the
 factoring module up in `sys.modules` after loading `laurent` (the

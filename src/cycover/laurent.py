@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Optional, Union
 
-from . import _intfactor
+from . import _intfactor, _numbers
 
 
 class ZeroPolynomial(ValueError):
@@ -181,7 +181,7 @@ class LaurentPoly:
 
     def reduce_mod(self, p: int) -> "LaurentPoly":
         """The polynomial of coefficient residues in [0, p), p a prime."""
-        if not _intfactor.is_prime(p):
+        if not _numbers.is_prime(p):
             raise NotPrime(f"{p} is not prime")
         return LaurentPoly({e: c % p for e, c in self._coeffs.items()})
 

@@ -6,7 +6,8 @@ search, products term by term, determinants by the Leibniz expansion over plain 
 Euclid over the rationals, factorization over GF(p) by trial
 division by every monic polynomial of low degree, cyclotomic polynomials by
 rational division of t^m - 1 and the cyclotomic factors of a polynomial by
-trying every one of small enough degree, the rows of Berlekamp's matrix by
+trying every one of small enough degree, divisions and gcds over Z/m by long
+division on lists, the rows of Berlekamp's matrix by
 long division and convolution, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, minimal recurrences by Gauss-Jordan over the rationals
@@ -306,6 +307,36 @@ def _gf_exact_quotient(f, g, p):
         for j, c in enumerate(g):
             rem[k + j] = (rem[k + j] - q[k] * c) % p
     return None if any(rem) else q
+
+
+def divmod_mod_m(f, g, m):
+    """Quotient and remainder of f by g modulo m, one coefficient at a time,
+    high zeros dropped.  lc(g) must be a unit mod m: g monic when m is
+    composite."""
+
+    def reduced(h):
+        h = [c % m for c in h]
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    f, g = reduced(f), reduced(g)
+    inv = pow(g[-1], -1, m)
+    rem = list(f)
+    q = [0] * max(0, len(f) - len(g) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = rem[k + len(g) - 1] * inv % m
+        for j, c in enumerate(g):
+            rem[k + j] = (rem[k + j] - q[k] * c) % m
+    return reduced(q), reduced(rem[: len(g) - 1])
+
+
+def gcd_mod_p(f, g, p):
+    """Monic gcd over GF(p) by Euclid's algorithm, remainders by divmod_mod_m."""
+    a, b = divmod_mod_m(f, [1], p)[0], divmod_mod_m(g, [1], p)[0]
+    while b:
+        a, b = b, divmod_mod_m(a, b, p)[1]
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
 
 
 def frobenius_rows(f, p):

@@ -559,11 +559,12 @@ def test_module_entry_point():
 
 
 # Every call also loads the package root, the command line and words; only
-# the subcommands that handle Laurent polynomials load laurent and _intfactor.
+# the subcommands that handle Laurent polynomials load laurent, _intfactor
+# and _numbers.
 # No call loads dataclasses or inspect, which cost every process ~10 ms to
 # import, unless something had loaded them before cycover (a site hook, say).
 SHARED = {"cycover", "cycover.cli", "cycover.words"}
-LAURENT = {"laurent", "_intfactor"}
+LAURENT = {"laurent", "_intfactor", "_numbers"}
 
 
 @pytest.mark.parametrize(

@@ -395,8 +395,8 @@ def test_analyze_finds_a_good_prime_past_every_small_one(monkeypatch):
     chosen = []
     real_choose = _intfactor._choose_prime
 
-    def spy(f):
-        out = real_choose(f)
+    def spy(f, *rest):
+        out = real_choose(f, *rest)
         chosen.append(out[0])
         return out
 

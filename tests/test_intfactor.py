@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cycover import _intfactor
+from cycover import _intfactor, _numbers
 from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
@@ -16,7 +16,9 @@ from oracles import (
     _rank_mod_p,
     cyclotomic,
     cyclotomic_divisors,
+    divmod_mod_m,
     frobenius_rows,
+    gcd_mod_p,
     gcd_over_Q,
     gf_factor_bruteforce,
     minimal_polynomial_mod_p,
@@ -54,7 +56,7 @@ def t_power_minus_one(n):
 
 def test_is_prime_matches_trial_division():
     want = primes_by_trial_division(200_000)
-    assert [_intfactor.is_prime(n) for n in range(200_000)] == want
+    assert [_numbers.is_prime(n) for n in range(200_000)] == want
 
 
 def test_is_prime_rejects_strong_pseudoprimes():
@@ -62,12 +64,12 @@ def test_is_prime_rejects_strong_pseudoprimes():
     # (one number serves k = 8 and 9)
     for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
               341550071728321, 3825123056546413051):
-        assert not _intfactor.is_prime(n), n
-    assert _intfactor.is_prime(2**61 - 1)
-    assert _intfactor.is_prime(2**31 - 1) and not _intfactor.is_prime((2**31 - 1) * 1_000_000_007)
-    for n in (2**89 - 1, _intfactor.SPRP_BOUND):
-        with pytest.raises(ValueError, match=str(_intfactor.SPRP_BOUND)):
-            _intfactor.is_prime(n)
+        assert not _numbers.is_prime(n), n
+    assert _numbers.is_prime(2**61 - 1)
+    assert _numbers.is_prime(2**31 - 1) and not _numbers.is_prime((2**31 - 1) * 1_000_000_007)
+    for n in (2**89 - 1, _numbers.SPRP_BOUND):
+        with pytest.raises(ValueError, match=str(_numbers.SPRP_BOUND)):
+            _numbers.is_prime(n)
 
 
 def product(*polys):
@@ -286,7 +288,7 @@ def test_left_nullspace_matches_elimination_oracle():
     widths = set()
     for p in (2, 3, 13, 251, 257, 4093, 19997):
         for n in (1, 2, 11, 29, 64, 130):
-            widths.add(_intfactor._Slots(p + n * p * p, n).bits)
+            widths.add(_intfactor._slots(p + n * p * p).bits)
             m = _low_rank_matrix(rng, p, n)
             basis = list(_intfactor._left_nullspace(m, n, n, p))
             # v*M = 0 for each v, independent, and n - rank of them: exactly
@@ -375,6 +377,100 @@ def test_berlekamp_for_primes_above_the_degree():
             assert _intfactor.berlekamp(f, p) == facs, (p, f)
 
 
+# -- packed GF(p) kernels against list oracles ----------------------------
+
+# Primes, and the moduli 5^8 and 3^20 that Hensel steps divide by.
+_KERNEL_MODULI = (2, 3, 5, 7, 251, 65521, 2**31 - 1, 5**8, 3**20)
+
+
+def _mod(f, m):
+    """f reduced mod m, high zeros dropped."""
+    return divmod_mod_m(f, [1], m)[0]
+
+
+def _poly_mod(rng, m, n, monic=False):
+    """A random polynomial of degree n over Z/m, monic or with any nonzero lead."""
+    return [rng.randrange(m) for _ in range(n)] + [1 if monic else rng.randrange(1, m)]
+
+
+def _largest_prime_below(n):
+    while not _numbers.is_prime(n - 1):
+        n -= 1
+    return n - 1
+
+
+def _slot_widths(monkeypatch):
+    """Rebind _intfactor._slots to record the width of each packed attempt, None for none."""
+    widths = []
+    real = _intfactor._slots
+
+    def spy(bound):
+        slots = real(bound)
+        widths.append(slots and slots.bits)
+        return slots
+
+    monkeypatch.setattr(_intfactor, "_slots", spy)
+    return widths
+
+
+def test_gf_kernels_match_list_oracles():
+    rng = random.Random(34)
+    for m in _KERNEL_MODULI:
+        prime = _numbers.is_prime(m)
+        for trial in range(30):
+            # Unreduced coefficients too: the kernels take any ints.
+            f = [c + m * rng.randint(-2, 2) for c in _poly_mod(rng, m, rng.randint(0, 80))]
+            g = _poly_mod(rng, m, rng.randint(0, 80), monic=not prime)
+            assert _intfactor.gf_divmod(f, g, m) == divmod_mod_m(f, g, m), (m, trial)
+            assert _intfactor.gf_mul(f, g, m) == _mod(schoolbook_mul(f, g), m), (m, trial)
+            if prime:
+                assert _intfactor.gf_gcd(f, g, m) == gcd_mod_p(f, g, m), (m, trial)
+                # A common factor h of degree 1 to 6 divides the gcd.
+                h = _poly_mod(rng, m, rng.randint(1, 6), monic=True)
+                a, b = (_mod(schoolbook_mul(h, _poly_mod(rng, m, rng.randint(0, 74))), m) for _ in "ab")
+                d = _intfactor.gf_gcd(a, b, m)
+                assert d == gcd_mod_p(a, b, m) and not divmod_mod_m(d, h, m)[1], (m, trial)
+    # The degree-300 gcd of the squarefree test of Delta of T(2, 301) mod 2.
+    d = [(-1) ** i for i in range(301)]
+    d2 = [i * c for i, c in enumerate(d)][1:]
+    assert _intfactor.gf_gcd(d, d2, 2) == gcd_mod_p(d, d2, 2) == [1]
+
+
+def test_gf_kernels_at_each_slot_width_limit(monkeypatch):
+    # (kernel, modulus, the largest operand size whose slot bound fits `bits`)
+    # for each width: at that size the kernel packs into slots of `bits`
+    # bits, one past it into the next width, or onto lists past 8 bytes.
+    big_mul = _largest_prime_below(2**32 // 6)
+    big_gcd = _largest_prime_below(2**30 // 6)
+    cases = [("divmod", p, bits, (2**bits - 1 - p) // (p - 1) ** 2) for p, bits in ((3, 8), (31, 16), (8191, 32), (2**31 - 1, 64), (3**20, 64))]
+    cases += [("mul", p, bits, (2**bits - 1) // (p - 1) ** 2) for p, bits in ((3, 8), (31, 16), (8191, 32), (big_mul, 64))]
+    cases += [("gcd", p, bits, ((2**bits - 1) // 16 - p) // (p - 1) ** 2) for p, bits in ((4093, 32), (big_gcd, 64))]
+    rng = random.Random(35)
+    widths = _slot_widths(monkeypatch)
+    seen = set()
+    for kernel, m, bits, n in cases:
+        assert 1 <= n <= 80, (kernel, m, bits, n)
+        for size, want in ((n, bits), (n + 1, 2 * bits if bits < 64 else None)):
+            widths.clear()
+            if kernel == "divmod":  # size quotient terms by a monic divisor of 24 terms
+                g = _poly_mod(rng, m, 23, monic=True)
+                f = _poly_mod(rng, m, 23 + size - 1)
+                assert _intfactor.gf_divmod(f, g, m) == divmod_mod_m(f, g, m), (m, size)
+            elif kernel == "mul":  # two factors of size terms
+                f, g = _poly_mod(rng, m, size - 1), _poly_mod(rng, m, size - 1)
+                assert _intfactor.gf_mul(f, g, m) == _mod(schoolbook_mul(f, g), m), (m, size)
+            else:  # gcd of size terms and 8 terms, with a common quadratic factor
+                h = _poly_mod(rng, m, 2, monic=True)
+                f = _mod(schoolbook_mul(h, _poly_mod(rng, m, size - 3)), m)
+                g = _mod(schoolbook_mul(h, _poly_mod(rng, m, 5)), m)
+                assert _intfactor.gf_gcd(f, g, m) == gcd_mod_p(f, g, m), (m, size)
+            assert widths == [want], (kernel, m, size, widths)
+            seen.add((kernel, want))
+    assert {w for k, w in seen if k == "divmod"} == {8, 16, 32, 64, None}
+    assert {w for k, w in seen if k == "mul"} == {8, 16, 32, 64, None}
+    assert {w for k, w in seen if k == "gcd"} == {32, 64, None}
+
+
 # -- the cyclotomic split -------------------------------------------------
 
 
@@ -382,10 +478,10 @@ def test_cyclotomic_candidates_are_every_m_with_small_totient():
     limit = 400
     phi = totients_upto(2 * limit * limit)
     by_phi = sorted((phi[m], m) for m in range(1, len(phi)) if phi[m] <= limit)
-    table = _intfactor._CyclotomicTable()
+    table = _numbers._CyclotomicTable()
     for n in range(limit + 1):
         brute = sorted(m for ph, m in by_phi if ph <= n)
-        rows = _intfactor._totients(n)
+        rows = _numbers._totients(n)
         assert [m for m, _, _ in rows] == brute, n
         assert all(ph == phi[m] for m, ph, _ in rows), n
         assert [row[0] for row in table.cover(n) if row[1] <= n] == brute, n
@@ -415,6 +511,16 @@ def test_cyclotomic_split_matches_rational_division():
         assert cyclotomic_divisors(f) == sorted(ms), trial
         assert found == [cyclotomic(m) for m in sorted(ms)], trial
         assert cofactor == product(*rest) and cyclotomic_divisors(cofactor) == [], trial
+
+
+def test_cyclotomic_split_falls_back_on_a_false_hit():
+    # f(256) = Phi_3(256) = 65,793, yet Phi_3 does not divide f = (t - 15)(t + 17).
+    f = [-255, 2, 1]
+    assert _intfactor._split_cyclotomic(f) == ([], f)
+    assert canonical(_intfactor.factor_squarefree(f)) == canonical([[-15, 1], [17, 1]])
+    # A true hit, Phi_1, with the false one: the product of both does not
+    # divide, and confirming hit by hit keeps Phi_1 alone.
+    assert _intfactor._split_cyclotomic(product([-1, 1], f)) == ([[-1, 1]], f)
 
 
 def test_cyclotomic_inputs_skip_the_modular_path(monkeypatch):
@@ -489,6 +595,24 @@ def test_two_modular_factors_are_lifted_not_tried_at_more_primes(monkeypatch):
     assert [len(modular) for _, _, modular, _ in lifts if len(modular) > 1] == [2]
 
 
+def test_each_prime_is_tested_for_squarefreeness_once(monkeypatch):
+    # The squarefree tests that factor_primitive makes at small primes are
+    # passed on to the prime search, which repeats none of them: two-bridge
+    # Deltas with no cyclotomic factor, squarefree modulo a small prime, and
+    # SD(4) and SD(5), squarefree modulo none of the first five.
+    inputs = [delta(p, q) for p in range(5, 40, 2) for q in (3, 5, 7) if math.gcd(p, q) == 1 and q < p]
+    inputs = [d for d in inputs if len(d) > 2 and not cyclotomic_divisors(d)]
+    inputs += [delta(601, 5), swinnerton_dyer(4), swinnerton_dyer(5)]
+    expected = [[(g, 1) for g in _intfactor.factor_squarefree(f)] for f in inputs]
+    calls = record_calls(monkeypatch, "gf_is_squarefree")
+    for f, want in zip(inputs, expected):
+        calls.clear()
+        assert _intfactor.factor_primitive(f) == want, f
+        primes = [p for _, p in calls]
+        assert len(primes) == len(set(primes)), (f, primes)
+    assert len(inputs) >= 30
+
+
 def test_swinnerton_dyer_splits_with_few_gcds(monkeypatch):
     # Each Berlekamp factor is split once per basis vector, peeling one value
     # class per gcd, not tried against every (vector, value) pair.
@@ -544,7 +668,12 @@ def test_torus_delta_trial_divisions(monkeypatch):
     monkeypatch.setattr(_intfactor, "exact_div_int", counting)
     factors = _intfactor.factor_squarefree(d)
     assert canonical(factors) == canonical([cyclotomic(14), cyclotomic(86), cyclotomic(602)])
-    assert len(calls) <= len(factors) + 1
+    # One division by the product of the cyclotomic hits, not one a hit.
+    assert len(calls) == 1
+    calls.clear()
+    factors = _intfactor.factor_squarefree(t_power_minus_one(120))
+    assert factors == [cyclotomic(m) for m in range(1, 121) if 120 % m == 0]
+    assert len(calls) == 1
 
 
 # -- sympy cross-checks at degree 50-300 --------------------------------
@@ -583,9 +712,9 @@ def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch
     tried = record_calls(monkeypatch, "berlekamp")
     real_choose = _intfactor._choose_prime
 
-    def spy(f):
+    def spy(f, *rest):
         tried.clear()
-        out = real_choose(f)
+        out = real_choose(f, *rest)
         if out[2] != 1 | 1 << len(f) - 1:  # not proved irreducible by degree sets
             searches.append((f, len(out[1]), [p for _, p in tried]))
         return out
