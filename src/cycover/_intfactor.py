@@ -7,9 +7,21 @@ each are taken by Kronecker substitution: one integer product of the two
 polynomials packed into byte-aligned slots by the `Kronecker` codec, which
 the Alexander determinant also uses.  Primes and cyclotomic polynomials
 come from `_numbers`.  Factorization follows the classical route (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), after an exact
-cyclotomic split:
+Gathen & Gerhard, Modern Computer Algebra, ch. 14-15), each step run once
+and only on what the steps before it leave:
 
+- cyclotomic split first (cf. Bradford & Davenport, Effective tests for
+  cyclotomic polynomials, ISSAC 1988): for every m with phi(m) <= deg f, in
+  increasing order, Phi_m^k can divide f only if Phi_m(b)^k divides f(b),
+  b = 2^8; f is divided once by the product of the hits with their
+  multiplicities, and hit by hit only when a false hit makes that fail.
+  Only the cofactor, which has no cyclotomic factor left, goes on to the
+  steps below;
+- squarefree decomposition: when the cofactor is squarefree modulo one of
+  the first few primes not dividing its leading coefficient it is
+  squarefree over Z and Yun's algorithm is skipped, and the prime search
+  below repeats none of those tests; otherwise Yun's algorithm runs on gcds
+  taken by a primitive remainder sequence over Z;
 - GF(p) arithmetic on packed integers (Kronecker substitution, ibid.
   ch. 8): a division, gcd or product past a few terms packs each
   polynomial into one int, a slot of 1, 2, 4 or 8 bytes a coefficient
@@ -17,20 +29,7 @@ cyclotomic split:
   one int product; a gcd keeps its remainders packed and reduces them mod
   p only before a division that could overflow a slot.  Small inputs and
   moduli too wide for 8-byte slots, such as the later Hensel moduli, stay
-  on lists.  The last quadratic Hensel step lifts the factors only, not
-  the Bezout coefficients, which nothing reads at p^l;
-- squarefree decomposition: when f is squarefree modulo one of the first
-  few primes not dividing its leading coefficient it is squarefree over Z
-  and Yun's algorithm is skipped, and the prime search below repeats none
-  of those tests; otherwise Yun's algorithm runs on gcds taken by a
-  primitive remainder sequence over Z;
-- cyclotomic split (cf. Bradford & Davenport, Effective tests for
-  cyclotomic polynomials, ISSAC 1988): for every m with phi(m) <= deg f, in
-  increasing order, Phi_m can divide f only if Phi_m(b) divides f(b),
-  b = 2^8; f is divided once by the product of the hits, and hit by hit
-  only when a false hit makes that fail, and the cofactor, which has no
-  cyclotomic factor left, goes on to the steps below unless it is
-  constant or linear;
+  on lists;
 - Berlekamp factorization modulo good primes in increasing order, keeping
   the prime with the fewest factors: the search stops after three of them,
   or at the first that leaves at most two factors, as one lift and at most
@@ -45,8 +44,13 @@ cyclotomic split:
   the vector's minimal polynomial; the subset sums of the factor degrees
   at each prime are intersected (Musser's degree-set test), and f is
   proved irreducible as soon as only 0 and deg f remain;
-- quadratic Hensel lifting to exactly p^l > 2B, B a Mignotte-style
-  coefficient bound;
+- lifting to exactly p^l > 2B, B a Mignotte-style coefficient bound: each
+  linear modular factor t - r as a simple root of f by Newton's iteration
+  (ibid. 9.4), which needs no Bezout coefficients; one nonlinear factor
+  left is the quotient of lc^-1 f by the lifted linear ones, and two or
+  more are lifted from their product by quadratic Hensel steps.  The last
+  quadratic step lifts the factors only, not the Bezout coefficients,
+  which nothing reads at p^l;
 - subset recombination: a subset is trial-divided only when its degree sum
   is a possible factor degree and its candidate's values at t = 0 and
   t = 1, read off the lifted factors, divide those of lc * f; the trial
@@ -61,7 +65,7 @@ import functools
 import math
 import struct
 from collections.abc import Iterable, Iterator
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 from ._numbers import _CYCLOTOMIC, _CYCLOTOMIC_BITS, _primes
 
@@ -80,13 +84,11 @@ def degree(f: list[int]) -> int:
 
 
 def add(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    return strip([(f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)])
+    return strip([a + b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 def sub(f: list[int], g: list[int]) -> list[int]:
-    n = max(len(f), len(g))
-    return strip([(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)])
+    return strip([a - b for a, b in zip_longest(f, g, fillvalue=0)])
 
 
 # Products with a factor shorter than _KRONECKER_MIN terms are multiplied
@@ -290,18 +292,9 @@ def gf_trunc(f: list[int], p: int) -> list[int]:
 
 
 def gf_balanced(f: list[int], m: int) -> list[int]:
-    """Symmetric representative in (-m/2, m/2]."""
-    out = []
-    for c in f:
-        c %= m
-        if c > m // 2:
-            c -= m
-        out.append(c)
-    return strip(out)
-
-
-def gf_sub(f, g, p):
-    return gf_trunc(sub(f, g), p)
+    """Symmetric representative in (-m/2, m/2]: (c + h) mod m - h, h = (m - 1) // 2."""
+    h = (m - 1) // 2
+    return strip([(c + h) % m - h for c in f])
 
 
 def gf_mul(f, g, p):
@@ -377,6 +370,14 @@ def _packed_divide(x: int, n: int, y: int, d: int, bits: int, p: int) -> tuple[l
     return q, x & ((1 << d * bits) - 1)
 
 
+def _gf_eval(f: list[int], x: int, m: int) -> int:
+    """f(x) mod m, by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
 def gf_monic(f: list[int], p: int) -> list[int]:
     f = gf_trunc(f, p)
     if not f:
@@ -431,8 +432,8 @@ def gf_gcdex(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
     while r1:
         q, r = gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, gf_sub(s0, gf_mul(q, s1, p), p)
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+        s0, s1 = s1, gf_trunc(sub(s0, gf_mul(q, s1, p)), p)
+        t0, t1 = t1, gf_trunc(sub(t0, gf_mul(q, t1, p)), p)
     assert len(r0) == 1, "gf_gcdex requires coprime inputs"
     inv = pow(r0[0], -1, p)
     return gf_trunc(mul_ground(s0, inv), p), gf_trunc(mul_ground(t0, inv), p)
@@ -482,10 +483,7 @@ def berlekamp(f: list[int], p: int) -> list[list[int]]:
                 m = _minimal_polynomial(vu, u, p)
                 s = 0
                 while len(m) > 2:  # the last value's class is what is left of u
-                    acc = 0
-                    for c in reversed(m):
-                        acc = (acc * s + c) % p
-                    if not acc:
+                    if not _gf_eval(m, s, p):
                         g = gf_gcd(u, [(vu[0] - s) % p] + vu[1:], p)
                         done.append(g)
                         u = gf_divmod(u, g, p)[0]
@@ -634,7 +632,7 @@ def _hensel_step(M, f, g, h, s, t):
     """One quadratic lift of the factors from mod m to mod M, M dividing m*m.
 
     h monic; f = g*h and s*g + t*h = 1 (mod m).  Returns G, H with f = G*H
-    (mod M), H monic; `_bezout_step` lifts s and t to go with them.
+    (mod M), H monic; `hensel_lift` lifts s and t to go with them.
     """
     e = gf_trunc(sub(f, mul(g, h)), M)
     q, r = gf_divmod(mul(s, e), h, M)
@@ -643,59 +641,69 @@ def _hensel_step(M, f, g, h, s, t):
     return G, H
 
 
-def _bezout_step(M, G, H, s, t):
-    """S, T with S*G + T*H = 1 (mod M), from s*G + t*H = 1 (mod m), M dividing m*m."""
-    b = gf_trunc(sub(add(mul(s, G), mul(t, H)), [1]), M)
-    c, d = gf_divmod(mul(s, b), H, M)
-    S = gf_trunc(sub(s, d), M)
-    T = gf_trunc(sub(sub(t, mul(t, b)), mul(c, G)), M)
-    return S, T
-
-
 def hensel_lift(p: int, f: list[int], modular: list[list[int]], l: int) -> list[list[int]]:
-    """Lift the monic mod-p factors of f (up to lc) to monic factors mod p^l.
+    """Lift the monic mod-p factors of f (up to lc) to monic factors mod p^l, in their order.
 
-    The factors are split into two halves; f = g*h is lifted from mod p by
-    quadratic steps, each to min(m^2, p^l), so the last step stops at exactly
-    p^l; then each half is lifted the same way from its own product.  The
-    Bezout coefficients s, t are lifted after every step but the last, as
-    nothing reads them at p^l.
+    A linear factor t - r is lifted as a simple root of f by Newton's
+    iteration r <- r - f(r)/f'(r), which needs no Bezout coefficients.  The
+    quotient g of lc^-1 f by the lifted linear factors is the product of the
+    others: with one left, g is that factor; with two or more, they are
+    split into two halves, g = G*H is lifted from mod p by quadratic steps,
+    and each half is lifted the same way from its own product.  Every lift
+    squares its modulus up to min(m^2, p^l), so the last step stops at
+    exactly p^l.  The Bezout coefficients s, t are lifted after every step
+    but the last, as nothing reads them at p^l.
     """
-    r = len(modular)
-    lc = f[-1]
     pl = p**l
-    if r == 1:
-        inv = pow(lc % pl, -1, pl)
-        return [gf_trunc(mul_ground(f, inv), pl)]
-    k = r // 2
-    g = gf_trunc([lc], p)
-    for fi in modular[:k]:
-        g = gf_mul(g, fi, p)
-    h = [1]
-    for fi in modular[k:]:
-        h = gf_mul(h, fi, p)
-    s, t = gf_gcdex(g, h, p)
-    m = p
-    while m < pl:
-        m = min(m * m, pl)
-        g, h = _hensel_step(m, f, g, h, s, t)
-        if m < pl:
-            s, t = _bezout_step(m, g, h, s, t)
-    return hensel_lift(p, g, modular[:k], l) + hensel_lift(p, h, modular[k:], l)
+    df = derivative(f)
+    g = gf_trunc(mul_ground(f, pow(f[-1], -1, pl)), pl)
+    lifted = []
+    for u in modular:
+        if len(u) == 2:
+            r, m = -u[0] % p, p
+            while m < pl:
+                m = min(m * m, pl)
+                r = (r - _gf_eval(f, r, m) * pow(_gf_eval(df, r, m), -1, m)) % m
+            u = [-r % pl, 1]
+            g = gf_divmod(g, u, pl)[0]
+        lifted.append(u)
+    rest = [u for u in modular if len(u) > 2]
+    nonlinear = [g]
+    if len(rest) > 1:
+        k = len(rest) // 2
+        G = H = [1]
+        for u in rest[:k]:
+            G = gf_mul(G, u, p)
+        for u in rest[k:]:
+            H = gf_mul(H, u, p)
+        s, t = gf_gcdex(G, H, p)
+        m = p
+        while m < pl:
+            m = min(m * m, pl)
+            G, H = _hensel_step(m, g, G, H, s, t)
+            if m < pl:
+                # Lift s, t to s*G + t*H = 1 (mod m) for the next step.
+                b = gf_trunc(sub(add(mul(s, G), mul(t, H)), [1]), m)
+                c, d = gf_divmod(mul(s, b), H, m)
+                s, t = gf_trunc(sub(s, d), m), gf_trunc(sub(sub(t, mul(t, b)), mul(c, G)), m)
+        nonlinear = hensel_lift(p, G, rest[:k], l) + hensel_lift(p, H, rest[k:], l)
+    lifts = iter(nonlinear)
+    return [u if len(u) == 2 else next(lifts) for u in lifted]
 
 
 # -- cyclotomic factors -------------------------------------------------
 
-def _split_cyclotomic(f: list[int], confirm: bool = False) -> tuple[list[list[int]], list[int]]:
-    """The cyclotomic factors Phi_m of a squarefree f, ascending m, and the cofactor.
+def _split_cyclotomic(f: list[int], confirm: bool = False) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """The cyclotomic factors (Phi_m, multiplicity) of f, ascending m, and the cofactor.
 
-    If Phi_m divides f then Phi_m(b) divides f(b), b = 2^_CYCLOTOMIC_BITS, so
-    f(b) is formed once and every m with phi(m) <= deg f costs one integer
-    remainder.  The hits are collected by value, each divided out of f(b),
-    and f is divided once by their product.  Only when that division fails,
-    as a false hit makes it, is the scan run again with confirm set: each
-    hit is then confirmed by its own exact division before it is divided
-    out.  The cofactor has no cyclotomic factor left.
+    If Phi_m^k divides f then Phi_m(b)^k divides f(b), b = 2^_CYCLOTOMIC_BITS,
+    so f(b) is formed once and every m with phi(m) <= deg f costs one integer
+    remainder, and one more for each time Phi_m(b) divides again.  The hits
+    are collected by value, each divided out of f(b), and f is divided once
+    by their product.  Only when that division fails, as a false hit makes
+    it, is the scan run again with confirm set: each hit is then confirmed
+    by its own exact division before it is divided out.  The cofactor has
+    no cyclotomic factor left.
     """
     n = degree(f)
     fb = 0
@@ -703,18 +711,18 @@ def _split_cyclotomic(f: list[int], confirm: bool = False) -> tuple[list[list[in
         fb = (fb << _CYCLOTOMIC_BITS) + c
     found, cofactor = [], f
     for m, ph, at_b, primes in _CYCLOTOMIC.cover(n):
-        if ph > n or fb % at_b:
-            continue
-        phi_m = _CYCLOTOMIC.poly(m, primes)
-        if confirm:
-            q = exact_div_int(cofactor, phi_m)
-            if q is None:
-                continue
-            cofactor = q
-        found.append(list(phi_m))
-        fb, n = fb // at_b, n - ph
+        k = 0
+        while ph <= n and fb % at_b == 0:
+            if confirm:
+                q = exact_div_int(cofactor, _CYCLOTOMIC.poly(m, primes))
+                if q is None:
+                    break
+                cofactor = q
+            fb, n, k = fb // at_b, n - ph, k + 1
+        if k:
+            found.append((list(_CYCLOTOMIC.poly(m, primes)), k))
     if found and not confirm:
-        cofactor = exact_div_int(f, functools.reduce(mul, found))
+        cofactor = exact_div_int(f, functools.reduce(mul, (phi for phi, k in found for _ in range(k))))
         if cofactor is None:
             return _split_cyclotomic(f, confirm=True)
     return found, cofactor
@@ -783,23 +791,20 @@ def _balanced_value(lc: int, values: list[int], subset: tuple[int, ...], m: int)
 def factor_squarefree(f: list[int], tested: dict[int, bool] | None = None) -> list[list[int]]:
     """Irreducible factors of a primitive squarefree f, positive lead, deg >= 1.
 
-    f(0) must be nonzero.  The cyclotomic factors come first, in ascending m.
-    tested, if given, says whether f is squarefree mod p at some primes p not
-    dividing lc(f), as `_squarefree_mod_small_prime` found; the prime search
-    does not test those again.  The cofactor of the cyclotomic split, a
-    divisor of f with the same lead, keeps each True: it stays squarefree
-    mod p.
+    f(0) must be nonzero.  `factor_primitive` splits off the cyclotomic
+    factors before it calls this; any left in f go through the modular path
+    like every other factor.  tested, if given, says whether f is squarefree
+    mod p at some primes p not dividing lc(f), as
+    `_squarefree_mod_small_prime` found; the prime search does not test
+    those again.
     """
     f = strip(list(f))
     assert f and f[-1] > 0 and degree(f) >= 1
-    out, f = _split_cyclotomic(f)
-    if degree(f) <= 1:
-        return out + [f] if degree(f) == 1 else out
-    if out and tested:
-        tested = {p: ok for p, ok in tested.items() if ok}
+    if degree(f) == 1:
+        return [f]
     p, modular, degrees = _choose_prime(f, tested)
     if degrees == 1 | 1 << degree(f):
-        return out + [f]
+        return [f]
     B = _mignotte_bound(f)
     # The least l with p^l > 2B, in integers: a float logarithm can round
     # p^l down to 2B itself.
@@ -820,6 +825,7 @@ def factor_squarefree(f: list[int], tested: dict[int, bool] | None = None) -> li
     # f, so its coefficients are at most B too.
     remaining = list(range(len(lifted)))
     current = f
+    out = []
     s = 1
     while 2 * s <= len(remaining):
         found = False
@@ -857,17 +863,20 @@ def factor_squarefree(f: list[int], tested: dict[int, bool] | None = None) -> li
 def factor_primitive(f: list[int]) -> list[tuple[list[int], int]]:
     """Factor a primitive polynomial with positive lead and nonzero constant term.
 
-    Returns [(irreducible primitive factor, multiplicity)], unsorted.
+    Returns [(irreducible primitive factor, multiplicity)], unsorted.  The
+    cyclotomic factors, with their multiplicities, are split off first; only
+    the cofactor is tested for squarefreeness at small primes, goes through
+    Yun's algorithm when none of them proves it squarefree, and is factored
+    by `factor_squarefree`.
     """
     f = strip(list(f))
     assert f and f[-1] > 0 and f[0] != 0 and content(f) == 1
+    out, f = _split_cyclotomic(f)
     if degree(f) == 0:
-        return []
+        return out
     tested = _squarefree_mod_small_prime(f)
     parts = [(f, 1)] if True in tested.values() else squarefree_decomposition(f)
-    out: list[tuple[list[int], int]] = []
     for part, mult in parts:
         # The squarefree tests of f hold for a part only when it is f itself.
-        for irr in factor_squarefree(part, tested if part == f else None):
-            out.append((irr, mult))
+        out += [(irr, mult) for irr in factor_squarefree(part, tested if part == f else None)]
     return out

@@ -239,8 +239,11 @@ class Factorization:
 def factor_over_Z(f: LaurentPoly) -> Factorization:
     """Complete factorization of a nonzero integer Laurent polynomial.
 
-    Good-prime modular factorization, Hensel lifting to a coefficient bound,
-    then subset recombination with early-exit trial division.  Deterministic.
+    Cyclotomic factors, with multiplicities, are split off exactly first;
+    the rest goes through a squarefree split, good-prime modular
+    factorization, lifting to a coefficient bound (linear modular factors as
+    p-adic roots by Newton's iteration, the others by Hensel steps), then
+    subset recombination with early-exit trial division.  Deterministic.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")

@@ -7,7 +7,8 @@ Euclid over the rationals, factorization over GF(p) by trial
 division by every monic polynomial of low degree, cyclotomic polynomials by
 rational division of t^m - 1 and the cyclotomic factors of a polynomial by
 trying every one of small enough degree, divisions and gcds over Z/m by long
-division on lists, the rows of Berlekamp's matrix by
+division on lists, p-adic roots by trying every digit at each power of p,
+the rows of Berlekamp's matrix by
 long division and convolution, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, minimal recurrences by Gauss-Jordan over the rationals
@@ -337,6 +338,23 @@ def gcd_mod_p(f, g, p):
     while b:
         a, b = b, divmod_mod_m(a, b, p)[1]
     return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+def padic_root(f, r, p, l):
+    """The root of the integer polynomial f modulo p^l above its simple root r mod p.
+
+    Lifted one p-adic digit at a time: the root mod p^(k+1) is r + d p^k, r
+    the root mod p^k, for the one digit d of the p tried that makes f vanish
+    mod p^(k+1).  f is evaluated exactly, term by term.
+    """
+    r %= p
+    for k in range(1, l):
+        pk = p**k
+        value = [sum(c * (r + d * pk) ** i for i, c in enumerate(f)) for d in range(p)]
+        digits = [d for d in range(p) if value[d] % (pk * p) == 0]
+        assert len(digits) == 1, f"{r} is not a simple root mod {p}"
+        r += digits[0] * pk
+    return r
 
 
 def frobenius_rows(f, p):

@@ -14,6 +14,7 @@ from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
 from oracles import (
     _rank_mod_p,
+    box_factor,
     cyclotomic,
     cyclotomic_divisors,
     divmod_mod_m,
@@ -23,6 +24,7 @@ from oracles import (
     gf_factor_bruteforce,
     minimal_polynomial_mod_p,
     multiply_back,
+    padic_root,
     primes_by_trial_division,
     schoolbook_mul,
     totients_upto,
@@ -119,7 +121,8 @@ def test_non_monic_factors_with_large_values_at_zero_and_one():
 
 
 def test_squarefree_input_vanishing_at_one():
-    # f(1) = 0: the cyclotomic split takes t - 1 off before recombination.
+    # f(1) = 0, so recombination skips its t = 1 pre-test: factor_squarefree
+    # does not split cyclotomic factors off, and t - 1 is found by lifting.
     for n in (12, 30, 36):
         f = t_power_minus_one(n)
         expect = [cyclotomic(d) for d in range(1, n + 1) if n % d == 0]
@@ -154,12 +157,16 @@ def test_non_squarefree_input_goes_through_yun(monkeypatch):
     gcds = []
     real_gcd = _intfactor.int_poly_gcd
     monkeypatch.setattr(_intfactor, "int_poly_gcd", lambda f, g: gcds.append(1) or real_gcd(f, g))
-    phi25, phi27 = cyclotomic(25), cyclotomic(27)
-    f = product(phi25, phi25, phi27, phi27)
-    assert sorted(_intfactor.factor_primitive(f)) == sorted([(phi25, 2), (phi27, 2)])
+    # The cyclotomic split takes Phi_25 off; the square left goes to Yun.
+    square, phi25 = [1, -3, 1], cyclotomic(25)
+    f = product(square, square, phi25)
+    assert sorted(_intfactor.factor_primitive(f)) == sorted([(phi25, 1), (square, 2)])
     assert gcds
-    # A squarefree input is recognised mod a small prime and skips Yun.
+    # A squarefree cofactor is recognised mod a small prime and skips Yun.
     gcds.clear()
+    sd3 = swinnerton_dyer(3)
+    f = product(square, sd3, phi25)
+    assert sorted(_intfactor.factor_primitive(f)) == sorted([(phi25, 1), (square, 1), (sd3, 1)])
     assert len(_intfactor.factor_primitive(t_power_minus_one(60))) == 12
     assert not gcds
 
@@ -471,6 +478,49 @@ def test_gf_kernels_at_each_slot_width_limit(monkeypatch):
     assert {w for k, w in seen if k == "gcd"} == {32, 64, None}
 
 
+# -- Hensel lifting --------------------------------------------------------
+
+
+def _irreducible_mod_p(rng, p, d, taken):
+    """A random monic irreducible polynomial of degree d over GF(p), not in taken."""
+    while True:
+        u = [rng.randrange(p) for _ in range(d)] + [1]
+        if u not in taken and gf_factor_bruteforce(u, p) == [u]:
+            return u
+
+
+def test_hensel_lift_matches_padic_roots_on_every_pattern():
+    # sqrt(2) in the 7-adic integers is 3 + 1*7 + 2*7^2 + 6*7^3 + ...
+    assert padic_root([-2, 0, 1], 3, 7, 4) == 2166 and 2166**2 % 7**4 == 2
+    # Every modular pattern of 0, 1, 2 or 3 linear factors and 0, 1, 2 or 3
+    # nonlinear ones, in random order, of f = lc * (their product) + p * h.
+    rng = random.Random(3535)
+    seen = set()
+    for trial in range(75):
+        linear, nonlinear = trial % 4, trial // 4 % 4
+        if not linear and not nonlinear:
+            continue
+        p = rng.choice((3, 5, 7, 11, 13))
+        modular = [[-r % p, 1] for r in rng.sample(range(p), linear)]
+        for _ in range(nonlinear):
+            modular.append(_irreducible_mod_p(rng, p, rng.choice((2, 3)), modular))
+        rng.shuffle(modular)
+        lc = rng.choice([c for c in range(1, 30) if c % p])
+        f = product([lc], *modular)
+        f = [c + p * rng.randint(-9, 9) for c in f[:-1]] + f[-1:]
+        l = rng.randint(1, 9)
+        pl = p**l
+        lifted = _intfactor.hensel_lift(p, f, modular, l)
+        assert [[c % p for c in g] for g in lifted] == modular, trial
+        for u, g in zip(modular, lifted):
+            if len(u) == 2:
+                assert g == [-padic_root(f, -u[0], p, l) % pl, 1], trial
+        inv = pow(lc, -1, pl)
+        assert [c % pl for c in product(*lifted)] == [c * inv % pl for c in f], trial
+        seen.add((min(linear, 2), min(nonlinear, 2)))
+    assert len(seen) == 8
+
+
 # -- the cyclotomic split -------------------------------------------------
 
 
@@ -494,22 +544,23 @@ def test_cyclotomic_split_matches_rational_division():
     phi = totients_upto(200)
     others = ([1, -3, 1], [-1, 2], swinnerton_dyer(3))
     for trial in range(16):
-        # Up to four distinct Phi_m, m <= 200, of total degree at most 48.
-        ms, budget = set(), 48
+        # Up to four distinct Phi_m, m <= 200, each to a power of at most 3,
+        # of total degree at most 48.
+        ms, budget = {}, 48
         for _ in range(trial % 5):
             choices = [m for m in range(1, 201) if phi[m] <= budget and m not in ms]
             if not choices:
                 break
             m = rng.choice(choices)
-            ms.add(m)
-            budget -= phi[m]
+            ms[m] = rng.randint(1, min(3, budget // phi[m]))
+            budget -= ms[m] * phi[m]
         rest = rng.sample(others, rng.randint(1, 2))
-        parts = [cyclotomic(m) for m in ms] + rest
+        parts = [cyclotomic(m) for m, k in ms.items() for _ in range(k)] + rest
         rng.shuffle(parts)
         f = product(*parts)
         found, cofactor = _intfactor._split_cyclotomic(f)
         assert cyclotomic_divisors(f) == sorted(ms), trial
-        assert found == [cyclotomic(m) for m in sorted(ms)], trial
+        assert found == [(cyclotomic(m), ms[m]) for m in sorted(ms)], trial
         assert cofactor == product(*rest) and cyclotomic_divisors(cofactor) == [], trial
 
 
@@ -519,8 +570,9 @@ def test_cyclotomic_split_falls_back_on_a_false_hit():
     assert _intfactor._split_cyclotomic(f) == ([], f)
     assert canonical(_intfactor.factor_squarefree(f)) == canonical([[-15, 1], [17, 1]])
     # A true hit, Phi_1, with the false one: the product of both does not
-    # divide, and confirming hit by hit keeps Phi_1 alone.
-    assert _intfactor._split_cyclotomic(product([-1, 1], f)) == ([[-1, 1]], f)
+    # divide, and confirming hit by hit keeps Phi_1 alone, to its power.
+    assert _intfactor._split_cyclotomic(product([-1, 1], f)) == ([([-1, 1], 1)], f)
+    assert _intfactor._split_cyclotomic(product([-1, 1], [-1, 1], f)) == ([([-1, 1], 2)], f)
 
 
 def test_cyclotomic_inputs_skip_the_modular_path(monkeypatch):
@@ -530,10 +582,28 @@ def test_cyclotomic_inputs_skip_the_modular_path(monkeypatch):
     monkeypatch.setattr(_intfactor, "_choose_prime", modular)
     monkeypatch.setattr(_intfactor, "hensel_lift", modular)
     torus = [(-1) ** i for i in range(301)]  # Delta of T(2,301)
-    expect = [cyclotomic(14), cyclotomic(86), cyclotomic(602)]
-    assert _intfactor.factor_squarefree(torus) == expect
-    expect = [cyclotomic(d) for d in range(1, 121) if 120 % d == 0]
-    assert _intfactor.factor_squarefree(t_power_minus_one(120)) == expect
+    expect = [(cyclotomic(14), 1), (cyclotomic(86), 1), (cyclotomic(602), 1)]
+    assert _intfactor.factor_primitive(torus) == expect
+    expect = [(cyclotomic(d), 1) for d in range(1, 121) if 120 % d == 0]
+    assert _intfactor.factor_primitive(t_power_minus_one(120)) == expect
+    f = product(cyclotomic(1), cyclotomic(1), cyclotomic(6), torus)
+    expect = [(cyclotomic(m), k) for m, k in ((1, 2), (6, 1), (14, 1), (86, 1), (602, 1))]
+    assert _intfactor.factor_primitive(f) == expect
+
+
+def test_cyclotomic_inputs_skip_the_squarefree_tests(monkeypatch):
+    # The split comes before any squarefree test: t^n - 1 is not squarefree
+    # modulo a prime dividing n, and a power of Phi_m modulo none.
+    squarefree = record_calls(monkeypatch, "gf_is_squarefree")
+    gcds = record_calls(monkeypatch, "int_poly_gcd")
+    for n in (60, 120):
+        expect = [(cyclotomic(d), 1) for d in range(1, n + 1) if n % d == 0]
+        assert _intfactor.factor_primitive(t_power_minus_one(n)) == expect
+    products = [(1, 3), (2, 2), (12, 2), (25, 2), (27, 2), (60, 1)], [(25, 2), (27, 2), (33, 2), (35, 2)]
+    for powers in products:
+        f = product(*(cyclotomic(m) for m, k in powers for _ in range(k)))
+        assert _intfactor.factor_primitive(f) == [(cyclotomic(m), k) for m, k in powers]
+    assert squarefree == [] and gcds == []
 
 
 def test_lift_precision_exceeds_twice_the_bound(monkeypatch):
@@ -584,6 +654,23 @@ def test_reducible_cubics_run_berlekamp_at_most_once(monkeypatch):
         expect = [(linear, 1), ([-1, 1], 2)] if i % 4 == 1 else [(linear, 1), (quadratic, 1)]
         assert sorted((g.dense(), m) for g, m in fac.factors) == sorted(expect), i
         assert len(calls) <= 1, i
+
+
+def test_witness_cubics_lift_without_a_hensel_step(monkeypatch):
+    # The cubics of the benchmark's witness operations, (t^2 - c t +- 1)
+    # times a linear factor, with fixed signs.  A cubic has at most one
+    # nonlinear modular factor, and its linear ones are lifted as roots.
+    steps = record_calls(monkeypatch, "_hensel_step")
+    lifts = record_calls(monkeypatch, "hensel_lift")
+    for i in range(30):
+        unit = [(-1) ** i, -(1 + i % 4), 1]
+        other = [(-1) ** (i // 2) * (1 + i % 5), (-1) ** (i // 3) * (2 + i // 5 % 2)]
+        f = LaurentPoly.from_coeffs(product(unit, other))
+        fac = factor_over_Z(f)
+        assert multiply_back(fac) == f, i
+        mine = sorted((g.dense(), m) for g, m in fac.factors)
+        assert mine == sorted((g.dense(), m) for g, m in box_factor(f)), i
+    assert len(lifts) >= 10 and steps == []
 
 
 def test_two_modular_factors_are_lifted_not_tried_at_more_primes(monkeypatch):
@@ -666,13 +753,13 @@ def test_torus_delta_trial_divisions(monkeypatch):
         return real_div(*args)
 
     monkeypatch.setattr(_intfactor, "exact_div_int", counting)
-    factors = _intfactor.factor_squarefree(d)
-    assert canonical(factors) == canonical([cyclotomic(14), cyclotomic(86), cyclotomic(602)])
+    factors = _intfactor.factor_primitive(d)
+    assert factors == [(cyclotomic(14), 1), (cyclotomic(86), 1), (cyclotomic(602), 1)]
     # One division by the product of the cyclotomic hits, not one a hit.
     assert len(calls) == 1
     calls.clear()
-    factors = _intfactor.factor_squarefree(t_power_minus_one(120))
-    assert factors == [cyclotomic(m) for m in range(1, 121) if 120 % m == 0]
+    factors = _intfactor.factor_primitive(t_power_minus_one(120))
+    assert factors == [(cyclotomic(m), 1) for m in range(1, 121) if 120 % m == 0]
     assert len(calls) == 1
 
 
