@@ -50,6 +50,13 @@ entropy.  Closed walks are searched from each orbit's representative,
 stepping by the digits and carriers, and conjugated into those of the
 other states.  An abelian F has no inner automorphisms: the graph keeps
 no labels, every orbit is one state, and B is the graph itself.
+
+Over an abelian F only the exponent sums of the templates matter, and the
+shift is a group shift (Kitchens, *Ergod. Th. Dyn. Sys.* 7, 1987): its e
+essential windows form a subgroup of F^w, each with d essential
+successors, which `build_sft` counts by linear algebra
+(`rscover.essential_window_counts`).  The essential graph is d-regular, so
+the census reads e and d alone; the per-state graph waits for a first read.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ from itertools import accumulate, chain, compress, islice, permutations, repeat
 from operator import gt, not_, sub
 from typing import Optional
 
-from .rscover import ShiftPresentation, abelianized_recurrence
+from .rscover import ShiftPresentation, abelianized_recurrence, essential_window_counts
 
 STATE_CAP = 10**6
 MAX_SYMMETRIC_DEGREE = 6  # the table of S7 would hold 25.4M entries
@@ -91,7 +98,7 @@ class FiniteGroup:
     def __init__(self, name: str, labels: tuple[str, ...], mult: tuple[tuple[int, ...], ...]):
         """Derives only, and checks nothing: `mult` must be a group's table,
         as `cyclic` and `symmetric` build it (`from_table` checks one)."""
-        n = len(labels)
+        self.order = n = len(labels)
         self.name = name
         self.labels = labels
         self.mult = mult
@@ -138,10 +145,6 @@ class FiniteGroup:
             self.conj = tuple(tuple(map(cols[i].__getitem__, row)) for row, i in zip(mult, self.inv))
             self.centre_order = self.conj.count(self.conj[0])
 
-    @property
-    def order(self) -> int:
-        return len(self.labels)
-
     def mul(self, i: int, j: int) -> int:
         return self.mult[i][j]
 
@@ -163,7 +166,7 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> "FiniteGroup":
         if not 1 <= n <= MAX_CYCLIC_ORDER:
             raise BadGroupTable(f"cyclic order must be in [1, {MAX_CYCLIC_ORDER}], got {n}")
-        labels = tuple(str(i) for i in range(n))
+        labels = tuple(map(str, range(n)))
         mult = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
         return cls(f"cyclic({n})", labels, mult)
 
@@ -255,23 +258,16 @@ def _first_non_associative(mult, middles) -> Optional[tuple[int, int, int]]:
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        x = perm[start]
-        while x != start:
-            cyc.append(x)
-            seen[x] = True
+    seen, cycles = set(), []
+    for x in range(len(perm)):
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
             x = perm[x]
-        cycles.append(cyc)
-    if not cycles:
-        return "id"
-    return "".join("(" + "".join(str(x + 1) for x in c) + ")" for c in cycles)
+        if len(cycle) > 1:
+            cycles.append("(" + "".join(cycle) + ")")
+    return "".join(cycles) or "id"
 
 
 class Successors(Sequence):
@@ -342,33 +338,38 @@ class SftGraph:
     (see `Orbits`), None over an abelian F, where each orbit is one state.
     The trim runs on the orbit graph (see the module docstring), which the
     graph keeps for the census, in CSR form, one node per orbit, with the
-    trim's flags on it; over an abelian F, the successors and `essential`,
-    5 bytes per state and 4 per edge.  Over a non-abelian F it is built
-    from the orbits, as `build_sft` builds it, and keeps no edge per state:
-    digits[o] lists the y that may follow the representative r of orbit o,
-    whose successors are (r mod n^(w-1)) n + y.  `successors` (see
-    `Successors`) is then derived on first read, each state's from its
-    representative's, conjugated by its carrier.
+    trim's flags on it.
+
+    Over an abelian F, `build_sft` keeps the abelianized templates and
+    `counts`, (e, d) (see the module docstring), and the successors,
+    `essential` and the orbit graph, which is the successors, are derived
+    together on first read.  A graph given its successors has no counts.
+
+    Over a non-abelian F it is built from the orbits, as `build_sft` builds
+    it, and keeps no edge per state: digits[o] lists the y that may follow
+    the representative r of orbit o, whose successors are
+    (r mod n^(w-1)) n + y.  `successors` is then derived on first read,
+    each state's from its representative's, conjugated by its carrier.
     """
 
     __slots__ = (
-        "window", "group", "orbits", "digits", "essential", "_successors", "_orbit_edges", "_orbit_alive"
+        "window", "group", "state_count", "orbits", "digits", "templates", "counts", "essential", "_successors",
+        "_orbit_edges", "_orbit_alive",
     )
 
     def __init__(self, window: int, group: FiniteGroup, successors: Optional[Successors] = None,
-                 orbits: Optional[Orbits] = None, digits: Optional[list] = None):
+                 orbits: Optional[Orbits] = None, digits: Optional[list] = None,
+                 templates=None, counts=None):
         self.window = window
         self.group = group
         self._successors = successors
+        self.orbits, self.digits, self.templates, self.counts = orbits, digits, templates, counts
+        self.state_count = group.order ** max(window, 1)
         if group.is_abelian():
-            self.orbits = self.digits = None
-            self._orbit_edges = successors
-            self.essential = self._orbit_alive = _trim(successors)
             return
         if digits is None:
             raise TypeError("a graph over a non-abelian group is built from its orbits and digits")
         n, w = group.order, max(window, 1)
-        self.orbits, self.digits = orbits, digits
         # An edge from orbit o to the orbit of each successor of its
         # representative.  Conjugation is an automorphism, so a state
         # survives the trim exactly when its orbit does.
@@ -380,13 +381,30 @@ class SftGraph:
             q_offsets.append(len(q_targets))
         self._orbit_edges = Successors(q_offsets, q_targets)
         self._orbit_alive = alive = _trim(self._orbit_edges)
-        if 0 in alive:
-            self.essential = bytearray(map(list(alive).__getitem__, label))  # lists index faster
-        else:
-            self.essential = bytearray(b"\x01") * len(label)
+        # lists index faster
+        self.essential = (
+            bytearray(map(list(alive).__getitem__, label)) if 0 in alive else bytearray(b"\x01") * len(label)
+        )
+
+    def __getattr__(self, name):
+        """A first read of the abelian view lands here: every window is
+        solved, unless the graph was given its successors, and the trim runs
+        at once, before the caller allocates anything more."""
+        if name not in ("essential", "_orbit_edges", "_orbit_alive"):
+            raise AttributeError(name)
+        if self._successors is None:
+            self._successors = Successors.from_rows(zip(
+                _stubs(self.group.order, self.window),
+                _allowed(self.templates, self.group, self.window, range(self.state_count)),
+            ))
+        self._orbit_edges = self._successors
+        self.essential = self._orbit_alive = _trim(self._successors)
+        return getattr(self, name)
 
     @property
     def successors(self) -> Successors:
+        if self.orbits is None:
+            return self._orbit_edges
         if self._successors is None:
             conj, digits, orbits = self.group.conj, self.digits, self.orbits
             rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
@@ -394,12 +412,8 @@ class SftGraph:
         return self._successors
 
     @property
-    def state_count(self) -> int:
-        return len(self.essential)
-
-    @property
     def essential_count(self) -> int:
-        return self.essential.count(1)
+        return self.counts[0] if self.counts else self.essential.count(1)
 
 
 def _stubs(n: int, w: int):
@@ -460,8 +474,8 @@ def _next_level(F: FiniteGroup, prev: Orbits) -> Orbits:
     """
     n, mult, conj, inv = F.order, F.mult, F.conj, F.inv
     tables = []
-    reps: list[int] = []
-    stabs: list = []
+    reps = []
+    stabs = []
     for r, stab in zip(prev.reps, prev.stabs):
         first = len(reps)
         r *= n
@@ -560,7 +574,8 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
     Width-0 presentations (all template letters at one index) get a graph
     on F itself whose edges leave the states satisfying the unary relation.
     Over a non-abelian F only the orbit representatives are solved, and the
-    graph keeps their digits (see `SftGraph`).
+    graph keeps their digits (see `SftGraph`).  Over an abelian F nothing is
+    solved: the graph keeps the counts of its essential windows.
     """
     if len(sp.symbols) != 1:
         raise MultiSymbolUnsupported(f"need exactly one symbol, have {len(sp.symbols)}")
@@ -570,23 +585,23 @@ def build_sft(sp: ShiftPresentation, F: FiniteGroup) -> SftGraph:
     if n**eff_w > STATE_CAP:
         raise CapExceeded(f"{n}^{eff_w} states exceed the cap of {STATE_CAP}")
 
-    templates = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
-    orbits = None if F.is_abelian() else _label_orbits(F, eff_w)
-    if orbits is None:
+    if F.is_abelian():
         # Exponent sums suffice for an abelian target.
         templates = [list(r.coefficients) for r in abelianized_recurrence(sp)]
-    sources = range(n**eff_w) if orbits is None else orbits.reps
+        counts = essential_window_counts(templates, eff_w, F.powers)
+        return SftGraph(window=w, group=F, templates=templates, counts=counts)
+    templates = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
+    orbits = _label_orbits(F, eff_w)
+    return SftGraph(window=w, group=F, orbits=orbits, digits=list(_allowed(templates, F, w, orbits.reps)))
+
+
+def _allowed(templates, F, w, sources):
+    """The allowed hole values of each source window, ascending (with
+    w = 0, all of F or none)."""
     if w == 0:
-        allowed = [range(n) if _window_ok(templates, (x,), F) else () for x in sources]
-    else:
-        solved = [_solve_template(tpl, F, w, sources) for tpl in templates]
-        allowed = solved[0] if len(solved) == 1 else map(_intersect, *solved)
-        del solved
-    if orbits is not None:
-        return SftGraph(window=w, group=F, orbits=orbits, digits=list(allowed))
-    successors = Successors.from_rows(zip(_stubs(n, w), allowed))
-    del allowed  # free the segment values before the trim
-    return SftGraph(window=w, group=F, successors=successors)
+        return [range(F.order) if _window_ok(templates, (x,), F) else () for x in sources]
+    solved = [_solve_template(tpl, F, w, sources) for tpl in templates]
+    return solved[0] if len(solved) == 1 else map(_intersect, *solved)
 
 
 def _window_ok(templates, window, F: FiniteGroup) -> bool:
@@ -661,7 +676,7 @@ def _segment_values(seg, F: FiniteGroup, w: int, windows: Sequence[int]) -> list
     multiplied pointwise.
     """
     mult = F.mult
-    runs: list[dict[int, int]] = []
+    runs = []
     for off, e in seg:
         if not runs or off <= max(runs[-1]):
             runs.append({})
@@ -714,25 +729,31 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
     strongly connected components; otherwise `_perron_log` estimates it to
     tol, which must be finite and positive even when no iteration runs.
     Past the OnlyTrivial test it reads only the orbit graph restricted to
-    the essential orbits, and their sizes (see the module docstring)."""
+    the essential orbits, and their sizes (see the module docstring); from
+    an abelian build, only its counts."""
     check_tol(tol)
-    ess_count = g.essential_count
+    ess_count, states = g.essential_count, g.state_count
     assert ess_count >= 1, "the all-identity state is always essential"
     if ess_count == 1:
-        return RepCensus("OnlyTrivial", 1, 0.0, g.state_count, 1)
+        return RepCensus("OnlyTrivial", 1, 0.0, states, 1)
+    if g.counts:
+        # d successors each: `_perron_log`'s sum grows by 1 + d a step, so it
+        # would return math.log(d), 0.0 when d = 1.
+        h = math.log(g.counts[1])
+        return RepCensus("PositiveEntropy" if h else "Finite", None if h else ess_count, h, states, ess_count)
     alive = g._orbit_alive
     offsets, targets = _restrict(g._orbit_edges, alive)
     # The trim leaves every essential orbit an essential successor, so
     # one edge per node means exactly one each: one per essential state.
     if len(targets) == len(offsets) - 1:
-        return RepCensus("Finite", ess_count, 0.0, g.state_count, ess_count)
+        return RepCensus("Finite", ess_count, 0.0, states, ess_count)
     if _zero_entropy(offsets, targets):
         return RepCensus(
-            "InfiniteZeroEntropy", None, 0.0, g.state_count, ess_count
+            "InfiniteZeroEntropy", None, 0.0, states, ess_count
         )
     sizes = [1] * ess_count if g.orbits is None else list(compress(g.orbits.sizes, alive))
     h = _perron_log(sizes, offsets, targets, tol)
-    return RepCensus("PositiveEntropy", None, h, g.state_count, ess_count)
+    return RepCensus("PositiveEntropy", None, h, states, ess_count)
 
 
 def _restrict(graph: Successors, alive: bytearray) -> tuple[array, array]:
@@ -742,11 +763,8 @@ def _restrict(graph: Successors, alive: bytearray) -> tuple[array, array]:
     if 0 not in alive:
         return offsets, targets
     nodes = list(compress(range(len(alive)), alive))
-    index = array("I", bytes(4 * len(alive)))
-    for i, s in enumerate(nodes):
-        index[s] = i
-    sub_offsets = array("I", [0])
-    sub_targets = array("I")
+    index = dict(zip(nodes, range(len(nodes))))
+    sub_offsets, sub_targets = array("I", [0]), array("I")
     append, mark = sub_targets.append, sub_offsets.append
     for s in nodes:
         for t in targets[offsets[s] : offsets[s + 1]]:
@@ -766,7 +784,7 @@ def _sccs(offsets: array, targets: array) -> list[int]:
     low = [0] * n
     comp = [-1] * n  # -1 until the state's component closes
     cursor = offsets[:-1]  # the next edge of each state to follow
-    stack: list[int] = []
+    stack = []
     counter = closed = 0
     for root in range(n):
         if index[root] != -1:
@@ -880,12 +898,12 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     if g.orbits is None:  # each state is an orbit, carried to itself by the identity
         label = reps = range(len(ess))
         carry, sizes, conj, inv = bytes(len(ess)), b"\x01" * len(ess), (range(n),), (0,)
-        offsets, targets = g.successors.offsets, g.successors.targets
-        digits = Successors(offsets, array("I", [t % n for t in targets]))
+        succ = g.successors
+        digits = Successors(succ.offsets, array("I", [t % n for t in succ.targets]))
     else:
         label, carry, reps, sizes = g.orbits.label, g.orbits.carry, g.orbits.reps, g.orbits.sizes
         conj, inv, digits = g.group.conj, g.group.inv, g.digits
-    results: list[tuple[int, ...]] = []
+    results = []
     found = {}  # orbit -> the labelings of its representative's walks
     total = 0  # the labelings of every state searched or conjugated so far
     depth = N - 2

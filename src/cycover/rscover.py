@@ -8,9 +8,9 @@ set of the kernel is the family of all integer shifts of the templates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .words import Presentation, _reduce
+from .words import Presentation, _reduce, smith_diagonal
 
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
@@ -148,3 +148,59 @@ def abelianized_recurrence(sp: ShiftPresentation) -> list[RecurrenceRow]:
                     coeffs[off] = coeffs.get(off, 0) + e
             rows.append(RecurrenceRow.make(sym, coeffs))
     return rows
+
+
+def essential_window_counts(
+    templates: Sequence[Sequence[tuple[int, int]]], w: int, powers: Sequence[Sequence[int]]
+) -> tuple[int, int]:
+    """(e, d) for the shift the abelianized templates (rows of
+    `abelianized_recurrence`) cut out over an abelian group F with the
+    power table `powers`: e windows of w >= 1 digits lie on a biinfinite
+    point, and each has d successors that do.
+
+    The windows at [i, i + w) that extend i steps both ways are the image
+    in F^w of ker A_N, A_N one row per template per shift m < N - w on
+    N = w + 2i digits: |ker A_N| / |ker A'_N| of them, A'_N being A_N less
+    those w columns.  A row at shift m reads the digits m .. m + w only, so
+    A'_N is two blocks, the rows m < i on the first i digits and the rest
+    on the last i.  Over F, |ker A| is |F|^(columns - rank) times
+    #{x : x^d = 1} per invariant factor d (`smith_diagonal`).  The count
+    falls as i rises, one trim round a step, and where it holds it is e;
+    the windows form subgroups (Kitchens, *Ergod. Th. Dyn. Sys.* 7, 1987),
+    so that takes at most w times the number of prime factors of |F|
+    steps.  The windows of w + 1 digits there are the essential edges, d
+    per essential window, and A_(N+1) less their columns is the same two
+    blocks, so d = |ker A_(N+1)| / |ker A_N|.
+    """
+    orders = [len(seq) for seq in powers]
+    n = len(orders)
+    # x^n = 1 in F: residues mod n keep the echelon's numbers small
+    templates = [[(off, c % n) for off, c in tpl] for tpl in templates]
+    torsion: dict[int, int] = {}
+
+    def kernel(shifts: range, lo: int, hi: int) -> int:
+        """|ker A| for the rows at these shifts, on the digits lo .. hi - 1."""
+        rows = []
+        for m in shifts:
+            for tpl in templates:
+                row = [0] * (hi - lo)
+                for off, c in tpl:
+                    if lo <= m + off < hi:
+                        row[m + off - lo] = c
+                rows.append(row)
+        diag = smith_diagonal(rows, hi - lo)[0] if rows else []
+        size = n ** (hi - lo - len(diag))
+        for d in diag:
+            if d not in torsion:
+                torsion[d] = sum(d % k == 0 for k in orders)
+            size *= torsion[d]
+        return size
+
+    i, e = 0, n**w
+    blocks = e  # |ker A_N| at N = w + 2i
+    while True:
+        wider = kernel(range(2 * i + 2), 0, w + 2 * i + 2)
+        ends = kernel(range(i + 1), 0, i + 1) * kernel(range(i + 1, 2 * i + 2), w + i + 1, w + 2 * i + 2)
+        if wider // ends == e:
+            return e, kernel(range(2 * i + 1), 0, w + 2 * i + 1) // blocks
+        i, e, blocks = i + 1, wider // ends, wider

@@ -19,7 +19,9 @@ census class by degree counts and reachability, strongly connected
 components by a breadth-first search from every state, the census and the
 periodic labelings of a shift graph from every essential state, not from
 one state per conjugacy orbit (Kosaraju's components, the exact power
-iteration over all states, a depth-first search from every start), and Brown's
+iteration over all states, a depth-first search from every start), the
+census of an abelian shift from its whole graph, not from counted
+windows, and Brown's
 finite-generation verdict by a letter-by-letter walk.  None of them share code paths with the
 implementations they audit.
 
@@ -51,7 +53,8 @@ from itertools import permutations, product, repeat
 import numpy as np
 
 from cycover.laurent import LaurentPoly, ZeroPolynomial
-from cycover.repshift import FiniteGroup, SftGraph, Successors, _label_orbits
+from cycover.repshift import FiniteGroup, SftGraph, Successors, _allowed, _label_orbits, _stubs, census
+from cycover.rscover import abelianized_recurrence
 from cycover.words import (
     DuplicateGenerator,
     FreeWord,
@@ -683,6 +686,19 @@ def graph_from_lists(lists):
     rows = (sorted(set(targets)) for targets in lists)
     successors = Successors.from_rows(zip(repeat(0), rows))
     return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=successors)
+
+
+def abelian_graph_census(sp, group):
+    """The census of a shift over an abelian group from its whole graph,
+    not from counted windows: every window solved for its successors, the
+    graph in CSR form, and the census of a graph given its successors,
+    which trims it and reads the essential subgraph (Tarjan's components,
+    the power iteration)."""
+    templates = [list(r.coefficients) for r in abelianized_recurrence(sp)]
+    windows = range(group.order ** max(sp.width, 1))
+    rows = _allowed(templates, group, sp.width, windows)
+    successors = Successors.from_rows(zip(_stubs(group.order, sp.width), rows))
+    return census(SftGraph(window=sp.width, group=group, successors=successors))
 
 
 def graph_from_invariant_rows(group, rows):

@@ -9,12 +9,14 @@ from itertools import compress
 
 import pytest
 
-from corpus import BS23, DYADIC, NOCOVER, weight_zero_form
+from corpus import BS23, DYADIC, NOCOVER, knotlike_corpus, two_bridge_pairs, weight_zero_form
 from oracles import (
+    abelian_graph_census,
     brute_successors,
     census_over_states,
     essential_fixed_point,
     first_non_associative_triple,
+    gcd_mod_p,
     graph_from_invariant_rows,
     graph_from_lists,
     inner_tuple_counts,
@@ -39,7 +41,7 @@ from cycover.repshift import (
     enumerate_periodic,
 )
 from cycover import repshift
-from cycover.rscover import ShiftPresentation, reidemeister_schreier
+from cycover.rscover import ShiftPresentation, _reduce_indexed, reidemeister_schreier
 from cycover.twobridge import family_presentation
 from cycover.words import parse_presentation
 
@@ -202,14 +204,19 @@ def test_cap_exceeded():
 
 
 def test_build_sft_keeps_a_few_bytes_per_state():
-    # x[i+4] = 2 x[i] over Z17: 83,521 windows, one successor each
+    # x[i+4] = 2 x[i] over Z17: 83,521 windows, one successor each.  The
+    # build and the census keep no per-state view over an abelian group;
+    # the first reads of the successors and the essential flags derive it.
     sp = reidemeister_schreier(
         parse_presentation("<t, a | a^-2 t^4 a t^-4>"), {"t": 1, "a": 0}
     )
     z17 = FiniteGroup.cyclic(17)
+    g = build_sft(sp, z17)
+    assert census(g).count == 17**4 and g._successors is None
     tracemalloc.start()
     try:
-        g = build_sft(sp, z17)
+        g.successors
+        g.essential
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -217,6 +224,9 @@ def test_build_sft_keeps_a_few_bytes_per_state():
     # offsets, targets and essential flags: 4 + 4 + 1 bytes per state
     assert kept <= 16 * g.state_count, kept / g.state_count
     assert peak <= 40 * g.state_count, peak / g.state_count
+    # the Z31 graph at window 4 is 923,521 windows
+    z31 = build_sft(sp, FiniteGroup.cyclic(31))
+    assert census(z31).count == 31**4 and z31._successors is None
 
 
 def test_second_non_abelian_build_keeps_under_three_bytes_per_state():
@@ -557,8 +567,11 @@ def test_build_sft_checks_no_window_beyond_width_zero(monkeypatch):
     pres, chi = weight_zero_form(7, 2)
     sft(pres, chi, FiniteGroup.symmetric(4))
     assert calls == []
-    # only the width-0 branch checks windows: one per element
-    build_sft(ShiftPresentation(symbols=("a",), templates=((("a", 0, 2),),)), FiniteGroup.cyclic(4))
+    # only the width-0 branch checks windows: one per element, when the
+    # abelian per-state view is first read
+    g = build_sft(ShiftPresentation(symbols=("a",), templates=((("a", 0, 2),),)), FiniteGroup.cyclic(4))
+    assert calls == []
+    g.successors
     assert calls.count("window") == 4
 
 
@@ -1085,6 +1098,57 @@ def test_prop23_census_count_equals_mod_p_formula():
             assert c.count == p**d, (pres.to_text(), p)
 
 
+def _product_table(a, b):
+    """The table of Z/a x Z/b, the pair (x, y) numbered x b + y."""
+    n = a * b
+    rows = [" ".join(str((u // b + v // b) % a * b + (u + v) % b) for v in range(n)) for u in range(n)]
+    return "\n".join([str(n), *rows])
+
+
+def _random_abelian_template(rng, w, n):
+    """A random freely reduced template of width at most w, offsets from 0:
+    syllables a[off]^e, |e| up to 2n or, half the time, a multiple of a
+    divisor of n, and at times a syllable at the last offset undone later,
+    so that an end coefficient sums to zero."""
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    raw = [
+        ("a", rng.randint(0, w), rng.choice([1, -1]) * rng.choice([rng.randint(1, 2 * n), rng.choice(divisors)]))
+        for _ in range(rng.randint(1, 4))
+    ]
+    if rng.random() < 0.3:
+        e = rng.randint(1, n)
+        raw = [("a", w, e), *raw, ("a", w, -e)]
+    tpl = _reduce_indexed(raw)
+    base = min((off for _, off, _ in tpl), default=0)
+    return tuple((sym, off - base, e) for sym, off, e in tpl)
+
+
+def test_abelian_census_by_counting_equals_the_census_of_the_whole_graph():
+    # Cyclic groups up to Z36, prime powers to 32 among them, and four
+    # tables that are not cyclic; one to three random templates of width
+    # 0 to 3, end coefficients that sum to zero among them.  The census
+    # from the counted windows gives every field of the census of the
+    # whole graph, the entropy to the last bit, and never zero entropy on
+    # infinitely many points.
+    rng = random.Random(2336)
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 37)]
+    groups += [FiniteGroup.from_table(_product_table(a, b)) for a, b in ((2, 2), (2, 4), (3, 3), (2, 6))]
+    kinds = Counter()
+    for case in range(1500):
+        group = groups[case % len(groups)]
+        n = group.order
+        w = rng.choice([w for w in range(4) if n ** max(w, 1) <= 2500])
+        templates = tuple(_random_abelian_template(rng, w, n) for _ in range(rng.randint(1, 3)))
+        sp = ShiftPresentation(symbols=("a",), templates=templates)
+        got = census(build_sft(sp, group))
+        want = abelian_graph_census(sp, group)
+        fields = ("classification", "count", "entropy", "state_count", "essential_count")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], (group, sp.templates)
+        kinds[got.classification] += 1
+    assert "InfiniteZeroEntropy" not in kinds
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_census_invariant_under_relabeling():
     s3 = FiniteGroup.symmetric(3)
     base = census(family_sft(2, s3))
@@ -1175,6 +1239,37 @@ def test_periodic_cap_counts_the_walks_of_every_orbit(monkeypatch):
             enumerate_periodic(g, 9)
     monkeypatch.setattr(repshift, "STATE_CAP", 82)
     assert len(enumerate_periodic(g, 9)) == 82
+
+
+def test_periodic_count_over_z_p_is_read_from_delta():
+    # A one-relator form's kernel abelianizes to A = Z[t, t^-1]/(delta), so
+    # the points of period N over Z/p are Hom(A/(t^N - 1)A, Z/p), of order
+    # p^deg gcd(delta mod p, t^N - 1): the Fox path against the walks,
+    # which over an abelian group read the derived per-state view.  Graphs
+    # past 20,000 states are left out: there the search spends seconds on
+    # walks that never close.
+    from cycover.alexander import alexander_polynomial
+    from cycover.rscover import UnsupportedWeighting
+
+    forms = [(pres, chi) for _, pres, chi in knotlike_corpus()]
+    forms += [weight_zero_form(p, q) for p, q in two_bridge_pairs(11)]
+    checked = 0
+    for pres, chi in forms:
+        try:
+            sp = reidemeister_schreier(pres, chi)
+        except UnsupportedWeighting:
+            continue
+        delta = alexander_polynomial(pres, chi).delta
+        for p in (2, 3, 5, 7):
+            if p ** max(sp.width, 1) > 20000:
+                continue
+            g = build_sft(sp, FiniteGroup.cyclic(p))
+            reduced = delta.reduce_mod(p).dense()
+            for N in range(1, 7):
+                g_N = gcd_mod_p(reduced, [-1] + [0] * (N - 1) + [1], p) if reduced else [0] * N + [1]
+                assert len(enumerate_periodic(g, N)) == p ** (len(g_N) - 1), (pres.to_text(), p, N)
+                checked += 1
+    assert checked >= 800, checked
 
 
 def test_periodic_labelings_are_solutions():
