@@ -11,11 +11,12 @@ points, infinitely many with zero entropy, or positive entropy.
 The edges are found by solving each template for the appended symbol, the
 hole, instead of trying every candidate.  A template is rotated so that a
 hole syllable comes last (a word is trivial iff its rotation is); its
-hole-free segments are then evaluated on all source windows at once, and
-the word reads S0 y^e1 S1 ... y^ek = 1, i.e. S0 = L(y)^-1.  L depends on a
-window only through its inner tuple (S1, ..., S(k-1)), so the windows are
-grouped by that tuple, and one table per tuple, listing each y under
-L(y)^-1, answers its windows by a lookup on S0.
+hole-free segments are then evaluated on the windows to solve only, one
+syllable at a time, each reading the digit at its offset.  The word reads
+S0 y^e1 S1 ... y^ek = 1, i.e. S0 = L(y)^-1.  L depends on a window only
+through its inner tuple (S1, ..., S(k-1)), so the windows are grouped by
+that tuple, and one table per tuple, listing each y under L(y)^-1,
+answers its windows by a lookup on S0.
 With one hole that is the table of e-th roots; with none, the template
 allows every successor or none.  Element powers come from a per-element
 table, so no cost depends on the size of an exponent.
@@ -620,10 +621,10 @@ def _intersect(first, *rest):
 
 def _solve_template(tpl, F: FiniteGroup, w: int, windows: Sequence[int]):
     """The allowed hole values of one template, ascending, for each of the
-    given source windows in turn.  The segment values are computed on all
-    windows at once and read at those; the windows are grouped by their
-    inner tuple (S1, ..., S(k-1)), and each group gets its table (see the
-    module docstring)."""
+    given source windows in turn.  The segment values are computed on
+    those windows only; the windows are grouped by their inner tuple
+    (S1, ..., S(k-1)), and each group gets its table (see the module
+    docstring)."""
     if all(off != w for off, _ in tpl):
         tpl = tpl + [(w, 0)]  # S y^0 = 1 allows every y or none
     cut = max(i for i, (off, _) in enumerate(tpl) if off == w) + 1
@@ -668,29 +669,15 @@ def _hole_table(values, F: FiniteGroup) -> list[list[int]]:
 
 
 def _segment_values(seg, F: FiniteGroup, w: int, windows: Sequence[int]) -> list[int]:
-    """Value of a hole-free word on each of the given source windows.
-
-    The word is cut into runs of strictly increasing offsets.  A run is
-    evaluated on every window by prefix expansion over the window digits,
-    most significant first, and read at the given ones; the runs are
-    multiplied pointwise.
-    """
-    mult = F.mult
-    runs = []
+    """Value of a hole-free word on each of the given source windows: each
+    syllable reads the window digit at its offset, in the order the word
+    has them, and multiplies its power into the running values."""
+    n, mult = F.order, F.mult
+    vals = repeat(0)
     for off, e in seg:
-        if not runs or off <= max(runs[-1]):
-            runs.append({})
-        runs[-1][off] = e
-    out = None
-    for run in runs:
-        val = [0]
-        for pos in range(w):
-            pm = F.power_map(run.get(pos, 0))
-            val = [mult[v][x] for v in val for x in pm]
-        if len(windows) < len(val):
-            val = list(map(val.__getitem__, windows))
-        out = val if out is None else [mult[a][b] for a, b in zip(out, val)]
-    return [0] * len(windows) if out is None else out
+        pm, scale = F.power_map(e), n ** (w - 1 - off)
+        vals = [mult[v][pm[s // scale % n]] for v, s in zip(vals, windows)]
+    return vals if seg else [0] * len(windows)
 
 
 class RepCensus:
@@ -719,9 +706,13 @@ def check_tol(tol: float) -> None:
 
 
 def check_max_period(max_period: int) -> None:
-    """Raise ValueError unless the walk length is at least 1."""
+    """Raise ValueError unless the walk length is at least 1, and
+    CapExceeded past STATE_CAP: the all-identity walk alone has that many
+    labels."""
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
+    if max_period > STATE_CAP:
+        raise CapExceeded(f"period {max_period} exceeds the cap of {STATE_CAP} labels")
 
 
 def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
@@ -888,7 +879,8 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     state v steps to (v mod n^(w-1)) n + h y h^-1, h = carry[v], for the
     digits y of its orbit (see `SftGraph`).  The last state of a walk ends
     in the first w - 1 digits of the first, so with w >= 2 only one
-    successor of the state before it is tried.
+    successor of the state before it is tried.  CapExceeded is raised as
+    soon as the labelings hold more than STATE_CAP labels, max_period each.
     """
     check_max_period(max_period)
     N = max_period
@@ -950,12 +942,12 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
             for c in ends:
                 if ess[c] and conj[inv[carry[c]]][final] in digits[label[c]]:
                     results.append((*path, v // scale, c // scale))
-                    if total + len(results) - lo > STATE_CAP:
-                        raise CapExceeded("periodic labeling count exceeds cap")
+                    if (total + len(results) - lo) * N > STATE_CAP:
+                        raise CapExceeded(f"periodic labels exceed the cap of {STATE_CAP}")
         if len(results) > lo:
             total += (len(results) - lo) * size
-            if total > STATE_CAP:
-                raise CapExceeded("periodic labeling count exceeds cap")
+            if total * N > STATE_CAP:
+                raise CapExceeded(f"periodic labels exceed the cap of {STATE_CAP}")
             if size > 1:
                 found[o] = results[lo:]
     if found:  # the states of those orbits, but their representatives

@@ -436,9 +436,13 @@ def test_reps_rejects_a_tol_that_is_not_finite_and_positive(capsys, tmp_path, to
         assert "tol must be a finite positive number" in err, group
 
 
-@pytest.mark.parametrize("option", ["--max-period=0", "--max-period=-3", "--tol=nan", "--tol=0"])
+@pytest.mark.parametrize(
+    "option", ["--max-period=0", "--max-period=-3", "--max-period=10000000", "--tol=nan", "--tol=0"]
+)
 def test_reps_checks_period_and_tol_before_building_the_graph(capsys, tmp_path, monkeypatch, option):
-    # family(3) over S5 has 14,400 states; a bad argument fails before any is built
+    # family(3) over S5 has 14,400 states; a bad argument fails before any is
+    # built, and so does a period past the cap, 10^6 labels: the all-identity
+    # walk alone has one label per step
     from cycover import repshift
 
     def no_build(*args):
@@ -449,7 +453,9 @@ def test_reps_checks_period_and_tol_before_building_the_graph(capsys, tmp_path, 
     f.write_text(FAMILY3_TEXT)
     code, out, err = run(capsys, "reps", str(f), "--chi", "u=1,a=0", "--group", "S5", option)
     assert code == 1 and out == ""
-    if "period" in option:
+    if option == "--max-period=10000000":
+        assert err == "error: CapExceeded: period 10000000 exceeds the cap of 1000000 labels\n"
+    elif "period" in option:
         assert err == "error: ValueError: max_period must be >= 1\n"
     else:
         assert err.startswith("error: ValueError: tol must be a finite positive number, not ")

@@ -232,17 +232,20 @@ def test_build_sft_keeps_a_few_bytes_per_state():
 def test_second_non_abelian_build_keeps_under_three_bytes_per_state():
     # family(3) over S5: 14,400 windows in 161 orbits.  Once its group has
     # the levels, a build keeps the essential flags, one byte per state, and
-    # per orbit its digits and the orbit graph; no edge per state.
+    # per orbit its digits and the orbit graph; no edge per state.  Its
+    # segment values are taken at the 161 representatives only, so no
+    # table over every window is made on the way either.
     s5 = FiniteGroup.symmetric(5)
     family_sft(3, s5)
     tracemalloc.start()
     try:
         g = family_sft(3, s5)
-        kept, _ = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert g.state_count == 120**2 and g._successors is None
     assert kept <= 3 * g.state_count, kept / g.state_count
+    assert peak <= 3 * g.state_count, peak / g.state_count
 
 
 def test_multi_symbol_rejected():
@@ -1229,15 +1232,16 @@ def test_periodic_family3_s3_contains_paper_orbit():
 
 
 def test_periodic_cap_counts_the_walks_of_every_orbit(monkeypatch):
-    # family(3) over S3 has 82 labelings of period 9, found from one state
-    # per orbit and conjugated into the rest: the cap is passed exactly when
-    # their number exceeds it, during the search or when conjugating.
+    # family(3) over S3 has 82 labelings of period 9, 738 labels, found from
+    # one state per orbit and conjugated into the rest: the cap is passed
+    # exactly when their labels exceed it, before the search (a period
+    # above the cap), during it or when conjugating.
     g = family_sft(3, FiniteGroup.symmetric(3))
-    for cap in (0, 1, 5, 40, 81):
+    for cap in (0, 9, 45, 360, 729):
         monkeypatch.setattr(repshift, "STATE_CAP", cap)
         with pytest.raises(CapExceeded):
             enumerate_periodic(g, 9)
-    monkeypatch.setattr(repshift, "STATE_CAP", 82)
+    monkeypatch.setattr(repshift, "STATE_CAP", 82 * 9)
     assert len(enumerate_periodic(g, 9)) == 82
 
 
