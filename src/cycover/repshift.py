@@ -34,10 +34,13 @@ the next digit (`_label_orbits`).  F keeps the `Orbits` of each window
 length, every window's label and carrier, derived once, when a graph first
 needs them, and shared by every graph over F of that window.  The
 templates are solved for the orbits' representatives only, and the graph
-keeps their digits and its orbit graph B, with B[O, O'] edges from orbit O
-to orbit O', one for each successor of rep(O) in O', and no edge per
-state.  Every state s of O has that many successors in O' (the partition
-is equitable), so row s of A^k sums to B^k[O, O'] over O': B has the
+keeps their digits and nothing per state.  Every other view is derived
+from them on its first read: the orbit graph B, with B[O, O'] edges from
+orbit O to orbit O', one for each successor of rep(O) in O', and the
+per-state views that only callers outside the census read, the successors
+and the essential flags.  Every state s of O has that many successors in
+O' (the partition is equitable), so row s of A^k sums to B^k[O, O'] over
+O': B has the
 Perron root of A, and B on the essential orbits that of the essential
 subgraph.  The trim and the census run on B: a state is essential, or has
 one essential successor, exactly when its orbit does, and the components
@@ -57,7 +60,8 @@ shift is a group shift (Kitchens, *Ergod. Th. Dyn. Sys.* 7, 1987): its e
 essential windows form a subgroup of F^w, each with d essential
 successors, which `build_sft` counts by linear algebra
 (`rscover.essential_window_counts`).  The essential graph is d-regular, so
-the census reads e and d alone; the per-state graph waits for a first read.
+the census reads e and d alone; the per-state graph, which is its own
+orbit graph, waits for a first read.
 """
 
 from __future__ import annotations
@@ -288,13 +292,20 @@ class Successors(Sequence):
         self.targets = targets
 
     @classmethod
-    def from_rows(cls, rows) -> "Successors":
-        """From (base, ys) pairs, one per state in state order: the targets
-        of the state are base + y for y in ys."""
+    def from_rows(cls, n: int, w: int, rows, states=None) -> "Successors":
+        """The successors of windows of max(w, 1) digits over n elements,
+        one row of last digits y per window: those of window s are
+        (s mod n^(w-1)) n + y.  The windows are `states`, or every window
+        in order."""
+        span = n ** max(w, 1)
+        if states is None:
+            bases = chain.from_iterable(repeat(range(0, span, n), n))
+        else:
+            bases = (s * n % span for s in states)
         offsets = array("I", [0])
         targets = array("I")
         append, mark = targets.append, offsets.append
-        for base, ys in rows:
+        for base, ys in zip(bases, rows):
             for y in ys:
                 append(base + y)
             mark(len(targets))
@@ -334,93 +345,71 @@ class SftGraph:
     appends one element on the right; the label of a state is its first
     (most significant) coordinate.
 
-    `essential` is a bytearray, 1 for the states left by the trim: those on
-    a biinfinite path.  `orbits` holds the conjugacy orbits of the states
-    (see `Orbits`), None over an abelian F, where each orbit is one state.
-    The trim runs on the orbit graph (see the module docstring), which the
-    graph keeps for the census, in CSR form, one node per orbit, with the
-    trim's flags on it.
+    A graph keeps its conjugacy orbits (see `Orbits`; None over an abelian
+    F, where each state is its own orbit) and the digits of each orbit's
+    representative r: digits[o] lists the y that may follow r, whose
+    successors are (r mod n^(w-1)) n + y.  An abelian build keeps the
+    abelianized templates and `counts`, (e, d) (see the module docstring),
+    and no digits: every window's are solved on the first read of a view,
+    straight into the successors.
 
-    Over an abelian F, `build_sft` keeps the abelianized templates and
-    `counts`, (e, d) (see the module docstring), and the successors,
-    `essential` and the orbit graph, which is the successors, are derived
-    together on first read.  A graph given its successors has no counts.
-
-    Over a non-abelian F it is built from the orbits, as `build_sft` builds
-    it, and keeps no edge per state: digits[o] lists the y that may follow
-    the representative r of orbit o, whose successors are
-    (r mod n^(w-1)) n + y.  `successors` is then derived on first read,
-    each state's from its representative's, conjugated by its carrier.
+    Every other view is derived once, on its first read: the orbit graph,
+    in CSR form, one node per orbit, with the trim's flags on it, which the
+    census reads; `essential`, a bytearray, 1 for the states left by the
+    trim, those on a biinfinite path; and `successors`, each state's from
+    its representative's digits, conjugated by its carrier.  Over an
+    abelian F the orbit graph is the successors, and its flags `essential`.
     """
 
     __slots__ = (
-        "window", "group", "state_count", "orbits", "digits", "templates", "counts", "essential", "_successors",
-        "_orbit_edges", "_orbit_alive",
+        "window", "group", "state_count", "orbits", "digits", "templates", "counts",
+        "successors", "essential", "_orbit_edges", "_orbit_alive",
     )
 
-    def __init__(self, window: int, group: FiniteGroup, successors: Optional[Successors] = None,
-                 orbits: Optional[Orbits] = None, digits: Optional[list] = None,
-                 templates=None, counts=None):
+    def __init__(self, window: int, group: FiniteGroup, digits: Optional[list] = None,
+                 orbits: Optional[Orbits] = None, templates=None, counts=None):
+        if orbits is None and not group.is_abelian():
+            raise TypeError("a graph over a non-abelian group is built from its orbits and digits")
         self.window = window
         self.group = group
-        self._successors = successors
-        self.orbits, self.digits, self.templates, self.counts = orbits, digits, templates, counts
+        self.digits, self.orbits, self.templates, self.counts = digits, orbits, templates, counts
         self.state_count = group.order ** max(window, 1)
-        if group.is_abelian():
-            return
-        if digits is None:
-            raise TypeError("a graph over a non-abelian group is built from its orbits and digits")
-        n, w = group.order, max(window, 1)
-        # An edge from orbit o to the orbit of each successor of its
-        # representative.  Conjugation is an automorphism, so a state
-        # survives the trim exactly when its orbit does.
-        label = orbits.label
-        q_offsets, q_targets = array("I", [0]), array("I")
-        for r, ys in zip(orbits.reps, digits):
-            base = r % n ** (w - 1) * n
-            q_targets.extend(map(label[base : base + n].__getitem__, ys))
-            q_offsets.append(len(q_targets))
-        self._orbit_edges = Successors(q_offsets, q_targets)
-        self._orbit_alive = alive = _trim(self._orbit_edges)
-        # lists index faster
-        self.essential = (
-            bytearray(map(list(alive).__getitem__, label)) if 0 in alive else bytearray(b"\x01") * len(label)
-        )
 
     def __getattr__(self, name):
-        """A first read of the abelian view lands here: every window is
-        solved, unless the graph was given its successors, and the trim runs
-        at once, before the caller allocates anything more."""
-        if name not in ("essential", "_orbit_edges", "_orbit_alive"):
+        """A first read of a view lands here.  The orbit graph and its trim
+        are derived together: over an abelian F, where they are the
+        successors and `essential`, at once, before the caller allocates
+        anything more."""
+        if name not in ("successors", "essential", "_orbit_edges", "_orbit_alive"):
             raise AttributeError(name)
-        if self._successors is None:
-            self._successors = Successors.from_rows(zip(
-                _stubs(self.group.order, self.window),
-                _allowed(self.templates, self.group, self.window, range(self.state_count)),
-            ))
-        self._orbit_edges = self._successors
-        self.essential = self._orbit_alive = _trim(self._successors)
+        n, w, orbits = self.group.order, self.window, self.orbits
+        if orbits is None:
+            rows = self.digits
+            if rows is None:
+                rows = _allowed(self.templates, self.group, w, range(self.state_count))
+            self.successors = self._orbit_edges = Successors.from_rows(n, w, rows)
+            self.essential = self._orbit_alive = _trim(self.successors)
+        elif name in ("_orbit_edges", "_orbit_alive"):
+            # An edge from orbit o to the orbit of each successor of its
+            # representative.  Conjugation is an automorphism, so a state
+            # survives the trim exactly when its orbit does.
+            edges = Successors.from_rows(n, w, self.digits, orbits.reps)
+            edges.targets = array("I", map(orbits.label.__getitem__, edges.targets))
+            self._orbit_edges, self._orbit_alive = edges, _trim(edges)
+        elif name == "essential":
+            alive = list(self._orbit_alive)  # lists index faster
+            self.essential = bytearray(map(alive.__getitem__, orbits.label))
+        else:
+            conj, digits = self.group.conj, self.digits
+            rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
+            self.successors = Successors.from_rows(n, w, rows)
         return getattr(self, name)
 
     @property
-    def successors(self) -> Successors:
-        if self.orbits is None:
-            return self._orbit_edges
-        if self._successors is None:
-            conj, digits, orbits = self.group.conj, self.digits, self.orbits
-            rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
-            self._successors = Successors.from_rows(zip(_stubs(self.group.order, self.window), rows))
-        return self._successors
-
-    @property
     def essential_count(self) -> int:
-        return self.counts[0] if self.counts else self.essential.count(1)
-
-
-def _stubs(n: int, w: int):
-    """For each state s of max(w, 1) digits, in order, (s mod n^(w-1)) n:
-    the successors of s are this plus their last digit."""
-    return chain.from_iterable(repeat(range(0, n ** max(w, 1), n), n))
+        if self.counts:
+            return self.counts[0]
+        return sum(compress(repeat(1) if self.orbits is None else self.orbits.sizes, self._orbit_alive))
 
 
 class Orbits:
@@ -874,24 +863,26 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     different phases of one orbit are distinct labelings.  Points of
     smaller period dividing max_period appear as their repeated tuples.
     The walks are searched from the representative of each essential
-    conjugacy orbit (see `Orbits`), stepping to essential states only;
-    those from the other states are their conjugates by the carriers.  A
-    state v steps to (v mod n^(w-1)) n + h y h^-1, h = carry[v], for the
-    digits y of its orbit (see `SftGraph`).  The last state of a walk ends
-    in the first w - 1 digits of the first, so with w >= 2 only one
-    successor of the state before it is tried.  CapExceeded is raised as
-    soon as the labelings hold more than STATE_CAP labels, max_period each.
+    conjugacy orbit (see `Orbits`), stepping to the states of essential
+    orbits only; those from the other states are their conjugates by the
+    carriers.  A state v steps to (v mod n^(w-1)) n + h y h^-1,
+    h = carry[v], for the digits y of its orbit (see `SftGraph`); over an
+    abelian F, where each state is its own orbit, the digits are read off
+    the successors.  The last state of a walk ends in the first w - 1
+    digits of the first, so with w >= 2 only one successor of the state
+    before it is tried.  CapExceeded is raised as soon as the labelings
+    hold more than STATE_CAP labels, max_period each.
     """
     check_max_period(max_period)
     N = max_period
-    ess = g.essential
+    alive = g._orbit_alive
     n = g.group.order
     scale = n ** (max(g.window, 1) - 1)
     if g.orbits is None:  # each state is an orbit, carried to itself by the identity
-        label = reps = range(len(ess))
-        carry, sizes, conj, inv = bytes(len(ess)), b"\x01" * len(ess), (range(n),), (0,)
+        label = reps = range(g.state_count)
+        carry, sizes, conj, inv = bytes(g.state_count), b"\x01" * g.state_count, (range(n),), (0,)
         succ = g.successors
-        digits = Successors(succ.offsets, array("I", [t % n for t in succ.targets]))
+        digits = Successors(succ.offsets, array("I", map(n.__rmod__, succ.targets)))
     else:
         label, carry, reps, sizes = g.orbits.label, g.orbits.carry, g.orbits.reps, g.orbits.sizes
         conj, inv, digits = g.group.conj, g.group.inv, g.digits
@@ -899,7 +890,7 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     found = {}  # orbit -> the labelings of its representative's walks
     total = 0  # the labelings of every state searched or conjugated so far
     depth = N - 2
-    for o in compress(range(len(reps)), g._orbit_alive):
+    for o in compress(range(len(reps)), alive):
         start, size = reps[o], sizes[o]
         lo = len(results)
         head = start // n  # the first w - 1 digits
@@ -923,15 +914,16 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
                 del path[-1:]
                 continue
             v = bases[-1] + y
-            if not ess[v]:
+            q = label[v]
+            if not alive[q]:
                 continue
             if len(iters) < depth:
                 path.append(v // scale)
                 bases.append(v % scale * n)
-                iters.append(map(conj[carry[v]].__getitem__, digits[label[v]]))
+                iters.append(map(conj[carry[v]].__getitem__, digits[q]))
                 continue
             # v = v(N-2): v(N-1) ends in head, and start follows it
-            h, ys = carry[v], digits[label[v]]
+            h, ys = carry[v], digits[q]
             if scale == 1:
                 ends = map(conj[h].__getitem__, ys)
             else:
@@ -940,7 +932,8 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
                     continue
                 ends = (c,)
             for c in ends:
-                if ess[c] and conj[inv[carry[c]]][final] in digits[label[c]]:
+                q = label[c]
+                if alive[q] and conj[inv[carry[c]]][final] in digits[q]:
                     results.append((*path, v // scale, c // scale))
                     if (total + len(results) - lo) * N > STATE_CAP:
                         raise CapExceeded(f"periodic labels exceed the cap of {STATE_CAP}")

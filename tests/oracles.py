@@ -53,7 +53,7 @@ from itertools import permutations, product, repeat
 import numpy as np
 
 from cycover.laurent import LaurentPoly, ZeroPolynomial
-from cycover.repshift import FiniteGroup, SftGraph, Successors, _allowed, _label_orbits, _stubs, census
+from cycover.repshift import FiniteGroup, SftGraph, _allowed, _label_orbits, census
 from cycover.rscover import abelianized_recurrence
 from cycover.words import (
     DuplicateGenerator,
@@ -681,24 +681,22 @@ def fraction_propagate(a, seed, forward, steps):
 def graph_from_lists(lists):
     """The window-1 SftGraph over Z/len(lists) in which state s has the targets lists[s].
 
-    Each state's targets are made ascending and distinct, as `Successors` keeps them.
+    At window 1 a state's targets are its digits; each state's are made
+    ascending and distinct, as a shift graph's are.
     """
-    rows = (sorted(set(targets)) for targets in lists)
-    successors = Successors.from_rows(zip(repeat(0), rows))
-    return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), successors=successors)
+    return SftGraph(window=1, group=FiniteGroup.cyclic(len(lists)), digits=[sorted(set(t)) for t in lists])
 
 
 def abelian_graph_census(sp, group):
     """The census of a shift over an abelian group from its whole graph,
-    not from counted windows: every window solved for its successors, the
-    graph in CSR form, and the census of a graph given its successors,
-    which trims it and reads the essential subgraph (Tarjan's components,
-    the power iteration)."""
+    not from counted windows: every window solved for its digits, and the
+    census of a graph given those, which builds it in CSR form, trims it
+    and reads the essential subgraph (Tarjan's components, the power
+    iteration)."""
     templates = [list(r.coefficients) for r in abelianized_recurrence(sp)]
     windows = range(group.order ** max(sp.width, 1))
-    rows = _allowed(templates, group, sp.width, windows)
-    successors = Successors.from_rows(zip(_stubs(group.order, sp.width), rows))
-    return census(SftGraph(window=sp.width, group=group, successors=successors))
+    digits = list(_allowed(templates, group, sp.width, windows))
+    return census(SftGraph(window=sp.width, group=group, digits=digits))
 
 
 def graph_from_invariant_rows(group, rows):

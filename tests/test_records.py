@@ -22,7 +22,7 @@ from cycover.criteria import (
 )
 from cycover.laurent import Factorization, LaurentPoly
 from cycover.recurrence import AuxPolynomial, PropagationResult, SequenceWindow
-from cycover.repshift import FiniteGroup, RepCensus, SftGraph, Successors
+from cycover.repshift import FiniteGroup, RepCensus, SftGraph
 from cycover.rscover import RecurrenceRow, ShiftPresentation
 from cycover.twobridge import TwoBridgeParams
 from cycover.words import FreeWord, Presentation, parse_presentation
@@ -61,8 +61,8 @@ RECORDS = [
     (RecurrenceRow, ("symbol", "coefficients"), ("a", ((0, -2), (1, 1)))),
     (
         SftGraph,
-        ("window", "group", "successors"),
-        (1, FiniteGroup.cyclic(2), Successors.from_rows([(0, [0]), (0, [1])])),
+        ("window", "group", "digits"),
+        (1, FiniteGroup.cyclic(2), [[0], [1]]),
     ),
     (
         RepCensus,
@@ -90,7 +90,7 @@ def test_defaults():
 
 def test_sft_graph_derives_essential_states():
     # state 0 loops, state 1 has no predecessor and goes to 0
-    graph = SftGraph(1, FiniteGroup.cyclic(2), Successors.from_rows([(0, [0]), (0, [0])]))
+    graph = SftGraph(1, FiniteGroup.cyclic(2), [[0], [0]])
     assert graph.essential == bytearray([1, 0])
 
 

@@ -34,7 +34,6 @@ from cycover.repshift import (
     FiniteGroup,
     MultiSymbolUnsupported,
     SftGraph,
-    Successors,
     build_sft,
     census,
     entropy,
@@ -203,49 +202,62 @@ def test_cap_exceeded():
     assert 8**7 > STATE_CAP
 
 
+def _derived(g, name):
+    """Whether the graph g holds its view `name`, found without deriving it."""
+    try:
+        object.__getattribute__(g, name)
+    except AttributeError:
+        return False
+    return True
+
+
 def test_build_sft_keeps_a_few_bytes_per_state():
     # x[i+4] = 2 x[i] over Z17: 83,521 windows, one successor each.  The
     # build and the census keep no per-state view over an abelian group;
-    # the first reads of the successors and the essential flags derive it.
+    # the first read of the successors derives it, and the trim's flags in
+    # the same read, before anything else is allocated.
     sp = reidemeister_schreier(
         parse_presentation("<t, a | a^-2 t^4 a t^-4>"), {"t": 1, "a": 0}
     )
     z17 = FiniteGroup.cyclic(17)
     g = build_sft(sp, z17)
-    assert census(g).count == 17**4 and g._successors is None
+    assert census(g).count == 17**4 and not _derived(g, "successors")
     tracemalloc.start()
     try:
         g.successors
-        g.essential
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert _derived(g, "essential") and g.essential is g._orbit_alive
     assert sp.width == 4 and g.state_count == 17**4
     # offsets, targets and essential flags: 4 + 4 + 1 bytes per state
     assert kept <= 16 * g.state_count, kept / g.state_count
     assert peak <= 40 * g.state_count, peak / g.state_count
     # the Z31 graph at window 4 is 923,521 windows
     z31 = build_sft(sp, FiniteGroup.cyclic(31))
-    assert census(z31).count == 31**4 and z31._successors is None
+    assert census(z31).count == 31**4 and not _derived(z31, "successors")
 
 
-def test_second_non_abelian_build_keeps_under_three_bytes_per_state():
+def test_second_non_abelian_build_and_census_keep_under_one_byte_per_state():
     # family(3) over S5: 14,400 windows in 161 orbits.  Once its group has
-    # the levels, a build keeps the essential flags, one byte per state, and
-    # per orbit its digits and the orbit graph; no edge per state.  Its
-    # segment values are taken at the 161 representatives only, so no
-    # table over every window is made on the way either.
+    # the levels, a build keeps per orbit its digits, and the census adds
+    # the orbit graph and its trim's flags: nothing per state, neither an
+    # edge nor an essential flag.  Its segment values are taken at the 161
+    # representatives only, so no table over every window is made on the
+    # way either.
     s5 = FiniteGroup.symmetric(5)
     family_sft(3, s5)
     tracemalloc.start()
     try:
         g = family_sft(3, s5)
+        census(g)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert g.state_count == 120**2 and g._successors is None
-    assert kept <= 3 * g.state_count, kept / g.state_count
-    assert peak <= 3 * g.state_count, peak / g.state_count
+    assert g.state_count == 120**2
+    assert not _derived(g, "successors") and not _derived(g, "essential")
+    assert kept < g.state_count, kept / g.state_count
+    assert peak <= 2 * g.state_count, peak / g.state_count
 
 
 def test_multi_symbol_rejected():
@@ -640,9 +652,9 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     # its group's levels once, and not at all over an abelian group.  The
     # graph keeps the orbit graph its trim ran on, and over an abelian group
     # that is its successors, not a copy.  Over S3 it keeps no per-state
-    # successor, only each representative's digits: census, entropy and the
-    # periodic walks read those and the orbit graph, never derive the
-    # per-state view, and relabel nothing.
+    # view, only each representative's digits: census, entropy and the
+    # periodic walks read those and the orbit graph, never a per-state view,
+    # and relabel nothing.
     calls = []
     label_orbits = repshift._label_orbits
 
@@ -660,28 +672,19 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     assert abelian._orbit_edges is abelian.successors
     assert abelian._orbit_alive is abelian.essential
     assert len(nonabelian._orbit_edges) == len(nonabelian.digits) == len(nonabelian.orbits.reps)
+    assert not _derived(nonabelian, "successors") and not _derived(nonabelian, "essential")
+    # reading a bare object in any way raises; the abelian walks read the
+    # successors, which are the graph itself
+    nonabelian.successors = nonabelian.essential = object()
     for g in (nonabelian, abelian):
         c = census(g)
         assert c.classification == "PositiveEntropy"
-        # reading a bare object in any way raises; the abelian walks read
-        # the successors, which are the graph itself
-        successors, g._successors = g._successors, object()
-        try:
-            again = census(g)
-            assert (again.classification, again.count, again.entropy) == (
-                c.classification, c.count, c.entropy
-            )
-            assert (again.state_count, again.essential_count) == (c.state_count, c.essential_count)
-            assert entropy(g) == c.entropy
-            if g is nonabelian:
-                for period in (1, 2, 4):
-                    enumerate_periodic(g, period)
-        finally:
-            g._successors = successors
+        assert c.essential_count == (22 if g is nonabelian else 4)
+        assert entropy(g) == c.entropy
         for period in (1, 2, 4):
             enumerate_periodic(g, period)
         assert calls == []
-    assert nonabelian._successors is None
+    del nonabelian.successors, nonabelian.essential
     # Every essential state has as many essential successors as its orbit's
     # node has edges in the essential orbit graph.
     alive = nonabelian._orbit_alive
@@ -729,7 +732,7 @@ def test_rows_that_conjugation_does_not_fix_make_no_graph():
     with pytest.raises(AssertionError):
         graph_from_invariant_rows(s3, rows)
     with pytest.raises(TypeError):
-        SftGraph(1, s3, Successors.from_rows(zip([0] * 6, rows)))
+        SftGraph(1, s3, rows)
 
 
 WEIGHT_ZERO_PAIRS = (
@@ -896,7 +899,7 @@ def test_derived_successors_equal_the_brute_force_successors():
             for _ in range(2 if group.order**window <= 512 else 1):
                 sp = _template_presentation(rng, window)
                 g = build_sft(sp, group)
-                assert g._successors is None
+                assert not _derived(g, "successors")
                 words = [[(off, e) for _, off, e in tpl] for tpl in sp.templates]
                 want = brute_successors(words, group.mult, window)
                 assert [list(t) for t in g.successors] == want, (group.name, window)
