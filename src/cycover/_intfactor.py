@@ -51,10 +51,17 @@ and only on what the steps before it leave:
   more are lifted from their product by quadratic Hensel steps.  The last
   quadratic step lifts the factors only, not the Bezout coefficients,
   which nothing reads at p^l;
-- subset recombination: a subset is trial-divided only when its degree sum
-  is a possible factor degree and its candidate's values at t = 0 and
-  t = 1, read off the lifted factors, divide those of lc * f; the trial
-  division stops as soon as a quotient coefficient exceeds B.
+- recombination of the r lifted factors.  With r < _KNAPSACK_MIN, by
+  subsets: a subset is trial-divided only when its degree sum is a
+  possible factor degree and its candidate's values at t = 0 and t = 1,
+  read off the lifted factors, divide those of lc * f; the trial division
+  stops as soon as a quotient coefficient exceeds B.  With more, by van
+  Hoeij's knapsack (`_knapsack`, imported only then): lattice reduction on
+  the power sums of the factors' roots, one column at a time, proposes a
+  partition of the factors, and each part's candidate is confirmed by
+  trial division here; a part that does not divide asks for more columns,
+  and columns with too few digits left for a further lift.  Subsets are
+  never tried on such an input, whose search would be exponential in r.
 
 Everything is deterministic.
 """
@@ -780,6 +787,14 @@ def _mignotte_bound(f: list[int]) -> int:
     return (math.isqrt(n + 1) + 1) * 2**n * a * abs(f[-1])
 
 
+# With _KNAPSACK_MIN or more lifted modular factors, `factor_squarefree`
+# recombines them by van Hoeij's knapsack (`_knapsack`), below it by subsets.
+# Measured on products of shifted Swinnerton-Dyer polynomials: up to 14
+# factors the subsets won on every input, while at 16 their worst case,
+# SD(5)'s 2^15 subsets, costs about ten times the lattice.
+_KNAPSACK_MIN = 16
+
+
 def _balanced_value(lc: int, values: list[int], subset: tuple[int, ...], m: int) -> int:
     """lc * prod(values[i] for i in subset), symmetric representative mod m."""
     v = lc
@@ -812,6 +827,22 @@ def factor_squarefree(f: list[int], tested: dict[int, bool] | None = None) -> li
     while pl <= 2 * B:
         l, pl = l + 1, pl * p
     lifted = hensel_lift(p, f, modular, l)
+    if len(lifted) >= _KNAPSACK_MIN:
+        from ._knapsack import partitions
+
+        for pl, lifted, parts in partitions(f, p, l, lifted, lambda m: hensel_lift(p, f, modular, m)):
+            out, current = [], f
+            for part in parts[:-1]:
+                g = [current[-1]]
+                for i in part:
+                    g = gf_balanced(mul(g, lifted[i]), pl)
+                out.append(primitive(g))
+                q = exact_div_int(current, out[-1], B)
+                if q is None:
+                    break
+                current = primitive(q)
+            else:
+                return out + [current]
     deg = [degree(g) for g in lifted]
     at0 = [g[0] for g in lifted]
     at1 = [sum(g) % pl for g in lifted]

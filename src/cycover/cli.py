@@ -19,6 +19,10 @@ its names lazily), the subcommands compile:
     reps        rscover, repshift
     recurrence  recurrence, laurent, _intfactor, _numbers
 
+Every subcommand that factors compiles `_knapsack` too, but only for an
+input whose polynomial leaves `_intfactor._KNAPSACK_MIN` or more
+modular factors to recombine.
+
 `laurent` imports `_intfactor` eagerly on purpose: code that looks the
 factoring module up in `sys.modules` after loading `laurent` (the
 benchmark's tracer among it) finds it there.

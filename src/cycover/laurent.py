@@ -243,7 +243,9 @@ def factor_over_Z(f: LaurentPoly) -> Factorization:
     the rest goes through a squarefree split, good-prime modular
     factorization, lifting to a coefficient bound (linear modular factors as
     p-adic roots by Newton's iteration, the others by Hensel steps), then
-    subset recombination with early-exit trial division.  Deterministic.
+    recombination with early-exit trial division: by subsets when few
+    modular factors are left, by van Hoeij's knapsack (lattice reduction on
+    the power sums of their roots) when many are.  Deterministic.
     """
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")

@@ -12,7 +12,8 @@ the rows of Berlekamp's matrix by
 long division and convolution, biinfinite solution
 counts by Gaussian elimination on stencil matrices, solvability by brute
 seed propagation, minimal recurrences by Gauss-Jordan over the rationals
-and propagation one Fraction per step, entropy by a dense eigenvalue call,
+and propagation one Fraction per step, LLL reduction by the Gram-Schmidt
+form over the rationals and Gram determinants by elimination, entropy by a dense eigenvalue call,
 shift-graph edges by evaluating every template on every window, the
 essential states of a graph by repeated degree counts, closed walks by an exact matrix power, the
 census class by degree counts and reachability, strongly connected
@@ -673,6 +674,56 @@ def fraction_propagate(a, seed, forward, steps):
             window.insert(0, Fraction(-s, a[0]))
             produced.append(window[0])
     return tuple(produced)
+
+
+# -- lattice reduction over the rationals ---------------------------------
+
+
+def gram_schmidt(basis):
+    """(mu, norms): the Gram-Schmidt coefficients mu[i][j], j < i, and the
+    squared norms |b*_i|^2 of the rows of basis, over Fraction."""
+    ortho, mu, norms = [], [], []
+    for b in basis:
+        v = [Fraction(x) for x in b]
+        row = []
+        for u, nu in zip(ortho, norms):
+            m = sum(x * y for x, y in zip(b, u)) / nu if nu else Fraction(0)
+            row.append(m)
+            v = [x - m * y for x, y in zip(v, u)]
+        ortho.append(v)
+        mu.append(row)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
+
+
+def lll_is_reduced(basis, delta=Fraction(3, 4)):
+    """True when the rows of basis are independent and LLL-reduced: every
+    |mu_ij| <= 1/2, and Lovasz's condition |b*_i|^2 >= (delta - mu_(i,i-1)^2)
+    |b*_(i-1)|^2 holds at each i."""
+    mu, norms = gram_schmidt(basis)
+    if not all(norms):
+        return False
+    if any(abs(m) > Fraction(1, 2) for row in mu for m in row):
+        return False
+    return all(norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1] for i in range(1, len(basis)))
+
+
+def gram_determinant(basis):
+    """det(B B^T) for the rows B of basis, by Gaussian elimination over Fraction."""
+    a = [[Fraction(sum(x * y for x, y in zip(u, v))) for v in basis] for u in basis]
+    det = Fraction(1)
+    for col in range(len(a)):
+        piv = next((i for i in range(col, len(a)) if a[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, len(a)):
+            c = a[i][col] / a[col][col]
+            a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+    return det
 
 
 # -- shift graphs from plain lists --------------------------------------

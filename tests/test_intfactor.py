@@ -1,19 +1,24 @@
-"""Zassenhaus factorization over Z: pruning soundness, cost guards, oracles."""
+"""Zassenhaus factorization over Z: pruning soundness, cost guards, oracles, and
+van Hoeij's knapsack against the subset search and an LLL oracle."""
 
 import math
 import random
+from fractions import Fraction
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cycover import _intfactor, _numbers
+from cycover import _intfactor, _knapsack, _numbers
 from cycover.alexander import alexander_polynomial
 from cycover.laurent import LaurentPoly, factor_over_Z
 from cycover.twobridge import TwoBridgeParams, presentation
 from oracles import (
     _rank_mod_p,
+    gram_determinant,
+    gram_schmidt,
+    lll_is_reduced,
     box_factor,
     cyclotomic,
     cyclotomic_divisors,
@@ -39,7 +44,7 @@ def swinnerton_dyer(k):
     where P(t + sqrt p) = A(t) + sqrt(p) B(t) with A, B over Z.
     """
     f = [0, 1]
-    for p in (2, 3, 5, 7, 11)[:k]:
+    for p in (2, 3, 5, 7, 11, 13)[:k]:
         a, b = [0] * len(f), [0] * len(f)
         for n, c in enumerate(f):
             for j in range(n + 1):
@@ -100,6 +105,15 @@ def canonical(polys):
     return sorted(map(tuple, polys))
 
 
+def shifted(f, c):
+    """f(t + c)."""
+    out = [0] * len(f)
+    for n, a in enumerate(f):
+        for k in range(n + 1):
+            out[k] += a * math.comb(n, k) * c ** (n - k)
+    return out
+
+
 def delta(p, q):
     pres = presentation(TwoBridgeParams(p, q))
     return alexander_polynomial(pres, {"u": 1, "v": 1}).delta.dense()
@@ -108,15 +122,23 @@ def delta(p, q):
 # -- soundness of the recombination pre-tests ---------------------------
 
 
-def test_non_monic_factors_with_large_values_at_zero_and_one():
+def eisenstein_products():
+    """12 products of 2 to 4 distinct non-monic Eisenstein factors, with large
+    values at 0 and 1: [(product, factors)]."""
     rng = random.Random(20261018)
+    out = []
     for trial in range(12):
         parts = []
         while len(parts) < rng.randint(2, 4):
             g = eisenstein(rng, rng.choice((2, 3, 5, 7)), rng.randint(1, 5), 10**6)
             if tuple(g) not in map(tuple, parts):
                 parts.append(g)
-        f = product(*parts)
+        out.append((product(*parts), parts))
+    return out
+
+
+def test_non_monic_factors_with_large_values_at_zero_and_one():
+    for trial, (f, parts) in enumerate(eisenstein_products()):
         assert canonical(_intfactor.factor_squarefree(f)) == canonical(parts), trial
 
 
@@ -682,14 +704,18 @@ def test_two_modular_factors_are_lifted_not_tried_at_more_primes(monkeypatch):
     assert [len(modular) for _, _, modular, _ in lifts if len(modular) > 1] == [2]
 
 
+def twobridge_deltas():
+    """Two-bridge Deltas with no cyclotomic factor, p < 40 and q in 3, 5, 7."""
+    inputs = [delta(p, q) for p in range(5, 40, 2) for q in (3, 5, 7) if math.gcd(p, q) == 1 and q < p]
+    return [d for d in inputs if len(d) > 2 and not cyclotomic_divisors(d)]
+
+
 def test_each_prime_is_tested_for_squarefreeness_once(monkeypatch):
     # The squarefree tests that factor_primitive makes at small primes are
     # passed on to the prime search, which repeats none of them: two-bridge
     # Deltas with no cyclotomic factor, squarefree modulo a small prime, and
     # SD(4) and SD(5), squarefree modulo none of the first five.
-    inputs = [delta(p, q) for p in range(5, 40, 2) for q in (3, 5, 7) if math.gcd(p, q) == 1 and q < p]
-    inputs = [d for d in inputs if len(d) > 2 and not cyclotomic_divisors(d)]
-    inputs += [delta(601, 5), swinnerton_dyer(4), swinnerton_dyer(5)]
+    inputs = twobridge_deltas() + [delta(601, 5), swinnerton_dyer(4), swinnerton_dyer(5)]
     expected = [[(g, 1) for g in _intfactor.factor_squarefree(f)] for f in inputs]
     calls = record_calls(monkeypatch, "gf_is_squarefree")
     for f, want in zip(inputs, expected):
@@ -785,7 +811,8 @@ def _mine(dense):
     return sorted((tuple(g.dense()), m) for g, m in fac.factors)
 
 
-def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch):
+def random_products():
+    """40 random factors and 200 products of 2 or 3 of them."""
     rng = random.Random(3301)
 
     def random_factor():
@@ -794,6 +821,11 @@ def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch
         middle = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
         return _intfactor.primitive([const] + middle + [rng.randint(1, 9)])
 
+    inputs = [random_factor() for _ in range(40)]
+    return inputs + [product(*(random_factor() for _ in range(rng.randint(2, 3)))) for _ in range(200)]
+
+
+def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch):
     # (input of _choose_prime, modular factors kept, primes Berlekamp ran at)
     searches = []
     tried = record_calls(monkeypatch, "berlekamp")
@@ -809,8 +841,7 @@ def test_random_products_match_sympy_and_stop_at_two_modular_factors(monkeypatch
     monkeypatch.setattr(_intfactor, "_choose_prime", spy)
     # The lone factors are mostly irreducible over Z: those that split in two
     # modulo the kept prime make the recombination run out of candidates.
-    inputs = [random_factor() for _ in range(40)]
-    inputs += [product(*(random_factor() for _ in range(rng.randint(2, 3)))) for _ in range(200)]
+    inputs = random_products()
     two_factor_exits = irreducible_exits = 0
     for f in inputs:
         searches.clear()
@@ -862,3 +893,89 @@ def test_twobridge_1001_3_delta_matches_sympy():
     d = delta(1001, 3)
     assert len(d) == 335
     assert _mine(d) == _sympy_factors(d) == [(tuple(d), 1)]
+
+
+# -- van Hoeij's knapsack -------------------------------------------------
+
+
+def _spy_lll(monkeypatch):
+    """Rebind _knapsack.lll to record (input, output) of each call."""
+    calls = []
+    real = _knapsack.lll
+
+    def spy(basis):
+        out = real(basis)
+        calls.append((basis, out))
+        return out
+
+    monkeypatch.setattr(_knapsack, "lll", spy)
+    return calls
+
+
+def test_lll_matches_gram_schmidt_oracle():
+    # Seeded random bases of 1-8 independent vectors of 1-8 entries in
+    # [-50, 50]: the reduced basis spans a lattice of the same Gram
+    # determinant, and each d_i / d_(i-1) is the oracle's |b*_i|^2.
+    rng = random.Random(2209)
+    tried = 0
+    while tried < 150:
+        n = rng.randint(1, 8)
+        basis = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(rng.randint(1, n))]
+        det = gram_determinant(basis)
+        if not det:
+            continue
+        tried += 1
+        reduced, d = _knapsack.lll(basis)
+        assert lll_is_reduced(reduced), basis
+        assert d[0] == 1 and len(d) == len(basis) + 1
+        ratios = [Fraction(d[i], d[i - 1]) for i in range(1, len(d))]
+        assert gram_schmidt(reduced)[1] == ratios, basis
+        assert gram_determinant(reduced) == math.prod(ratios) == det, basis
+    # Dependent vectors are refused, not reduced.
+    with pytest.raises(_knapsack._Dependent):
+        _knapsack.lll([[1, 2, 3], [2, 4, 6]])
+
+
+def test_lattice_recombination_matches_subsets(monkeypatch):
+    # With the cut-off at 3, every input with three or more lifted factors
+    # takes the lattice; the factor lists, in order, are the subset search's.
+    inputs = random_products() + [f for f, _ in eisenstein_products()] + twobridge_deltas()
+    inputs += [swinnerton_dyer(3), swinnerton_dyer(4)]
+    expected = [_intfactor.factor_primitive(f) for f in inputs]
+    monkeypatch.setattr(_intfactor, "_KNAPSACK_MIN", 3)
+    lifts = record_calls(monkeypatch, "hensel_lift")
+    reductions = _spy_lll(monkeypatch)
+    relifted, lattices = [], 0
+    for f, want in zip(inputs, expected):
+        lifts.clear()
+        reductions.clear()
+        assert _intfactor.factor_primitive(f) == want, f
+        relifted.append(len({l for _, _, _, l in lifts}) > 1)
+        lattices += bool(reductions)
+    # 139 random products, 10 Eisenstein products, SD(3) and SD(4); no
+    # two-bridge Delta leaves three modular factors unless its degree sets
+    # prove it irreducible.  SD(3) and SD(4) run out of trace precision at
+    # the first p^l.
+    assert lattices >= 150
+    assert relifted[-2] or relifted[-1]
+
+
+def test_knapsack_factors_sd6_and_shifted_products(monkeypatch):
+    # SD(6) is irreducible: its Galois group is (Z/2)^6.  The subset search
+    # would try about 2^31 subsets of its 32 modular factors.  Every basis
+    # that LLL returns on the way is checked against the oracle.
+    calls = _spy_lll(monkeypatch)
+    values = record_calls(monkeypatch, "_balanced_value")
+    sd4, sd6 = swinnerton_dyer(4), swinnerton_dyer(6)
+    parts = [sd4, shifted(sd4, 1), shifted(sd4, 2)]
+    for f, want in ((swinnerton_dyer(5), [swinnerton_dyer(5)]), (sd6, [sd6]), (product(*parts), parts)):
+        calls.clear()
+        assert canonical(_intfactor.factor_squarefree(f)) == canonical(want)
+        r = len(calls[0][0]) - 1
+        assert r >= _intfactor._KNAPSACK_MIN
+        # one LLL call with the trace column per column added
+        assert len([1 for basis, _ in calls if len(basis[0]) > r]) <= 5
+        for basis, (reduced, d) in calls:
+            assert lll_is_reduced(reduced)
+            assert gram_schmidt(reduced)[1] == [Fraction(d[i], d[i - 1]) for i in range(1, len(d))]
+    assert values == []
