@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .words import Presentation, _reduce, smith_diagonal
+from .words import Presentation, _reduce, smith_mod
 
 if TYPE_CHECKING:
     from .laurent import LaurentPoly
@@ -163,8 +163,9 @@ def essential_window_counts(
     N = w + 2i digits: |ker A_N| / |ker A'_N| of them, A'_N being A_N less
     those w columns.  A row at shift m reads the digits m .. m + w only, so
     A'_N is two blocks, the rows m < i on the first i digits and the rest
-    on the last i.  Over F, |ker A| is |F|^(columns - rank) times
-    #{x : x^d = 1} per invariant factor d (`smith_diagonal`).  The count
+    on the last i.  As x^|F| = 1 in F, |ker A| is |F|^(columns - places)
+    times #{x : x^d = 1} per place d of the Smith form of A over Z/|F|
+    (`smith_mod`), a zero place reading as |F|.  The count
     falls as i rises, one trim round a step, and where it holds it is e;
     the windows form subgroups (Kitchens, *Ergod. Th. Dyn. Sys.* 7, 1987),
     so that takes at most w times the number of prime factors of |F|
@@ -174,8 +175,6 @@ def essential_window_counts(
     """
     orders = [len(seq) for seq in powers]
     n = len(orders)
-    # x^n = 1 in F: residues mod n keep the echelon's numbers small
-    templates = [[(off, c % n) for off, c in tpl] for tpl in templates]
     torsion: dict[int, int] = {}
 
     def kernel(shifts: range, lo: int, hi: int) -> int:
@@ -188,7 +187,7 @@ def essential_window_counts(
                     if lo <= m + off < hi:
                         row[m + off - lo] = c
                 rows.append(row)
-        diag = smith_diagonal(rows, hi - lo)[0] if rows else []
+        diag = smith_mod(rows, hi - lo, n)
         size = n ** (hi - lo - len(diag))
         for d in diag:
             if d not in torsion:

@@ -434,14 +434,12 @@ def smith_diagonal(
     kernel of x -> A x (up to sign) when r = ncols - 1, else None.
 
     `bareiss_echelon` gives r and a nonzero r x r minor m, its last pivot.
-    As d_1 ... d_r divides m, the Smith reduction then runs on residues in
-    [0, m): a diagonal place reads as gcd(pivot, m), and a gcd/lcm pass over
-    pairs sorts the places into the divisibility chain.  The kernel vector is
-    `echelon_kernel` of the same echelon, divided by its content.
+    As d_1 ... d_r divides m, the first r places of `smith_mod` at m are
+    the invariant factors.  The kernel vector is `echelon_kernel` of the
+    same echelon, divided by its content.
     """
     assert all(len(row) == ncols for row in matrix)
     e = [row[:] for row in matrix]
-    nrows = len(e)
     pivots, _ = bareiss_echelon(e, ncols)
     r = len(pivots)
     kernel = None
@@ -453,6 +451,25 @@ def smith_diagonal(
     m = abs(e[r - 1][pivots[-1]]) if pivots else 1
     if m == 1:
         return [1] * r, kernel
+    return smith_mod(matrix, ncols, m)[:r], kernel
+
+
+def smith_mod(matrix: list[list[int]], ncols: int, m: int) -> list[int]:
+    """The Smith form of an integer matrix over Z/m.
+
+    Returns min(rows, ncols) places d_1 | d_2 | ..., each the gcd of an
+    invariant factor with m, and m for a zero one.  The reduction runs on
+    residues in [0, m): Euclid on rows clears a pivot's column, the pivot
+    row is reduced modulo the pivot, a diagonal place reads as
+    gcd(pivot, m), and a gcd/lcm pass over pairs sorts the places into the
+    divisibility chain.
+
+    >>> smith_mod([[2, 0], [0, 3]], 2, 12)
+    [1, 6]
+    >>> smith_mod([[4, 6]], 2, 8)
+    [2]
+    """
+    nrows = len(matrix)
     a = [[x % m for x in row] for row in matrix]
     diag = []
     for t in range(min(nrows, ncols)):
@@ -480,7 +497,7 @@ def smith_diagonal(
         for j in range(i + 1, len(diag)):
             g = math.gcd(diag[i], diag[j])
             diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag[:r], kernel
+    return diag
 
 
 def validate_weighting(p: Presentation, chi: dict[str, int]) -> None:

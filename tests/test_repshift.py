@@ -39,7 +39,7 @@ from cycover.repshift import (
     entropy,
     enumerate_periodic,
 )
-from cycover import repshift
+from cycover import repshift, words
 from cycover.rscover import ShiftPresentation, _reduce_indexed, reidemeister_schreier
 from cycover.twobridge import family_presentation
 from cycover.words import parse_presentation
@@ -1153,6 +1153,30 @@ def test_abelian_census_by_counting_equals_the_census_of_the_whole_graph():
         kinds[got.classification] += 1
     assert "InfiniteZeroEntropy" not in kinds
     assert min(kinds.values()) >= 100, kinds
+
+
+def test_abelian_census_reaches_no_integer_echelon(monkeypatch):
+    # The counts read the Smith form over Z/|F| alone: no Bareiss echelon,
+    # no kernel vector and no integer Smith form, at a prime order, at a
+    # composite one and over a table that is not cyclic.
+    calls = Counter()
+    for name in ("bareiss_echelon", "echelon_kernel", "smith_diagonal"):
+        real = getattr(words, name)
+        monkeypatch.setattr(words, name, lambda *a, name=name, real=real: calls.update([name]) or real(*a))
+    chi = {"t": 1, "a": 0}
+    cases = [
+        ("<t,a | a^-2 t^4 a t^-4>", FiniteGroup.cyclic(31), ("Finite", 923521, 0.0)),
+        (
+            "<t, a | a^7 t a^2 t^-1 t^2 a^4 t^-2 t^3 a^-2 t^-3>",
+            FiniteGroup.cyclic(12),
+            ("Finite", 27, 0.0),
+        ),
+        ("<t, a | t a^2 t^-1 a^-2>", FiniteGroup.from_table(KLEIN_TABLE), ("PositiveEntropy", None, math.log(4))),
+    ]
+    for text, group, want in cases:
+        c = census(sft(parse_presentation(text), chi, group))
+        assert (c.classification, c.count, c.entropy) == want, text
+    assert not calls, calls
 
 
 def test_census_invariant_under_relabeling():

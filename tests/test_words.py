@@ -22,6 +22,7 @@ from cycover.words import (
     echelon_kernel,
     parse_presentation,
     smith_diagonal,
+    smith_mod,
     validate_weighting,
 )
 from corpus import wirtinger_torus_text
@@ -638,6 +639,24 @@ def test_smith_diagonal_matches_sympy_on_random_matrices():
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
         _check_kernel(rows, ncols, diag, kernel)
+
+
+def test_smith_mod_matches_sympy_modulo_m():
+    # The Smith form over Z/m is the chain of gcd(d_i, m) over sympy's
+    # invariant factors d_i, padded with zeros, a zero reading as m.
+    rng = random.Random(20261022)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [
+            [rng.randint(-30, 30) * rng.choice((0, 1, 1)) for _ in range(ncols)] for _ in range(nrows)
+        ]
+        invariants = _sympy_invariants(rows, ncols)
+        invariants += [0] * (min(nrows, ncols) - len(invariants))
+        for m in (1, 2, 4, 6, 8, 9, 12, 30, 31, 36, 64):
+            want = [math.gcd(d, m) for d in invariants]
+            assert all(b % a == 0 for a, b in zip(want, want[1:]))
+            with _deadline(5, f"smith_mod on {rows} modulo {m}"):
+                assert smith_mod(rows, ncols, m) == want, (rows, m)
 
 
 # Exponent matrix of random_presentation(Random(35), 10, 30) from the
