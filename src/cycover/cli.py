@@ -7,25 +7,25 @@ stable Report object; identical inputs give byte-identical JSON.
 
 Every call is a fresh process, so start-up is part of every answer.  Each
 handler imports the modules it runs, so a call compiles only its own
-subcommand.  Besides the package root, `cli` and `words`, which every call
-loads (`words` for the helpers all subcommands share; the package exports
-its names lazily), the subcommands compile:
+subcommand.  Besides the package root and `cli`, which every call loads
+(the package exports its names lazily), the subcommands compile:
 
-    parse       nothing more
-    twobridge   twobridge
-    alex        alexander, laurent, _intfactor, _numbers
-    criteria    criteria, alexander, laurent, _intfactor, _numbers
-    rs          rscover, laurent, _intfactor, _numbers (through RecurrenceRow.polynomial)
-    reps        rscover, repshift
+    parse       words
+    twobridge   twobridge, words
+    alex        alexander, words, laurent, _intfactor, _numbers
+    criteria    criteria, alexander, words, laurent, _intfactor, _numbers
+    rs          rscover, words, laurent, _numbers (through RecurrenceRow.polynomial)
+    reps        rscover, repshift, words
     recurrence  recurrence, laurent, _intfactor, _numbers
 
 Every subcommand that factors compiles `_knapsack` too, but only for an
 input whose polynomial leaves `_intfactor._KNAPSACK_MIN` or more
-modular factors to recombine.
-
-`laurent` imports `_intfactor` eagerly on purpose: code that looks the
-factoring module up in `sys.modules` after loading `laurent` (the
-benchmark's tracer among it) finds it there.
+modular factors to recombine.  `laurent` imports `_intfactor` only inside
+`factor_over_Z` and `exact_div`, so `rs`, which prints its rows'
+polynomials but neither factors nor divides them, never compiles it.
+`recurrence` reads no presentation, so it never compiles `words`; a
+parse error is recognized in `main` by a `words` import made only once a
+call has failed.  No call loads `hashlib` (OpenSSL) or `fractions`.
 
 No module of the package imports `dataclasses`: it loads `inspect`, `ast`
 and `dis` (about 10 ms), and each decorated class then costs about 1 ms to
@@ -40,17 +40,16 @@ builds and prints its output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 from . import __version__
-from .words import ParseError, Presentation, parse_presentation, validate_weighting
 
 if TYPE_CHECKING:
     from .repshift import FiniteGroup
+    from .words import Presentation
 
 
 class DomainError(Exception):
@@ -58,7 +57,21 @@ class DomainError(Exception):
 
 
 def _digest(data: str) -> str:
-    return hashlib.sha256(data.encode("utf-8")).hexdigest()
+    """The SHA-256 of the input, in hex.
+
+    `hashlib` loads OpenSSL, 4-5 ms of every call that prints JSON; the
+    interpreter's builtin SHA-256 (`_sha2` from Python 3.12, `_sha256`
+    before it) gives the same digest and loads in under 1 ms.  `hashlib`
+    serves a build that has neither.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data.encode("utf-8")).hexdigest()
 
 
 @contextmanager
@@ -104,11 +117,15 @@ def _read_file(path: str) -> str:
 
 
 def _load_presentation(path: str) -> tuple[Presentation, str]:
+    from .words import parse_presentation
+
     text = _read_file(path)
     return parse_presentation(text), text
 
 
 def _resolve_chi(p: Presentation, chi_arg: Optional[str]) -> dict[str, int]:
+    from .words import validate_weighting
+
     if chi_arg is None:
         try:
             return p.canonical_weighting()
@@ -470,13 +487,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _HANDLERS[args.command](args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return 2
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as e:
+        # a ParseError is a ValueError; only a failing call loads words for it
+        from .words import ParseError
+
+        if isinstance(e, ParseError):
+            print(f"parse error: {e}", file=sys.stderr)
+            return 2
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Optional, Union
 
-from . import _intfactor, _numbers
+from . import _numbers
 
 
 class ZeroPolynomial(ValueError):
@@ -247,6 +247,8 @@ def factor_over_Z(f: LaurentPoly) -> Factorization:
     modular factors are left, by van Hoeij's knapsack (lattice reduction on
     the power sums of their roots) when many are.  Deterministic.
     """
+    from . import _intfactor
+
     if not f:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     unit_exp = f.low()
@@ -264,6 +266,8 @@ def factor_over_Z(f: LaurentPoly) -> Factorization:
 
 def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
     """f / g when the division is exact in Z[t, 1/t]; None otherwise."""
+    from . import _intfactor
+
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
 from . import _intfactor
 from .laurent import LaurentPoly, ZeroPolynomial, factor_over_Z
-from .words import bareiss_echelon, echelon_kernel
 
 
 class InvalidRecurrence(ValueError):
@@ -167,6 +165,8 @@ def propagate(
     one; each produced value is flagged integral or not, in order of
     production (outward from the seed).
     """
+    from fractions import Fraction
+
     if steps < 1:
         raise ValueError("steps must be >= 1")
     d = f.degree
@@ -236,6 +236,8 @@ def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
     auxiliary polynomial.  The all-zero window fits everything and maps
     to None.
     """
+    from . import words
+
     if dmax < 1:
         raise ValueError("dmax must be >= 1")
     vals = w.values
@@ -249,10 +251,10 @@ def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
         return None
     for d in range(1, dmax + 1):
         rows = [xs[n : n + d + 1] for n in range(len(xs) - d)]
-        pivots, _ = bareiss_echelon(rows, d + 1)
+        pivots, _ = words.bareiss_echelon(rows, d + 1)
         for free in range(d + 1):
             if free not in pivots:
-                v = echelon_kernel(rows, d + 1, pivots, free)
+                v = words.echelon_kernel(rows, d + 1, pivots, free)
                 if v[0] and v[d]:
                     return AuxPolynomial(v).primitive()
     return None

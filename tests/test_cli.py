@@ -10,7 +10,7 @@ import pytest
 
 import cycover
 from cycover import words
-from cycover.cli import main
+from cycover.cli import _digest, main
 
 DYADIC_TEXT = "<t, a | t a t^-1 a^-2>"
 
@@ -26,6 +26,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_fresh(*argv):
+    """`python -m cycover.cli` in a new interpreter: only its own imports are loaded."""
+    src = os.path.dirname(os.path.dirname(cycover.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "cycover.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
 
 
 def run_json(capsys, *argv):
@@ -72,6 +83,26 @@ def test_parse_garbage_is_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "parse", str(f))
     assert code == 2
     assert "parse error" in err
+
+
+# words, and ParseError with it, is imported only on the paths that need it;
+# each parse error, a subclass included, still exits 2 in a fresh process.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("<a, b | a^>", "parse error: expected an integer exponent after '^' (line 1, col 11)"),
+        ("<a, a | a>", "parse error: duplicate generator 'a' (line 1, col 7)"),
+        ("<a | b>", "parse error: unknown generator 'b' (line 1, col 6)"),
+    ],
+    ids=["malformed-word", "duplicate-generator", "unknown-generator"],
+)
+def test_parse_errors_exit_2_in_process_and_fresh(capsys, tmp_path, text, message):
+    f = tmp_path / "bad.pres"
+    f.write_text(text)
+    code, out, err = run(capsys, "parse", str(f))
+    assert (code, out, err) == (2, "", message + "\n")
+    proc = run_fresh("parse", str(f))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message + "\n")
 
 
 def test_missing_file_is_exit_1(capsys):
@@ -519,6 +550,14 @@ def test_recurrence_errors(capsys):
     assert run(capsys, "recurrence", "0,1")[0] == 1
 
 
+def test_recurrence_domain_error_exits_1_in_process_and_fresh(capsys):
+    # a ValueError that is not a ParseError keeps exit 1 and its type name
+    message = "error: InvalidRecurrence: constant and leading coefficients must be nonzero\n"
+    assert run(capsys, "recurrence", "0,1", "--json") == (1, "", message)
+    proc = run_fresh("recurrence", "0,1", "--json")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+
+
 # -- report plumbing ----------------------------------------------------
 
 
@@ -538,6 +577,26 @@ def test_digest_tracks_input(capsys, tmp_path):
     assert d1 != d2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["", DYADIC_TEXT, "<σ, τ | σ τ σ^-1 τ^-2>", "<a | " + "a " * 500_000 + ">"],
+    ids=["empty", "ascii", "non-ascii", "1MB"],
+)
+def test_digest_equals_hashlib_sha256(monkeypatch, text):
+    import hashlib
+
+    expected = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert _digest(text) == expected
+    # with no builtin SHA-256 module, the digest comes from hashlib
+    calls = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert _digest(text) == expected
+    assert len(calls) == 1
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as e:
         main(["--version"])
@@ -553,36 +612,34 @@ def test_unknown_command_exits_2(capsys):
 
 def test_module_entry_point():
     # the child finds the package where this process imported it from
-    src = os.path.dirname(os.path.dirname(cycover.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycover.cli", "recurrence", "1,-1,-1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
+    proc = run_fresh("recurrence", "1,-1,-1")
     assert proc.returncode == 0
     assert "yes" in proc.stdout
 
 
-# Every call also loads the package root, the command line and words; only
-# the subcommands that handle Laurent polynomials load laurent, _intfactor
-# and _numbers.
+# Every call also loads the package root and the command line; every
+# subcommand that reads a presentation loads words, and only those that
+# handle Laurent polynomials load laurent and _numbers, with _intfactor only
+# where they factor.
 # No call loads dataclasses or inspect, which cost every process ~10 ms to
-# import, unless something had loaded them before cycover (a site hook, say).
-SHARED = {"cycover", "cycover.cli", "cycover.words"}
-LAURENT = {"laurent", "_intfactor", "_numbers"}
+# import, nor hashlib (OpenSSL, for the input digest), fractions or decimal
+# (3-5 ms each), unless something had loaded them before cycover (a site
+# hook, say).
+SHARED = {"cycover", "cycover.cli"}
+LAURENT = {"laurent", "_numbers"}
+SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal"}
 
 
 @pytest.mark.parametrize(
     "argv, own",
     [
-        (["parse", "dyadic.txt"], set()),
-        (["twobridge", "5", "3"], {"twobridge"}),
-        (["criteria", "dyadic.txt"], {"alexander", "criteria"} | LAURENT),
-        (["alex", "dyadic.txt"], {"alexander"} | LAURENT),
-        (["reps", "dyadic.txt", "--group", "S3"], {"rscover", "repshift"}),
-        (["rs", "dyadic.txt"], {"rscover"} | LAURENT),
-        (["recurrence", "1,-1,-1"], {"recurrence"} | LAURENT),
+        (["parse", "dyadic.txt"], {"words"}),
+        (["twobridge", "5", "3"], {"twobridge", "words"}),
+        (["criteria", "dyadic.txt"], {"alexander", "criteria", "words", "_intfactor"} | LAURENT),
+        (["alex", "dyadic.txt"], {"alexander", "words", "_intfactor"} | LAURENT),
+        (["reps", "dyadic.txt", "--group", "S3"], {"rscover", "repshift", "words"}),
+        (["rs", "dyadic.txt"], {"rscover", "words"} | LAURENT),
+        (["recurrence", "1,-1,-1"], {"recurrence", "_intfactor"} | LAURENT),
     ],
     ids=["parse", "twobridge", "criteria", "alex", "reps", "rs", "recurrence"],
 )
@@ -595,11 +652,12 @@ def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cycover'))\n"
-        "print(*sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        f"print(*sorted({SLOW!r} & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(cycover.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
+        # --json: the report's input digest is the one load the text lacks
+        [sys.executable, "-c", probe, *argv, "--json"],
         capture_output=True,
         text=True,
         cwd=tmp_path,
