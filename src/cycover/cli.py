@@ -25,7 +25,8 @@ modular factors to recombine.  `laurent` imports `_intfactor` only inside
 polynomials but neither factors nor divides them, never compiles it.
 `recurrence` reads no presentation, so it never compiles `words`; a
 parse error is recognized in `main` by a `words` import made only once a
-call has failed.  No call loads `hashlib` (OpenSSL) or `fractions`.
+call has failed.  No call loads `hashlib` (OpenSSL) or `fractions`, and
+only a call with --json loads `json`.
 
 No module of the package imports `dataclasses`: it loads `inspect`, `ast`
 and `dis` (about 10 ms), and each decorated class then costs about 1 ms to
@@ -40,7 +41,6 @@ builds and prints its output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
@@ -97,6 +97,8 @@ def _any_int_digits():
 def _emit(args, command: str, source: str, result: dict, human: str) -> None:
     """Print the report; call it inside `_any_int_digits`, as the text is built."""
     if args.json:
+        import json
+
         report = {
             "command": command,
             "input_digest": _digest(source),

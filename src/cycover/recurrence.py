@@ -252,9 +252,11 @@ def minimal_recurrence(w: SequenceWindow, dmax: int) -> Optional[AuxPolynomial]:
     for d in range(1, dmax + 1):
         rows = [xs[n : n + d + 1] for n in range(len(xs) - d)]
         pivots, _ = words.bareiss_echelon(rows, d + 1)
-        for free in range(d + 1):
-            if free not in pivots:
-                v = words.echelon_kernel(rows, d + 1, pivots, free)
-                if v[0] and v[d]:
-                    return AuxPolynomial(v).primitive()
+        # A free column f < d gives 0 at every pivot right of f, so v[d] = 0:
+        # only the last column, where v[d] is the last pivot, can give a
+        # recurrence of degree d.
+        if d not in pivots:
+            v = words.echelon_kernel(rows, d + 1, pivots, d)
+            if v[0]:
+                return AuxPolynomial(v).primitive()
     return None

@@ -34,17 +34,16 @@ the next digit (`_label_orbits`).  F keeps the `Orbits` of each window
 length, every window's label and carrier, derived once, when a graph first
 needs them, and shared by every graph over F of that window.  The
 templates are solved for the orbits' representatives only, and the graph
-keeps their digits and nothing per state.  Every other view is derived
-from them on its first read: the orbit graph B, with B[O, O'] edges from
-orbit O to orbit O', one for each successor of rep(O) in O', and the
-per-state views that only callers outside the census read, the successors
-and the essential flags.  Every state s of O has that many successors in
-O' (the partition is equitable), so row s of A^k sums to B^k[O, O'] over
-O': B has the
-Perron root of A, and B on the essential orbits that of the essential
+keeps their digits and nothing per state.  Every other view is cached on
+its first read: the orbit graph B, which the program reads, with B[O, O']
+edges from orbit O to orbit O', one for each successor of rep(O) in O'; the
+per-state successors and essential flags, read by the tests and the
+benchmark only.  Every state s of O has that many successors in O' (the
+partition is equitable), so row s of A^k sums to B^k[O, O'] over O': B has
+the Perron root of A, and B on the essential orbits that of the essential
 subgraph.  The trim and the census run on B: a state is essential, or has
-one essential successor, exactly when its orbit does, and the components
-of B decide zero entropy.  The power iteration of the entropy,
+one essential successor, exactly when its orbit does, and the components of
+B decide zero entropy.  The power iteration of the entropy,
 v <- (I + A^T) v from v = 1, keeps v constant on orbits, so it runs as
 u <- (I + B^T) u from u[O] = |O|: with u[O] = |O| * v[O],
 u'[O'] = u[O'] + sum over O of B[O, O'] * u[O] is |O'| times the step of
@@ -70,6 +69,7 @@ import math
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
+from functools import cached_property
 from itertools import accumulate, chain, compress, islice, permutations, repeat
 from operator import gt, not_, sub
 from typing import Optional
@@ -350,21 +350,18 @@ class SftGraph:
     representative r: digits[o] lists the y that may follow r, whose
     successors are (r mod n^(w-1)) n + y.  An abelian build keeps the
     abelianized templates and `counts`, (e, d) (see the module docstring),
-    and no digits: every window's are solved on the first read of a view,
-    straight into the successors.
+    and no digits: every window's are solved on the first read of the
+    orbit graph, straight into its successors.
 
-    Every other view is derived once, on its first read: the orbit graph,
-    in CSR form, one node per orbit, with the trim's flags on it, which the
-    census reads; `essential`, a bytearray, 1 for the states left by the
-    trim, those on a biinfinite path; and `successors`, each state's from
-    its representative's digits, conjugated by its carrier.  Over an
-    abelian F the orbit graph is the successors, and its flags `essential`.
+    Every other view is a cached property, derived once, on its first
+    read: `_orbit_graph`, the orbit graph in CSR form, one node per orbit,
+    and the trim's flags on it, which the program reads; and, for the tests
+    and the benchmark only, `essential`, 1 for the states on a biinfinite
+    path, and `successors`, each state's from its representative's digits,
+    conjugated by its carrier; over an abelian F, `_orbit_graph`'s own two.
     """
 
-    __slots__ = (
-        "window", "group", "state_count", "orbits", "digits", "templates", "counts",
-        "successors", "essential", "_orbit_edges", "_orbit_alive",
-    )
+    __slots__ = ("window", "group", "state_count", "orbits", "digits", "templates", "counts", "__dict__")
 
     def __init__(self, window: int, group: FiniteGroup, digits: Optional[list] = None,
                  orbits: Optional[Orbits] = None, templates=None, counts=None):
@@ -375,41 +372,44 @@ class SftGraph:
         self.digits, self.orbits, self.templates, self.counts = digits, orbits, templates, counts
         self.state_count = group.order ** max(window, 1)
 
-    def __getattr__(self, name):
-        """A first read of a view lands here.  The orbit graph and its trim
-        are derived together: over an abelian F, where they are the
-        successors and `essential`, at once, before the caller allocates
-        anything more."""
-        if name not in ("successors", "essential", "_orbit_edges", "_orbit_alive"):
-            raise AttributeError(name)
+    @cached_property
+    def _orbit_graph(self) -> tuple[Successors, bytearray]:
+        """The orbit graph and the trim's flags on it, derived in one read:
+        over an abelian F, before the caller allocates anything more."""
         n, w, orbits = self.group.order, self.window, self.orbits
         if orbits is None:
             rows = self.digits
             if rows is None:
                 rows = _allowed(self.templates, self.group, w, range(self.state_count))
-            self.successors = self._orbit_edges = Successors.from_rows(n, w, rows)
-            self.essential = self._orbit_alive = _trim(self.successors)
-        elif name in ("_orbit_edges", "_orbit_alive"):
+            edges = Successors.from_rows(n, w, rows)
+        else:
             # An edge from orbit o to the orbit of each successor of its
             # representative.  Conjugation is an automorphism, so a state
             # survives the trim exactly when its orbit does.
             edges = Successors.from_rows(n, w, self.digits, orbits.reps)
             edges.targets = array("I", map(orbits.label.__getitem__, edges.targets))
-            self._orbit_edges, self._orbit_alive = edges, _trim(edges)
-        elif name == "essential":
-            alive = list(self._orbit_alive)  # lists index faster
-            self.essential = bytearray(map(alive.__getitem__, orbits.label))
-        else:
-            conj, digits = self.group.conj, self.digits
-            rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
-            self.successors = Successors.from_rows(n, w, rows)
-        return getattr(self, name)
+        return edges, _trim(edges)
+
+    @cached_property
+    def successors(self) -> Successors:
+        conj, digits, orbits = self.group.conj, self.digits, self.orbits
+        if orbits is None:
+            return self._orbit_graph[0]
+        rows = (sorted(map(conj[h].__getitem__, digits[o])) for o, h in zip(orbits.label, orbits.carry))
+        return Successors.from_rows(self.group.order, self.window, rows)
+
+    @cached_property
+    def essential(self) -> bytearray:
+        if self.orbits is None:
+            return self._orbit_graph[1]
+        alive = list(self._orbit_graph[1])  # lists index faster
+        return bytearray(map(alive.__getitem__, self.orbits.label))
 
     @property
     def essential_count(self) -> int:
         if self.counts:
             return self.counts[0]
-        return sum(compress(repeat(1) if self.orbits is None else self.orbits.sizes, self._orbit_alive))
+        return sum(compress(repeat(1) if self.orbits is None else self.orbits.sizes, self._orbit_graph[1]))
 
 
 class Orbits:
@@ -502,7 +502,7 @@ def _next_level(F: FiniteGroup, prev: Orbits) -> Orbits:
     return Orbits(F, label, carry, reps, stabs)
 
 
-def _trim(successors: Successors) -> bytearray:
+def _trim(graph: Successors) -> bytearray:
     """Iteratively drop states with no predecessor or no successor.
 
     First the states without a predecessor go, found by following
@@ -511,8 +511,8 @@ def _trim(successors: Successors) -> bytearray:
     counting sort of the surviving edges by target lays out in CSR form;
     removing such a state takes no predecessor from a survivor.
     """
-    offsets, targets = successors.offsets, successors.targets
-    n = len(successors)
+    offsets, targets = graph.offsets, graph.targets
+    n = len(graph)
     alive = bytearray(b"\x01") * n
     in_deg = [0] * n
     for t in targets:
@@ -721,8 +721,8 @@ def census(g: SftGraph, tol: float = 1e-6) -> RepCensus:
         # would return math.log(d), 0.0 when d = 1.
         h = math.log(g.counts[1])
         return RepCensus("PositiveEntropy" if h else "Finite", None if h else ess_count, h, states, ess_count)
-    alive = g._orbit_alive
-    offsets, targets = _restrict(g._orbit_edges, alive)
+    edges, alive = g._orbit_graph
+    offsets, targets = _restrict(edges, alive)
     # The trim leaves every essential orbit an essential successor, so
     # one edge per node means exactly one each: one per essential state.
     if len(targets) == len(offsets) - 1:
@@ -867,22 +867,22 @@ def enumerate_periodic(g: SftGraph, max_period: int) -> list[tuple[str, ...]]:
     orbits only; those from the other states are their conjugates by the
     carriers.  A state v steps to (v mod n^(w-1)) n + h y h^-1,
     h = carry[v], for the digits y of its orbit (see `SftGraph`); over an
-    abelian F, where each state is its own orbit, the digits are read off
-    the successors.  The last state of a walk ends in the first w - 1
-    digits of the first, so with w >= 2 only one successor of the state
-    before it is tried.  CapExceeded is raised as soon as the labelings
-    hold more than STATE_CAP labels, max_period each.
+    abelian F, where each state is its own orbit, off the orbit graph,
+    which is the graph itself: no per-state view is read.  The last state
+    of a walk ends in the first w - 1 digits of the first, so with w >= 2
+    only one successor of the state before it is tried.  CapExceeded is
+    raised as soon as the labelings hold more than STATE_CAP labels,
+    max_period each.
     """
     check_max_period(max_period)
     N = max_period
-    alive = g._orbit_alive
+    edges, alive = g._orbit_graph
     n = g.group.order
     scale = n ** (max(g.window, 1) - 1)
     if g.orbits is None:  # each state is an orbit, carried to itself by the identity
         label = reps = range(g.state_count)
         carry, sizes, conj, inv = bytes(g.state_count), b"\x01" * g.state_count, (range(n),), (0,)
-        succ = g.successors
-        digits = Successors(succ.offsets, array("I", map(n.__rmod__, succ.targets)))
+        digits = Successors(edges.offsets, array("I", map(n.__rmod__, edges.targets)))
     else:
         label, carry, reps, sizes = g.orbits.label, g.orbits.carry, g.orbits.reps, g.orbits.sizes
         conj, inv, digits = g.group.conj, g.group.inv, g.digits

@@ -164,8 +164,8 @@ def essential_window_counts(
     those w columns.  A row at shift m reads the digits m .. m + w only, so
     A'_N is two blocks, the rows m < i on the first i digits and the rest
     on the last i.  As x^|F| = 1 in F, |ker A| is |F|^(columns - places)
-    times #{x : x^d = 1} per place d of the Smith form of A over Z/|F|
-    (`smith_mod`), a zero place reading as |F|.  The count
+    times #{x : x^d = 1} per place d of a diagonal form of A over Z/|F|
+    (`smith_mod`), all of F for a zero place.  The count
     falls as i rises, one trim round a step, and where it holds it is e;
     the windows form subgroups (Kitchens, *Ergod. Th. Dyn. Sys.* 7, 1987),
     so that takes at most w times the number of prime factors of |F|

@@ -5,6 +5,12 @@ for i = 1..p-1 and w the word alternating v, u (v in odd positions, u in
 even), the group is <u, v | u w = w v>.  Also provides the one-parameter
 family <u, a | u a^n u a^-n u^-1 a^(n-1) u^-1 a^-n>, which the (4n-1, 4n-3)
 presentations reduce to after substituting v = u a.
+
+The group is that of the two-bridge knot b(p, q) for odd q only.  For even
+q the relator still gives a deficiency-one group with H1 = Z, but not a
+knot group: (5, 2) gives Delta = t^2 - 2t + 2, which is not symmetric.
+b(p, p - q), the mirror image of b(p, q), has the same group and an odd
+p - q.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ def epsilon_sequence(params: TwoBridgeParams) -> list[int]:
 
 
 def presentation(params: TwoBridgeParams) -> Presentation:
-    """<u, v | u w v^-1 w^-1> with w = v^e1 u^e2 v^e3 ... (length p-1)."""
+    """<u, v | u w v^-1 w^-1> with w = v^e1 u^e2 v^e3 ... (length p-1):
+    the knot group of b(p, q) when q is odd, and not a knot group when q
+    is even (see the module docstring)."""
     eps = epsilon_sequence(params)
     syl = []
     for i, e in enumerate(eps, start=1):

@@ -434,9 +434,10 @@ def smith_diagonal(
     kernel of x -> A x (up to sign) when r = ncols - 1, else None.
 
     `bareiss_echelon` gives r and a nonzero r x r minor m, its last pivot.
-    As d_1 ... d_r divides m, the first r places of `smith_mod` at m are
-    the invariant factors.  The kernel vector is `echelon_kernel` of the
-    same echelon, divided by its content.
+    As d_1 ... d_r divides m, the gcds with m of the places of `smith_mod`
+    at m, sorted into the divisibility chain by a gcd/lcm pass over pairs,
+    have the invariant factors as their first r.  The kernel vector is
+    `echelon_kernel` of the same echelon, divided by its content.
     """
     assert all(len(row) == ncols for row in matrix)
     e = [row[:] for row in matrix]
@@ -451,21 +452,27 @@ def smith_diagonal(
     m = abs(e[r - 1][pivots[-1]]) if pivots else 1
     if m == 1:
         return [1] * r, kernel
-    return smith_mod(matrix, ncols, m)[:r], kernel
+    diag = [math.gcd(d, m) for d in smith_mod(matrix, ncols, m)]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag[:r], kernel
 
 
 def smith_mod(matrix: list[list[int]], ncols: int, m: int) -> list[int]:
-    """The Smith form of an integer matrix over Z/m.
+    """A diagonal form of an integer matrix over Z/m.
 
-    Returns min(rows, ncols) places d_1 | d_2 | ..., each the gcd of an
-    invariant factor with m, and m for a zero one.  The reduction runs on
-    residues in [0, m): Euclid on rows clears a pivot's column, the pivot
-    row is reduced modulo the pivot, a diagonal place reads as
-    gcd(pivot, m), and a gcd/lcm pass over pairs sorts the places into the
-    divisibility chain.
+    Returns the min(rows, ncols) places of a diagonal matrix equivalent to
+    A over Z/m, residues in [0, m), 0 for a zero place.  Their gcds with m,
+    sorted into the divisibility chain (`smith_diagonal`), are the Smith
+    form over Z/m; a product over the places, such as the count of the
+    solutions of A x = 0 in a group whose exponent divides m, needs
+    neither step.  The reduction runs on residues: Euclid on rows clears a
+    pivot's column, and the pivot row is reduced modulo the pivot.
 
     >>> smith_mod([[2, 0], [0, 3]], 2, 12)
-    [1, 6]
+    [2, 3]
     >>> smith_mod([[4, 6]], 2, 8)
     [2]
     """
@@ -475,7 +482,7 @@ def smith_mod(matrix: list[list[int]], ncols: int, m: int) -> list[int]:
     for t in range(min(nrows, ncols)):
         rest = [(a[i][j], i, j) for i in range(t, nrows) for j in range(t, ncols) if a[i][j]]
         if not rest:
-            diag += [m] * (min(nrows, ncols) - t)
+            diag += [0] * (min(nrows, ncols) - t)
             break
         _, i, j = min(rest)
         a[t], a[i] = a[i], a[t]
@@ -492,11 +499,7 @@ def smith_mod(matrix: list[list[int]], ncols: int, m: int) -> list[int]:
             a[t][t + 1 :] = [x % a[t][t] for x in a[t][t + 1 :]]
             nonzero = [j for j in range(t + 1, ncols) if a[t][j]]
             j = min(nonzero, key=a[t].__getitem__, default=None)
-        diag.append(math.gcd(a[t][t], m))
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = math.gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
+        diag.append(a[t][t])
     return diag
 
 

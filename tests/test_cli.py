@@ -630,7 +630,7 @@ LAURENT = {"laurent", "_numbers"}
 SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal"}
 
 
-@pytest.mark.parametrize(
+SUBCOMMANDS = pytest.mark.parametrize(
     "argv, own",
     [
         (["parse", "dyadic.txt"], {"words"}),
@@ -643,7 +643,11 @@ SLOW = {"dataclasses", "inspect", "hashlib", "_hashlib", "fractions", "decimal"}
     ],
     ids=["parse", "twobridge", "criteria", "alex", "reps", "rs", "recurrence"],
 )
-def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
+
+
+def _call_loads(tmp_path, argv, watch):
+    """Run `main(argv)` in a fresh interpreter, which must exit 0: the cycover
+    modules it loaded, and those of watch first loaded after cycover."""
     (tmp_path / "dyadic.txt").write_text(DYADIC_TEXT)
     probe = (
         "import contextlib, io, sys\n"
@@ -652,19 +656,31 @@ def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
         "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'cycover'))\n"
-        f"print(*sorted({SLOW!r} & (set(sys.modules) - before)))\n"
+        f"print(*sorted({watch!r} & (set(sys.modules) - before)))\n"
     )
     src = os.path.dirname(os.path.dirname(cycover.__file__))
     proc = subprocess.run(
-        # --json: the report's input digest is the one load the text lacks
-        [sys.executable, "-c", probe, *argv, "--json"],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True,
         text=True,
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": src},
     )
-    ours, slow = proc.stdout.split("\n")[:2]
+    ours, new = proc.stdout.split("\n")[:2]
     code, *loaded = ours.split()
     assert code == "0", proc.stderr
-    assert set(loaded) == SHARED | {f"cycover.{m}" for m in own}
+    return set(loaded), new
+
+
+@SUBCOMMANDS
+def test_subcommand_imports_only_its_own_modules(tmp_path, argv, own):
+    # --json: the report's input digest is the one load the text lacks
+    loaded, slow = _call_loads(tmp_path, [*argv, "--json"], SLOW)
+    assert loaded == SHARED | {f"cycover.{m}" for m in own}
     assert slow == ""
+
+
+@SUBCOMMANDS
+def test_a_call_without_json_loads_no_json(tmp_path, argv, own):
+    _, new = _call_loads(tmp_path, argv, {"json"})
+    assert new == ""

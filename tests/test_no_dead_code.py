@@ -7,9 +7,10 @@ its own definition: as an ``ast.Name`` or ``ast.Attribute`` in
 benchmark loads), or as an attribute string in ``cycbench/tracer.py``
 ``LAYERS``, which the tracer rebinds by name.  Names in ``cycover.__all__``
 are exempt.  The names that only ``LAYERS`` keeps alive are pinned, so no
-other definition can live for the tracer alone.  References from the test
-suite do not count: a helper that only tests reach belongs in
-``tests/oracles.py``.
+other definition can live for the tracer alone, and so are those that only
+``cycbench/`` keeps alive, so no other definition can live for the
+benchmark alone.  References from the test suite do not count: a helper
+that only tests reach belongs in ``tests/oracles.py``.
 
 The check matches by bare name, not by resolved binding, so a dead
 definition escapes it when a live one elsewhere shares its name.
@@ -67,14 +68,16 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
-def unreferenced_definitions(layers_exempt=True):
+def unreferenced_definitions(layers_exempt=True, bench=True):
+    """The definitions named nowhere outside their own bodies; with bench
+    false, references from ``cycbench/`` and its ``LAYERS`` do not count."""
     src = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    readers = [*sorted(BENCH.glob("*.py")), ROOT / "tests" / "corpus.py"]
+    readers = [*(sorted(BENCH.glob("*.py")) if bench else ()), ROOT / "tests" / "corpus.py"]
     refs = {}  # bare name -> [(path, line)] of its references
     for path, tree in [*src.items(), *((path, _parse(path)) for path in readers)]:
         for name, line in _references(tree):
             refs.setdefault(name, []).append((path, line))
-    exempt = set(cycover.__all__) | (_layer_names() if layers_exempt else set())
+    exempt = set(cycover.__all__) | (_layer_names() if layers_exempt and bench else set())
 
     dead = []
     for path, tree in src.items():
@@ -99,4 +102,21 @@ def test_only_the_known_names_live_for_the_tracer_alone():
         "criteria.classify_prime",
         "criteria.count_prime_index",
         "laurent.exact_div",
+    ]
+
+
+def test_only_the_known_names_live_for_the_benchmark_alone():
+    # The program never reads these: only cycbench/ does, through LAYERS or
+    # its own modules.  A shift graph's per-state views are among them, so
+    # no census, count or periodic walk reads a per-state view.
+    assert sorted(unreferenced_definitions(layers_exempt=False, bench=False)) == [
+        "alexander.fox_derivative_abelianized",
+        "criteria.classify_prime",
+        "criteria.count_prime_index",
+        "laurent.exact_div",
+        "recurrence.minimal_recurrence",
+        "recurrence.propagate",
+        "recurrence.witness_sequence",
+        "repshift.SftGraph.essential",
+        "repshift.SftGraph.successors",
     ]

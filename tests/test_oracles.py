@@ -25,6 +25,7 @@ from cycover.repshift import (
     enumerate_periodic,
 )
 from cycover.rscover import abelianized_recurrence, reidemeister_schreier
+from cycover.words import bareiss_echelon, echelon_kernel
 from cycover.twobridge import family_presentation
 from oracles import (
     _frac_nullspace,
@@ -331,6 +332,55 @@ def test_minimal_recurrence_matches_fraction_gauss_jordan():
             seen["found" if got else "none"] += 1
             seen["wide kernel"] += max(_kernel_dims(w, dmax)) >= 2
     assert min(seen.values()) >= 30, seen
+
+
+def _zero_end_window(rng):
+    """A free first value, then a run of a recurrence with nonzero ends and
+    a fractional seed: the window satisfies that recurrence times t, whose
+    constant coefficient is zero, and maybe no other."""
+    d = rng.randint(1, 3)
+    ends = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(2)]
+    asc = [ends[0]] + [rng.randint(-3, 3) for _ in range(d - 1)] + [ends[1]]
+    dmax = rng.randint(d + 1, 4)
+    seed = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+    values = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)), *seed)
+    values += fraction_propagate(asc, seed, True, 2 * dmax + 1 - len(values) + rng.randint(0, 2))
+    return SequenceWindow(-rng.randint(0, 3), values), dmax
+
+
+def _minimal_recurrence_every_free_column(w, dmax, free_calls):
+    """`minimal_recurrence` solving for every free column of each degree,
+    as it once did; free_calls counts the solves of a column left of the
+    last."""
+    den = math.lcm(*(Fraction(v).denominator for v in w.values))
+    xs = [int(v * den) for v in w.values]
+    if not any(xs):
+        return None
+    for d in range(1, dmax + 1):
+        rows = [xs[n : n + d + 1] for n in range(len(xs) - d)]
+        pivots, _ = bareiss_echelon(rows, d + 1)
+        for free in range(d + 1):
+            if free not in pivots:
+                free_calls[0] += free < d
+                v = echelon_kernel(rows, d + 1, pivots, free)
+                if v[0] and v[d]:
+                    return AuxPolynomial(v).primitive().ascending
+    return None
+
+
+def test_minimal_recurrence_solves_only_the_last_free_column():
+    # On rank-deficient windows the kernel has free columns left of the
+    # last; their vectors end in 0, so skipping them changes no answer.
+    rng = random.Random(42)
+    free_calls, found = [0], 0
+    for make in (_sparse_window, _zero_end_window, _closed_form_window):
+        for _ in range(200):
+            w, dmax = make(rng)
+            got = minimal_recurrence(w, dmax)
+            want = _minimal_recurrence_every_free_column(w, dmax, free_calls)
+            assert (got and got.ascending) == want, (w.base, w.values, dmax)
+            found += got is not None
+    assert free_calls[0] >= 100 and found >= 100, (free_calls, found)
 
 
 def test_minimal_recurrence_on_wide_kernels_and_the_zero_window():

@@ -78,8 +78,9 @@ def test_positional_and_keyword_construction(cls, names, args):
     by_keyword = cls(**dict(zip(names, args)))
     for obj in (by_position, by_keyword):
         assert [getattr(obj, name) for name in names] == list(args)
-    # slots, no per-instance dict: Presentation alone keeps one, for its cached Smith form
-    assert hasattr(by_position, "__dict__") == (cls is Presentation)
+    # slots, no per-instance dict but for cached values: Presentation's Smith
+    # form and SftGraph's views
+    assert hasattr(by_position, "__dict__") == (cls in (Presentation, SftGraph))
 
 
 def test_defaults():

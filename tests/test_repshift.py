@@ -203,12 +203,8 @@ def test_cap_exceeded():
 
 
 def _derived(g, name):
-    """Whether the graph g holds its view `name`, found without deriving it."""
-    try:
-        object.__getattribute__(g, name)
-    except AttributeError:
-        return False
-    return True
+    """Whether the graph g holds its cached view `name`, found without deriving it."""
+    return name in vars(g)
 
 
 def test_build_sft_keeps_a_few_bytes_per_state():
@@ -228,7 +224,7 @@ def test_build_sft_keeps_a_few_bytes_per_state():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert _derived(g, "essential") and g.essential is g._orbit_alive
+    assert _derived(g, "_orbit_graph") and g.essential is g._orbit_graph[1]
     assert sp.width == 4 and g.state_count == 17**4
     # offsets, targets and essential flags: 4 + 4 + 1 bytes per state
     assert kept <= 16 * g.state_count, kept / g.state_count
@@ -669,14 +665,14 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
     calls.clear()
     abelian = sft(parse_presentation("<t, a | t a^2 t^-1 a^-2>"), {"t": 1, "a": 0}, klein)
     assert calls == [] and abelian.orbits is None
-    assert abelian._orbit_edges is abelian.successors
-    assert abelian._orbit_alive is abelian.essential
-    assert len(nonabelian._orbit_edges) == len(nonabelian.digits) == len(nonabelian.orbits.reps)
+    assert abelian._orbit_graph[0] is abelian.successors
+    assert abelian._orbit_graph[1] is abelian.essential
+    assert len(nonabelian._orbit_graph[0]) == len(nonabelian.digits) == len(nonabelian.orbits.reps)
     assert not _derived(nonabelian, "successors") and not _derived(nonabelian, "essential")
     # reading a bare object in any way raises; the abelian walks read the
-    # successors, which are the graph itself
-    nonabelian.successors = nonabelian.essential = object()
+    # orbit graph, which is the graph itself, and no per-state view
     for g in (nonabelian, abelian):
+        g.successors = g.essential = object()
         c = census(g)
         assert c.classification == "PositiveEntropy"
         assert c.essential_count == (22 if g is nonabelian else 4)
@@ -684,13 +680,13 @@ def test_census_builds_the_essential_subgraph_once(monkeypatch):
         for period in (1, 2, 4):
             enumerate_periodic(g, period)
         assert calls == []
-    del nonabelian.successors, nonabelian.essential
+        del g.successors, g.essential
     # Every essential state has as many essential successors as its orbit's
     # node has edges in the essential orbit graph.
-    alive = nonabelian._orbit_alive
+    alive = nonabelian._orbit_graph[1]
     sizes = list(compress(nonabelian.orbits.sizes, alive))
     assert sum(sizes) == 22 and len(sizes) == 6
-    offsets, targets = repshift._restrict(nonabelian._orbit_edges, alive)
+    offsets, targets = repshift._restrict(nonabelian._orbit_graph[0], alive)
     ess = nonabelian.essential
     edges = sum(ess[t] for s, ts in enumerate(nonabelian.successors) if ess[s] for t in ts)
     assert sum(size * (offsets[i + 1] - offsets[i]) for i, size in enumerate(sizes)) == edges
@@ -1019,7 +1015,7 @@ def test_orbit_entropy_renormalizes_like_the_iteration_over_every_state():
     # settle; the floors of the orbit values must be the floors of the
     # state values, so the floats agree bit for bit.
     g = S3_CHAINED
-    assert list(compress(g.orbits.sizes, g._orbit_alive)) == [1, 3, 2]
+    assert list(compress(g.orbits.sizes, g._orbit_graph[1])) == [1, 3, 2]
     # The 3-cycles alone give a sum of at least 2 * 3^k after k steps, past
     # 4000 bits from k = 2524 on, and at 1e-7 the ratios still differ then.
     assert g.essential_count == 6

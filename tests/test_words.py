@@ -1,6 +1,7 @@
 """Words, presentations, parsing, and weighting extraction."""
 
 import contextlib
+import itertools
 import math
 import random
 import signal
@@ -641,9 +642,20 @@ def test_smith_diagonal_matches_sympy_on_random_matrices():
         _check_kernel(rows, ncols, diag, kernel)
 
 
+def _chain_mod(places, m):
+    """The gcds of the places with m, sorted into the divisibility chain."""
+    diag = [math.gcd(d, m) for d in places]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = math.gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
+
 def test_smith_mod_matches_sympy_modulo_m():
     # The Smith form over Z/m is the chain of gcd(d_i, m) over sympy's
-    # invariant factors d_i, padded with zeros, a zero reading as m.
+    # invariant factors d_i, padded with zeros, a zero reading as m; so is
+    # the chain of the gcds of smith_mod's places with m.
     rng = random.Random(20261022)
     for _ in range(40):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
@@ -656,7 +668,25 @@ def test_smith_mod_matches_sympy_modulo_m():
             want = [math.gcd(d, m) for d in invariants]
             assert all(b % a == 0 for a, b in zip(want, want[1:]))
             with _deadline(5, f"smith_mod on {rows} modulo {m}"):
-                assert smith_mod(rows, ncols, m) == want, (rows, m)
+                places = smith_mod(rows, ncols, m)
+            assert all(0 <= d < m for d in places), (rows, m)
+            assert _chain_mod(places, m) == want, (rows, m)
+
+
+def test_smith_mod_counts_the_solutions_modulo_m():
+    # A x = 0 over Z/m has m^(ncols - places) times gcd(d, m) per place d
+    # solutions, counted here by trying every x.
+    rng = random.Random(20261023)
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 3), rng.randint(1, 4)
+        m = rng.randint(1, 12)
+        rows = [[rng.randint(-12, 12) * rng.choice((0, 1, 1)) for _ in range(ncols)] for _ in range(nrows)]
+        places = smith_mod(rows, ncols, m)
+        want = sum(
+            all(sum(a * v for a, v in zip(row, x)) % m == 0 for row in rows)
+            for x in itertools.product(range(m), repeat=ncols)
+        )
+        assert m ** (ncols - len(places)) * math.prod(math.gcd(d, m) for d in places) == want, (rows, m)
 
 
 # Exponent matrix of random_presentation(Random(35), 10, 30) from the
